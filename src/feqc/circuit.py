@@ -4,13 +4,26 @@ measurements and feedforward conditionals, plus structural validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Iterator, Sequence, Union
 
 from . import fock
 from .errors import CircuitError
 
-MEASUREMENT_KINDS = ("charge", "parity", "spin")
+# Number of outcomes of each measurement kind: charge 0..2, parity and spin 0..1.
+OUTCOME_COUNTS = {"charge": 3, "parity": 2, "spin": 2}
 ROTATION_NAMES = ("x", "y", "z", "h")
+
+# Diagnostic codes, one per failure class.
+UNKNOWN_KEYWORD = "unknown-keyword"
+ARITY = "arity"
+BAD_LITERAL = "bad-literal"
+ARM_RANGE = "arm-range"
+DUPLICATE_ARM = "duplicate-arm"
+LABEL_REDEFINED = "label-redefined"
+FORWARD_REFERENCE = "forward-reference"
+UNKNOWN_LABEL = "unknown-label"
+RE_PREPARED = "re-prepared"
+ARMS_DECL = "arms-decl"
 
 
 @dataclass
@@ -28,21 +41,25 @@ class PrepBell:
 
 
 @dataclass
-class BeamSplitter:
+class TwoArmElement:
+    """An element on two arms; ``keyword`` names it in the circuit language
+    and in the element table ``fock.TWO_ARM_ELEMENTS``."""
+
     arm_i: int
     arm_j: int
+    keyword: ClassVar[str]
 
 
-@dataclass
-class PolarizingBeamSplitter:
-    arm_i: int
-    arm_j: int
+class BeamSplitter(TwoArmElement):
+    keyword = "bs"
 
 
-@dataclass
-class SwapArms:
-    arm_i: int
-    arm_j: int
+class PolarizingBeamSplitter(TwoArmElement):
+    keyword = "pbs"
+
+
+class SwapArms(TwoArmElement):
+    keyword = "swap"
 
 
 @dataclass
@@ -77,59 +94,103 @@ class Circuit:
     instructions: list[Instruction] = field(default_factory=list)
 
 
+def structural_problems(
+    arm_count: int | None,
+    instructions: Sequence[Instruction],
+    lines: Sequence[int] | None = None,
+) -> Iterator[tuple[int, str, str]]:
+    """Yield (instruction index, code, message) for every structural problem.
+
+    ``lines`` gives each instruction's source line for messages that point at
+    another instruction; by default it is the line in ``print_circuit``'s
+    output.  ``arm_count`` None (no valid declaration) only checks arms >= 1.
+    """
+    if lines is None:
+        lines = range(2, len(instructions) + 2)
+    first_measure: dict[str, int] = {}
+    for i, ins in enumerate(instructions):
+        if isinstance(ins, Measure):
+            first_measure.setdefault(ins.label, i)
+
+    def arm_problems(i: int, *arms: int) -> Iterator[tuple[int, str, str]]:
+        for arm in arms:
+            if arm < 1 or (arm_count is not None and arm > arm_count):
+                yield i, ARM_RANGE, f"arm {arm} out of range 1..{arm_count}"
+
+    def rotation_problems(i: int, rot: SpinRotation) -> Iterator[tuple[int, str, str]]:
+        yield from arm_problems(i, rot.arm)
+        if rot.name not in ROTATION_NAMES:
+            yield i, BAD_LITERAL, f"unknown rotation {rot.name!r} (x|y|z|h)"
+
+    prepared: set[int] = set()
+    for i, ins in enumerate(instructions):
+        if isinstance(ins, PrepSpin):
+            yield from arm_problems(i, ins.arm)
+            if ins.arm in prepared:
+                yield i, RE_PREPARED, f"arm {ins.arm} prepared twice"
+            prepared.add(ins.arm)
+            try:
+                fock.check_spinor(ins.alpha, ins.beta)
+            except ValueError as err:
+                yield i, BAD_LITERAL, str(err)
+        elif isinstance(ins, PrepBell):
+            if ins.k not in fock.BELL_COEFFS:
+                yield i, BAD_LITERAL, f"bell index {ins.k} not in 0..3"
+            for arm in (ins.arm_a, ins.arm_b):
+                yield from arm_problems(i, arm)
+                if arm in prepared:
+                    yield i, RE_PREPARED, f"arm {arm} prepared twice"
+                prepared.add(arm)
+            if ins.arm_a == ins.arm_b:
+                yield i, DUPLICATE_ARM, "bell needs two distinct arms"
+        elif isinstance(ins, TwoArmElement):
+            yield from arm_problems(i, ins.arm_i, ins.arm_j)
+            if ins.arm_i == ins.arm_j:
+                yield i, DUPLICATE_ARM, f"{ins.keyword} needs two distinct arms"
+        elif isinstance(ins, SpinRotation):
+            yield from rotation_problems(i, ins)
+        elif isinstance(ins, Measure):
+            first = first_measure[ins.label]
+            if first != i:
+                yield (i, LABEL_REDEFINED,
+                       f"label {ins.label!r} already defined on line {lines[first]}")
+            yield from arm_problems(i, ins.arm)
+            if ins.kind not in OUTCOME_COUNTS:
+                yield i, UNKNOWN_KEYWORD, f"unknown measurement kind {ins.kind!r}"
+        elif isinstance(ins, Conditional):
+            yield from rotation_problems(i, ins.op)
+            first = first_measure.get(ins.label)
+            if first is None:
+                yield i, UNKNOWN_LABEL, f"label {ins.label!r} is never measured"
+            elif first > i:
+                yield (i, FORWARD_REFERENCE,
+                       f"label {ins.label!r} is measured later (line {lines[first]})")
+            else:
+                kind = instructions[first].kind
+                count = OUTCOME_COUNTS.get(kind)
+                if count is not None and ins.value not in range(count):
+                    yield (i, BAD_LITERAL, f"outcome {ins.value} never occurs: "
+                           f"{kind} label {ins.label!r} reads 0..{count - 1}")
+        else:
+            yield i, UNKNOWN_KEYWORD, f"unknown instruction {ins!r}"
+
+
 def validate_circuit(circuit: Circuit) -> None:
     """Raise CircuitError on the first structural problem found."""
     if circuit.arm_count < 1:
         raise CircuitError("arm count must be >= 1")
+    for _, _, message in structural_problems(circuit.arm_count, circuit.instructions):
+        raise CircuitError(message)
 
-    def check_arm(arm: int, what: str) -> None:
-        if not 1 <= arm <= circuit.arm_count:
-            raise CircuitError(f"{what}: arm {arm} out of range 1..{circuit.arm_count}")
 
-    seen_labels: set[str] = set()
-    prepared: set[int] = set()
-    for ins in circuit.instructions:
-        if isinstance(ins, PrepSpin):
-            check_arm(ins.arm, "electron")
-            if ins.arm in prepared:
-                raise CircuitError(f"arm {ins.arm} prepared twice")
-            prepared.add(ins.arm)
-        elif isinstance(ins, PrepBell):
-            if ins.k not in range(4):
-                raise CircuitError(f"bell index {ins.k} not in 0..3")
-            for arm in (ins.arm_a, ins.arm_b):
-                check_arm(arm, "bell")
-                if arm in prepared:
-                    raise CircuitError(f"arm {arm} prepared twice")
-                prepared.add(arm)
-            if ins.arm_a == ins.arm_b:
-                raise CircuitError("bell pair needs two distinct arms")
-        elif isinstance(ins, (BeamSplitter, PolarizingBeamSplitter, SwapArms)):
-            check_arm(ins.arm_i, "element")
-            check_arm(ins.arm_j, "element")
-            if ins.arm_i == ins.arm_j:
-                raise CircuitError("two-arm element needs distinct arms")
-        elif isinstance(ins, SpinRotation):
-            check_arm(ins.arm, "rot")
-            if ins.name not in ROTATION_NAMES:
-                raise CircuitError(f"unknown rotation {ins.name!r}")
-        elif isinstance(ins, Measure):
-            check_arm(ins.arm, "measurement")
-            if ins.kind not in MEASUREMENT_KINDS:
-                raise CircuitError(f"unknown measurement kind {ins.kind!r}")
-            if ins.label in seen_labels:
-                raise CircuitError(f"label {ins.label!r} redefined")
-            seen_labels.add(ins.label)
-        elif isinstance(ins, Conditional):
-            if ins.label not in seen_labels:
-                raise CircuitError(
-                    f"conditional references label {ins.label!r} before it is measured"
-                )
-            check_arm(ins.op.arm, "conditional rot")
-            if ins.op.name not in ROTATION_NAMES:
-                raise CircuitError(f"unknown rotation {ins.op.name!r}")
-        else:
-            raise CircuitError(f"unknown instruction {ins!r}")
+def unitary_steps(ins: Instruction) -> list[fock.Step]:
+    """The (mode pair, 2x2 unitary) steps of an optical element; both backends
+    apply elements through this."""
+    if isinstance(ins, SpinRotation):
+        return fock.rotation_steps(ins.arm, fock.ROTATIONS[ins.name])
+    if isinstance(ins, TwoArmElement):
+        return fock.two_arm_steps(ins.keyword, ins.arm_i, ins.arm_j)
+    raise CircuitError(f"cannot apply {ins!r} directly")
 
 
 def apply_instruction(state: fock.FockState, ins: Instruction) -> fock.FockState:
@@ -139,15 +200,7 @@ def apply_instruction(state: fock.FockState, ins: Instruction) -> fock.FockState
         return fock.prepare_spin(state, ins.arm, ins.alpha, ins.beta)
     if isinstance(ins, PrepBell):
         return fock.prepare_bell(state, ins.k, ins.arm_a, ins.arm_b)
-    if isinstance(ins, BeamSplitter):
-        return fock.beam_splitter(state, ins.arm_i, ins.arm_j)
-    if isinstance(ins, PolarizingBeamSplitter):
-        return fock.polarizing_beam_splitter(state, ins.arm_i, ins.arm_j)
-    if isinstance(ins, SwapArms):
-        return fock.swap_arms(state, ins.arm_i, ins.arm_j)
-    if isinstance(ins, SpinRotation):
-        return fock.spin_rotation(state, ins.arm, fock.ROTATIONS[ins.name])
-    raise CircuitError(f"cannot apply {ins!r} directly")
+    return fock.apply_steps(state, unitary_steps(ins))
 
 
 def _complex_literal(z: complex) -> str:
@@ -170,12 +223,8 @@ def print_circuit(circuit: Circuit) -> str:
             lines.append(f"electron {ins.arm} {_spinor_text(ins.alpha, ins.beta)}")
         elif isinstance(ins, PrepBell):
             lines.append(f"bell {ins.k} {ins.arm_a} {ins.arm_b}")
-        elif isinstance(ins, BeamSplitter):
-            lines.append(f"bs {ins.arm_i} {ins.arm_j}")
-        elif isinstance(ins, PolarizingBeamSplitter):
-            lines.append(f"pbs {ins.arm_i} {ins.arm_j}")
-        elif isinstance(ins, SwapArms):
-            lines.append(f"swap {ins.arm_i} {ins.arm_j}")
+        elif isinstance(ins, TwoArmElement):
+            lines.append(f"{ins.keyword} {ins.arm_i} {ins.arm_j}")
         elif isinstance(ins, SpinRotation):
             lines.append(f"rot {ins.arm} {ins.name}")
         elif isinstance(ins, Measure):

@@ -34,7 +34,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=("fock", "corr"), default="fock")
     run.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
     run.add_argument("--shots", type=int, default=1024)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0, help="0 <= S < 2^64")
     run.add_argument("--emit-state", action="store_true",
                      help="include final amplitudes per branch (fock backend)")
     _output_flags(run)
@@ -69,6 +69,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {value}")
+    return value
+
+
 def _output_flags(p: argparse.ArgumentParser) -> None:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false", default=False,
@@ -89,8 +96,7 @@ def _parse_spinor(text: str) -> tuple[complex, complex]:
     vals = [float(g) for g in m.groups()]
     alpha = complex(vals[0], vals[1])
     beta = complex(vals[2], vals[3])
-    if abs(alpha) ** 2 + abs(beta) ** 2 == 0:
-        raise ValueError("spinor must be nonzero")
+    fock.check_spinor(alpha, beta)
     return alpha, beta
 
 
@@ -122,22 +128,15 @@ def _run_report(args, circuit: Circuit) -> dict:
     }
     if args.backend == "fock":
         root = measurement.branch_tree(circuit, vacuum(circuit.arm_count))
-        records: list[measurement.BranchRecord] = []
-        measurement._collect(root, records)
-        branches = []
-        for rec in records:
-            entry: dict = {"outcomes": rec.outcomes, "probability": rec.probability}
-            if args.emit_state:
-                entry["state"] = _state_entries(rec.post_state)
-            branches.append(entry)
-        report["branches"] = branches
     else:
         root, stats = corr.charge_branch_tree(circuit)
-        records = []
-        corr._collect_leaves(root, records)
-        report["branches"] = _merge_branches(
-            [{"outcomes": r.outcomes, "probability": r.probability} for r in records]
-        )
+    branches = []
+    for rec in measurement.leaves(root):
+        entry: dict = {"outcomes": rec.outcomes, "probability": rec.probability}
+        if args.emit_state and args.backend == "fock":
+            entry["state"] = _state_entries(rec.post_state)
+        branches.append(entry)
+    report["branches"] = branches if args.backend == "fock" else _merge_branches(branches)
     if args.mode == "sample":
         result = sample_tree(root, args.seed, args.shots)
         report["frequencies"] = result.frequencies

@@ -23,20 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    Conditional,
-    Measure,
-    PrepBell,
-    PrepSpin,
-    SpinRotation,
-    validate_circuit,
-)
-from . import circuit as circuit_mod
+from .circuit import Circuit, Measure, PrepBell, PrepSpin, unitary_steps, validate_circuit
 from . import fock
 from .errors import NonGaussianOperationError, PreconditionError
 from .fock import Spin, mode_position
-from .measurement import BranchLeaf, BranchNode
+from .measurement import BranchRecord, leaves, walk
 
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
@@ -80,10 +71,9 @@ def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex) 
     block = M.matrix[np.ix_([up, up + 1], [up, up + 1])]
     if np.linalg.norm(block) > 1e-9:
         raise PreconditionError(f"add_electron: arm {arm} is already occupied")
+    fock.check_spinor(alpha, beta)
     v = np.zeros(M.num_modes, dtype=complex)
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    if norm == 0:
-        raise ValueError("spinor must be nonzero")
     v[up] = alpha / norm
     v[up + 1] = beta / norm
     return CorrelationMatrix(M.num_arms, M.matrix + np.outer(v.conj(), v))
@@ -99,7 +89,7 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
     positions = [mode_position(mode, M.num_arms) for mode in modes]
     if len(set(positions)) != len(positions):
         raise ValueError("modes must be distinct")
-    u = fock._check_unitary(matrix, len(positions))
+    u = fock.check_unitary(matrix, len(positions))
     v = np.eye(M.num_modes, dtype=complex)
     v[np.ix_(positions, positions)] = u
     return CorrelationMatrix(M.num_arms, v.conj() @ M.matrix @ v.T)
@@ -187,13 +177,6 @@ def single_occupancy_probability(M: CorrelationMatrix, arms) -> float:
 
 
 @dataclass
-class CorrBranchRecord:
-    outcomes: dict[str, int]
-    probability: float
-    post_matrix: CorrelationMatrix
-
-
-@dataclass
 class CorrRunStats:
     terms: int = 0
     wall_ms: float = 0.0
@@ -215,12 +198,6 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
                 f"non-Gaussian operation: {ins.kind} measurement {ins.label!r} "
                 "cannot be tracked by the correlation backend"
             )
-
-
-def _charge_measurements_terminal(instructions, first_measure: int) -> bool:
-    return all(
-        isinstance(ins, Measure) for ins in instructions[first_measure:]
-    )
 
 
 def _charge_outcomes(
@@ -251,6 +228,14 @@ def _charge_outcomes(
     return outcomes
 
 
+def _apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
+    if isinstance(ins, PrepSpin):
+        return add_electron(M, ins.arm, ins.alpha, ins.beta)
+    for modes, matrix in unitary_steps(ins):
+        M = evolve(M, modes, matrix)
+    return M
+
+
 def charge_branch_tree(circuit: Circuit):
     """Expand a Gaussian circuit into a branch tree over charge readouts.
 
@@ -265,74 +250,29 @@ def charge_branch_tree(circuit: Circuit):
     stats = CorrRunStats()
     start = time.perf_counter()
     instructions = circuit.instructions
-    measure_indices = [i for i, ins in enumerate(instructions) if isinstance(ins, Measure)]
-    stats.measured_arms = sorted({instructions[i].arm for i in measure_indices})
+    measures = [ins for ins in instructions if isinstance(ins, Measure)]
+    stats.measured_arms = sorted({ins.arm for ins in measures})
+    terminal = bool(measures) and all(
+        isinstance(ins, Measure) for ins in instructions[-len(measures):]
+    )
 
-    def walk(index: int, M: CorrelationMatrix, outcomes: dict[str, int], prob: float):
-        for i in range(index, len(instructions)):
-            ins = instructions[i]
-            if isinstance(ins, Measure):
-                children = []
-                for q, p, post in _charge_outcomes(M, ins.arm):
-                    sub = walk(i + 1, post, {**outcomes, ins.label: q}, prob * p)
-                    children.append((q, p, sub))
-                return BranchNode(ins.label, children)
-            if isinstance(ins, PrepSpin):
-                M = add_electron(M, ins.arm, ins.alpha, ins.beta)
-            elif isinstance(ins, Conditional):
-                if outcomes[ins.label] == ins.value:
-                    M = _evolve_instruction(M, ins.op)
-            else:
-                M = _evolve_instruction(M, ins)
-        return BranchLeaf(CorrBranchRecord(dict(outcomes), prob, M))
+    def branches(M: CorrelationMatrix, ins: Measure):
+        # The complexity demonstration: price the joint charge-1 query on the
+        # state the first of a terminal block of charge readouts sees.
+        if terminal and stats.joint_charge1 is None:
+            stats.joint_charge1 = single_occupancy_probability(M, stats.measured_arms)
+            stats.terms = len(single_occupancy_monomials(stats.measured_arms, circuit.arm_count))
+        return _charge_outcomes(M, ins.arm)
 
-    # The complexity demonstration: price the joint charge-1 query on the
-    # state just before a terminal block of charge readouts.
-    if measure_indices and _charge_measurements_terminal(instructions, measure_indices[0]):
-        M = init_from_occupations([], circuit.arm_count)
-        for ins in instructions[: measure_indices[0]]:
-            if isinstance(ins, PrepSpin):
-                M = add_electron(M, ins.arm, ins.alpha, ins.beta)
-            else:
-                M = _evolve_instruction(M, ins)
-        stats.joint_charge1 = single_occupancy_probability(M, stats.measured_arms)
-        stats.terms = len(single_occupancy_monomials(stats.measured_arms, circuit.arm_count))
-
-    root = walk(0, init_from_occupations([], circuit.arm_count), {}, 1.0)
+    root = walk(instructions, init_from_occupations([], circuit.arm_count), _apply, branches)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return root, stats
 
 
 def enumerate_charge_branches(
     circuit: Circuit,
-) -> tuple[list[CorrBranchRecord], CorrRunStats]:
+) -> tuple[list[BranchRecord], CorrRunStats]:
     """Flattened charge_branch_tree: every outcome assignment with its
     probability and conditional Gaussian state."""
     root, stats = charge_branch_tree(circuit)
-    records: list[CorrBranchRecord] = []
-    _collect_leaves(root, records)
-    return records, stats
-
-
-def _collect_leaves(node, out: list) -> None:
-    if isinstance(node, BranchLeaf):
-        out.append(node.record)
-        return
-    for _, _, child in node.children:
-        _collect_leaves(child, out)
-
-
-def _evolve_instruction(M: CorrelationMatrix, ins) -> CorrelationMatrix:
-    if isinstance(ins, circuit_mod.BeamSplitter):
-        M = evolve(M, [(ins.arm_i, Spin.UP), (ins.arm_j, Spin.UP)], fock.BEAM_SPLITTER_MATRIX)
-        return evolve(M, [(ins.arm_i, Spin.DOWN), (ins.arm_j, Spin.DOWN)], fock.BEAM_SPLITTER_MATRIX)
-    if isinstance(ins, circuit_mod.PolarizingBeamSplitter):
-        swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        return evolve(M, [(ins.arm_i, Spin.DOWN), (ins.arm_j, Spin.DOWN)], swap)
-    if isinstance(ins, circuit_mod.SwapArms):
-        swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        M = evolve(M, [(ins.arm_i, Spin.UP), (ins.arm_j, Spin.UP)], swap)
-        return evolve(M, [(ins.arm_i, Spin.DOWN), (ins.arm_j, Spin.DOWN)], swap)
-    if isinstance(ins, SpinRotation):
-        return evolve(M, [(ins.arm, Spin.UP), (ins.arm, Spin.DOWN)], fock.ROTATIONS[ins.name])
-    raise NonGaussianOperationError(f"cannot evolve {ins!r} on the correlation backend")
+    return leaves(root), stats

@@ -16,6 +16,7 @@ product with overall phase +1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Sequence
@@ -137,10 +138,18 @@ def require_single_occupancy(state: FockState, arm: int, op: str) -> None:
             raise PreconditionError(f"{op}: arm {arm} must carry exactly one electron")
 
 
+def check_spinor(alpha: complex, beta: complex) -> None:
+    """Reject a spinor whose squared norm is zero, NaN or overflows a float."""
+    norm2 = sum(x * x for z in (complex(alpha), complex(beta)) for x in (z.real, z.imag))
+    if norm2 == 0:
+        raise ValueError("spinor must be nonzero")
+    if not math.isfinite(norm2):
+        raise ValueError("spinor must be finite, with a squared norm below 1.8e308")
+
+
 def prepare_spin(state: FockState, arm: int, alpha: complex, beta: complex) -> FockState:
     """Add one electron in ``arm`` with (normalized) spinor alpha|up> + beta|down>."""
-    if abs(alpha) ** 2 + abs(beta) ** 2 == 0:
-        raise ValueError("spinor must be nonzero")
+    check_spinor(alpha, beta)
     mode_position((arm, Spin.UP), state.num_arms)
     _require_arm_empty(state, arm, "prepare_spin")
     up = _append_mode(state, (arm, Spin.UP))
@@ -196,7 +205,7 @@ def prepare_bell(state: FockState, k: int, arm_a: int, arm_b: int) -> FockState:
     return prepare_two_spin(state, arm_a, arm_b, BELL_COEFFS[k])
 
 
-def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
+def check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {u.shape}")
@@ -220,7 +229,7 @@ def apply_single_particle_unitary(
     positions = [mode_position(mode, state.num_arms) for mode in modes]
     if len(set(positions)) != m:
         raise ValueError("modes must be distinct")
-    u = _check_unitary(matrix, m)
+    u = check_unitary(matrix, m)
     pos_to_col = {p: j for j, p in enumerate(positions)}
     images: list[list[tuple[int, complex]]] = [
         [(positions[i], u[i, j]) for i in range(m) if abs(u[i, j]) > PRUNE_THRESHOLD]
@@ -263,43 +272,55 @@ ROTATIONS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "h": HADAMARD}
 
 _SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
+# Every optical element is a short list of two-mode unitaries; this table
+# defines the two-arm ones for both backends.  Each applies its 2x2 matrix to
+# the mode pair ((arm_i, spin), (arm_j, spin)) for each listed spin, in order.
+TWO_ARM_ELEMENTS: dict[str, tuple[tuple[Spin, ...], np.ndarray]] = {
+    "bs": ((Spin.UP, Spin.DOWN), BEAM_SPLITTER_MATRIX),  # 50/50 on both spins
+    "pbs": ((Spin.DOWN,), _SWAP2),  # transmit up, reflect down (phase +1)
+    "swap": ((Spin.UP, Spin.DOWN), _SWAP2),  # exchange arm contents (phase +1)
+}
+
+Step = tuple[list[ModeIndex], np.ndarray]
+
+
+def two_arm_steps(keyword: str, arm_i: int, arm_j: int) -> list[Step]:
+    """The (mode pair, 2x2 unitary) steps of a 'bs', 'pbs' or 'swap' element."""
+    if arm_i == arm_j:
+        raise ValueError(f"{keyword} needs two distinct arms")
+    spins, matrix = TWO_ARM_ELEMENTS[keyword]
+    return [([ModeIndex(arm_i, s), ModeIndex(arm_j, s)], matrix) for s in spins]
+
+
+def rotation_steps(arm: int, matrix: np.ndarray) -> list[Step]:
+    """A spin rotation: one 2x2 unitary on the (up, down) modes of an arm."""
+    return [([ModeIndex(arm, Spin.UP), ModeIndex(arm, Spin.DOWN)], matrix)]
+
+
+def apply_steps(state: FockState, steps: list[Step]) -> FockState:
+    for modes, matrix in steps:
+        state = apply_single_particle_unitary(state, modes, matrix)
+    return state
+
 
 def beam_splitter(state: FockState, arm_i: int, arm_j: int) -> FockState:
     """50/50 splitter between two arms, acting identically on both spins."""
-    if arm_i == arm_j:
-        raise ValueError("beam splitter needs two distinct arms")
-    out = apply_single_particle_unitary(
-        state, [(arm_i, Spin.UP), (arm_j, Spin.UP)], BEAM_SPLITTER_MATRIX
-    )
-    return apply_single_particle_unitary(
-        out, [(arm_i, Spin.DOWN), (arm_j, Spin.DOWN)], BEAM_SPLITTER_MATRIX
-    )
+    return apply_steps(state, two_arm_steps("bs", arm_i, arm_j))
 
 
 def polarizing_beam_splitter(state: FockState, arm_i: int, arm_j: int) -> FockState:
     """Transmit spin up, reflect spin down (reflection phase +1)."""
-    if arm_i == arm_j:
-        raise ValueError("polarizing beam splitter needs two distinct arms")
-    return apply_single_particle_unitary(
-        state, [(arm_i, Spin.DOWN), (arm_j, Spin.DOWN)], _SWAP2
-    )
+    return apply_steps(state, two_arm_steps("pbs", arm_i, arm_j))
 
 
 def swap_arms(state: FockState, arm_i: int, arm_j: int) -> FockState:
     """Exchange the full contents of two arms (pure routing, phase +1)."""
-    if arm_i == arm_j:
-        raise ValueError("swap needs two distinct arms")
-    out = apply_single_particle_unitary(state, [(arm_i, Spin.UP), (arm_j, Spin.UP)], _SWAP2)
-    return apply_single_particle_unitary(
-        out, [(arm_i, Spin.DOWN), (arm_j, Spin.DOWN)], _SWAP2
-    )
+    return apply_steps(state, two_arm_steps("swap", arm_i, arm_j))
 
 
 def spin_rotation(state: FockState, arm: int, matrix: np.ndarray) -> FockState:
     """Apply a 2x2 unitary on the (up, down) modes of one arm."""
-    return apply_single_particle_unitary(
-        state, [(arm, Spin.UP), (arm, Spin.DOWN)], matrix
-    )
+    return apply_steps(state, rotation_steps(arm, matrix))
 
 
 def inner_product(state_a: FockState, state_b: FockState) -> complex:

@@ -10,7 +10,7 @@ identical inputs reproduce identical records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -89,9 +89,12 @@ def charge1_expectation(state: FockState, arm: int) -> float:
 
 @dataclass
 class BranchRecord:
+    """One outcome assignment; ``post_state`` is the backend's state (a
+    FockState, or a CorrelationMatrix on the corr backend)."""
+
     outcomes: dict[str, int]
     probability: float
-    post_state: FockState
+    post_state: Any
 
 
 @dataclass
@@ -108,46 +111,51 @@ class BranchNode:
 _MEASURE_FNS = {"charge": measure_charge, "parity": measure_parity, "spin": measure_spin}
 
 
+def walk(instructions, state, apply, branches) -> Union[BranchNode, BranchLeaf]:
+    """Expand instructions from ``state`` into the measurement-outcome tree.
+
+    The backend supplies ``apply(state, ins)`` for preparations and elements,
+    and ``branches(state, measure)`` returning a readout's (outcome,
+    probability, post-state) list.  Conditionals fire on earlier outcomes.
+    """
+
+    def expand(index, state, outcomes, prob):
+        for i in range(index, len(instructions)):
+            ins = instructions[i]
+            if isinstance(ins, Measure):
+                return BranchNode(ins.label, [
+                    (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
+                    for outcome, p, post in branches(state, ins)
+                ])
+            if isinstance(ins, Conditional):
+                if outcomes[ins.label] == ins.value:
+                    state = apply(state, ins.op)
+            else:
+                state = apply(state, ins)
+        return BranchLeaf(BranchRecord(dict(outcomes), prob, state))
+
+    return expand(0, state, {}, 1.0)
+
+
+def leaves(root) -> list[BranchRecord]:
+    """The leaf records of a branch tree, in outcome order."""
+    if isinstance(root, BranchLeaf):
+        return [root.record]
+    return [record for _, _, child in root.children for record in leaves(child)]
+
+
 def branch_tree(circuit: Circuit, input_state: FockState) -> Union[BranchNode, BranchLeaf]:
     """Expand a circuit into its measurement-outcome tree."""
     validate_circuit(circuit)
     if input_state.num_arms != circuit.arm_count:
         raise ValueError("input state arm count does not match circuit")
-    return _expand(circuit.instructions, 0, input_state, {}, 1.0)
-
-
-def _expand(instructions, index, state, outcomes, prob) -> Union[BranchNode, BranchLeaf]:
-    for i in range(index, len(instructions)):
-        ins = instructions[i]
-        if isinstance(ins, Measure):
-            children = []
-            for outcome, p, post in _MEASURE_FNS[ins.kind](state, ins.arm):
-                sub = _expand(
-                    instructions, i + 1, post, {**outcomes, ins.label: outcome}, prob * p
-                )
-                children.append((outcome, p, sub))
-            return BranchNode(ins.label, children)
-        if isinstance(ins, Conditional):
-            if outcomes[ins.label] == ins.value:
-                state = apply_instruction(state, ins.op)
-        else:
-            state = apply_instruction(state, ins)
-    return BranchLeaf(BranchRecord(dict(outcomes), prob, state))
-
-
-def _collect(node, out: list) -> None:
-    if isinstance(node, BranchLeaf):
-        out.append(node.record)
-        return
-    for _, _, child in node.children:
-        _collect(child, out)
+    return walk(circuit.instructions, input_state, apply_instruction,
+                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm))
 
 
 def enumerate_branches(circuit: Circuit, input_state: FockState) -> list[BranchRecord]:
     """All measurement outcome assignments with probabilities and post-states."""
-    records: list[BranchRecord] = []
-    _collect(branch_tree(circuit, input_state), records)
-    return records
+    return leaves(branch_tree(circuit, input_state))
 
 
 def outcome_signature(outcomes: dict[str, int]) -> str:

@@ -18,30 +18,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .circuit import (
-    BeamSplitter,
-    Circuit,
-    Conditional,
-    Instruction,
-    Measure,
-    PolarizingBeamSplitter,
-    PrepBell,
-    PrepSpin,
-    SpinRotation,
-    SwapArms,
+from . import fock
+from .circuit import (  # the diagnostic codes are re-exported from here
+    ARITY, ARM_RANGE, ARMS_DECL, BAD_LITERAL, DUPLICATE_ARM, FORWARD_REFERENCE,
+    LABEL_REDEFINED, RE_PREPARED, UNKNOWN_KEYWORD, UNKNOWN_LABEL,
+    OUTCOME_COUNTS, ROTATION_NAMES, BeamSplitter, Circuit, Conditional, Instruction,
+    Measure, PolarizingBeamSplitter, PrepBell, PrepSpin, SpinRotation, SwapArms,
+    structural_problems,
 )
-
-# Diagnostic codes, one per failure class.
-UNKNOWN_KEYWORD = "unknown-keyword"
-ARITY = "arity"
-BAD_LITERAL = "bad-literal"
-ARM_RANGE = "arm-range"
-DUPLICATE_ARM = "duplicate-arm"
-LABEL_REDEFINED = "label-redefined"
-FORWARD_REFERENCE = "forward-reference"
-UNKNOWN_LABEL = "unknown-label"
-RE_PREPARED = "re-prepared"
-ARMS_DECL = "arms-decl"
 
 
 @dataclass(frozen=True)
@@ -68,6 +52,8 @@ class ParseResult:
 _TOKEN_RE = re.compile(r"\S+")
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _COMPLEX_RE = re.compile(r"\(([^,()]+),([^,()]+)\)\Z")
+
+_TWO_ARM = {cls.keyword: cls for cls in (BeamSplitter, PolarizingBeamSplitter, SwapArms)}
 
 _NAMED_SPINORS = {
     "up": (1 + 0j, 0j),
@@ -113,6 +99,17 @@ def _need(tokens: list[tuple[str, int]], count: int, line_col: int, form: str) -
 def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
     """One instruction, or ('arms', N) for the declaration line."""
     head, col0 = tokens[0]
+    # A measurement line first, so that a label may spell a keyword.
+    if len(tokens) >= 2 and tokens[1][0] == "=":
+        label, lcol = tokens[0]
+        if not _LABEL_RE.match(label):
+            raise _LineError(lcol, BAD_LITERAL, f"bad label {label!r}")
+        _need(tokens, 4, col0, "<label> = charge|parity|spin <arm>")
+        kind, kcol = tokens[2]
+        if kind not in OUTCOME_COUNTS:
+            raise _LineError(kcol, UNKNOWN_KEYWORD, f"unknown measurement kind {kind!r}")
+        arm = _parse_int(tokens[3][0], tokens[3][1], "arm")
+        return Measure(label, kind, arm)
     if head == "arms":
         _need(tokens, 2, col0, "arms <N>")
         return ("arms", _parse_int(tokens[1][0], tokens[1][1], "arm count"))
@@ -128,8 +125,10 @@ def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
         arm = _parse_int(tokens[1][0], tokens[1][1], "arm")
         alpha = _parse_complex(tokens[2][0], tokens[2][1])
         beta = _parse_complex(tokens[3][0], tokens[3][1])
-        if abs(alpha) ** 2 + abs(beta) ** 2 == 0:
-            raise _LineError(tokens[2][1], BAD_LITERAL, "spinor must be nonzero")
+        try:
+            fock.check_spinor(alpha, beta)
+        except ValueError as err:
+            raise _LineError(tokens[2][1], BAD_LITERAL, str(err))
         return PrepSpin(arm, alpha, beta)
     if head == "bell":
         _need(tokens, 4, col0, "bell <k> <arm_a> <arm_b>")
@@ -139,19 +138,18 @@ def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
         arm_a = _parse_int(tokens[2][0], tokens[2][1], "arm")
         arm_b = _parse_int(tokens[3][0], tokens[3][1], "arm")
         return PrepBell(k, arm_a, arm_b)
-    if head in ("bs", "pbs", "swap"):
+    if head in _TWO_ARM:
         _need(tokens, 3, col0, f"{head} <i> <j>")
         arm_i = _parse_int(tokens[1][0], tokens[1][1], "arm")
         arm_j = _parse_int(tokens[2][0], tokens[2][1], "arm")
-        cls = {"bs": BeamSplitter, "pbs": PolarizingBeamSplitter, "swap": SwapArms}[head]
         if arm_i == arm_j:
             raise _LineError(tokens[2][1], DUPLICATE_ARM, f"{head} needs two distinct arms")
-        return cls(arm_i, arm_j)
+        return _TWO_ARM[head](arm_i, arm_j)
     if head == "rot":
         _need(tokens, 3, col0, "rot <arm> x|y|z|h")
         arm = _parse_int(tokens[1][0], tokens[1][1], "arm")
         name, ncol = tokens[2]
-        if name not in ("x", "y", "z", "h"):
+        if name not in ROTATION_NAMES:
             raise _LineError(ncol, BAD_LITERAL, f"unknown rotation {name!r} (x|y|z|h)")
         return SpinRotation(arm, name)
     if head == "if":
@@ -163,19 +161,9 @@ def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
         value = _parse_int(tokens[3][0], tokens[3][1], "outcome")
         arm = _parse_int(tokens[6][0], tokens[6][1], "arm")
         name, ncol = tokens[7]
-        if name not in ("x", "y", "z", "h"):
+        if name not in ROTATION_NAMES:
             raise _LineError(ncol, BAD_LITERAL, f"unknown rotation {name!r} (x|y|z|h)")
         return Conditional(label, value, SpinRotation(arm, name))
-    if len(tokens) >= 2 and tokens[1][0] == "=":
-        label, lcol = tokens[0]
-        if not _LABEL_RE.match(label):
-            raise _LineError(lcol, BAD_LITERAL, f"bad label {label!r}")
-        _need(tokens, 4, col0, "<label> = charge|parity|spin <arm>")
-        kind, kcol = tokens[2]
-        if kind not in ("charge", "parity", "spin"):
-            raise _LineError(kcol, UNKNOWN_KEYWORD, f"unknown measurement kind {kind!r}")
-        arm = _parse_int(tokens[3][0], tokens[3][1], "arm")
-        return Measure(label, kind, arm)
     raise _LineError(col0, UNKNOWN_KEYWORD, f"unknown keyword {head!r}")
 
 
@@ -184,7 +172,6 @@ def parse(source: str) -> ParseResult:
     diagnostics: list[Diagnostic] = []
     parsed: list[tuple[int, int, Instruction]] = []  # (line, column, instruction)
     arm_count: int | None = None
-    arms_line: int | None = None
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
         text = raw.split("#", 1)[0]
@@ -213,91 +200,17 @@ def parse(source: str) -> ParseResult:
                 )
             else:
                 arm_count = item[1]
-                arms_line = lineno
             continue
         parsed.append((lineno, tokens[0][1], item))
 
     if arm_count is None:
         diagnostics.append(Diagnostic(1, 1, ARMS_DECL, "missing 'arms <N>' declaration"))
 
-    diagnostics.extend(_static_checks(parsed, arm_count))
+    lines = [lineno for lineno, _, _ in parsed]
+    instructions = [ins for _, _, ins in parsed]
+    for index, code, message in structural_problems(arm_count, instructions, lines):
+        diagnostics.append(Diagnostic(lines[index], parsed[index][1], code, message))
     diagnostics.sort(key=lambda d: (d.line, d.column))
     if diagnostics:
         return ParseResult(None, diagnostics)
-    assert arms_line is not None
-    return ParseResult(Circuit(arm_count, [ins for _, _, ins in parsed]), [])
-
-
-def _static_checks(parsed, arm_count) -> list[Diagnostic]:
-    diagnostics: list[Diagnostic] = []
-
-    def check_arm(arm: int, lineno: int, column: int) -> None:
-        if arm < 1 or (arm_count is not None and arm > arm_count):
-            diagnostics.append(
-                Diagnostic(
-                    lineno, column, ARM_RANGE, f"arm {arm} out of range 1..{arm_count}"
-                )
-            )
-
-    label_lines: dict[str, int] = {}
-    for lineno, column, ins in parsed:
-        if isinstance(ins, Measure):
-            if ins.label in label_lines:
-                diagnostics.append(
-                    Diagnostic(
-                        lineno,
-                        column,
-                        LABEL_REDEFINED,
-                        f"label {ins.label!r} already defined on line {label_lines[ins.label]}",
-                    )
-                )
-            else:
-                label_lines[ins.label] = lineno
-
-    prepared: set[int] = set()
-    for lineno, column, ins in parsed:
-        if isinstance(ins, PrepSpin):
-            check_arm(ins.arm, lineno, column)
-            if ins.arm in prepared:
-                diagnostics.append(
-                    Diagnostic(lineno, column, RE_PREPARED, f"arm {ins.arm} prepared twice")
-                )
-            prepared.add(ins.arm)
-        elif isinstance(ins, PrepBell):
-            for arm in (ins.arm_a, ins.arm_b):
-                check_arm(arm, lineno, column)
-                if arm in prepared:
-                    diagnostics.append(
-                        Diagnostic(lineno, column, RE_PREPARED, f"arm {arm} prepared twice")
-                    )
-                prepared.add(arm)
-            if ins.arm_a == ins.arm_b:
-                diagnostics.append(
-                    Diagnostic(lineno, column, DUPLICATE_ARM, "bell needs two distinct arms")
-                )
-        elif isinstance(ins, (BeamSplitter, PolarizingBeamSplitter, SwapArms)):
-            check_arm(ins.arm_i, lineno, column)
-            check_arm(ins.arm_j, lineno, column)
-        elif isinstance(ins, SpinRotation):
-            check_arm(ins.arm, lineno, column)
-        elif isinstance(ins, Measure):
-            check_arm(ins.arm, lineno, column)
-        elif isinstance(ins, Conditional):
-            check_arm(ins.op.arm, lineno, column)
-            defined = label_lines.get(ins.label)
-            if defined is None:
-                diagnostics.append(
-                    Diagnostic(
-                        lineno, column, UNKNOWN_LABEL, f"label {ins.label!r} is never measured"
-                    )
-                )
-            elif defined >= lineno:
-                diagnostics.append(
-                    Diagnostic(
-                        lineno,
-                        column,
-                        FORWARD_REFERENCE,
-                        f"label {ins.label!r} is measured later (line {defined})",
-                    )
-                )
-    return diagnostics
+    return ParseResult(Circuit(arm_count, instructions), [])

@@ -177,3 +177,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["success_probability"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("spinor", ["(nan,0) (0,1)", "(1e308,0) (1e308,0)"])
+def test_run_bad_spinor_literal_exits_2(capsys, tmp_path, spinor):
+    path = tmp_path / "spinor.feqc"
+    path.write_text(f"arms 1\nelectron 1 {spinor}\nq = charge 1\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert "bad-literal" in err
+
+
+def test_gadget_overflowing_spinor_exits_1(capsys):
+    code, out, err = run_cli(capsys, "gadget", "encoder", "--qubit", "(1e308,0),(1e308,0)")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+def test_run_rejects_seed_outside_64_bits(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(DATA / "encoder.feqc"), "--mode", "sample", "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_run_accepts_largest_seed(capsys):
+    seed = 2**64 - 1
+    code, out, _ = run_cli(capsys, "run", str(DATA / "encoder.feqc"), "--mode", "sample",
+                           "--seed", str(seed))
+    assert code == 0 and json.loads(out)["seed"] == seed

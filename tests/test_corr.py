@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,11 @@ from feqc.corr import (
 from feqc.errors import NonGaussianOperationError, PreconditionError
 from feqc.fock import BEAM_SPLITTER_MATRIX, Spin, beam_splitter, prepare_bell, prepare_spin, vacuum
 from feqc.measurement import charge1_expectation, measure_mode
-from helpers import dense_two_point, random_unitary
+from feqc.parser import parse
+from helpers import dense_two_point, random_spinor, random_unitary
 
 UP, DOWN = Spin.UP, Spin.DOWN
+DATA = Path(__file__).parent / "data"
 
 
 def test_init_examples():
@@ -326,3 +330,45 @@ def test_charge_branches_match_fock_for_terminal_measurements():
         assert corr_probs[key] == pytest.approx(p, abs=1e-9)
     assert stats.terms == 3 ** 3
     assert stats.joint_charge1 is not None
+
+
+def _random_terminal_charge_circuit(rng, num_arms=4, electrons=4, elements=8) -> Circuit:
+    arms = [int(a) for a in rng.permutation(np.arange(1, num_arms + 1))[:electrons]]
+    instructions = [PrepSpin(arm, *random_spinor(rng)) for arm in arms]
+    for _ in range(elements):
+        i, j = (int(a) for a in rng.choice(np.arange(1, num_arms + 1), size=2, replace=False))
+        kind = int(rng.integers(4))
+        if kind == 3:
+            instructions.append(SpinRotation(i, str(rng.choice(["x", "y", "z", "h"]))))
+        else:
+            instructions.append((BeamSplitter, PolarizingBeamSplitter, SwapArms)[kind](i, j))
+    instructions += [Measure(f"q{a}", "charge", a) for a in range(1, num_arms + 1)]
+    return Circuit(num_arms, instructions)
+
+
+def _corpus_terminal_charge_circuits() -> list[Circuit]:
+    circuits = []
+    for path in sorted(DATA.glob("*.feqc")):
+        circuit = parse(path.read_text(encoding="utf-8")).circuit
+        try:
+            _, stats = enumerate_charge_branches(circuit)
+        except NonGaussianOperationError:
+            continue
+        if stats.joint_charge1 is not None:
+            circuits.append(circuit)
+    return circuits
+
+
+def test_joint_charge1_equals_all_charge1_leaves():
+    """The joint query, priced on the state the walker's first readout sees,
+    agrees with the sequential spin-resolved projections of the tree."""
+    corpus = _corpus_terminal_charge_circuits()
+    assert len(corpus) >= 2
+    rng = np.random.default_rng(50)
+    for circuit in corpus + [_random_terminal_charge_circuit(rng) for _ in range(6)]:
+        records, stats = enumerate_charge_branches(circuit)
+        leaves_charge1 = sum(
+            r.probability for r in records if all(q == 1 for q in r.outcomes.values())
+        )
+        assert stats.joint_charge1 == pytest.approx(leaves_charge1, abs=1e-9)
+        assert stats.terms == 3 ** len(stats.measured_arms)

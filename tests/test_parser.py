@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
+from feqc.circuit import Circuit, Conditional, Measure, PrepSpin, SpinRotation, validate_circuit
+from feqc.errors import CircuitError
 from feqc.fock import vacuum
 from feqc.measurement import enumerate_branches
 from feqc.parser import (
@@ -127,3 +130,31 @@ def test_complex_literal_spinor():
     prep = result.circuit.instructions[0]
     assert prep.alpha == 0.6 + 0j
     assert prep.beta == 0.8j
+
+
+@pytest.mark.parametrize("spinor", ["(nan,0) (0,1)", "(inf,0) (0,1)", "(1e308,0) (1e308,0)"])
+def test_non_finite_or_overflowing_spinor_is_bad_literal(spinor):
+    result = parse(f"arms 1\nelectron 1 {spinor}\n")
+    assert [(d.line, d.column, d.code) for d in result.diagnostics] == [(2, 12, BAD_LITERAL)]
+
+
+@pytest.mark.parametrize("kind,value", [("charge", 7), ("charge", -1), ("parity", 2), ("spin", 2)])
+def test_unreachable_conditional_is_rejected_by_parser_and_validator(kind, value):
+    source = f"arms 1\nelectron 1 up\nc = {kind} 1\nif c == {value} : rot 1 x\n"
+    (diag,) = parse(source).diagnostics
+    assert (diag.line, diag.code) == (4, BAD_LITERAL)
+    circuit = Circuit(1, [PrepSpin(1, 1, 0), Measure("c", kind, 1),
+                          Conditional("c", value, SpinRotation(1, "x"))])
+    with pytest.raises(CircuitError, match=re.escape(diag.message)):
+        validate_circuit(circuit)
+
+
+def test_highest_outcome_conditionals_are_accepted():
+    assert parse("arms 1\nelectron 1 up\nc = charge 1\nif c == 2 : rot 1 x\n").ok
+    assert parse("arms 1\nelectron 1 up\np = parity 1\nif p == 1 : rot 1 x\n").ok
+
+
+def test_labels_may_spell_keywords():
+    result = parse("arms 1\nelectron 1 up\nif = charge 1\nif if == 1 : rot 1 x\n")
+    assert result.ok, [str(d) for d in result.diagnostics]
+    assert parse(print_circuit(result.circuit)).circuit == result.circuit

@@ -1,0 +1,127 @@
+"""Properties of the parser and the shared structural checker.
+
+The strategies avoid ``st.text()`` and ``st.from_regex``: their first use
+builds a Unicode table that costs seconds in a fresh checkout.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import string
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from feqc.circuit import (
+    BeamSplitter,
+    Circuit,
+    Conditional,
+    Measure,
+    PolarizingBeamSplitter,
+    PrepBell,
+    PrepSpin,
+    SpinRotation,
+    SwapArms,
+    print_circuit,
+    validate_circuit,
+)
+from feqc.errors import CircuitError
+from feqc.parser import parse
+
+KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
+            "spin", "up", "down", "plus"]
+TOKENS = KEYWORDS + ["=", "==", ":", "#", "\n", "x", "h", "q", "0", "1", "2", "3", "-1", "7",
+                     "(1,0)", "(0,1)", "(nan,0)", "(1e308,0)", "(0,0)", "(1,", "9" * 30]
+
+sources = st.one_of(
+    st.lists(st.integers(0, 0x10FFFF).map(chr)).map("".join),  # arbitrary code points
+    st.lists(st.sampled_from(TOKENS)).map(" ".join),  # near-valid lines
+)
+
+identifiers = st.builds(str.__add__, st.sampled_from(string.ascii_letters + "_"),
+                        st.text(string.ascii_letters + string.digits + "_", max_size=3))
+labels = st.one_of(st.sampled_from(KEYWORDS), identifiers)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+amplitudes = st.builds(complex, finite, finite)
+spinors = st.tuples(amplitudes, amplitudes).filter(lambda ab: ab != (0, 0))
+
+
+@st.composite
+def circuits(draw):
+    """A valid circuit, then at most one defect: a field replaced by an
+    arbitrary value, a repeated instruction, or a bad arm count.  Spinors are
+    any finite pair, so some overflow."""
+    n = draw(st.integers(1, 4))
+    arm = st.integers(1, n)
+    rotations = st.builds(SpinRotation, arm, st.sampled_from(["x", "y", "z", "h"]))
+    fresh = list(range(1, n + 1))
+    measured: dict[str, str] = {}
+    instructions = []
+    for _ in range(draw(st.integers(0, 8))):
+        choice = draw(st.sampled_from(["prep", "bell", "element", "measure", "if", "rot"]))
+        if choice == "prep" and fresh:
+            a = draw(st.sampled_from(fresh))
+            fresh.remove(a)
+            instructions.append(PrepSpin(a, *draw(spinors)))
+        elif choice == "bell" and len(fresh) >= 2:
+            a, b = draw(st.permutations(fresh))[:2]
+            fresh = [x for x in fresh if x not in (a, b)]
+            instructions.append(PrepBell(draw(st.integers(0, 3)), a, b))
+        elif choice == "element" and n >= 2:
+            i, j = draw(st.permutations(range(1, n + 1)))[:2]
+            cls = draw(st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms]))
+            instructions.append(cls(i, j))
+        elif choice == "measure":
+            label = draw(labels.filter(lambda name: name not in measured))
+            measured[label] = draw(st.sampled_from(["charge", "parity", "spin"]))
+            instructions.append(Measure(label, measured[label], draw(arm)))
+        elif choice == "if" and measured:
+            label = draw(st.sampled_from(sorted(measured)))
+            value = draw(st.integers(0, 2 if measured[label] == "charge" else 1))
+            instructions.append(Conditional(label, value, draw(rotations)))
+        else:
+            instructions.append(draw(rotations))
+    defect = draw(st.sampled_from(["none", "field", "repeat", "arm_count"]))
+    if defect == "arm_count":
+        n = draw(st.integers(-1, 0))
+    elif defect != "none" and instructions:
+        k = draw(st.integers(0, len(instructions) - 1))
+        ins = instructions[k]
+        values = {int: st.sampled_from([-1, 0, 4, n + 1, 7]), complex: amplitudes,
+                  str: st.sampled_from(["w", "count", "if", "q"])}
+        f = draw(st.sampled_from(dataclasses.fields(ins)))
+        value = values.get(type(getattr(ins, f.name)))
+        if defect == "repeat" or value is None:
+            instructions.insert(k, ins)
+        else:
+            instructions[k] = dataclasses.replace(ins, **{f.name: draw(value)})
+    return Circuit(n, instructions)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sources)
+def test_parse_never_raises(source):
+    result = parse(source)
+    assert (result.circuit is None) == bool(result.diagnostics)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(circuits())
+# One circuit per line-level parser check that the shared checker mirrors.
+@example(Circuit(0, []))
+@example(Circuit(1, [PrepSpin(1, 1e200, 1e200)]))
+@example(Circuit(2, [PrepBell(4, 1, 2)]))
+@example(Circuit(2, [SwapArms(2, 2)]))
+@example(Circuit(1, [SpinRotation(1, "w")]))
+@example(Circuit(1, [Measure("m", "count", 1)]))
+@example(Circuit(1, [Measure("arms", "charge", 1), Conditional("arms", 1, SpinRotation(1, "x"))]))
+def test_validator_and_parser_agree(circuit):
+    try:
+        validate_circuit(circuit)
+        valid = True
+    except CircuitError:
+        valid = False
+    result = parse(print_circuit(circuit))
+    assert valid == result.ok, [str(d) for d in result.diagnostics]
+    if valid:
+        assert result.circuit == circuit
