@@ -281,7 +281,7 @@ TWO_ARM_ELEMENTS: dict[str, tuple[tuple[Spin, ...], np.ndarray]] = {
     "swap": ((Spin.UP, Spin.DOWN), _SWAP2),  # exchange arm contents (phase +1)
 }
 
-Step = tuple[list[ModeIndex], np.ndarray]
+Step = tuple[list[tuple[int, Spin]], np.ndarray]
 
 
 def two_arm_steps(keyword: str, arm_i: int, arm_j: int) -> list[Step]:
@@ -289,12 +289,12 @@ def two_arm_steps(keyword: str, arm_i: int, arm_j: int) -> list[Step]:
     if arm_i == arm_j:
         raise ValueError(f"{keyword} needs two distinct arms")
     spins, matrix = TWO_ARM_ELEMENTS[keyword]
-    return [([ModeIndex(arm_i, s), ModeIndex(arm_j, s)], matrix) for s in spins]
+    return [([(arm_i, s), (arm_j, s)], matrix) for s in spins]
 
 
 def rotation_steps(arm: int, matrix: np.ndarray) -> list[Step]:
     """A spin rotation: one 2x2 unitary on the (up, down) modes of an arm."""
-    return [([ModeIndex(arm, Spin.UP), ModeIndex(arm, Spin.DOWN)], matrix)]
+    return [([(arm, Spin.UP), (arm, Spin.DOWN)], matrix)]
 
 
 def apply_steps(state: FockState, steps: list[Step]) -> FockState:
