@@ -209,9 +209,67 @@ def check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {u.shape}")
-    if not np.allclose(u @ u.conj().T, np.eye(dim), atol=UNITARY_ATOL):
+    # np.allclose's rule (rtol 1e-5 against the identity), without its
+    # overhead; NaN compares False, so it counts as non-unitary.
+    eye = np.eye(dim)
+    if not (abs(u @ u.conj().T - eye) <= UNITARY_ATOL + 1e-5 * eye).all():
         raise ValueError("matrix is not unitary")
     return u
+
+
+def _two_mode(
+    amplitudes: dict[int, complex], p: int, q: int, u: np.ndarray
+) -> dict[int, complex]:
+    """Closed-form action of a 2x2 unitary on modes p (row/column 0) and q,
+    as described in apply_single_particle_unitary.  Entries at or below
+    PRUNE_THRESHOLD contribute nothing; the output is not pruned."""
+    # Report bytes depend on the last bit of every amplitude and on the key
+    # order: keep the entries numpy scalars, these product orders, the term
+    # landing on p first, and the `0j +` that turns -0.0 into 0.0.
+    (u_pp, u_pq), (u_qp, u_qq) = np.where(abs(u) > PRUNE_THRESHOLD, u, 0)  # u_xy: y -> x
+    flip = 1 << p | 1 << q
+    between = (1 << max(p, q)) - (2 << min(p, q))
+    # det U as (amp * u_hh) * u_ll - (amp * u_lh) * u_hl, h = the higher mode
+    a, b, c, d = (u_qq, u_pp, u_pq, u_qp) if p < q else (u_pp, u_qq, u_qp, u_pq)
+    # A lone electron's terms as (bits to flip, entry), the one landing on p first.
+    images = {
+        1 << p: [(bits, e) for bits, e in ((0, u_pp), (flip, u_qp)) if e != 0],
+        1 << q: [(bits, e) for bits, e in ((flip, u_pq), (0, u_qq)) if e != 0],
+    }
+    out: dict[int, complex] = {}
+    for key, amp in amplitudes.items():
+        occupied = key & flip
+        if not occupied:
+            out[key] = 0j + amp
+        elif occupied == flip:
+            out[key] = 0j + ((amp * a) * b - (amp * c) * d)
+        else:
+            for bits, coef in images[occupied]:
+                val = amp * coef
+                if bits and (key & between).bit_count() & 1:
+                    val = -val
+                nk = key ^ bits
+                out[nk] = out.get(nk, 0j) + val
+    return out
+
+
+def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
+    """Factor a unitary as G_1^H ... G_K^H D with two-row rotations G_k.
+
+    Returns the rotations as (row i, row j, 2x2 G_k^H) in the order they act
+    on a state, and the diagonal of D, which acts first.
+    """
+    w = u.copy()
+    rotations = []
+    for col in range(len(w) - 1):
+        for row in range(col + 1, len(w)):
+            x, y = w[col, col], w[row, col]
+            if y == 0:
+                continue
+            g = np.array([[x.conjugate(), y.conjugate()], [-y, x]]) / np.hypot(abs(x), abs(y))
+            w[[col, row]] = g @ w[[col, row]]
+            rotations.append((col, row, g.conj().T))
+    return rotations[::-1], np.diag(w)
 
 
 def apply_single_particle_unitary(
@@ -222,42 +280,29 @@ def apply_single_particle_unitary(
     """Heisenberg action of a one-particle unitary on the listed modes.
 
     Each creation operator on mode j is replaced by sum_i U[i, j] * (creation
-    on mode i), extended multiplicatively over every basis key with exact
-    anticommutation signs.  Norm and per-key particle number are preserved.
+    on mode i).  A two-mode unitary (every element step) acts on each key in
+    closed form: keys with neither mode occupied are unchanged, keys with
+    both pick up det U, and a lone electron stays or moves to the other mode
+    with the sign (-1)^(occupied modes strictly between the two).  Any other
+    mode count is factored into two-mode Givens rotations after diagonal
+    phases, each applied the same way.  Norm and per-key particle number are
+    preserved.
     """
     m = len(modes)
     positions = [mode_position(mode, state.num_arms) for mode in modes]
     if len(set(positions)) != m:
         raise ValueError("modes must be distinct")
     u = check_unitary(matrix, m)
-    pos_to_col = {p: j for j, p in enumerate(positions)}
-    images: list[list[tuple[int, complex]]] = [
-        [(positions[i], u[i, j]) for i in range(m) if abs(u[i, j]) > PRUNE_THRESHOLD]
-        for j in range(m)
-    ]
-    out: dict[int, complex] = {}
-    for key, amp in state.amplitudes.items():
-        # Rebuild the key from the vacuum, rightmost (highest) operator first,
-        # substituting the image of every listed mode.
-        terms: dict[int, complex] = {0: amp}
-        pos = key.bit_length() - 1
-        while pos >= 0:
-            if key >> pos & 1:
-                col = pos_to_col.get(pos)
-                subs = images[col] if col is not None else [(pos, 1.0 + 0j)]
-                next_terms: dict[int, complex] = {}
-                for partial, pamp in terms.items():
-                    for q, coef in subs:
-                        if partial >> q & 1:
-                            continue
-                        nk = partial | (1 << q)
-                        val = pamp * coef * _jw_sign(partial, q)
-                        next_terms[nk] = next_terms.get(nk, 0j) + val
-                terms = next_terms
-            pos -= 1
-        for nk, namp in terms.items():
-            out[nk] = out.get(nk, 0j) + namp
-    return FockState(state.num_arms, _pruned(out))
+    if m == 2:
+        rotations, phases = [(0, 1, u)], []
+    else:
+        rotations, phases = _givens(u)
+    amplitudes = state.amplitudes
+    for p, phase in zip(positions, phases):
+        amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
+    for i, j, g in rotations:
+        amplitudes = _two_mode(amplitudes, positions[i], positions[j], g)
+    return FockState(state.num_arms, _pruned(amplitudes))
 
 
 # 50/50 splitter, real symmetric convention; its own inverse.

@@ -15,10 +15,11 @@ from typing import Any, Callable, Union
 import numpy as np
 
 from .circuit import Circuit, Conditional, Measure, apply_instruction, validate_circuit
-from .errors import PreconditionError
+from .errors import FeqcError, PreconditionError
 from .fock import FockState, Spin, arm_charge, mode_position, normalize
 
 BRANCH_THRESHOLD = 1e-12
+NORM_TOLERANCE = 1e-9
 
 Branch = tuple[int, float, FockState]
 
@@ -34,6 +35,9 @@ def _partition(state: FockState, classify: Callable[[int], int]) -> list[Branch]
             post = normalize(FockState(state.num_arms, groups[outcome]))
             branches.append((outcome, prob, post))
     total = sum(p for _, p, _ in branches)
+    # Report a kernel that lost norm instead of renormalizing it away.
+    if abs(total - 1) > NORM_TOLERANCE:
+        raise FeqcError(f"state norm drifted: outcome probabilities sum to {total!r}")
     return [(o, p / total, s) for o, p, s in branches]
 
 

@@ -194,6 +194,21 @@ def test_gadget_overflowing_spinor_exits_1(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_run_reports_a_kernel_that_loses_norm(capsys, monkeypatch):
+    from feqc import fock
+
+    kernel = fock.apply_single_particle_unitary
+
+    def lossy(state, modes, matrix):
+        out = kernel(state, modes, matrix)
+        return fock.FockState(out.num_arms, {k: 0.9 * a for k, a in out.amplitudes.items()})
+
+    monkeypatch.setattr(fock, "apply_single_particle_unitary", lossy)
+    code, out, err = run_cli(capsys, "run", str(DATA / "encoder.feqc"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: state norm drifted") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
 def test_run_rejects_seed_outside_64_bits(capsys, seed):
     with pytest.raises(SystemExit) as exc:

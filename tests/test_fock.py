@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from feqc import fock
+from feqc import circuit, fock
 from feqc.errors import PreconditionError
 from feqc.fock import (
     BEAM_SPLITTER_MATRIX,
@@ -165,6 +165,73 @@ def test_unitary_rejects_bad_input():
         apply_single_particle_unitary(state, [(1, UP), (1, UP)], np.eye(2))
     with pytest.raises(ValueError):
         apply_single_particle_unitary(state, [(1, UP), (1, DOWN)], np.array([[1, 1], [0, 1]]))
+
+
+# Tolerance edges of the unitarity check: the identity's diagonal allows
+# UNITARY_ATOL + 1e-5, its off-diagonal UNITARY_ATOL alone.
+_DIAG_EDGE = (fock.UNITARY_ATOL + 1e-5) / 2
+_OFF_EDGE = fock.UNITARY_ATOL
+
+
+@pytest.mark.parametrize("matrix, unitary", [
+    (np.eye(2), True),
+    (BEAM_SPLITTER_MATRIX, True),
+    (np.array([[1, 1], [0, 1]]), False),
+    (np.array([[np.nan, 0], [0, 1]]), False),
+    (np.array([[np.inf, 0], [0, 1]]), False),
+    (np.diag([1 + 0.99 * _DIAG_EDGE, 1]), True),
+    (np.diag([1 + 1.01 * _DIAG_EDGE, 1]), False),
+    (np.array([[1, 0.99 * _OFF_EDGE], [0, 1]]), True),
+    (np.array([[1, 1.01 * _OFF_EDGE], [0, 1]]), False),
+])
+def test_check_unitary_verdicts_match_allclose(matrix, unitary):
+    u = np.asarray(matrix, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the products
+        assert np.allclose(u @ u.conj().T, np.eye(2), atol=fock.UNITARY_ATOL) == unitary
+        if unitary:
+            np.testing.assert_array_equal(fock.check_unitary(matrix, 2), u)
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                fock.check_unitary(matrix, 2)
+
+
+@pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[0], [[1, 0]]])
+def test_check_unitary_rejects_wrong_shape(matrix):
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        fock.check_unitary(matrix, 2)
+
+
+def test_moved_electron_takes_the_parity_of_modes_between():
+    # c0^ c1^ |0> under c0^ -> c2^ becomes c2^ c1^ |0> = -c1^ c2^ |0>.
+    state = create(create(vacuum(2), (1, DOWN)), (1, UP))
+    out = apply_single_particle_unitary(state, [(1, UP), (2, UP)], fock.PAULI_X)
+    assert out.amplitudes == {0b110: -1}
+    back = apply_single_particle_unitary(out, [(2, UP), (1, UP)], fock.PAULI_X)
+    assert back.amplitudes == state.amplitudes
+
+
+@pytest.mark.parametrize("element, calls", [
+    (lambda s: beam_splitter(s, 2, 1), 2),
+    (lambda s: polarizing_beam_splitter(s, 1, 2), 1),
+    (lambda s: swap_arms(s, 1, 2), 2),
+    (lambda s: spin_rotation(s, 1, fock.HADAMARD), 1),
+    (lambda s: circuit.apply_instruction(s, circuit.BeamSplitter(1, 2)), 2),
+    (lambda s: circuit.apply_instruction(s, circuit.PolarizingBeamSplitter(2, 1)), 1),
+    (lambda s: circuit.apply_instruction(s, circuit.SwapArms(1, 2)), 2),
+    (lambda s: circuit.apply_instruction(s, circuit.SpinRotation(2, "y")), 1),
+])
+def test_each_element_step_is_one_kernel_call(monkeypatch, element, calls):
+    # The benchmark's fock.kernel counters wrap this module attribute.
+    seen = []
+    kernel = fock.apply_single_particle_unitary
+
+    def counting(state, modes, matrix):
+        seen.append(len(modes))
+        return kernel(state, modes, matrix)
+
+    monkeypatch.setattr(fock, "apply_single_particle_unitary", counting)
+    element(prepare_spin(prepare_spin(vacuum(2), 1, 1, 0), 2, 0.6, 0.8))
+    assert seen == [2] * calls
 
 
 def test_beam_splitter_bunches_singlet():

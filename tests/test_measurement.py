@@ -15,7 +15,7 @@ from feqc.circuit import (
     PrepSpin,
     SpinRotation,
 )
-from feqc.errors import CircuitError, PreconditionError
+from feqc.errors import CircuitError, FeqcError, PreconditionError
 from feqc.fock import FockState, Spin, beam_splitter, create, fidelity, prepare_bell, prepare_spin, vacuum
 from feqc.measurement import (
     charge1_expectation,
@@ -191,6 +191,22 @@ def test_measure_mode_partitions_occupancy():
     state = beam_splitter(create(vacuum(2), (1, UP)), 1, 2)
     probs = {n: p for n, p, _ in measure_mode(state, (1, UP))}
     assert probs == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
+
+
+@pytest.mark.parametrize("measure", [measure_charge, measure_parity, measure_spin,
+                                     lambda state, arm: measure_mode(state, (arm, UP))])
+def test_measurements_report_norm_drift_instead_of_renormalizing(measure):
+    state = prepare_spin(prepare_spin(vacuum(2), 2, 1, 0), 1, 1, 1)
+    # A raw creation operator on a half-blocked arm leaves norm 1/sqrt(2).
+    with pytest.raises(FeqcError, match="norm drifted"):
+        measure(create(state, (1, UP)), 2)
+    for scale, drifts in ((1 + 1e-11, False), (1 + 1e-8, True)):
+        scaled = FockState(2, {k: a * scale for k, a in state.amplitudes.items()})
+        if drifts:
+            with pytest.raises(FeqcError, match="norm drifted"):
+                measure(scaled, 2)
+        else:
+            assert sum(p for _, p, _ in measure(scaled, 2)) == pytest.approx(1.0)
 
 
 def encoder_circuit(alpha=0.6, beta=0.8):

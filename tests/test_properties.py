@@ -1,4 +1,5 @@
-"""Properties of the parser and the shared structural checker.
+"""Properties of the parser, the shared structural checker, and the fock
+kernel against the dense oracle.
 
 The strategies avoid ``st.text()`` and ``st.from_regex``: their first use
 builds a Unicode table that costs seconds in a fresh checkout.
@@ -9,9 +10,11 @@ from __future__ import annotations
 import dataclasses
 import string
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from feqc import fock
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -27,6 +30,7 @@ from feqc.circuit import (
 )
 from feqc.errors import CircuitError
 from feqc.parser import parse
+from helpers import dense_bilinear_unitary, dense_vector, random_state, random_unitary
 
 KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
             "spin", "up", "down", "plus"]
@@ -125,3 +129,47 @@ def test_validator_and_parser_agree(circuit):
     assert valid == result.ok, [str(d) for d in result.diagnostics]
     if valid:
         assert result.circuit == circuit
+
+
+ARMS = 2  # four modes: pairs can have one or two occupied modes between them
+seeds = st.integers(0, 2**32 - 1)
+haar_2x2 = seeds.map(lambda seed: random_unitary(np.random.default_rng(seed), 2))
+# The element table's matrices, exact zeros included (pbs and swap).
+table_2x2 = st.sampled_from([fock.BEAM_SPLITTER_MATRIX, fock.TWO_ARM_ELEMENTS["pbs"][1],
+                             *fock.ROTATIONS.values()])
+
+
+def positions(count):
+    return st.lists(st.integers(0, 2 * ARMS - 1), min_size=count, max_size=count, unique=True)
+
+
+def sector_weights(state):
+    weights = np.zeros(2 * ARMS + 1)
+    for key, amp in state.amplitudes.items():
+        weights[key.bit_count()] += abs(amp) ** 2
+    return weights
+
+
+def check_against_oracle(seed, modes_at, u):
+    state = random_state(np.random.default_rng(seed), ARMS)  # every key occupied
+    modes = [(p // 2 + 1, fock.Spin(p % 2)) for p in modes_at]
+    out = fock.apply_single_particle_unitary(state, modes, u)
+    oracle = dense_bilinear_unitary(ARMS, modes, u) @ dense_vector(state)
+    assert np.allclose(dense_vector(out), oracle, atol=1e-9)
+    assert abs(out.norm() - 1) <= 1e-9
+    assert np.allclose(sector_weights(out), sector_weights(state), atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seeds, positions(2), st.one_of(table_2x2, haar_2x2))
+@example(0, [3, 0], fock.PAULI_X)  # two modes between, in descending order
+@example(0, [1, 3], fock.PAULI_Y)
+def test_two_mode_kernel_matches_dense_oracle(seed, modes_at, u):
+    check_against_oracle(seed, modes_at, u)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seeds, st.sampled_from([1, 3, 4]).flatmap(positions))
+def test_givens_path_matches_dense_oracle(seed, modes_at):
+    u = random_unitary(np.random.default_rng(seed + 1), len(modes_at))
+    check_against_oracle(seed, modes_at, u)
