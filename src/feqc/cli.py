@@ -33,7 +33,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     run.add_argument("file", help="circuit source (.feqc)")
     run.add_argument("--backend", choices=("fock", "corr"), default="fock")
     run.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
-    run.add_argument("--shots", type=int, default=1024)
+    run.add_argument("--shots", type=_shots, default=1024, help="S >= 1")
     run.add_argument("--seed", type=_seed, default=0, help="0 <= S < 2^64")
     run.add_argument("--emit-state", action="store_true",
                      help="include final amplitudes per branch (fock backend)")
@@ -73,6 +73,13 @@ def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {value}")
+    return value
+
+
+def _shots(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"shots must be >= 1, got {value}")
     return value
 
 

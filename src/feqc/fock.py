@@ -292,7 +292,7 @@ def apply_single_particle_unitary(
     positions = [mode_position(mode, state.num_arms) for mode in modes]
     if len(set(positions)) != m:
         raise ValueError("modes must be distinct")
-    u = check_unitary(matrix, m)
+    u = matrix if m == 2 and id(matrix) in _TABLE_IDS else check_unitary(matrix, m)
     if m == 2:
         rotations, phases = [(0, 1, u)], []
     else:
@@ -316,6 +316,14 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 ROTATIONS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "h": HADAMARD}
 
 _SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+# The constant matrices are checked once here and made read-only; the kernel
+# skips re-checking them and checks every other matrix on every call.
+_TABLE_MATRICES = (BEAM_SPLITTER_MATRIX, _SWAP2, *ROTATIONS.values())
+for _matrix in _TABLE_MATRICES:
+    check_unitary(_matrix, 2)
+    _matrix.setflags(write=False)
+_TABLE_IDS = frozenset(map(id, _TABLE_MATRICES))
 
 # Every optical element is a short list of two-mode unitaries; this table
 # defines the two-arm ones for both backends.  Each applies its 2x2 matrix to

@@ -2,14 +2,17 @@
 
 Measurements return every outcome with probability above the branch
 threshold, each with its renormalized post-state.  ``enumerate_branches``
-expands a circuit into the full outcome tree; ``sample`` draws shots from
-that tree with a counter-based generator keyed by (seed, shot index), so
-identical inputs reproduce identical records.
+expands a circuit into the full outcome tree.  ``sample`` flattens the
+tree's leaves into a cumulative distribution and routes shot i by the i-th
+double of one Philox stream keyed by the seed, so identical inputs reproduce
+identical records and a run is a prefix of any longer run with its seed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Union
 
 import numpy as np
@@ -20,6 +23,7 @@ from .fock import FockState, Spin, arm_charge, mode_position, normalize
 
 BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
+SAMPLE_BLOCK = 1 << 16  # shots drawn per numpy call: bounds the draw's memory
 
 Branch = tuple[int, float, FockState]
 
@@ -166,40 +170,64 @@ def outcome_signature(outcomes: dict[str, int]) -> str:
     return ",".join(f"{label}={value}" for label, value in outcomes.items())
 
 
+def _leaf_picks(cdf: np.ndarray, seed: int, shots: int):
+    """Yield the leaf index of every shot, SAMPLE_BLOCK shots at a time.
+
+    The Philox stream continues across blocks, so the picks do not depend on
+    the block size.  A uniform at or above the last cumulative value, which
+    rounding can leave just below 1, picks the last leaf.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, shots, SAMPLE_BLOCK):
+        u = rng.random(min(SAMPLE_BLOCK, shots - start))
+        yield np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+class ShotRecords(Sequence):
+    """Each shot's outcome assignment, in shot order.  The picks are drawn
+    again from the seeded stream when a record is first read, so a caller
+    that needs only the frequencies keeps nothing per shot."""
+
+    def __init__(self, outcomes: list[dict[str, int]], cdf: np.ndarray, seed: int, shots: int):
+        self._draw = outcomes, cdf, seed, shots
+
+    @cached_property
+    def _records(self) -> list[dict[str, int]]:
+        outcomes, cdf, seed, shots = self._draw
+        return [outcomes[i] for picks in _leaf_picks(cdf, seed, shots) for i in picks.tolist()]
+
+    def __len__(self) -> int:
+        return self._draw[3]
+
+    def __getitem__(self, index):
+        return self._records[index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self._records == list(other)
+
+
 @dataclass
 class SampleResult:
     frequencies: dict[str, int]
-    records: list[dict[str, int]]
-
-
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, shot], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    records: Sequence[dict[str, int]]
 
 
 def sample_tree(root, seed: int, shots: int) -> SampleResult:
-    """Draw shots by walking the branch tree; one uniform per measurement."""
+    """Draw shots from the leaves of a branch tree (see the module docstring)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    records: list[dict[str, int]] = []
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    records = leaves(root)
+    cdf = np.cumsum([rec.probability for rec in records])
+    counts = sum(np.bincount(picks, minlength=len(cdf)) for picks in _leaf_picks(cdf, seed, shots))
     frequencies: dict[str, int] = {}
-    for shot in range(shots):
-        rng = _shot_rng(seed, shot)
-        node = root
-        while isinstance(node, BranchNode):
-            u = rng.random()
-            acc = 0.0
-            chosen = node.children[-1][2]
-            for _, p, child in node.children:
-                acc += p
-                if u < acc:
-                    chosen = child
-                    break
-            node = chosen
-        records.append(node.record.outcomes)
-        sig = outcome_signature(node.record.outcomes)
-        frequencies[sig] = frequencies.get(sig, 0) + 1
-    return SampleResult(dict(sorted(frequencies.items())), records)
+    for rec, count in zip(records, counts.tolist()):
+        if count:  # corr leaves can share a signature; their counts add
+            sig = outcome_signature(rec.outcomes)
+            frequencies[sig] = frequencies.get(sig, 0) + count
+    outcomes = [rec.outcomes for rec in records]
+    return SampleResult(dict(sorted(frequencies.items())), ShotRecords(outcomes, cdf, seed, shots))
 
 
 def sample(circuit: Circuit, input_state: FockState, seed: int, shots: int) -> SampleResult:

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from feqc.cli import main
+from feqc.measurement import outcome_signature
 
 DATA = Path(__file__).parent / "data"
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "feqc"
@@ -215,6 +216,28 @@ def test_run_rejects_seed_outside_64_bits(capsys, seed):
         main(["run", str(DATA / "encoder.feqc"), "--mode", "sample", "--seed", seed])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots", ["0", "-3", "x"])
+def test_run_rejects_shots_below_one(capsys, shots):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(DATA / "encoder.feqc"), "--mode", "sample", "--shots", shots])
+    assert exc.value.code == 2
+    assert "--shots" in capsys.readouterr().err
+
+
+def test_run_corr_sample_counts_merged_signatures(capsys):
+    args = ("run", str(DATA / "swap_charge3.feqc"), "--backend", "corr", "--mode", "sample",
+            "--shots", "3000", "--seed", "17")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    jsonschema.validate(report, RUN_SCHEMA)
+    signatures = {outcome_signature(b["outcomes"]) for b in report["branches"]}
+    assert len(signatures) == len(report["branches"]) > 1
+    assert set(report["frequencies"]) <= signatures
+    assert sum(report["frequencies"].values()) == 3000
+    assert json.loads(run_cli(capsys, *args)[1])["frequencies"] == report["frequencies"]
 
 
 def test_run_accepts_largest_seed(capsys):

@@ -234,6 +234,33 @@ def test_each_element_step_is_one_kernel_call(monkeypatch, element, calls):
     assert seen == [2] * calls
 
 
+def test_table_matrices_are_read_only_and_checked_once(monkeypatch):
+    tables = [m for _, m in fock.TWO_ARM_ELEMENTS.values()] + list(fock.ROTATIONS.values())
+    for matrix in tables:
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 2
+    checked = []
+    monkeypatch.setattr(fock, "check_unitary",
+                        lambda matrix, dim: checked.append(dim) or np.asarray(matrix, complex))
+    state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 0), 2, 0.6, 0.8)
+    for keyword in fock.TWO_ARM_ELEMENTS:
+        fock.apply_steps(state, fock.two_arm_steps(keyword, 1, 2))
+    for matrix in fock.ROTATIONS.values():
+        spin_rotation(state, 1, matrix)
+    assert checked == []
+    spin_rotation(state, 1, np.array(fock.HADAMARD))  # an equal matrix, not the table's
+    assert checked == [2]
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_spin_rotation_still_rejects_a_non_unitary_matrix(writeable):
+    matrix = np.array([[1, 1], [0, 1]], dtype=complex)
+    matrix.setflags(write=writeable)
+    with pytest.raises(ValueError, match="not unitary"):
+        spin_rotation(prepare_spin(vacuum(1), 1, 1, 0), 1, matrix)
+
+
 def test_beam_splitter_bunches_singlet():
     out = beam_splitter(prepare_bell(vacuum(2), 0, 1, 2), 1, 2)
     for key in out.amplitudes:

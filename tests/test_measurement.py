@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from feqc import measurement
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -18,17 +22,41 @@ from feqc.circuit import (
 from feqc.errors import CircuitError, FeqcError, PreconditionError
 from feqc.fock import FockState, Spin, beam_splitter, create, fidelity, prepare_bell, prepare_spin, vacuum
 from feqc.measurement import (
+    BranchLeaf,
+    BranchNode,
+    BranchRecord,
+    branch_tree,
     charge1_expectation,
     enumerate_branches,
+    leaves,
     measure_charge,
     measure_mode,
     measure_parity,
     measure_spin,
+    outcome_signature,
     sample,
+    sample_tree,
 )
+from feqc.parser import parse
 from helpers import random_state
 
 UP, DOWN = Spin.UP, Spin.DOWN
+DATA = Path(__file__).parent / "data"
+
+# Three readout levels, two conditionals and 14 leaves of unequal weight.
+UNEVEN_TREE = """arms 3
+electron 1 (0.6,0) (0,0.8)
+electron 2 (0.8,0) (0.6,0)
+electron 3 up
+pbs 1 2
+p = parity 1
+if p == 0 : rot 2 h
+bs 2 3
+q = charge 3
+if q == 1 : rot 1 h
+bs 1 2
+c = charge 1
+"""
 
 
 def bunched_singlet():
@@ -283,3 +311,86 @@ def test_sample_frequency_within_four_sigma():
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         sample(encoder_circuit(), vacuum(2), seed=0, shots=0)
+
+
+def uneven_tree():
+    return branch_tree(parse(UNEVEN_TREE).circuit, vacuum(3))
+
+
+def test_shot_i_takes_the_i_th_double_of_the_seeded_stream():
+    root = uneven_tree()
+    expected = []
+    for u in np.random.Generator(np.random.Philox(key=99)).random(500):
+        acc, pick = 0.0, leaves(root)[-1]
+        for rec in leaves(root):
+            acc += rec.probability
+            if u < acc:
+                pick = rec
+                break
+        expected.append(pick.outcomes)
+    assert sample_tree(root, 99, 500).records == expected
+
+
+def test_sample_is_a_prefix_of_any_longer_run_across_blocks():
+    root = uneven_tree()
+    block = measurement.SAMPLE_BLOCK
+    longer = sample_tree(root, 5, block + 500)
+    assert len(longer.records) == block + 500
+    for k in (1, 1000, block, block + 1):
+        shorter = sample_tree(root, 5, k)
+        assert shorter.records == longer.records[:k]
+        assert sum(shorter.frequencies.values()) == k
+
+
+def test_draws_past_the_last_cumulative_value_pick_the_last_leaf():
+    # Rounding can leave the leaf total just below 1; here it is 0.5.
+    root = BranchNode("m", [(m, 0.25, BranchLeaf(BranchRecord({"m": m}, 0.25, None)))
+                            for m in (0, 1)])
+    shots = 4000
+    u = np.random.Generator(np.random.Philox(key=8)).random(shots)
+    result = sample_tree(root, 8, shots)
+    assert result.frequencies == {"m=0": int((u < 0.25).sum()), "m=1": int((u >= 0.25).sum())}
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_sample_does_not_depend_on_the_block_size(monkeypatch, block):
+    root = uneven_tree()
+    expected = sample_tree(root, 21, 3000)
+    expected_records = list(expected.records)  # records are drawn when first read
+    monkeypatch.setattr(measurement, "SAMPLE_BLOCK", block)
+    result = sample_tree(root, 21, 3000)
+    assert result.frequencies == expected.frequencies
+    assert list(result.records) == expected_records
+
+
+def test_sample_memory_does_not_grow_with_shots(monkeypatch):
+    monkeypatch.setattr(measurement, "SAMPLE_BLOCK", 1024)
+    root = uneven_tree()
+    tracemalloc.start()
+    try:
+        result = sample_tree(root, 3, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(result.frequencies.values()) == 200_000
+    assert peak < 200_000  # under one byte per shot: no per-shot draw or record is kept
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_sample_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        sample(encoder_circuit(), vacuum(2), seed=seed, shots=10)
+
+
+@pytest.mark.parametrize("source", [UNEVEN_TREE, (DATA / "cnot_core.feqc").read_text()])
+def test_sample_counts_within_five_sigma_of_each_leaf(source):
+    circuit = parse(source).circuit
+    shots = 20_000
+    result = sample(circuit, vacuum(circuit.arm_count), seed=2024, shots=shots)
+    probs = {outcome_signature(rec.outcomes): rec.probability
+             for rec in enumerate_branches(circuit, vacuum(circuit.arm_count))}
+    assert set(result.frequencies) <= set(probs)
+    assert sum(result.frequencies.values()) == shots
+    for sig, p in probs.items():
+        n = result.frequencies.get(sig, 0)
+        assert abs(n - shots * p) <= 5 * np.sqrt(shots * p * (1 - p)), sig
