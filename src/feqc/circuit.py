@@ -11,7 +11,7 @@ from .errors import CircuitError
 
 # Number of outcomes of each measurement kind: charge 0..2, parity and spin 0..1.
 OUTCOME_COUNTS = {"charge": 3, "parity": 2, "spin": 2}
-ROTATION_NAMES = ("x", "y", "z", "h")
+ROTATION_NAMES = tuple(fock.ROTATIONS)  # x, y, z, h
 
 # Diagnostic codes, one per failure class.
 UNKNOWN_KEYWORD = "unknown-keyword"

@@ -221,50 +221,37 @@ def _gadget_encoder(args) -> dict:
 def _gadget_cnot(args) -> dict:
     x, y = args.control, args.target
     state = _spin_state(3, [(1, 1 - x, x), (2, 1 - y, y), (3, 1, 1)])
-    branches = []
-    success = 0.0
-    for rec in gadgets.cnot(state, control_arm=1, target_arm=2, ancilla_arm=3):
+
+    def fidelity(rec) -> float:
         z = rec.outcomes["z"]
         ideal = _spin_state(3, [(1, 1 - x, x), (2, 1 - (x + y) % 2, (x + y) % 2), (3, 1 - z, z)])
-        fid = fock.fidelity(rec.output_state, ideal)
-        branches.append(
-            {
-                "outcomes": rec.outcomes,
-                "probability": rec.probability,
-                "fidelity": fid,
-                "corrections": [list(c) for c in rec.applied_corrections],
-            }
-        )
-        success += rec.probability * fid
-    return {
-        "options": {"control": x, "target": y},
-        "branches": branches,
-        "success_probability": success,
-    }
+        return fock.fidelity(rec.output_state, ideal)
+
+    records = gadgets.cnot(state, control_arm=1, target_arm=2, ancilla_arm=3)
+    return {"options": {"control": x, "target": y}, **_scored(records, fidelity)}
 
 
 def _gadget_teleport(args) -> dict:
     alpha, beta = _parse_spinor(args.qubit)
     state = fock.prepare_bell(fock.prepare_spin(vacuum(3), 1, alpha, beta), 0, 2, 3)
+
+    def fidelity(rec) -> float:
+        return fock.spinor_fidelity(fock.arm_qubit_density(rec.output_state, 3), alpha, beta)
+
+    return {"options": {"qubit": args.qubit}, **_scored(gadgets.teleport(state, 1, 2, 3), fidelity)}
+
+
+def _scored(records, fidelity) -> dict:
+    """Branches of gadget records with their fidelities and corrections, and
+    the fidelity-weighted success probability."""
     branches = []
     success = 0.0
-    for rec in gadgets.teleport(state, 1, 2, 3):
-        rho = fock.arm_qubit_density(rec.output_state, 3)
-        fid = fock.spinor_fidelity(rho, alpha, beta)
-        branches.append(
-            {
-                "outcomes": rec.outcomes,
-                "probability": rec.probability,
-                "fidelity": fid,
-                "corrections": [list(c) for c in rec.applied_corrections],
-            }
-        )
+    for rec in records:
+        fid = fidelity(rec)
+        branches.append({"outcomes": rec.outcomes, "probability": rec.probability, "fidelity": fid,
+                         "corrections": [list(c) for c in rec.applied_corrections]})
         success += rec.probability * fid
-    return {
-        "options": {"qubit": args.qubit},
-        "branches": branches,
-        "success_probability": success,
-    }
+    return {"branches": branches, "success_probability": success}
 
 
 def _gadget_appendix_table(args) -> dict:

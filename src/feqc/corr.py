@@ -89,7 +89,7 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
     positions = [mode_position(mode, M.num_arms) for mode in modes]
     if len(set(positions)) != len(positions):
         raise ValueError("modes must be distinct")
-    u = fock.check_unitary(matrix, len(positions))
+    u = fock.step_unitary(matrix, len(positions))
     v = np.eye(M.num_modes, dtype=complex)
     v[np.ix_(positions, positions)] = u
     return CorrelationMatrix(M.num_arms, v.conj() @ M.matrix @ v.T)
@@ -261,7 +261,7 @@ def charge_branch_tree(circuit: Circuit):
         # state the first of a terminal block of charge readouts sees.
         if terminal and stats.joint_charge1 is None:
             stats.joint_charge1 = single_occupancy_probability(M, stats.measured_arms)
-            stats.terms = len(single_occupancy_monomials(stats.measured_arms, circuit.arm_count))
+            stats.terms = 3 ** len(stats.measured_arms)
         return _charge_outcomes(M, ins.arm)
 
     root = walk(instructions, init_from_occupations([], circuit.arm_count), _apply, branches)

@@ -217,6 +217,12 @@ def check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
+def step_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
+    """The matrix of a dim-mode step as a checked unitary.  The element-table
+    matrices were checked once at import and pass as they are."""
+    return matrix if dim == 2 and id(matrix) in _TABLE_IDS else check_unitary(matrix, dim)
+
+
 def _two_mode(
     amplitudes: dict[int, complex], p: int, q: int, u: np.ndarray
 ) -> dict[int, complex]:
@@ -292,11 +298,8 @@ def apply_single_particle_unitary(
     positions = [mode_position(mode, state.num_arms) for mode in modes]
     if len(set(positions)) != m:
         raise ValueError("modes must be distinct")
-    u = matrix if m == 2 and id(matrix) in _TABLE_IDS else check_unitary(matrix, m)
-    if m == 2:
-        rotations, phases = [(0, 1, u)], []
-    else:
-        rotations, phases = _givens(u)
+    u = step_unitary(matrix, m)
+    rotations, phases = ([(0, 1, u)], []) if m == 2 else _givens(u)
     amplitudes = state.amplitudes
     for p, phase in zip(positions, phases):
         amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
@@ -317,8 +320,8 @@ ROTATIONS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "h": HADAMARD}
 
 _SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
-# The constant matrices are checked once here and made read-only; the kernel
-# skips re-checking them and checks every other matrix on every call.
+# The constant matrices are checked once here and made read-only;
+# step_unitary skips re-checking them and checks every other matrix.
 _TABLE_MATRICES = (BEAM_SPLITTER_MATRIX, _SWAP2, *ROTATIONS.values())
 for _matrix in _TABLE_MATRICES:
     check_unitary(_matrix, 2)

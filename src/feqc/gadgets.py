@@ -9,9 +9,10 @@ arms of a FockState and returning explicit outcome branches:
 * ``encoder`` entangles a spin qubit with a fresh ancilla through a pair of
   polarizing beam splitters and a parity meter in between, turning
   alpha|up> + beta|down> into alpha|up,up> + beta|down,down>.
-* ``cnot`` chains two encoder boxes (the second conjugated by Hadamards)
-  and a final ancilla spin readout into an exactly deterministic
-  controlled-NOT on two spin qubits.
+* ``cnot`` chains two encoder boxes, ``spin_parity_readout`` and
+  ``hadamard_pbs_gadget`` (the second conjugated by Hadamards and closed by
+  an ancilla spin readout), into an exactly deterministic controlled-NOT on
+  two spin qubits.
 * ``teleport`` consumes a singlet pair and a Bell analysis to move a spin
   qubit between arms, with a correction table derived by exhaustive search
   and frozen here.
@@ -90,32 +91,29 @@ def bell_analyzer(
     """
     require_single_occupancy(state, arm_a, "bell_analyzer")
     require_single_occupancy(state, arm_b, "bell_analyzer")
+    return _bell_stage(state, arm_a, arm_b, detector, (), 1.0)
+
+
+# Feedforward rotation on arm_b before each analyzer stage.
+_BELL_FEEDFORWARD = (None, PAULI_Z, PAULI_X)
+
+
+def _bell_stage(
+    state: FockState, arm_a: int, arm_b: int, detector: str,
+    parities: tuple[int, ...], prob: float,
+) -> list[tuple[BellOutcome, float]]:
+    """One analyzer stage after the given parities; an odd parity before the
+    last stage continues to the next one, any other ends the branch."""
+    if parities:
+        state = spin_rotation(state, arm_b, _BELL_FEEDFORWARD[len(parities)])
     results: list[tuple[BellOutcome, float]] = []
-    stage1 = beam_splitter(state, arm_a, arm_b)
-    for q1, prob1, post1 in _detect(stage1, arm_a, detector):
-        p1 = q1 % 2
-        if p1 == 0:
-            parities = (0, 0, 0)
-            results.append((BellOutcome(bell_statistic(*parities), parities, post1), prob1))
-            continue
-        stage2 = beam_splitter(spin_rotation(post1, arm_b, PAULI_Z), arm_a, arm_b)
-        for q2, prob2, post2 in _detect(stage2, arm_a, detector):
-            p2 = q2 % 2
-            if p2 == 0:
-                parities = (1, 0, 0)
-                results.append(
-                    (BellOutcome(bell_statistic(*parities), parities, post2), prob1 * prob2)
-                )
-                continue
-            stage3 = beam_splitter(spin_rotation(post2, arm_b, PAULI_X), arm_a, arm_b)
-            for q3, prob3, post3 in _detect(stage3, arm_a, detector):
-                parities = (1, 1, q3 % 2)
-                results.append(
-                    (
-                        BellOutcome(bell_statistic(*parities), parities, post3),
-                        prob1 * prob2 * prob3,
-                    )
-                )
+    for q, prob_q, post in _detect(beam_splitter(state, arm_a, arm_b), arm_a, detector):
+        seen = parities + (q % 2,)
+        if seen[-1] and len(seen) < 3:
+            results += _bell_stage(post, arm_a, arm_b, detector, seen, prob * prob_q)
+        else:
+            padded = (seen + (0, 0))[:3]
+            results.append((BellOutcome(bell_statistic(*padded), padded, post), prob * prob_q))
     return results
 
 
@@ -159,11 +157,15 @@ def control_branch_formula(x: int, p1: int) -> int:
     return (x + p1 + 1) % 2
 
 
+def _hadamards(state: FockState, arm_a: int, arm_b: int) -> FockState:
+    return spin_rotation(spin_rotation(state, arm_a, HADAMARD), arm_b, HADAMARD)
+
+
 def hadamard_pbs_gadget(
     state: FockState, upper_arm: int, lower_arm: int
 ) -> list[tuple[int, int, float, FockState]]:
-    """Polarizing splitter pair with parity meter, conjugated by Hadamards,
-    followed by a spin readout of the upper arm.
+    """``spin_parity_readout`` conjugated by Hadamards on both arms, followed
+    by a spin readout of the upper arm.
 
     For basis inputs |a> (upper) and |y> (lower) the lower arm comes out in
     (-1)^((p2+1)(a+z)) |a+y+z| mod 2>, the closed form verified row by row by
@@ -171,13 +173,10 @@ def hadamard_pbs_gadget(
     """
     require_single_occupancy(state, upper_arm, "hadamard_pbs_gadget")
     require_single_occupancy(state, lower_arm, "hadamard_pbs_gadget")
-    s = spin_rotation(spin_rotation(state, upper_arm, HADAMARD), lower_arm, HADAMARD)
-    s = polarizing_beam_splitter(s, upper_arm, lower_arm)
     branches = []
-    for p2, prob2, post in measure_parity(s, upper_arm):
-        out = polarizing_beam_splitter(post, upper_arm, lower_arm)
-        out = spin_rotation(spin_rotation(out, upper_arm, HADAMARD), lower_arm, HADAMARD)
-        for z, probz, final in measure_spin(out, upper_arm):
+    boxed = spin_parity_readout(_hadamards(state, upper_arm, lower_arm), upper_arm, lower_arm)
+    for p2, prob2, post in boxed:
+        for z, probz, final in measure_spin(_hadamards(post, upper_arm, lower_arm), upper_arm):
             branches.append((p2, z, prob2 * probz, final))
     return branches
 
@@ -203,13 +202,12 @@ def cnot(
 ) -> list[GadgetBranchRecord]:
     """Deterministic controlled-NOT (control down flips the target spin).
 
-    The control and the ancilla pass through one splitter-pair box (parity
-    p1), the ancilla and the target through a second box conjugated by
-    Hadamards (parity p2), and the ancilla spin is read out (z).  The
-    outcome-dependent corrections are sigma_z on the control when p2 = 0 and
-    sigma_x on the target when z + p1 is even.  Each of the eight branches
-    has probability 1/8 and outputs the gate result exactly, up to a global
-    phase.
+    The control and the ancilla pass through ``spin_parity_readout`` (parity
+    p1), then the ancilla and the target through ``hadamard_pbs_gadget``
+    (parity p2, ancilla spin z).  The outcome-dependent corrections are
+    sigma_z on the control when p2 = 0 and sigma_x on the target when z + p1
+    is even.  Each of the eight branches has probability 1/8 and outputs the
+    gate result exactly, up to a global phase.
 
     The two correction switches exist for negative controls only: disabling
     either one must break specific branches.
@@ -220,33 +218,21 @@ def cnot(
     _require_plus_ancilla(state, ancilla_arm)
 
     records: list[GadgetBranchRecord] = []
-    box1 = polarizing_beam_splitter(state, control_arm, ancilla_arm)
-    for p1, prob1, post1 in measure_parity(box1, control_arm):
-        s = polarizing_beam_splitter(post1, control_arm, ancilla_arm)
-        s = spin_rotation(s, ancilla_arm, HADAMARD)
-        s = spin_rotation(s, target_arm, HADAMARD)
-        box2 = polarizing_beam_splitter(s, ancilla_arm, target_arm)
-        for p2, prob2, post2 in measure_parity(box2, ancilla_arm):
-            t = polarizing_beam_splitter(post2, ancilla_arm, target_arm)
-            t = spin_rotation(t, ancilla_arm, HADAMARD)
-            t = spin_rotation(t, target_arm, HADAMARD)
-            for z, probz, final in measure_spin(t, ancilla_arm):
-                corrections: list[tuple[int, str]] = []
-                out = final
-                if apply_control_correction and p2 == 0:
-                    out = spin_rotation(out, control_arm, PAULI_Z)
-                    corrections.append((control_arm, "z"))
-                if apply_target_correction and (z + p1) % 2 == 0:
-                    out = spin_rotation(out, target_arm, PAULI_X)
-                    corrections.append((target_arm, "x"))
-                records.append(
-                    GadgetBranchRecord(
-                        outcomes={"p1": p1, "p2": p2, "z": z},
-                        applied_corrections=corrections,
-                        probability=prob1 * prob2 * probz,
-                        output_state=out,
-                    )
+    for p1, prob1, post1 in spin_parity_readout(state, control_arm, ancilla_arm):
+        for p2, z, prob2z, final in hadamard_pbs_gadget(post1, ancilla_arm, target_arm):
+            corrections = []
+            if apply_control_correction and p2 == 0:
+                corrections.append((control_arm, "z"))
+            if apply_target_correction and (z + p1) % 2 == 0:
+                corrections.append((target_arm, "x"))
+            records.append(
+                GadgetBranchRecord(
+                    outcomes={"p1": p1, "p2": p2, "z": z},
+                    applied_corrections=corrections,
+                    probability=prob1 * prob2z,
+                    output_state=_apply_paulis(final, corrections),
                 )
+            )
     return records
 
 
@@ -275,21 +261,24 @@ def teleport(
         require_single_occupancy(state, arm, "teleport")
     records = []
     for outcome, prob in bell_analyzer(state, source_arm, pair_arm_1):
-        out = outcome.post_state
-        corrections = []
-        for name in TELEPORT_CORRECTIONS[outcome.b]:
-            out = spin_rotation(out, pair_arm_2, _PAULI_BY_NAME[name])
-            corrections.append((pair_arm_2, name))
+        corrections = [(pair_arm_2, name) for name in TELEPORT_CORRECTIONS[outcome.b]]
         p1, p2, p3 = outcome.parities
         records.append(
             GadgetBranchRecord(
                 outcomes={"p1": p1, "p2": p2, "p3": p3, "b": outcome.b},
                 applied_corrections=corrections,
                 probability=prob,
-                output_state=out,
+                output_state=_apply_paulis(outcome.post_state, corrections),
             )
         )
     return records
+
+
+def _apply_paulis(state: FockState, corrections: list[tuple[int, str]]) -> FockState:
+    """Apply (arm, "x" | "z") Pauli corrections in order."""
+    for arm, name in corrections:
+        state = spin_rotation(state, arm, _PAULI_BY_NAME[name])
+    return state
 
 
 def derive_teleport_corrections() -> dict[int, tuple[str, ...]]:
@@ -307,9 +296,7 @@ def derive_teleport_corrections() -> dict[int, tuple[str, ...]]:
         base = fock.prepare_bell(base, 0, 2, 3)
         for outcome, _ in bell_analyzer(base, 1, 2):
             for cand in candidates:
-                out = outcome.post_state
-                for name in cand:
-                    out = spin_rotation(out, 3, _PAULI_BY_NAME[name])
+                out = _apply_paulis(outcome.post_state, [(3, name) for name in cand])
                 fid = spinor_fidelity(arm_qubit_density(out, 3), alpha, beta)
                 prev = scores[outcome.b].get(cand, 1.0)
                 scores[outcome.b][cand] = min(prev, fid)

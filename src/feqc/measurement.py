@@ -18,8 +18,8 @@ from typing import Any, Callable, Union
 import numpy as np
 
 from .circuit import Circuit, Conditional, Measure, apply_instruction, validate_circuit
-from .errors import FeqcError, PreconditionError
-from .fock import FockState, Spin, arm_charge, mode_position, normalize
+from .errors import FeqcError
+from .fock import FockState, Spin, arm_charge, mode_position, normalize, require_single_occupancy
 
 BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
@@ -68,11 +68,7 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     rejected rather than silently projected.
     """
     up_pos = mode_position((arm, Spin.UP), state.num_arms)
-    for key in state.amplitudes:
-        if arm_charge(key, arm) != 1:
-            raise PreconditionError(
-                f"measure_spin: arm {arm} must carry exactly one electron in every key"
-            )
+    require_single_occupancy(state, arm, "measure_spin")
     return _partition(state, lambda key: 0 if key >> up_pos & 1 else 1)
 
 

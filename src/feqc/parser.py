@@ -96,6 +96,15 @@ def _need(tokens: list[tuple[str, int]], count: int, line_col: int, form: str) -
         raise _LineError(line_col, ARITY, f"expected '{form}'")
 
 
+def _parse_rotation(tokens: list[tuple[str, int]]) -> SpinRotation:
+    """The '<arm> x|y|z|h' tail of a 'rot' or 'if' line."""
+    (arm_text, arm_col), (name, ncol) = tokens
+    arm = _parse_int(arm_text, arm_col, "arm")
+    if name not in ROTATION_NAMES:
+        raise _LineError(ncol, BAD_LITERAL, f"unknown rotation {name!r} (x|y|z|h)")
+    return SpinRotation(arm, name)
+
+
 def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
     """One instruction, or ('arms', N) for the declaration line."""
     head, col0 = tokens[0]
@@ -147,11 +156,7 @@ def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
         return _TWO_ARM[head](arm_i, arm_j)
     if head == "rot":
         _need(tokens, 3, col0, "rot <arm> x|y|z|h")
-        arm = _parse_int(tokens[1][0], tokens[1][1], "arm")
-        name, ncol = tokens[2]
-        if name not in ROTATION_NAMES:
-            raise _LineError(ncol, BAD_LITERAL, f"unknown rotation {name!r} (x|y|z|h)")
-        return SpinRotation(arm, name)
+        return _parse_rotation(tokens[1:])
     if head == "if":
         if len(tokens) != 8 or tokens[2][0] != "==" or tokens[4][0] != ":" or tokens[5][0] != "rot":
             raise _LineError(col0, ARITY, "expected 'if <label> == <int> : rot <arm> x|y|z|h'")
@@ -159,11 +164,7 @@ def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
         if not _LABEL_RE.match(label):
             raise _LineError(lcol, BAD_LITERAL, f"bad label {label!r}")
         value = _parse_int(tokens[3][0], tokens[3][1], "outcome")
-        arm = _parse_int(tokens[6][0], tokens[6][1], "arm")
-        name, ncol = tokens[7]
-        if name not in ROTATION_NAMES:
-            raise _LineError(ncol, BAD_LITERAL, f"unknown rotation {name!r} (x|y|z|h)")
-        return Conditional(label, value, SpinRotation(arm, name))
+        return Conditional(label, value, _parse_rotation(tokens[6:]))
     raise _LineError(col0, UNKNOWN_KEYWORD, f"unknown keyword {head!r}")
 
 

@@ -101,6 +101,24 @@ def test_evolve_rejects_non_unitary():
         evolve(M, [(1, UP), (1, DOWN)], np.array([[1, 1], [0, 1]]))
 
 
+def test_evolve_checks_every_matrix_but_the_element_table(monkeypatch):
+    checked = []
+    check = fock.check_unitary
+    monkeypatch.setattr(fock, "check_unitary",
+                        lambda matrix, dim: checked.append(dim) or check(matrix, dim))
+    M = add_electron(add_electron(init_from_occupations([], 2), 1, 1, 0), 2, 0.6, 0.8)
+    steps = [step for keyword in fock.TWO_ARM_ELEMENTS for step in fock.two_arm_steps(keyword, 1, 2)]
+    steps += [step for matrix in fock.ROTATIONS.values() for step in fock.rotation_steps(1, matrix)]
+    for modes, matrix in steps:
+        evolve(M, modes, matrix)
+    assert checked == []
+    evolve(M, [(1, UP), (1, DOWN)], np.array(fock.HADAMARD))  # an equal matrix, not the table's
+    assert checked == [2]
+    with pytest.raises(ValueError, match="not unitary"):
+        evolve(M, [(1, UP), (1, DOWN)], np.array([[1, 1], [0, 1]], dtype=complex))
+    assert checked == [2, 2]
+
+
 def test_project_definite_occupancy_is_identity():
     M = init_from_occupations([(1, UP)], 1)
     prob, out = project_occupation(M, (1, UP), 1)

@@ -328,6 +328,25 @@ def test_cnot_works_with_permuted_arm_layout():
             assert fidelity(rec.output_state, ideal) >= 1 - 1e-9
 
 
+@pytest.mark.parametrize("x", [0, 1])
+@pytest.mark.parametrize("y", [0, 1])
+def test_cnot_is_spin_parity_readout_then_hadamard_pbs_gadget(x, y):
+    coeffs = np.zeros((2, 2), dtype=complex)
+    coeffs[x, y] = 1.0
+    # ancilla between control and target in the mode order
+    control, target, ancilla = 2, 3, 1
+    state = cnot_input(coeffs, control=control, target=target, ancilla=ancilla)
+    composed = [
+        ({"p1": p1, "p2": p2, "z": z}, prob1 * prob2z, out)
+        for p1, prob1, post in spin_parity_readout(state, control, ancilla)
+        for p2, z, prob2z, out in hadamard_pbs_gadget(post, ancilla, target)
+    ]
+    records = cnot(state, control, target, ancilla,
+                   apply_control_correction=False, apply_target_correction=False)
+    assert [rec.applied_corrections for rec in records] == [[]] * len(composed)
+    assert [(rec.outcomes, rec.probability, rec.output_state) for rec in records] == composed
+
+
 def test_cnot_requires_plus_ancilla():
     coeffs = np.zeros((2, 2), dtype=complex)
     coeffs[0, 0] = 1.0

@@ -158,3 +158,12 @@ def test_labels_may_spell_keywords():
     result = parse("arms 1\nelectron 1 up\nif = charge 1\nif if == 1 : rot 1 x\n")
     assert result.ok, [str(d) for d in result.diagnostics]
     assert parse(print_circuit(result.circuit)).circuit == result.circuit
+
+
+@pytest.mark.parametrize("tail,column,message", [
+    ("rot = x", 17, "arm: expected an integer, got '='"),
+    ("rot 1 q", 19, "unknown rotation 'q' (x|y|z|h)"),
+])
+def test_conditional_rotation_tail_diagnostics(tail, column, message):
+    (diag,) = parse(f"arms 1\nelectron 1 up\np = parity 1\nif p == 0 : {tail}\n").diagnostics
+    assert (diag.line, diag.column, diag.code, diag.message) == (4, column, BAD_LITERAL, message)
