@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Measure, PrepBell, PrepSpin, unitary_steps, validate_circuit
+from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, unitary_steps,
+                      validate_circuit)
 from . import fock
-from .errors import NonGaussianOperationError, PreconditionError
+from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import Spin, mode_position
-from .measurement import BranchRecord, leaves, walk
+from .measurement import NORM_TOLERANCE, BranchRecord, leaves, walk
 
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
@@ -186,7 +187,9 @@ class CorrRunStats:
 
 def _reject_non_gaussian(circuit: Circuit) -> None:
     # Conditionals on parity/spin labels are rejected transitively: the
-    # offending measurement always precedes them.
+    # offending measurement always precedes them.  A charge readout dephases
+    # the read arm's spins, which only elements on that arm can reveal.
+    read: dict[int, str] = {}  # arm -> label of its first charge readout
     for ins in circuit.instructions:
         if isinstance(ins, PrepBell):
             raise NonGaussianOperationError(
@@ -198,6 +201,15 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
                 f"non-Gaussian operation: {ins.kind} measurement {ins.label!r} "
                 "cannot be tracked by the correlation backend"
             )
+        if isinstance(ins, Measure):
+            read.setdefault(ins.arm, ins.label)
+        elif not isinstance(ins, PrepSpin):  # an element, plain or conditional
+            op = ins.op if isinstance(ins, Conditional) else ins
+            for arm in [a for modes, _ in unitary_steps(op) for a, _ in modes if a in read]:
+                raise NonGaussianOperationError(
+                    f"non-Gaussian operation: element on arm {arm} after charge measurement "
+                    f"{read[arm]!r} of that arm cannot be tracked by the correlation backend"
+                )
 
 
 def _charge_outcomes(
@@ -220,11 +232,13 @@ def _charge_outcomes(
         _, m_up = project_occupation(M, up, n_up)
         p_down1 = occupation_probability(m_up, down)
         for n_down, p_down in ((0, 1.0 - p_down1), (1, p_down1)):
-            if p_down <= PROBABILITY_FLOOR:
+            if p_up * p_down <= PROBABILITY_FLOOR:
                 continue
             _, m_both = project_occupation(m_up, down, n_down)
             outcomes.append((n_up + n_down, p_up * p_down, m_both))
-    outcomes.sort(key=lambda item: item[0])
+    total = sum(p for _, p, _ in outcomes)
+    if abs(total - 1) > NORM_TOLERANCE:
+        raise FeqcError(f"correlation matrix drifted: outcome probabilities sum to {total!r}")
     return outcomes
 
 
@@ -240,10 +254,11 @@ def charge_branch_tree(circuit: Circuit):
     """Expand a Gaussian circuit into a branch tree over charge readouts.
 
     Charge is read out mode by mode (spin-resolved), the realization a
-    correlation matrix can track; parity and spin meters are refused.  When
-    every charge readout is terminal, the joint all-arms-singly-occupied
-    probability is also evaluated through the exponential monomial expansion
-    and its 3^m term count reported in the stats.
+    correlation matrix can track; parity and spin meters, and elements on an
+    arm after its charge readout, are refused.  When every charge readout is
+    terminal, the joint all-arms-singly-occupied probability is also evaluated
+    through the exponential monomial expansion and its 3^m term count
+    reported in the stats.
     """
     validate_circuit(circuit)
     _reject_non_gaussian(circuit)

@@ -1,7 +1,8 @@
 """Feedforward gadgets built from linear optics and charge detection.
 
-Four constructions are provided, all operating in place on caller-chosen
-arms of a FockState and returning explicit outcome branches:
+Four constructions are provided.  Each is a list of ``circuit`` instructions
+over caller-chosen arms of a FockState, expanded into explicit outcome
+branches by the one branch walker, ``measurement.branch_tree``:
 
 * ``bell_analyzer`` sorts a two-electron spin pair into one of the four
   maximally entangled classes through three rounds of splitter + charge
@@ -28,20 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
+from .circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
+                      SpinRotation, apply_instruction)
 from .errors import PreconditionError
-from .fock import (
-    FockState,
-    PAULI_X,
-    PAULI_Z,
-    HADAMARD,
-    arm_qubit_density,
-    beam_splitter,
-    polarizing_beam_splitter,
-    require_single_occupancy,
-    spin_rotation,
-    spinor_fidelity,
-)
-from .measurement import Branch, measure_charge, measure_parity, measure_spin
+from .fock import FockState, arm_qubit_density, require_single_occupancy, spinor_fidelity
+from .measurement import BranchRecord, branch_tree, leaves
+# Not called here: bench/tracing.py patches these names, and the walker's meters are the same.
+from .measurement import measure_charge, measure_parity, measure_spin  # noqa: F401
 
 
 def bell_statistic(p1: int, p2: int, p3: int) -> int:
@@ -70,12 +64,22 @@ class GadgetBranchRecord:
     output_state: FockState
 
 
-def _detect(state: FockState, arm: int, detector: str) -> list[Branch]:
-    if detector == "charge":
-        return measure_charge(state, arm)
-    if detector == "parity":
-        return measure_parity(state, arm)
-    raise ValueError(f"unknown detector mode {detector!r}")
+def _run(state: FockState, instructions: list) -> list[BranchRecord]:
+    """Expand a gadget's instructions from ``state`` through the branch walker."""
+    return leaves(branch_tree(Circuit(state.num_arms, instructions), state))
+
+
+def _parity_box(arm_a: int, arm_b: int, label: str) -> list:
+    """Polarizing splitter pair with a parity meter on arm_a in between."""
+    pbs = PolarizingBeamSplitter(arm_a, arm_b)
+    return [pbs, Measure(label, "parity", arm_a), pbs]
+
+
+def _hadamard_pbs_box(upper_arm: int, lower_arm: int) -> list:
+    """Parity box p2 between Hadamards on both arms, then spin readout z of upper_arm."""
+    hadamards = [SpinRotation(upper_arm, "h"), SpinRotation(lower_arm, "h")]
+    return [*hadamards, *_parity_box(upper_arm, lower_arm, "p2"), *hadamards,
+            Measure("z", "spin", upper_arm)]
 
 
 def bell_analyzer(
@@ -91,11 +95,13 @@ def bell_analyzer(
     """
     require_single_occupancy(state, arm_a, "bell_analyzer")
     require_single_occupancy(state, arm_b, "bell_analyzer")
+    if detector not in ("charge", "parity"):
+        raise ValueError(f"unknown detector mode {detector!r}")
     return _bell_stage(state, arm_a, arm_b, detector, (), 1.0)
 
 
 # Feedforward rotation on arm_b before each analyzer stage.
-_BELL_FEEDFORWARD = (None, PAULI_Z, PAULI_X)
+_BELL_FEEDFORWARD = (None, "z", "x")
 
 
 def _bell_stage(
@@ -104,16 +110,19 @@ def _bell_stage(
 ) -> list[tuple[BellOutcome, float]]:
     """One analyzer stage after the given parities; an odd parity before the
     last stage continues to the next one, any other ends the branch."""
+    stage = [BeamSplitter(arm_a, arm_b), Measure("q", detector, arm_a)]
     if parities:
-        state = spin_rotation(state, arm_b, _BELL_FEEDFORWARD[len(parities)])
+        stage.insert(0, SpinRotation(arm_b, _BELL_FEEDFORWARD[len(parities)]))
     results: list[tuple[BellOutcome, float]] = []
-    for q, prob_q, post in _detect(beam_splitter(state, arm_a, arm_b), arm_a, detector):
-        seen = parities + (q % 2,)
+    for rec in _run(state, stage):
+        seen = parities + (rec.outcomes["q"] % 2,)
         if seen[-1] and len(seen) < 3:
-            results += _bell_stage(post, arm_a, arm_b, detector, seen, prob * prob_q)
+            results += _bell_stage(rec.post_state, arm_a, arm_b, detector, seen,
+                                   prob * rec.probability)
         else:
             padded = (seen + (0, 0))[:3]
-            results.append((BellOutcome(bell_statistic(*padded), padded, post), prob * prob_q))
+            results.append((BellOutcome(bell_statistic(*padded), padded, rec.post_state),
+                            prob * rec.probability))
     return results
 
 
@@ -129,14 +138,10 @@ def encoder(
     """
     require_single_occupancy(state, arm_a, "encoder")
     require_single_occupancy(state, arm_b, "encoder")
-    mixed = polarizing_beam_splitter(state, arm_a, arm_b)
-    branches = []
-    for p, prob, post in measure_parity(mixed, arm_a):
-        out = polarizing_beam_splitter(post, arm_a, arm_b)
-        if apply_correction and p == 0:
-            out = spin_rotation(out, arm_b, PAULI_X)
-        branches.append((p, prob, out))
-    return branches
+    box = _parity_box(arm_a, arm_b, "p")
+    if apply_correction:
+        box.append(Conditional("p", 0, SpinRotation(arm_b, "x")))
+    return [(rec.outcomes["p"], rec.probability, rec.post_state) for rec in _run(state, box)]
 
 
 def spin_parity_readout(
@@ -157,10 +162,6 @@ def control_branch_formula(x: int, p1: int) -> int:
     return (x + p1 + 1) % 2
 
 
-def _hadamards(state: FockState, arm_a: int, arm_b: int) -> FockState:
-    return spin_rotation(spin_rotation(state, arm_a, HADAMARD), arm_b, HADAMARD)
-
-
 def hadamard_pbs_gadget(
     state: FockState, upper_arm: int, lower_arm: int
 ) -> list[tuple[int, int, float, FockState]]:
@@ -173,12 +174,8 @@ def hadamard_pbs_gadget(
     """
     require_single_occupancy(state, upper_arm, "hadamard_pbs_gadget")
     require_single_occupancy(state, lower_arm, "hadamard_pbs_gadget")
-    branches = []
-    boxed = spin_parity_readout(_hadamards(state, upper_arm, lower_arm), upper_arm, lower_arm)
-    for p2, prob2, post in boxed:
-        for z, probz, final in measure_spin(_hadamards(post, upper_arm, lower_arm), upper_arm):
-            branches.append((p2, z, prob2 * probz, final))
-    return branches
+    return [(rec.outcomes["p2"], rec.outcomes["z"], rec.probability, rec.post_state)
+            for rec in _run(state, _hadamard_pbs_box(upper_arm, lower_arm))]
 
 
 _PLUS = (1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -202,12 +199,12 @@ def cnot(
 ) -> list[GadgetBranchRecord]:
     """Deterministic controlled-NOT (control down flips the target spin).
 
-    The control and the ancilla pass through ``spin_parity_readout`` (parity
-    p1), then the ancilla and the target through ``hadamard_pbs_gadget``
-    (parity p2, ancilla spin z).  The outcome-dependent corrections are
-    sigma_z on the control when p2 = 0 and sigma_x on the target when z + p1
-    is even.  Each of the eight branches has probability 1/8 and outputs the
-    gate result exactly, up to a global phase.
+    One instruction list: the ``spin_parity_readout`` box on control and
+    ancilla (parity p1), then the ``hadamard_pbs_gadget`` box on ancilla and
+    target (parity p2, ancilla spin z).  The corrections, sigma_z on the
+    control when p2 is even and sigma_x on the target when z + p1 is even,
+    read parities mod 2.  Each of the eight branches has probability 1/8 and
+    outputs the gate result exactly, up to a global phase.
 
     The two correction switches exist for negative controls only: disabling
     either one must break specific branches.
@@ -217,22 +214,17 @@ def cnot(
     require_single_occupancy(state, ancilla_arm, "cnot")
     _require_plus_ancilla(state, ancilla_arm)
 
+    box = _parity_box(control_arm, ancilla_arm, "p1") + _hadamard_pbs_box(ancilla_arm, target_arm)
     records: list[GadgetBranchRecord] = []
-    for p1, prob1, post1 in spin_parity_readout(state, control_arm, ancilla_arm):
-        for p2, z, prob2z, final in hadamard_pbs_gadget(post1, ancilla_arm, target_arm):
-            corrections = []
-            if apply_control_correction and p2 == 0:
-                corrections.append((control_arm, "z"))
-            if apply_target_correction and (z + p1) % 2 == 0:
-                corrections.append((target_arm, "x"))
-            records.append(
-                GadgetBranchRecord(
-                    outcomes={"p1": p1, "p2": p2, "z": z},
-                    applied_corrections=corrections,
-                    probability=prob1 * prob2z,
-                    output_state=_apply_paulis(final, corrections),
-                )
-            )
+    for rec in _run(state, box):
+        p1, p2, z = rec.outcomes["p1"], rec.outcomes["p2"], rec.outcomes["z"]
+        corrections = []
+        if apply_control_correction and p2 % 2 == 0:
+            corrections.append((control_arm, "z"))
+        if apply_target_correction and (z + p1) % 2 == 0:
+            corrections.append((target_arm, "x"))
+        records.append(GadgetBranchRecord(rec.outcomes, corrections, rec.probability,
+                                          _apply_paulis(rec.post_state, corrections)))
     return records
 
 
@@ -244,8 +236,6 @@ TELEPORT_CORRECTIONS: dict[int, tuple[str, ...]] = {
     2: ("z", "x"),
     3: ("x",),
 }
-
-_PAULI_BY_NAME = {"x": PAULI_X, "z": PAULI_Z}
 
 
 def teleport(
@@ -263,21 +253,16 @@ def teleport(
     for outcome, prob in bell_analyzer(state, source_arm, pair_arm_1):
         corrections = [(pair_arm_2, name) for name in TELEPORT_CORRECTIONS[outcome.b]]
         p1, p2, p3 = outcome.parities
-        records.append(
-            GadgetBranchRecord(
-                outcomes={"p1": p1, "p2": p2, "p3": p3, "b": outcome.b},
-                applied_corrections=corrections,
-                probability=prob,
-                output_state=_apply_paulis(outcome.post_state, corrections),
-            )
-        )
+        records.append(GadgetBranchRecord({"p1": p1, "p2": p2, "p3": p3, "b": outcome.b},
+                                          corrections, prob,
+                                          _apply_paulis(outcome.post_state, corrections)))
     return records
 
 
 def _apply_paulis(state: FockState, corrections: list[tuple[int, str]]) -> FockState:
     """Apply (arm, "x" | "z") Pauli corrections in order."""
     for arm, name in corrections:
-        state = spin_rotation(state, arm, _PAULI_BY_NAME[name])
+        state = apply_instruction(state, SpinRotation(arm, name))
     return state
 
 

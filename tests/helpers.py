@@ -115,3 +115,13 @@ def random_spinor(rng: np.random.Generator) -> tuple[complex, complex]:
 def haar_two_qubit(rng: np.random.Generator) -> np.ndarray:
     c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return c / np.linalg.norm(c)
+
+
+def merged_probabilities(records) -> dict[tuple, float]:
+    """Branch probabilities summed per outcome assignment; corr splits each
+    charge readout into spin-resolved leaves with equal outcomes."""
+    probs: dict[tuple, float] = {}
+    for rec in records:
+        key = tuple(rec.outcomes.items())
+        probs[key] = probs.get(key, 0.0) + rec.probability
+    return probs

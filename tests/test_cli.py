@@ -113,6 +113,20 @@ def test_corr_and_fock_agree_on_terminal_charges(capsys):
         assert corr_probs[key] == pytest.approx(p, abs=1e-9)
 
 
+def test_corr_refuses_an_element_on_an_arm_after_its_charge_readout(capsys, tmp_path):
+    # Corr's spin-resolved readout drops the coherence that the rotation and
+    # the splitter turn into a definite charge on arm 2 here.
+    src = tmp_path / "mid.feqc"
+    src.write_text("arms 2\nelectron 1 plus\nq = charge 1\nrot 1 h\npbs 1 2\nr = charge 2\n")
+    code, out, err = run_cli(capsys, "run", str(src))
+    assert code == 0
+    assert [(b["outcomes"], b["probability"]) for b in json.loads(out)["branches"]] == [
+        ({"q": 1, "r": 0}, 1.0)]
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: non-Gaussian operation") and "'q'" in err
+
+
 def test_gadget_bell(capsys):
     code, out, _ = run_cli(capsys, "gadget", "bell", "--input", "3")
     assert code == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feqc import fock
+from feqc import corr, fock
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -29,11 +29,11 @@ from feqc.corr import (
     single_occupancy_monomials,
     single_occupancy_probability,
 )
-from feqc.errors import NonGaussianOperationError, PreconditionError
+from feqc.errors import FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.fock import BEAM_SPLITTER_MATRIX, Spin, beam_splitter, prepare_bell, prepare_spin, vacuum
 from feqc.measurement import charge1_expectation, measure_mode
 from feqc.parser import parse
-from helpers import dense_two_point, random_spinor, random_unitary
+from helpers import dense_two_point, merged_probabilities, random_spinor, random_unitary
 
 UP, DOWN = Spin.UP, Spin.DOWN
 DATA = Path(__file__).parent / "data"
@@ -317,6 +317,40 @@ def test_backend_rejects_non_gaussian_circuits():
         )
     with pytest.raises(NonGaussianOperationError):
         enumerate_charge_branches(Circuit(1, [PrepSpin(1, 1, 0), Measure("z", "spin", 1)]))
+
+
+READ_ARM_1 = "arms 3\nelectron 1 plus\nelectron 2 up\nbs 1 2\nq = charge 1\n"
+
+
+@pytest.mark.parametrize("element", ["rot 1 h", "if q == 1 : rot 1 x", "pbs 2 1", "swap 1 3"])
+def test_backend_refuses_elements_on_an_arm_after_its_charge_readout(element):
+    circuit = parse(READ_ARM_1 + element + "\nr = charge 2\n").circuit
+    with pytest.raises(NonGaussianOperationError, match="arm 1 after charge measurement 'q'"):
+        enumerate_charge_branches(circuit)
+
+
+def test_backend_allows_later_readouts_and_elements_on_other_arms():
+    from feqc.measurement import enumerate_branches
+
+    source = READ_ARM_1 + "if q == 1 : rot 2 h\nbs 2 3\nr = charge 1\ns = charge 2\n"
+    circuit = parse(source).circuit
+    records, _ = enumerate_charge_branches(circuit)
+    assert all(rec.outcomes["r"] == rec.outcomes["q"] for rec in records)
+    fock_probs = merged_probabilities(enumerate_branches(circuit, vacuum(3)))
+    corr_probs = merged_probabilities(records)
+    assert corr_probs.keys() == fock_probs.keys()
+    for key, p in fock_probs.items():
+        assert corr_probs[key] == pytest.approx(p, abs=1e-12)
+
+
+def test_charge_readout_reports_probability_drift(monkeypatch):
+    circuit = parse("arms 1\nelectron 1 up\nq = charge 1\n").circuit
+    records, _ = enumerate_charge_branches(circuit)
+    assert [(rec.outcomes, rec.probability) for rec in records] == [({"q": 1}, 1.0)]
+    exact = corr.occupation_probability
+    monkeypatch.setattr(corr, "occupation_probability", lambda M, mode: 1.01 * exact(M, mode))
+    with pytest.raises(FeqcError, match="sum to 1.01"):
+        enumerate_charge_branches(circuit)
 
 
 def test_charge_branches_match_fock_for_terminal_measurements():

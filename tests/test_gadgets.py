@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from feqc import fock
+from feqc import fock, gadgets
+from feqc.circuit import Measure, PrepSpin, apply_instruction
 from feqc.errors import PreconditionError
 from feqc.fock import (
     FockState,
@@ -32,10 +36,12 @@ from feqc.gadgets import (
     spin_parity_readout,
     teleport,
 )
-from feqc.measurement import measure_spin
+from feqc.measurement import enumerate_branches, measure_spin
+from feqc.parser import parse
 from helpers import haar_two_qubit, random_spinor
 
 UP, DOWN = Spin.UP, Spin.DOWN
+DATA = Path(__file__).parent / "data"
 
 
 def spin_state(num_arms, preps):
@@ -107,6 +113,12 @@ def test_analyzer_detector_modes_agree_on_class_statistics():
 def test_analyzer_rejects_bad_occupancy():
     with pytest.raises(PreconditionError):
         bell_analyzer(spin_state(2, [(1, 1, 0)]), 1, 2)
+
+
+@pytest.mark.parametrize("detector", ["spin", "count"])
+def test_analyzer_rejects_other_detectors(detector):
+    with pytest.raises(ValueError, match="unknown detector mode"):
+        bell_analyzer(prepare_bell(vacuum(2), 0, 1, 2), 1, 2, detector=detector)
 
 
 def test_encoder_on_spin_up():
@@ -345,6 +357,71 @@ def test_cnot_is_spin_parity_readout_then_hadamard_pbs_gadget(x, y):
                    apply_control_correction=False, apply_target_correction=False)
     assert [rec.applied_corrections for rec in records] == [[]] * len(composed)
     assert [(rec.outcomes, rec.probability, rec.output_state) for rec in records] == composed
+
+
+def test_cnot_with_electrometers_is_nearly_deterministic(monkeypatch):
+    """Parity meters make the CNOT fully deterministic; electrometers in their
+    place, with the same corrections read mod 2, only nearly."""
+    parity_box = gadgets._parity_box
+
+    def charge_box(arm_a, arm_b, label):
+        return [dataclasses.replace(ins, kind="charge") if isinstance(ins, Measure) else ins
+                for ins in parity_box(arm_a, arm_b, label)]
+
+    def run(x, y):
+        """Largest p2 reading and fidelity-weighted success on the input |x, y>."""
+        coeffs = np.zeros((2, 2), dtype=complex)
+        coeffs[x, y] = 1.0
+        records = cnot(cnot_input(coeffs), 1, 2, 3)
+        by_parity: dict[tuple, list] = {}  # corrections read the outcomes mod 2
+        for rec in records:
+            key = tuple(v % 2 for v in rec.outcomes.values())
+            assert by_parity.setdefault(key, rec.applied_corrections) == rec.applied_corrections
+        success = sum(rec.probability * fidelity(rec.output_state,
+                                                 cnot_ideal(coeffs, rec.outcomes["z"]))
+                      for rec in records)
+        return max(rec.outcomes["p2"] for rec in records), success
+
+    basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [run(x, y) for x, y in basis] == [(1, pytest.approx(1.0, abs=1e-12))] * 4
+    monkeypatch.setattr(gadgets, "_parity_box", charge_box)
+    assert [run(x, y) for x, y in basis] == [(2, pytest.approx(0.75, abs=1e-12))] * 4
+
+
+def corpus_run(name):
+    """A corpus circuit's branches, and the state its electron lines prepare."""
+    circuit = parse((DATA / f"{name}.feqc").read_text(encoding="utf-8")).circuit
+    state = vacuum(circuit.arm_count)
+    for ins in circuit.instructions:
+        if isinstance(ins, PrepSpin):
+            state = apply_instruction(state, ins)
+    return enumerate_branches(circuit, vacuum(circuit.arm_count)), state
+
+
+def _encoder_branches(s):
+    return [({"p": p}, prob, out) for p, prob, out in encoder(s, 1, 2)]
+
+
+# Each corpus file next to the gadget call that runs the same box on its arms.
+CORPUS_GADGETS = {
+    "encoder": _encoder_branches,
+    "encoder_basis": _encoder_branches,
+    "spin_parity_readout": lambda s: [
+        ({"p": p}, prob, out) for p, prob, out in spin_parity_readout(s, 1, 2)],
+    "hpbs_block": lambda s: [
+        ({"p2": p2, "z": z}, prob, out) for p2, z, prob, out in hadamard_pbs_gadget(s, 1, 2)],
+    "cnot_core": lambda s: [
+        (rec.outcomes, rec.probability, rec.output_state)
+        for rec in cnot(s, 1, 3, 2, apply_target_correction=False)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_GADGETS))
+def test_corpus_circuits_and_gadgets_agree_exactly(name):
+    records, state = corpus_run(name)
+    expected = [(rec.outcomes, rec.probability, rec.post_state.amplitudes) for rec in records]
+    got = [(outcomes, prob, out.amplitudes) for outcomes, prob, out in CORPUS_GADGETS[name](state)]
+    assert got == expected
 
 
 def test_cnot_requires_plus_ancilla():

@@ -1,5 +1,5 @@
-"""Properties of the parser, the shared structural checker, and the fock
-kernel against the dense oracle.
+"""Properties of the parser, the shared structural checker, the fock kernel
+against the dense oracle, and the corr backend against fock.
 
 The strategies avoid ``st.text()`` and ``st.from_regex``: their first use
 builds a Unicode table that costs seconds in a fresh checkout.
@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feqc import fock
+from feqc.corr import enumerate_charge_branches
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -28,9 +29,11 @@ from feqc.circuit import (
     print_circuit,
     validate_circuit,
 )
-from feqc.errors import CircuitError
+from feqc.errors import CircuitError, NonGaussianOperationError
+from feqc.measurement import enumerate_branches
 from feqc.parser import parse
-from helpers import dense_bilinear_unitary, dense_vector, random_state, random_unitary
+from helpers import (dense_bilinear_unitary, dense_vector, merged_probabilities, random_state,
+                     random_unitary)
 
 KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
             "spin", "up", "down", "plus"]
@@ -173,3 +176,59 @@ def test_two_mode_kernel_matches_dense_oracle(seed, modes_at, u):
 def test_givens_path_matches_dense_oracle(seed, modes_at):
     u = random_unitary(np.random.default_rng(seed + 1), len(modes_at))
     check_against_oracle(seed, modes_at, u)
+
+
+# Spinors from a fixed list keep every branch probability far from the 1e-12
+# pruning threshold.  Near it the backends can disagree by about 1e-12 by
+# design: one keeps a branch the other drops (p = 1.0007e-12 on corr), and
+# only fock renormalizes what it keeps.
+SPINORS = [(1, 0), (0, 1), (1, 1), (0.6, 0.8), (0.6, 0.8j), (1, -1j)]
+
+
+@st.composite
+def charge_circuits(draw):
+    """Gaussian 2-4-arm circuits whose charge readouts can come mid-circuit,
+    followed by elements and by conditionals on them."""
+    n = draw(st.integers(2, 4))
+    arm = st.integers(1, n)
+    rotations = st.builds(SpinRotation, arm, st.sampled_from(["x", "y", "z", "h"]))
+    filled = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(1, n))]
+    instructions = [PrepSpin(a, *draw(st.sampled_from(SPINORS))) for a in filled]
+    labels: list[str] = []
+    for _ in range(draw(st.integers(1, 10))):
+        choice = draw(st.sampled_from(["element", "rot", "measure", "if"]))
+        if choice == "element":
+            i, j = draw(st.permutations(range(1, n + 1)))[:2]
+            cls = draw(st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms]))
+            instructions.append(cls(i, j))
+        elif choice == "measure":
+            labels.append(f"q{len(labels)}")
+            instructions.append(Measure(labels[-1], "charge", draw(arm)))
+        elif choice == "if" and labels:
+            label = draw(st.sampled_from(labels))
+            instructions.append(Conditional(label, draw(st.integers(0, 2)), draw(rotations)))
+        else:
+            instructions.append(draw(rotations))
+    return Circuit(n, instructions)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(charge_circuits())
+@example(Circuit(2, [PrepSpin(1, 1, 1), Measure("q", "charge", 1), SpinRotation(1, "h"),
+                     PolarizingBeamSplitter(1, 2), Measure("r", "charge", 2)]))
+# Both spin-resolved factors of corr's charge-0 leaf exceed 1e-12, their product
+# (1.4e-17) does not; fock drops that branch.
+@example(Circuit(1, [PrepSpin(1, 1j, 6.103515625e-05j), Measure("q", "charge", 1)]))
+@example(Circuit(3, [PrepSpin(1, 1, 1), PrepSpin(2, 1, 0), BeamSplitter(1, 2),
+                     Measure("q", "charge", 1), Conditional("q", 1, SpinRotation(2, "h")),
+                     BeamSplitter(2, 3), Measure("r", "charge", 2), Measure("s", "charge", 1)]))
+def test_corr_agrees_with_fock_or_refuses(circuit):
+    try:
+        records, _ = enumerate_charge_branches(circuit)
+    except NonGaussianOperationError:
+        return
+    fock_probs = merged_probabilities(enumerate_branches(circuit, fock.vacuum(circuit.arm_count)))
+    corr_probs = merged_probabilities(records)
+    assert corr_probs.keys() == fock_probs.keys()
+    for key, p in fock_probs.items():
+        assert abs(corr_probs[key] - p) <= 1e-12, key
