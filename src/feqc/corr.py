@@ -17,7 +17,6 @@ surfaced to callers.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -33,6 +32,8 @@ from .measurement import NORM_TOLERANCE, BranchRecord, leaves, walk
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
 PROBABILITY_FLOOR = 1e-12
+MAX_ARMS = 1024  # a 2048 x 2048 complex matrix is 64 MB
+JOINT_BLOCK = 1024  # monomials expanded and stacked per batched determinant call
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ class CorrelationMatrix:
 
 def init_from_occupations(occupied, num_arms: int) -> CorrelationMatrix:
     """Diagonal 0/1 matrix with ones at the given (arm, spin) modes."""
+    if num_arms > MAX_ARMS:
+        raise FeqcError(f"corr backend: {num_arms} arms exceed the limit MAX_ARMS = {MAX_ARMS}")
     m = np.zeros((2 * num_arms, 2 * num_arms), dtype=complex)
     for mode in occupied:
         pos = mode_position(mode, num_arms)
@@ -69,7 +72,7 @@ def init_from_occupations(occupied, num_arms: int) -> CorrelationMatrix:
 def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex) -> CorrelationMatrix:
     """Occupy one fresh orbital of an empty arm with the given spinor."""
     up = mode_position((arm, Spin.UP), M.num_arms)
-    block = M.matrix[np.ix_([up, up + 1], [up, up + 1])]
+    block = M.matrix[up:up + 2, up:up + 2]
     if np.linalg.norm(block) > 1e-9:
         raise PreconditionError(f"add_electron: arm {arm} is already occupied")
     fock.check_spinor(alpha, beta)
@@ -85,15 +88,17 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
 
     The index convention (adag_mu -> sum_nu U[nu][mu] adag_nu, hence
     M -> conj(V) M V^T for the embedded matrix V) is pinned by the
-    Fock-backend oracle tests, not by fiat.
+    Fock-backend oracle tests, not by fiat.  Only the listed rows, then columns, mix.
     """
     positions = [mode_position(mode, M.num_arms) for mode in modes]
     if len(set(positions)) != len(positions):
         raise ValueError("modes must be distinct")
     u = fock.step_unitary(matrix, len(positions))
-    v = np.eye(M.num_modes, dtype=complex)
-    v[np.ix_(positions, positions)] = u
-    return CorrelationMatrix(M.num_arms, v.conj() @ M.matrix @ v.T)
+    p = np.array(positions)  # one index array for all four fancy-index steps
+    m = M.matrix.copy()
+    m[p] = u.conj() @ m[p]
+    m[:, p] = m[:, p] @ u.T
+    return CorrelationMatrix(M.num_arms, m)
 
 
 def occupation_probability(M: CorrelationMatrix, mode) -> float:
@@ -101,15 +106,13 @@ def occupation_probability(M: CorrelationMatrix, mode) -> float:
     return float(min(max(M.matrix[pos, pos].real, 0.0), 1.0))
 
 
-def project_occupation(
-    M: CorrelationMatrix, mode, outcome: int
-) -> tuple[float, CorrelationMatrix]:
+def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float, CorrelationMatrix]:
     """Condition the Gaussian state on one mode reading empty or occupied.
 
-    Rank-one updates (Wick contractions of n M n and (1-n) M (1-n)):
-      outcome 1: M' = M - M[:,p] M[p,:] / M[p,p] + e_p e_p^T
-      outcome 0: M' = M - e_p e_p^T + w w^dag / (1 - M[p,p]),  w = e_p - M[:,p]
-    """
+    Rank-one updates (Wick contractions of n M n and (1-n) M (1-n)) off mode p,
+      outcome 1: M' = M - M[:,p] M[p,:] / M[p,p]
+      outcome 0: M' = M + M[:,p] M[:,p]^dag / (1 - M[p,p]),
+    and row and column p those of the definite outcome."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     pos = mode_position(mode, M.num_arms)
@@ -118,15 +121,12 @@ def project_occupation(
     prob = occ if outcome == 1 else 1.0 - occ
     if prob <= PROBABILITY_FLOOR:
         raise ValueError(f"outcome {outcome} on mode {tuple(mode)} has zero probability")
-    e = np.zeros(M.num_modes, dtype=complex)
-    e[pos] = 1.0
-    col = m[:, pos].copy()
-    row = m[pos, :].copy()
-    if outcome == 1:
-        updated = m - np.outer(col, row) / occ + np.outer(e, e)
-    else:
-        w = e - col
-        updated = m - np.outer(e, e) + np.outer(w, w.conj()) / (1.0 - occ)
+    col = m[:, pos]
+    updated = col[:, None] * (m[pos, :] if outcome == 1 else col.conj())
+    updated /= prob
+    (np.subtract if outcome == 1 else np.add)(m, updated, out=updated)
+    updated[pos, :] = updated[:, pos] = 0.0
+    updated[pos, pos] = outcome
     return float(min(prob, 1.0)), CorrelationMatrix(M.num_arms, updated)
 
 
@@ -142,36 +142,39 @@ def principal_minor_probability(M: CorrelationMatrix, modes) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def single_occupancy_monomials(
-    arms, num_arms: int
-) -> list[tuple[float, tuple[int, ...]]]:
-    """Expand prod_i (n_up + n_down - 2 n_up n_down) over the arms of S.
+def _monomial_blocks(arms, num_arms: int):
+    """Expand prod_i (n_up + n_down - 2 n_up n_down) over the arms of S, each
+    arm picking up, down or both, JOINT_BLOCK picks at a time in product order.
+    Per block, yields its size and a (k, rows, positions) group per count k of
+    arms that picked both: coefficient (-2)^k, |S| + k ascending positions."""
+    modes = np.array([mode_position((a, s), num_arms) for a in sorted(set(arms)) for s in Spin], int)
+    m = len(modes) // 2
+    for start in range(0, 3 ** m, JOINT_BLOCK):
+        index = np.arange(start, min(start + JOINT_BLOCK, 3 ** m))
+        pick = np.array(np.unravel_index(index, (3,) * m + (1,)))[:m].T  # (1,): m may be 0
+        used = (pick[:, :, None] != [1, 0]).reshape(len(index), 2 * m)  # up, down of each arm
+        size = used.sum(axis=1)
+        groups = [(k, np.flatnonzero(size == m + k)) for k in range(m + 1)]
+        yield len(index), [(k, rows, modes[np.nonzero(used[rows])[1]].reshape(len(rows), m + k))
+                           for k, rows in groups if len(rows)]
 
-    Returns all 3^|S| (coefficient, mode positions) monomials before any
-    collection; the length of this list is the advertised cost of the query.
-    """
-    arms = sorted(set(arms))
-    per_arm = []
-    for arm in arms:
-        up = mode_position((arm, Spin.UP), num_arms)
-        per_arm.append(((1.0, (up,)), (1.0, (up + 1,)), (-2.0, (up, up + 1))))
-    monomials = []
-    for combo in itertools.product(*per_arm):
-        coef = 1.0
-        positions: tuple[int, ...] = ()
-        for c, pos in combo:
-            coef *= c
-            positions += pos
-        monomials.append((coef, positions))
-    return monomials
+
+def single_occupancy_monomials(arms, num_arms: int) -> list[tuple[float, tuple[int, ...]]]:
+    """All 3^|S| (coefficient, mode positions) monomials of the joint query
+    before any collection; the length of this list is its advertised cost."""
+    return [((-2.0) ** k, tuple(pos)) for _, groups in _monomial_blocks(arms, num_arms)
+            for k, _, positions in groups for pos in positions.tolist()]
 
 
 def single_occupancy_probability(M: CorrelationMatrix, arms) -> float:
     """Probability that every arm in the set holds exactly one electron."""
     total = 0.0
-    for coef, positions in single_occupancy_monomials(arms, M.num_arms):
-        sub = M.matrix[np.ix_(positions, positions)]
-        total += coef * float(np.linalg.det(sub).real)
+    for count, groups in _monomial_blocks(arms, M.num_arms):
+        terms = np.full(count + 1, total)  # the sum so far, then the terms in product order
+        for k, rows, positions in groups:
+            subs = M.matrix[positions[:, :, None], positions[:, None, :]]
+            terms[rows + 1] = (-2.0) ** k * np.linalg.det(subs).real
+        total = float(np.cumsum(terms)[-1])  # term by term, as a loop would add them
     if total < -EIGENVALUE_SLACK:
         raise ValueError(f"single-occupancy probability {total} is negative")
     return min(max(total, 0.0), 1.0)

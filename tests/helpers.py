@@ -7,6 +7,8 @@ sparse engine's code paths so the two can check each other.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.linalg import expm, schur
 
@@ -125,3 +127,58 @@ def merged_probabilities(records) -> dict[tuple, float]:
         key = tuple(rec.outcomes.items())
         probs[key] = probs.get(key, 0.0) + rec.probability
     return probs
+
+
+def random_correlation_matrix(rng: np.random.Generator, num_arms: int) -> np.ndarray:
+    """Two-point functions U diag(n) U^dag of a random pure Gaussian state:
+    a Haar unitary over all modes and random 0/1 occupations, symmetrized so
+    the matrix is exactly Hermitian."""
+    u = random_unitary(rng, 2 * num_arms)
+    m = (u * rng.integers(0, 2, size=2 * num_arms)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def dense_evolve(m: np.ndarray, positions, u: np.ndarray) -> np.ndarray:
+    """conj(V) M V^T for the embedding V of u on the listed mode positions."""
+    v = np.eye(len(m), dtype=complex)
+    v[np.ix_(positions, positions)] = u
+    return v.conj() @ m @ v.T
+
+
+def dense_project(m: np.ndarray, pos: int, outcome: int) -> tuple[float, np.ndarray]:
+    """Outcome probability and conditioned matrix by the rank-one formulas:
+      outcome 1: M' = M - M[:,p] M[p,:] / M[p,p] + e_p e_p^T
+      outcome 0: M' = M - e_p e_p^T + w w^dag / (1 - M[p,p]),  w = e_p - M[:,p]"""
+    e = np.zeros(len(m), dtype=complex)
+    e[pos] = 1.0
+    occ = m[pos, pos].real
+    if outcome == 1:
+        return occ, m - np.outer(m[:, pos], m[pos, :]) / occ + np.outer(e, e)
+    w = e - m[:, pos]
+    return 1.0 - occ, m - np.outer(e, e) + np.outer(w, w.conj()) / (1.0 - occ)
+
+
+def product_monomials(arms, num_arms: int) -> list[tuple[float, tuple[int, ...]]]:
+    """prod_i (n_up + n_down - 2 n_up n_down) over the arms, one
+    (coefficient, mode positions) term per itertools.product combination."""
+    per_arm = []
+    for arm in sorted(set(arms)):
+        up = 2 * (arm - 1)
+        per_arm.append(((1.0, (up,)), (1.0, (up + 1,)), (-2.0, (up, up + 1))))
+    monomials = []
+    for combo in itertools.product(*per_arm):
+        coef = 1.0
+        positions: tuple[int, ...] = ()
+        for c, pos in combo:
+            coef *= c
+            positions += pos
+        monomials.append((coef, positions))
+    return monomials
+
+
+def dense_single_occupancy(m: np.ndarray, arms) -> float:
+    """The joint charge-1 probability as one determinant per monomial."""
+    total = 0.0
+    for coef, positions in product_monomials(arms, len(m) // 2):
+        total += coef * float(np.linalg.det(m[np.ix_(positions, positions)]).real)
+    return total

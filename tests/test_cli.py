@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from feqc import corr
 from feqc.cli import main
 from feqc.measurement import outcome_signature
 
@@ -125,6 +127,21 @@ def test_corr_refuses_an_element_on_an_arm_after_its_charge_readout(capsys, tmp_
     code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
     assert (code, out) == (1, "")
     assert err.startswith("error: non-Gaussian operation") and "'q'" in err
+
+
+@pytest.mark.parametrize("arms", [2_000_000_000, corr.MAX_ARMS + 1])
+def test_corr_refuses_more_arms_than_its_limit_before_allocating(capsys, tmp_path, arms):
+    src = tmp_path / "wide.feqc"
+    src.write_text(f"arms {arms}\nelectron 1 up\nq = charge 1\n")
+    tracemalloc.start()  # numpy reports its array buffers here
+    try:
+        code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"error: corr backend: {arms} arms exceed the limit MAX_ARMS = 1024\n"
+    assert peak < 1_000_000  # the matrix at MAX_ARMS + 1 arms would be 67 MB
 
 
 def test_gadget_bell(capsys):

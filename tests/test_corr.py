@@ -424,3 +424,10 @@ def test_joint_charge1_equals_all_charge1_leaves():
         )
         assert stats.joint_charge1 == pytest.approx(leaves_charge1, abs=1e-9)
         assert stats.terms == 3 ** len(stats.measured_arms)
+
+
+def test_arm_limit_admits_max_arms(monkeypatch):
+    monkeypatch.setattr(corr, "MAX_ARMS", 2)
+    assert init_from_occupations([], 2).matrix.shape == (4, 4)
+    with pytest.raises(FeqcError, match="3 arms exceed the limit MAX_ARMS = 2"):
+        init_from_occupations([], 3)

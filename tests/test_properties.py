@@ -1,5 +1,6 @@
 """Properties of the parser, the shared structural checker, the fock kernel
-against the dense oracle, and the corr backend against fock.
+and the corr kernels against their dense oracles, and the corr backend
+against fock.
 
 The strategies avoid ``st.text()`` and ``st.from_regex``: their first use
 builds a Unicode table that costs seconds in a fresh checkout.
@@ -9,13 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import string
+from collections import Counter
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from feqc import fock
-from feqc.corr import enumerate_charge_branches
+from feqc import corr, fock
+from feqc.corr import charge_branch_tree, enumerate_charge_branches
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -30,10 +33,11 @@ from feqc.circuit import (
     validate_circuit,
 )
 from feqc.errors import CircuitError, NonGaussianOperationError
-from feqc.measurement import enumerate_branches
+from feqc.measurement import BranchNode, enumerate_branches
 from feqc.parser import parse
-from helpers import (dense_bilinear_unitary, dense_vector, merged_probabilities, random_state,
-                     random_unitary)
+from helpers import (dense_bilinear_unitary, dense_evolve, dense_project, dense_single_occupancy,
+                     dense_vector, merged_probabilities, product_monomials,
+                     random_correlation_matrix, random_state, random_unitary)
 
 KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
             "spin", "up", "down", "plus"]
@@ -212,16 +216,23 @@ def charge_circuits(draw):
     return Circuit(n, instructions)
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(charge_circuits())
-@example(Circuit(2, [PrepSpin(1, 1, 1), Measure("q", "charge", 1), SpinRotation(1, "h"),
-                     PolarizingBeamSplitter(1, 2), Measure("r", "charge", 2)]))
-# Both spin-resolved factors of corr's charge-0 leaf exceed 1e-12, their product
-# (1.4e-17) does not; fock drops that branch.
-@example(Circuit(1, [PrepSpin(1, 1j, 6.103515625e-05j), Measure("q", "charge", 1)]))
-@example(Circuit(3, [PrepSpin(1, 1, 1), PrepSpin(2, 1, 0), BeamSplitter(1, 2),
-                     Measure("q", "charge", 1), Conditional("q", 1, SpinRotation(2, "h")),
-                     BeamSplitter(2, 3), Measure("r", "charge", 2), Measure("s", "charge", 1)]))
+def charge_examples(test):
+    """The charge_circuits draws plus three explicit circuits."""
+    for circuit in [
+        Circuit(2, [PrepSpin(1, 1, 1), Measure("q", "charge", 1), SpinRotation(1, "h"),
+                    PolarizingBeamSplitter(1, 2), Measure("r", "charge", 2)]),
+        # Both spin-resolved factors of corr's charge-0 leaf exceed 1e-12, their
+        # product (1.4e-17) does not; fock drops that branch.
+        Circuit(1, [PrepSpin(1, 1j, 6.103515625e-05j), Measure("q", "charge", 1)]),
+        Circuit(3, [PrepSpin(1, 1, 1), PrepSpin(2, 1, 0), BeamSplitter(1, 2),
+                    Measure("q", "charge", 1), Conditional("q", 1, SpinRotation(2, "h")),
+                    BeamSplitter(2, 3), Measure("r", "charge", 2), Measure("s", "charge", 1)]),
+    ]:
+        test = example(circuit)(test)
+    return settings(max_examples=100, deadline=None, database=None)(given(charge_circuits())(test))
+
+
+@charge_examples
 def test_corr_agrees_with_fock_or_refuses(circuit):
     try:
         records, _ = enumerate_charge_branches(circuit)
@@ -232,3 +243,84 @@ def test_corr_agrees_with_fock_or_refuses(circuit):
     assert corr_probs.keys() == fock_probs.keys()
     for key, p in fock_probs.items():
         assert abs(corr_probs[key] - p) <= 1e-12, key
+
+
+@charge_examples
+def test_corr_branch_probabilities_sum_to_one(circuit):
+    """Corr never renormalizes, so every readout's outcomes must sum to 1 as
+    they come out of the two projections."""
+    try:
+        root, _ = charge_branch_tree(circuit)
+    except NonGaussianOperationError:
+        return
+    nodes = [root]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, BranchNode):
+            assert abs(sum(p for _, p, _ in node.children) - 1.0) <= 1e-12, node.label
+            nodes += [child for _, _, child in node.children]
+
+
+def gaussian_state(seed, arms):
+    return corr.CorrelationMatrix(arms, random_correlation_matrix(np.random.default_rng(seed), arms))
+
+
+def mode_at(pos):
+    return (pos // 2 + 1, fock.Spin(pos % 2))
+
+
+arm_counts = st.integers(2, 6)
+# 1-4 distinct mode positions of a state of n arms, in any order.
+evolve_modes = arm_counts.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 2 * n - 1), min_size=1, max_size=4, unique=True)))
+joint_arms = arm_counts.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seeds, evolve_modes)
+@example(0, (3, [5, 0]))  # descending, with modes between
+@example(1, (6, [11, 2, 7, 4]))
+def test_corr_evolve_matches_dense_oracle(seed, arms_and_positions):
+    arms, positions = arms_and_positions
+    M = gaussian_state(seed, arms)
+    u = random_unitary(np.random.default_rng(seed + 1), len(positions))
+    out = corr.evolve(M, [mode_at(p) for p in positions], u)
+    assert np.abs(out.matrix - dense_evolve(M.matrix, positions, u)).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seeds, arm_counts, st.integers(0, 11), st.sampled_from([0, 1]))
+def test_corr_projection_matches_dense_oracle(seed, arms, pos, outcome):
+    M = gaussian_state(seed, arms)
+    pos %= 2 * arms
+    occ = M.matrix[pos, pos].real
+    if (occ if outcome == 1 else 1.0 - occ) <= corr.PROBABILITY_FLOOR:  # an empty or full state
+        with pytest.raises(ValueError, match="zero probability"):
+            corr.project_occupation(M, mode_at(pos), outcome)
+        return
+    prob, oracle = dense_project(M.matrix, pos, outcome)
+    assume(prob > 1e-6)
+    got, post = corr.project_occupation(M, mode_at(pos), outcome)
+    assert got == min(prob, 1.0)
+    assert np.abs(post.matrix - oracle).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seeds, joint_arms)
+@example(0, (6, [1, 2, 3, 4, 5, 6]))
+@example(1, (5, [4, 2]))
+def test_corr_joint_query_matches_dense_oracle(seed, arms_and_subset):
+    arms, subset = arms_and_subset
+    M = gaussian_state(seed, arms)
+    expected = dense_single_occupancy(M.matrix, subset)
+    assert abs(corr.single_occupancy_probability(M, subset) - expected) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(joint_arms)
+def test_single_occupancy_monomials_are_the_product_expansion(arms_and_subset):
+    arms, subset = arms_and_subset
+    monomials = corr.single_occupancy_monomials(subset, arms)
+    assert len(monomials) == 3 ** len(subset)
+    assert Counter(monomials) == Counter(product_monomials(subset, arms))
