@@ -65,7 +65,6 @@ from .circuit import (
     validate_circuit,
 )
 from .gadgets import (
-    BellOutcome,
     GadgetBranchRecord,
     TELEPORT_CORRECTIONS,
     bell_analyzer,

@@ -182,16 +182,12 @@ def _spin_state(num_arms: int, prep: list[tuple[int, complex, complex]]) -> Fock
 
 def _gadget_bell(args) -> dict:
     state = fock.prepare_bell(vacuum(2), args.input, 1, 2)
-    results = gadgets.bell_analyzer(state, 1, 2, detector=args.detector)
     branches = []
     success = 0.0
-    for outcome, prob in results:
-        p1, p2, p3 = outcome.parities
-        branches.append(
-            {"outcomes": {"p1": p1, "p2": p2, "p3": p3, "b": outcome.b}, "probability": prob}
-        )
-        if outcome.b == args.input:
-            success += prob
+    for rec in gadgets.bell_analyzer(state, 1, 2, detector=args.detector):
+        branches.append({"outcomes": rec.outcomes, "probability": rec.probability})
+        if rec.outcomes["b"] == args.input:
+            success += rec.probability
     return {
         "options": {"input": args.input, "detector": args.detector},
         "branches": branches,
@@ -207,10 +203,10 @@ def _gadget_encoder(args) -> dict:
     )
     branches = []
     success = 0.0
-    for p, prob, out in gadgets.encoder(state, 1, 2, apply_correction=not args.no_correction):
-        fid = fock.fidelity(out, ideal)
-        branches.append({"outcomes": {"p": p}, "probability": prob, "fidelity": fid})
-        success += prob * fid
+    for rec in gadgets.encoder(state, 1, 2, apply_correction=not args.no_correction):
+        fid = fock.fidelity(rec.output_state, ideal)
+        branches.append({"outcomes": rec.outcomes, "probability": rec.probability, "fidelity": fid})
+        success += rec.probability * fid
     return {
         "options": {"qubit": args.qubit, "correction": not args.no_correction},
         "branches": branches,
@@ -260,7 +256,8 @@ def _gadget_appendix_table(args) -> dict:
     for a in (0, 1):
         for y in (0, 1):
             state = _spin_state(2, [(1, 1 - a, a), (2, 1 - y, y)])
-            for p2, z, prob, out in gadgets.hadamard_pbs_gadget(state, 1, 2):
+            for rec in gadgets.hadamard_pbs_gadget(state, 1, 2):
+                p2, z, out = rec.outcomes["p2"], rec.outcomes["z"], rec.output_state
                 expected_bit = (a + y + z) % 2
                 expected_phase = float((-1) ** (((p2 + 1) * (a + z)) % 2))
                 key, amp = max(out.amplitudes.items(), key=lambda kv: abs(kv[1]))
@@ -275,7 +272,7 @@ def _gadget_appendix_table(args) -> dict:
                 rows.append(
                     {
                         "a": a, "y": y, "p2": p2, "z": z,
-                        "probability": prob,
+                        "probability": rec.probability,
                         "output_bit": output_bit,
                         "expected_bit": expected_bit,
                         "phase_re": float(amp.real),

@@ -34,6 +34,7 @@ EIGENVALUE_SLACK = 1e-9
 PROBABILITY_FLOOR = 1e-12
 MAX_ARMS = 1024  # a 2048 x 2048 complex matrix is 64 MB
 JOINT_BLOCK = 1024  # monomials expanded and stacked per batched determinant call
+MAX_JOINT_TERMS = 3 ** 12  # 12 arms take seconds; each further arm triples it
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,11 @@ def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex) 
     if np.linalg.norm(block) > 1e-9:
         raise PreconditionError(f"add_electron: arm {arm} is already occupied")
     fock.check_spinor(alpha, beta)
-    v = np.zeros(M.num_modes, dtype=complex)
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    v[up] = alpha / norm
-    v[up + 1] = beta / norm
-    return CorrelationMatrix(M.num_arms, M.matrix + np.outer(v.conj(), v))
+    v = np.array([alpha / norm, beta / norm], dtype=complex)
+    m = M.matrix.copy()
+    m[up:up + 2, up:up + 2] += np.outer(v.conj(), v)
+    return CorrelationMatrix(M.num_arms, m)
 
 
 def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix:
@@ -149,6 +150,9 @@ def _monomial_blocks(arms, num_arms: int):
     arms that picked both: coefficient (-2)^k, |S| + k ascending positions."""
     modes = np.array([mode_position((a, s), num_arms) for a in sorted(set(arms)) for s in Spin], int)
     m = len(modes) // 2
+    if 3 ** m > MAX_JOINT_TERMS:
+        raise FeqcError(f"corr backend: the joint query over {m} arms has 3^{m} terms, "
+                        f"more than the limit MAX_JOINT_TERMS = {MAX_JOINT_TERMS}")
     for start in range(0, 3 ** m, JOINT_BLOCK):
         index = np.arange(start, min(start + JOINT_BLOCK, 3 ** m))
         pick = np.array(np.unravel_index(index, (3,) * m + (1,)))[:m].T  # (1,): m may be 0

@@ -18,8 +18,10 @@ branches by the one branch walker, ``measurement.branch_tree``:
   qubit between arms, with a correction table derived by exhaustive search
   and frozen here.
 
-Every branch carries its probability and output state; correction rules
-depend only on measurement outcomes, never on the input state.
+Every gadget returns one ``GadgetBranchRecord`` per branch: its outcomes,
+the Pauli corrections applied, its probability and its output state.
+Correction rules depend only on measurement outcomes, never on the input
+state.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
-from .circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
-                      SpinRotation, apply_instruction)
+from . import fock, measurement
+from .circuit import (BeamSplitter, Circuit, Measure, PolarizingBeamSplitter, SpinRotation,
+                      apply_instruction)
 from .errors import PreconditionError
 from .fock import FockState, arm_qubit_density, require_single_occupancy, spinor_fidelity
-from .measurement import BranchRecord, branch_tree, leaves
 # Not called here: bench/tracing.py patches these names, and the walker's meters are the same.
 from .measurement import measure_charge, measure_parity, measure_spin  # noqa: F401
 
@@ -44,29 +45,29 @@ def bell_statistic(p1: int, p2: int, p3: int) -> int:
 
 
 @dataclass
-class BellOutcome:
-    """One analyzer branch: class index, detector parities, scattered state.
-
-    Stages skipped by the early exit report parity 0; they contribute nothing
-    to the statistic because their terms already carry a factor p1 or p1*p2.
-    """
-
-    b: int
-    parities: tuple[int, int, int]
-    post_state: FockState
-
-
-@dataclass
 class GadgetBranchRecord:
+    """One gadget branch: its outcomes, the (arm, "x" | "z") Pauli corrections
+    applied in order, its probability, and the corrected output state."""
+
     outcomes: dict[str, int]
     applied_corrections: list[tuple[int, str]]
     probability: float
     output_state: FockState
 
 
-def _run(state: FockState, instructions: list) -> list[BranchRecord]:
-    """Expand a gadget's instructions from ``state`` through the branch walker."""
-    return leaves(branch_tree(Circuit(state.num_arms, instructions), state))
+def _run(state: FockState, instructions: list,
+         rule=lambda outcomes: []) -> list[GadgetBranchRecord]:
+    """Expand a gadget's instructions from ``state`` through the branch walker,
+    then apply to each leaf the corrections ``rule`` reads off its outcomes."""
+    tree = measurement.branch_tree(Circuit(state.num_arms, instructions), state)
+    return [_corrected(rec.outcomes, rec.probability, rec.post_state, rule(rec.outcomes))
+            for rec in measurement.leaves(tree)]
+
+
+def _corrected(outcomes: dict[str, int], probability: float, state: FockState,
+               corrections: list[tuple[int, str]]) -> GadgetBranchRecord:
+    return GadgetBranchRecord(outcomes, corrections, probability,
+                              _apply_paulis(state, corrections))
 
 
 def _parity_box(arm_a: int, arm_b: int, label: str) -> list:
@@ -84,14 +85,16 @@ def _hadamard_pbs_box(upper_arm: int, lower_arm: int) -> list:
 
 def bell_analyzer(
     state: FockState, arm_a: int, arm_b: int, detector: str = "parity"
-) -> list[tuple[BellOutcome, float]]:
+) -> list[GadgetBranchRecord]:
     """Three-stage analyzer: splitter + detector, with sigma_z then sigma_x
     feedforward on arm_b between stages.
 
     The detector on arm_a may count charge (0, 1, 2) or only its parity; the
     measurement is destructive either way, so both modes give the same class
     statistics.  Bunching at a stage (parity 0) fixes the class and later
-    stages are skipped.
+    stages are skipped.  Records carry the parities p1, p2, p3 and the class
+    index b; a skipped stage reports parity 0, which adds nothing to b because
+    its term already carries a factor p1 or p1*p2.
     """
     require_single_occupancy(state, arm_a, "bell_analyzer")
     require_single_occupancy(state, arm_b, "bell_analyzer")
@@ -107,46 +110,45 @@ _BELL_FEEDFORWARD = (None, "z", "x")
 def _bell_stage(
     state: FockState, arm_a: int, arm_b: int, detector: str,
     parities: tuple[int, ...], prob: float,
-) -> list[tuple[BellOutcome, float]]:
+) -> list[GadgetBranchRecord]:
     """One analyzer stage after the given parities; an odd parity before the
     last stage continues to the next one, any other ends the branch."""
     stage = [BeamSplitter(arm_a, arm_b), Measure("q", detector, arm_a)]
     if parities:
         stage.insert(0, SpinRotation(arm_b, _BELL_FEEDFORWARD[len(parities)]))
-    results: list[tuple[BellOutcome, float]] = []
+    results: list[GadgetBranchRecord] = []
     for rec in _run(state, stage):
         seen = parities + (rec.outcomes["q"] % 2,)
         if seen[-1] and len(seen) < 3:
-            results += _bell_stage(rec.post_state, arm_a, arm_b, detector, seen,
+            results += _bell_stage(rec.output_state, arm_a, arm_b, detector, seen,
                                    prob * rec.probability)
         else:
-            padded = (seen + (0, 0))[:3]
-            results.append((BellOutcome(bell_statistic(*padded), padded, rec.post_state),
-                            prob * rec.probability))
+            p1, p2, p3 = (seen + (0, 0))[:3]
+            outcomes = {"p1": p1, "p2": p2, "p3": p3, "b": bell_statistic(p1, p2, p3)}
+            results.append(GadgetBranchRecord(outcomes, [], prob * rec.probability,
+                                              rec.output_state))
     return results
 
 
 def encoder(
     state: FockState, arm_a: int, arm_b: int, apply_correction: bool = True
-) -> list[tuple[int, float, FockState]]:
+) -> list[GadgetBranchRecord]:
     """Polarizing splitter pair with a parity meter in between.
 
     With the correction enabled, the parity-0 branch gets a spin flip on
-    arm_b and both branches emit the same two-electron encoding of the arm_a
+    arm_b, recorded as the correction (arm_b, "x"), and both branches emit the same two-electron encoding of the arm_a
     qubit.  Without it the parity-0 branch comes out with the arm_b spin
     inverted, which is what ``spin_parity_readout`` relies on.
     """
     require_single_occupancy(state, arm_a, "encoder")
     require_single_occupancy(state, arm_b, "encoder")
-    box = _parity_box(arm_a, arm_b, "p")
-    if apply_correction:
-        box.append(Conditional("p", 0, SpinRotation(arm_b, "x")))
-    return [(rec.outcomes["p"], rec.probability, rec.post_state) for rec in _run(state, box)]
+    return _run(state, _parity_box(arm_a, arm_b, "p"),
+                lambda outcomes: [(arm_b, "x")] if apply_correction and outcomes["p"] == 0 else [])
 
 
 def spin_parity_readout(
     state: FockState, arm_a: int, arm_b: int
-) -> list[tuple[int, float, FockState]]:
+) -> list[GadgetBranchRecord]:
     """Nondestructive test whether two single-electron spins are aligned.
 
     Parity 1 means aligned, parity 0 opposite.  For spin-eigenstate inputs
@@ -164,18 +166,17 @@ def control_branch_formula(x: int, p1: int) -> int:
 
 def hadamard_pbs_gadget(
     state: FockState, upper_arm: int, lower_arm: int
-) -> list[tuple[int, int, float, FockState]]:
+) -> list[GadgetBranchRecord]:
     """``spin_parity_readout`` conjugated by Hadamards on both arms, followed
     by a spin readout of the upper arm.
 
     For basis inputs |a> (upper) and |y> (lower) the lower arm comes out in
     (-1)^((p2+1)(a+z)) |a+y+z| mod 2>, the closed form verified row by row by
-    the ``appendix-table`` command.  Branches are keyed by (parity, spin).
+    the ``appendix-table`` command.  Records carry the parity p2 and the spin z.
     """
     require_single_occupancy(state, upper_arm, "hadamard_pbs_gadget")
     require_single_occupancy(state, lower_arm, "hadamard_pbs_gadget")
-    return [(rec.outcomes["p2"], rec.outcomes["z"], rec.probability, rec.post_state)
-            for rec in _run(state, _hadamard_pbs_box(upper_arm, lower_arm))]
+    return _run(state, _hadamard_pbs_box(upper_arm, lower_arm))
 
 
 _PLUS = (1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -214,18 +215,17 @@ def cnot(
     require_single_occupancy(state, ancilla_arm, "cnot")
     _require_plus_ancilla(state, ancilla_arm)
 
-    box = _parity_box(control_arm, ancilla_arm, "p1") + _hadamard_pbs_box(ancilla_arm, target_arm)
-    records: list[GadgetBranchRecord] = []
-    for rec in _run(state, box):
-        p1, p2, z = rec.outcomes["p1"], rec.outcomes["p2"], rec.outcomes["z"]
-        corrections = []
+    def corrections(outcomes: dict[str, int]) -> list[tuple[int, str]]:
+        p1, p2, z = outcomes["p1"], outcomes["p2"], outcomes["z"]
+        applied = []
         if apply_control_correction and p2 % 2 == 0:
-            corrections.append((control_arm, "z"))
+            applied.append((control_arm, "z"))
         if apply_target_correction and (z + p1) % 2 == 0:
-            corrections.append((target_arm, "x"))
-        records.append(GadgetBranchRecord(rec.outcomes, corrections, rec.probability,
-                                          _apply_paulis(rec.post_state, corrections)))
-    return records
+            applied.append((target_arm, "x"))
+        return applied
+
+    box = _parity_box(control_arm, ancilla_arm, "p1") + _hadamard_pbs_box(ancilla_arm, target_arm)
+    return _run(state, box, corrections)
 
 
 # Qubit correction per analyzer class, in application order.  Frozen from
@@ -249,14 +249,9 @@ def teleport(
     """
     for arm in (source_arm, pair_arm_1, pair_arm_2):
         require_single_occupancy(state, arm, "teleport")
-    records = []
-    for outcome, prob in bell_analyzer(state, source_arm, pair_arm_1):
-        corrections = [(pair_arm_2, name) for name in TELEPORT_CORRECTIONS[outcome.b]]
-        p1, p2, p3 = outcome.parities
-        records.append(GadgetBranchRecord({"p1": p1, "p2": p2, "p3": p3, "b": outcome.b},
-                                          corrections, prob,
-                                          _apply_paulis(outcome.post_state, corrections)))
-    return records
+    return [_corrected(rec.outcomes, rec.probability, rec.output_state,
+                       [(pair_arm_2, name) for name in TELEPORT_CORRECTIONS[rec.outcomes["b"]]])
+            for rec in bell_analyzer(state, source_arm, pair_arm_1)]
 
 
 def _apply_paulis(state: FockState, corrections: list[tuple[int, str]]) -> FockState:
@@ -279,12 +274,12 @@ def derive_teleport_corrections() -> dict[int, tuple[str, ...]]:
     for alpha, beta in probes:
         base = fock.prepare_spin(fock.vacuum(3), 1, alpha, beta)
         base = fock.prepare_bell(base, 0, 2, 3)
-        for outcome, _ in bell_analyzer(base, 1, 2):
+        for rec in bell_analyzer(base, 1, 2):
+            b = rec.outcomes["b"]
             for cand in candidates:
-                out = _apply_paulis(outcome.post_state, [(3, name) for name in cand])
+                out = _apply_paulis(rec.output_state, [(3, name) for name in cand])
                 fid = spinor_fidelity(arm_qubit_density(out, 3), alpha, beta)
-                prev = scores[outcome.b].get(cand, 1.0)
-                scores[outcome.b][cand] = min(prev, fid)
+                scores[b][cand] = min(scores[b].get(cand, 1.0), fid)
     table: dict[int, tuple[str, ...]] = {}
     for b in range(4):
         perfect = [cand for cand, fid in scores[b].items() if fid >= 1 - 1e-9]

@@ -71,11 +71,11 @@ def test_criterion_1_bell_analyzer_determinism():
                     prob_k += rec.probability
             assert prob_k == pytest.approx(1.0, abs=TOL), (detector, k)
             gadget_prob = sum(
-                p
-                for outcome, p in bell_analyzer(
+                rec.probability
+                for rec in bell_analyzer(
                     prepare_bell(vacuum(2), k, 1, 2), 1, 2, detector=detector
                 )
-                if outcome.b == k
+                if rec.outcomes["b"] == k
             )
             assert gadget_prob == pytest.approx(1.0, abs=TOL), (detector, k)
     _report(1, "analyzer reports B=k with probability 1 for every pair state, "
@@ -92,9 +92,9 @@ def test_criterion_2_encoder_fidelity():
         )
         branches = encoder(state, 1, 2)
         assert len(branches) == 2
-        for p, prob, out in branches:
-            assert prob == pytest.approx(0.5, abs=TOL)
-            assert fidelity(out, ideal) >= 1 - TOL
+        for rec in branches:
+            assert rec.probability == pytest.approx(0.5, abs=TOL)
+            assert fidelity(rec.output_state, ideal) >= 1 - TOL
     _report(2, "encoder emits the two-electron encoding in both parity branches "
                "(probability 1/2 each) for 20 random qubits")
 
@@ -137,7 +137,8 @@ def test_criterion_4_hadamard_pbs_table():
             state = prepare_spin(prepare_spin(vacuum(2), 1, 1 - a, a), 2, 1 - y, y)
             branches = hadamard_pbs_gadget(state, 1, 2)
             assert len(branches) == 4
-            for p2, z, prob, out in branches:
+            for rec in branches:
+                p2, z, out = rec.outcomes["p2"], rec.outcomes["z"], rec.output_state
                 bit = (a + y + z) % 2
                 phase = float((-1) ** (((p2 + 1) * (a + z)) % 2))
                 expected = prepare_spin(
@@ -148,7 +149,8 @@ def test_criterion_4_hadamard_pbs_table():
     # superposed upper arm: the branch output keeps the predicted relative sign
     for y in (0, 1):
         state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 1), 2, 1 - y, y)
-        for p2, z, prob, out in hadamard_pbs_gadget(state, 1, 2):
+        for rec in hadamard_pbs_gadget(state, 1, 2):
+            p2, z, out = rec.outcomes["p2"], rec.outcomes["z"], rec.output_state
             coeffs = np.zeros(2, dtype=complex)
             for a in (0, 1):
                 amp = (-1) ** (((p2 + 1) * (a + z)) % 2)

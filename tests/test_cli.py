@@ -144,6 +144,18 @@ def test_corr_refuses_more_arms_than_its_limit_before_allocating(capsys, tmp_pat
     assert peak < 1_000_000  # the matrix at MAX_ARMS + 1 arms would be 67 MB
 
 
+@pytest.mark.parametrize("readouts", [13, 41])
+def test_corr_refuses_a_joint_query_over_its_term_limit(capsys, tmp_path, readouts):
+    arms = range(1, readouts + 1)
+    src = tmp_path / "joint.feqc"
+    src.write_text("\n".join([f"arms {readouts}", *(f"electron {a} up" for a in arms),
+                              *(f"q{a} = charge {a}" for a in arms)]) + "\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert (code, out) == (1, "")
+    assert err == (f"error: corr backend: the joint query over {readouts} arms has "
+                   f"3^{readouts} terms, more than the limit MAX_JOINT_TERMS = 531441\n")
+
+
 def test_gadget_bell(capsys):
     code, out, _ = run_cli(capsys, "gadget", "bell", "--input", "3")
     assert code == 0

@@ -431,3 +431,14 @@ def test_arm_limit_admits_max_arms(monkeypatch):
     assert init_from_occupations([], 2).matrix.shape == (4, 4)
     with pytest.raises(FeqcError, match="3 arms exceed the limit MAX_ARMS = 2"):
         init_from_occupations([], 3)
+
+
+def test_joint_term_limit_admits_twelve_arms_and_guards_both_queries():
+    assert corr.MAX_JOINT_TERMS == 3 ** 12
+    # Twelve arms expand in full; their determinants would take seconds.
+    assert sum(count for count, _ in corr._monomial_blocks(range(1, 13), 12)) == 3 ** 12
+    message = r"over 13 arms has 3\^13 terms, more than the limit MAX_JOINT_TERMS = 531441"
+    with pytest.raises(FeqcError, match=message):
+        corr.single_occupancy_probability(init_from_occupations([], 13), range(1, 14))
+    with pytest.raises(FeqcError, match=message):
+        corr.single_occupancy_monomials(range(1, 14), 13)

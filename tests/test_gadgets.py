@@ -61,22 +61,23 @@ def encoded_pair(alpha, beta, arm_a=1, arm_b=2, num_arms=2):
 def test_analyzer_identifies_every_pair_state(k, detector):
     state = prepare_bell(vacuum(2), k, 1, 2)
     results = bell_analyzer(state, 1, 2, detector=detector)
-    prob = sum(p for outcome, p in results if outcome.b == k)
+    prob = sum(rec.probability for rec in results if rec.outcomes["b"] == k)
     assert prob == pytest.approx(1.0, abs=1e-9)
 
 
 def test_analyzer_statistic_identity_holds_on_records():
     for k in range(4):
         state = prepare_bell(vacuum(2), k, 1, 2)
-        for outcome, _ in bell_analyzer(state, 1, 2):
-            assert outcome.b == bell_statistic(*outcome.parities)
+        for rec in bell_analyzer(state, 1, 2):
+            o = rec.outcomes
+            assert o["b"] == bell_statistic(o["p1"], o["p2"], o["p3"])
 
 
 def test_analyzer_parities_for_last_pair_state():
     state = prepare_bell(vacuum(2), 3, 1, 2)
-    ((outcome, prob),) = bell_analyzer(state, 1, 2)
-    assert outcome.parities == (1, 1, 1)
-    assert prob == pytest.approx(1.0, abs=1e-9)
+    (rec,) = bell_analyzer(state, 1, 2)
+    assert (rec.outcomes["p1"], rec.outcomes["p2"], rec.outcomes["p3"]) == (1, 1, 1)
+    assert rec.probability == pytest.approx(1.0, abs=1e-9)
 
 
 def test_analyzer_on_superposed_input_splits():
@@ -89,8 +90,9 @@ def test_analyzer_on_superposed_input_splits():
     state = fock.normalize(FockState(2, amps))
     results = bell_analyzer(state, 1, 2)
     by_class: dict[int, float] = {}
-    for outcome, p in results:
-        by_class[outcome.b] = by_class.get(outcome.b, 0.0) + p
+    for rec in results:
+        b = rec.outcomes["b"]
+        by_class[b] = by_class.get(b, 0.0) + rec.probability
     assert by_class[0] == pytest.approx(0.5, abs=1e-9)
     assert by_class[2] == pytest.approx(0.5, abs=1e-9)
     assert set(by_class) == {0, 2}
@@ -103,8 +105,9 @@ def test_analyzer_detector_modes_agree_on_class_statistics():
         dists = []
         for detector in ("parity", "charge"):
             dist: dict[int, float] = {}
-            for outcome, p in bell_analyzer(state, 1, 2, detector=detector):
-                dist[outcome.b] = dist.get(outcome.b, 0.0) + p
+            for rec in bell_analyzer(state, 1, 2, detector=detector):
+                b = rec.outcomes["b"]
+                dist[b] = dist.get(b, 0.0) + rec.probability
             dists.append(dist)
         for b in range(4):
             assert dists[0].get(b, 0.0) == pytest.approx(dists[1].get(b, 0.0), abs=1e-9)
@@ -124,16 +127,16 @@ def test_analyzer_rejects_other_detectors(detector):
 def test_encoder_on_spin_up():
     state = spin_state(2, [(1, 1, 0), (2, 1, 1)])
     ideal = encoded_pair(1, 0)
-    for p, prob, out in encoder(state, 1, 2):
-        assert prob == pytest.approx(0.5, abs=1e-9)
-        assert fidelity(out, ideal) == pytest.approx(1.0, abs=1e-9)
+    for rec in encoder(state, 1, 2):
+        assert rec.probability == pytest.approx(0.5, abs=1e-9)
+        assert fidelity(rec.output_state, ideal) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_encoder_parity_one_branch_is_direct():
     alpha, beta = 0.8, 0.6j
     state = spin_state(2, [(1, alpha, beta), (2, 1, 1)])
     branches = encoder(state, 1, 2, apply_correction=False)
-    direct = {p: out for p, _, out in branches}
+    direct = {rec.outcomes["p"]: rec.output_state for rec in branches}
     assert fidelity(direct[1], encoded_pair(alpha, beta)) == pytest.approx(1.0, abs=1e-9)
     # without the flip, the parity-0 branch has the arm-2 spin inverted
     swapped = prepare_two_spin(
@@ -152,9 +155,21 @@ def test_encoder_random_qubits():
         ideal = encoded_pair(alpha, beta)
         branches = encoder(state, 1, 2)
         assert len(branches) == 2
-        for p, prob, out in branches:
-            assert prob == pytest.approx(0.5, abs=1e-9)
-            assert fidelity(out, ideal) >= 1 - 1e-9
+        for rec in branches:
+            assert rec.probability == pytest.approx(0.5, abs=1e-9)
+            assert fidelity(rec.output_state, ideal) >= 1 - 1e-9
+
+
+def test_encoder_records_its_flip_as_a_correction():
+    state = spin_state(3, [(3, 0.8, 0.6j), (1, 1, 1)])
+    flipped = encoder(state, 3, 1)
+    assert [rec.outcomes["p"] for rec in flipped] == [0, 1]
+    assert [rec.applied_corrections for rec in flipped] == [[(1, "x")], []]
+    plain = encoder(state, 3, 1, apply_correction=False)
+    assert [rec.applied_corrections for rec in plain] == [[], []]
+    # the flip is applied after the walk, to the uncorrected branch state
+    corrected = spin_rotation(plain[0].output_state, 1, fock.PAULI_X)
+    assert flipped[0].output_state.amplitudes == corrected.amplitudes
 
 
 def test_encoder_rejects_shared_arm_occupancy():
@@ -174,8 +189,8 @@ def test_encoder_decoding_identity():
     for _ in range(5):
         alpha, beta = random_spinor(rng)
         state = spin_state(2, [(1, alpha, beta), (2, 1, 1)])
-        for _, _, out in encoder(state, 1, 2):
-            rotated = spin_rotation(out, 2, fock.HADAMARD)  # maps |+> to |up>
+        for rec in encoder(state, 1, 2):
+            rotated = spin_rotation(rec.output_state, 2, fock.HADAMARD)  # maps |+> to |up>
             survivors = [post for z, _, post in measure_spin(rotated, 2) if z == 0]
             assert len(survivors) == 1
             rho = arm_qubit_density(survivors[0], 1)
@@ -186,16 +201,16 @@ def test_spin_parity_readout_on_eigenstates():
     aligned = spin_state(2, [(1, 1, 0), (2, 1, 0)])
     branches = spin_parity_readout(aligned, 1, 2)
     assert len(branches) == 1
-    p, prob, out = branches[0]
-    assert (p, prob) == (1, pytest.approx(1.0))
-    assert fidelity(out, aligned) == pytest.approx(1.0)
+    (rec,) = branches
+    assert (rec.outcomes["p"], rec.probability) == (1, pytest.approx(1.0))
+    assert fidelity(rec.output_state, aligned) == pytest.approx(1.0)
 
     opposite = spin_state(2, [(1, 1, 0), (2, 0, 1)])
     branches = spin_parity_readout(opposite, 1, 2)
     assert len(branches) == 1
-    p, prob, out = branches[0]
-    assert (p, prob) == (0, pytest.approx(1.0))
-    assert fidelity(out, opposite) == pytest.approx(1.0)
+    (rec,) = branches
+    assert (rec.outcomes["p"], rec.probability) == (0, pytest.approx(1.0))
+    assert fidelity(rec.output_state, opposite) == pytest.approx(1.0)
 
 
 def test_spin_parity_readout_on_singlet_is_deterministic():
@@ -203,9 +218,9 @@ def test_spin_parity_readout_on_singlet_is_deterministic():
     singlet = prepare_bell(vacuum(2), 0, 1, 2)
     branches = spin_parity_readout(singlet, 1, 2)
     assert len(branches) == 1
-    p, prob, out = branches[0]
-    assert (p, prob) == (0, pytest.approx(1.0, abs=1e-9))
-    assert fidelity(out, singlet) == pytest.approx(1.0, abs=1e-9)
+    (rec,) = branches
+    assert (rec.outcomes["p"], rec.probability) == (0, pytest.approx(1.0, abs=1e-9))
+    assert fidelity(rec.output_state, singlet) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_control_branch_formula():
@@ -238,8 +253,9 @@ def test_hadamard_pbs_closed_form_on_basis_inputs():
             state = spin_state(2, [(1, 1 - a, a), (2, 1 - y, y)])
             branches = hadamard_pbs_gadget(state, 1, 2)
             assert len(branches) == 4
-            for p2, z, prob, out in branches:
-                assert prob == pytest.approx(0.25, abs=1e-9)
+            for rec in branches:
+                p2, z, out = rec.outcomes["p2"], rec.outcomes["z"], rec.output_state
+                assert rec.probability == pytest.approx(0.25, abs=1e-9)
                 bit = (a + y + z) % 2
                 phase = (-1) ** (((p2 + 1) * (a + z)) % 2)
                 expected = spin_state(2, [(1, 1 - z, z), (2, 1 - bit, bit)])
@@ -251,8 +267,9 @@ def test_hadamard_pbs_relative_sign_on_superposed_input():
     # sign (-1)^(p2+1) between the two upper-bit components
     for y in (0, 1):
         state = spin_state(2, [(1, 1, 1), (2, 1 - y, y)])
-        for p2, z, prob, out in hadamard_pbs_gadget(state, 1, 2):
-            rho = arm_qubit_density(out, 2)
+        for rec in hadamard_pbs_gadget(state, 1, 2):
+            p2, z = rec.outcomes["p2"], rec.outcomes["z"]
+            rho = arm_qubit_density(rec.output_state, 2)
             sign = (-1) ** ((p2 + 1) % 2)  # relative phase between a=0 and a=1 terms
             amp0 = (-1) ** (((p2 + 1) * (0 + z)) % 2)
             amp1 = (-1) ** (((p2 + 1) * (1 + z)) % 2)
@@ -349,9 +366,10 @@ def test_cnot_is_spin_parity_readout_then_hadamard_pbs_gadget(x, y):
     control, target, ancilla = 2, 3, 1
     state = cnot_input(coeffs, control=control, target=target, ancilla=ancilla)
     composed = [
-        ({"p1": p1, "p2": p2, "z": z}, prob1 * prob2z, out)
-        for p1, prob1, post in spin_parity_readout(state, control, ancilla)
-        for p2, z, prob2z, out in hadamard_pbs_gadget(post, ancilla, target)
+        ({"p1": first.outcomes["p"], **second.outcomes}, first.probability * second.probability,
+         second.output_state)
+        for first in spin_parity_readout(state, control, ancilla)
+        for second in hadamard_pbs_gadget(first.output_state, ancilla, target)
     ]
     records = cnot(state, control, target, ancilla,
                    apply_control_correction=False, apply_target_correction=False)
@@ -398,21 +416,13 @@ def corpus_run(name):
     return enumerate_branches(circuit, vacuum(circuit.arm_count)), state
 
 
-def _encoder_branches(s):
-    return [({"p": p}, prob, out) for p, prob, out in encoder(s, 1, 2)]
-
-
 # Each corpus file next to the gadget call that runs the same box on its arms.
 CORPUS_GADGETS = {
-    "encoder": _encoder_branches,
-    "encoder_basis": _encoder_branches,
-    "spin_parity_readout": lambda s: [
-        ({"p": p}, prob, out) for p, prob, out in spin_parity_readout(s, 1, 2)],
-    "hpbs_block": lambda s: [
-        ({"p2": p2, "z": z}, prob, out) for p2, z, prob, out in hadamard_pbs_gadget(s, 1, 2)],
-    "cnot_core": lambda s: [
-        (rec.outcomes, rec.probability, rec.output_state)
-        for rec in cnot(s, 1, 3, 2, apply_target_correction=False)],
+    "encoder": lambda s: encoder(s, 1, 2),
+    "encoder_basis": lambda s: encoder(s, 1, 2),
+    "spin_parity_readout": lambda s: spin_parity_readout(s, 1, 2),
+    "hpbs_block": lambda s: hadamard_pbs_gadget(s, 1, 2),
+    "cnot_core": lambda s: cnot(s, 1, 3, 2, apply_target_correction=False),
 }
 
 
@@ -420,7 +430,8 @@ CORPUS_GADGETS = {
 def test_corpus_circuits_and_gadgets_agree_exactly(name):
     records, state = corpus_run(name)
     expected = [(rec.outcomes, rec.probability, rec.post_state.amplitudes) for rec in records]
-    got = [(outcomes, prob, out.amplitudes) for outcomes, prob, out in CORPUS_GADGETS[name](state)]
+    got = [(rec.outcomes, rec.probability, rec.output_state.amplitudes)
+           for rec in CORPUS_GADGETS[name](state)]
     assert got == expected
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from feqc import corr, fock
+from feqc import corr, fock, measurement
 from feqc.corr import charge_branch_tree, enumerate_charge_branches
 from feqc.circuit import (
     BeamSplitter,
@@ -29,6 +29,7 @@ from feqc.circuit import (
     PrepSpin,
     SpinRotation,
     SwapArms,
+    apply_instruction,
     print_circuit,
     validate_circuit,
 )
@@ -259,6 +260,19 @@ def test_corr_branch_probabilities_sum_to_one(circuit):
         if isinstance(node, BranchNode):
             assert abs(sum(p for _, p, _ in node.children) - 1.0) <= 1e-12, node.label
             nodes += [child for _, _, child in node.children]
+
+
+@charge_examples
+def test_fock_state_has_norm_one_before_every_readout(circuit):
+    """Fock renormalizes each branch after pruning and its elements are
+    unitary, so every readout must see a state of norm 1."""
+
+    def meter(state, ins):
+        norm2 = sum(abs(a) ** 2 for a in state.amplitudes.values())
+        assert abs(norm2 - 1) <= 1e-12, (ins.label, norm2)
+        return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
+
+    measurement.walk(circuit.instructions, fock.vacuum(circuit.arm_count), apply_instruction, meter)
 
 
 def gaussian_state(seed, arms):
