@@ -91,6 +91,8 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
                      help="human-readable rendering")
 
 
+_PARSER = _build_argparser()  # built once; parse_args keeps no state between calls
+
 _SPINOR_RE = re.compile(
     r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)\s*,\s*\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)\Z"
 )
@@ -354,7 +356,7 @@ def _render_gadget(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -23,10 +23,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import FeqcError, PreconditionError
 
 PRUNE_THRESHOLD = 1e-12
 UNITARY_ATOL = 1e-10
+# Keys a state may hold after a preparation or a kernel step: every key of 9
+# arms, about 360 times the largest benchmark state.
+MAX_KEYS = 1 << 18
 
 
 class Spin(IntEnum):
@@ -84,6 +87,14 @@ def _jw_sign(key: int, pos: int) -> int:
 
 def _pruned(amplitudes: dict[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in amplitudes.items() if abs(a) >= PRUNE_THRESHOLD}
+
+
+def _bounded(amplitudes: dict[int, complex]) -> dict[int, complex]:
+    """The amplitudes of a step's output, refused above MAX_KEYS keys."""
+    if len(amplitudes) > MAX_KEYS:
+        raise FeqcError(f"fock backend: a state of {len(amplitudes)} keys exceeds the limit "
+                        f"MAX_KEYS = {MAX_KEYS}")
+    return amplitudes
 
 
 def normalize(state: FockState) -> FockState:
@@ -158,7 +169,7 @@ def prepare_spin(state: FockState, arm: int, alpha: complex, beta: complex) -> F
     for part, coef in ((up, complex(alpha)), (down, complex(beta))):
         for key, amp in part.amplitudes.items():
             combined[key] = combined.get(key, 0j) + coef * amp
-    return normalize(FockState(state.num_arms, combined))
+    return normalize(FockState(state.num_arms, _bounded(combined)))
 
 
 def prepare_two_spin(
@@ -184,7 +195,7 @@ def prepare_two_spin(
             term = _append_mode(_append_mode(state, (arm_a, spin_a)), (arm_b, spin_b))
             for key, amp in term.amplitudes.items():
                 combined[key] = combined.get(key, 0j) + coef * amp
-    return normalize(FockState(state.num_arms, combined))
+    return normalize(FockState(state.num_arms, _bounded(combined)))
 
 
 # Joint spin amplitudes of the four maximally entangled pair states:
@@ -220,7 +231,14 @@ def check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
 def step_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     """The matrix of a dim-mode step as a checked unitary.  The element-table
     matrices were checked once at import and pass as they are."""
-    return matrix if dim == 2 and id(matrix) in _TABLE_IDS else check_unitary(matrix, dim)
+    return matrix if dim == 2 and id(matrix) in _TABLE_ENTRIES else check_unitary(matrix, dim)
+
+
+def _kernel_entries(u: np.ndarray) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The entries ((u_pp, u_pq), (u_qp, u_qq)) of a 2x2 step matrix as numpy
+    scalars, those at or below PRUNE_THRESHOLD set to zero."""
+    (u_pp, u_pq), (u_qp, u_qq) = np.where(abs(u) > PRUNE_THRESHOLD, u, 0)
+    return (u_pp, u_pq), (u_qp, u_qq)
 
 
 def _two_mode(
@@ -232,7 +250,7 @@ def _two_mode(
     # Report bytes depend on the last bit of every amplitude and on the key
     # order: keep the entries numpy scalars, these product orders, the term
     # landing on p first, and the `0j +` that turns -0.0 into 0.0.
-    (u_pp, u_pq), (u_qp, u_qq) = np.where(abs(u) > PRUNE_THRESHOLD, u, 0)  # u_xy: y -> x
+    (u_pp, u_pq), (u_qp, u_qq) = _TABLE_ENTRIES.get(id(u)) or _kernel_entries(u)  # u_xy: y -> x
     flip = 1 << p | 1 << q
     between = (1 << max(p, q)) - (2 << min(p, q))
     # det U as (amp * u_hh) * u_ll - (amp * u_lh) * u_hl, h = the higher mode
@@ -305,7 +323,7 @@ def apply_single_particle_unitary(
         amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
     for i, j, g in rotations:
         amplitudes = _two_mode(amplitudes, positions[i], positions[j], g)
-    return FockState(state.num_arms, _pruned(amplitudes))
+    return FockState(state.num_arms, _bounded(_pruned(amplitudes)))
 
 
 # 50/50 splitter, real symmetric convention; its own inverse.
@@ -320,13 +338,14 @@ ROTATIONS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "h": HADAMARD}
 
 _SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
 
-# The constant matrices are checked once here and made read-only;
-# step_unitary skips re-checking them and checks every other matrix.
-_TABLE_MATRICES = (BEAM_SPLITTER_MATRIX, _SWAP2, *ROTATIONS.values())
-for _matrix in _TABLE_MATRICES:
+# The constant matrices are checked once here and made read-only, and their
+# kernel entries computed once, keyed by id: step_unitary skips re-checking
+# them and checks every other matrix; _two_mode reads their entries.
+_TABLE_ENTRIES: dict[int, tuple[tuple[complex, complex], tuple[complex, complex]]] = {}
+for _matrix in (BEAM_SPLITTER_MATRIX, _SWAP2, *ROTATIONS.values()):
     check_unitary(_matrix, 2)
     _matrix.setflags(write=False)
-_TABLE_IDS = frozenset(map(id, _TABLE_MATRICES))
+    _TABLE_ENTRIES[id(_matrix)] = _kernel_entries(_matrix)
 
 # Every optical element is a short list of two-mode unitaries; this table
 # defines the two-arm ones for both backends.  Each applies its 2x2 matrix to

@@ -10,6 +10,7 @@ identical records and a run is a prefix of any longer run with its seed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,10 +20,14 @@ import numpy as np
 
 from .circuit import Circuit, Conditional, Measure, apply_instruction, validate_circuit
 from .errors import FeqcError
-from .fock import FockState, Spin, arm_charge, mode_position, normalize, require_single_occupancy
+from .fock import (
+    PRUNE_THRESHOLD, FockState, Spin, arm_charge, mode_position, require_single_occupancy,
+)
 
 BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
+# Leaves one walk may create: about 20 times the largest benchmark tree.
+MAX_LEAVES = 1 << 16
 SAMPLE_BLOCK = 1 << 16  # shots drawn per numpy call: bounds the draw's memory
 
 Branch = tuple[int, float, FockState]
@@ -34,10 +39,13 @@ def _partition(state: FockState, classify: Callable[[int], int]) -> list[Branch]
         groups.setdefault(classify(key), {})[key] = amp
     branches = []
     for outcome in sorted(groups):
-        prob = sum(abs(a) ** 2 for a in groups[outcome].values())
+        group = groups[outcome]
+        prob = sum(abs(a) ** 2 for a in group.values())
         if prob > BRANCH_THRESHOLD:
-            post = normalize(FockState(state.num_arms, groups[outcome]))
-            branches.append((outcome, prob, post))
+            # fock.normalize, with the norm taken from prob instead of a second sum
+            norm = math.sqrt(prob)
+            post = {k: b for k, a in group.items() if abs(b := a / norm) >= PRUNE_THRESHOLD}
+            branches.append((outcome, prob, FockState(state.num_arms, post)))
     total = sum(p for _, p, _ in branches)
     # Report a kernel that lost norm instead of renormalizing it away.
     if abs(total - 1) > NORM_TOLERANCE:
@@ -121,9 +129,12 @@ def walk(instructions, state, apply, branches) -> Union[BranchNode, BranchLeaf]:
     The backend supplies ``apply(state, ins)`` for preparations and elements,
     and ``branches(state, measure)`` returning a readout's (outcome,
     probability, post-state) list.  Conditionals fire on earlier outcomes.
+    A tree of more than MAX_LEAVES leaves is refused.
     """
+    leaf_count = 0
 
     def expand(index, state, outcomes, prob):
+        nonlocal leaf_count
         for i in range(index, len(instructions)):
             ins = instructions[i]
             if isinstance(ins, Measure):
@@ -136,6 +147,9 @@ def walk(instructions, state, apply, branches) -> Union[BranchNode, BranchLeaf]:
                     state = apply(state, ins.op)
             else:
                 state = apply(state, ins)
+        leaf_count += 1
+        if leaf_count > MAX_LEAVES:
+            raise FeqcError(f"branch tree: more leaves than the limit MAX_LEAVES = {MAX_LEAVES}")
         return BranchLeaf(BranchRecord(dict(outcomes), prob, state))
 
     return expand(0, state, {}, 1.0)

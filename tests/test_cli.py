@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from feqc import corr
+from feqc import corr, measurement
 from feqc.cli import main
 from feqc.measurement import outcome_signature
 
@@ -288,3 +289,63 @@ def test_run_accepts_largest_seed(capsys):
     code, out, _ = run_cli(capsys, "run", str(DATA / "encoder.feqc"), "--mode", "sample",
                            "--seed", str(seed))
     assert code == 0 and json.loads(out)["seed"] == seed
+
+
+def test_main_serves_calls_without_building_a_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    code, out, err = run_cli(capsys, "run", str(DATA / "encoder.feqc"))
+    assert (code, err) == (0, "") and json.loads(out)["branches"]
+    code, out, err = run_cli(capsys, "gadget", "cnot", "--control", "1", "--target", "1")
+    assert (code, err) == (0, "") and json.loads(out)["success_probability"] == pytest.approx(1.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(DATA / "encoder.feqc"), "--mode", "bogus"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    plain = ("run", str(DATA / "encoder.feqc"))
+    code, first, _ = run_cli(capsys, *plain)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *plain, "--mode", "sample", "--seed", "5", "--shots", "7",
+                           "--pretty")
+    assert code == 0 and out.startswith("backend=fock mode=sample")
+    code, again, err = run_cli(capsys, *plain)
+    assert (code, again, err) == (0, first, "")
+    report = json.loads(again)
+    assert report["seed"] is None and "frequencies" not in report
+    with pytest.raises(SystemExit):
+        main([*plain, "--shots", "0"])
+    capsys.readouterr()
+    assert run_cli(capsys, *plain) == (0, first, "")
+
+
+def test_fock_refuses_a_state_over_its_key_limit(capsys, tmp_path):
+    # 40 arms of plus electrons joined by a splitter chain used to run unbounded;
+    # the 19th preparation doubles the state past the limit.
+    src = tmp_path / "chain.feqc"
+    src.write_text("\n".join(["arms 40", *(f"electron {a} plus" for a in range(1, 41)),
+                              *(f"bs {a} {a + 1}" for a in range(1, 40)),
+                              *(f"q{a} = charge {a}" for a in range(1, 41))]) + "\n")
+    code, out, err = run_cli(capsys, "run", str(src))
+    assert (code, out) == (1, "")
+    assert err == "error: fock backend: a state of 524288 keys exceeds the limit MAX_KEYS = 262144\n"
+
+
+@pytest.mark.parametrize("backend", ["fock", "corr"])
+def test_walker_refuses_a_tree_over_its_leaf_limit(capsys, monkeypatch, tmp_path, backend):
+    # Three splitters each leave one electron in either of two arms: 2^3 leaves.
+    src = tmp_path / "tree.feqc"
+    src.write_text("arms 6\n" + "".join(
+        f"electron {a} up\nbs {a} {a + 1}\nq{a} = charge {a}\nr{a} = charge {a + 1}\n"
+        for a in (1, 3, 5)))
+    monkeypatch.setattr(measurement, "MAX_LEAVES", 8)
+    code, out, _ = run_cli(capsys, "run", str(src), "--backend", backend)
+    assert code == 0 and len(json.loads(out)["branches"]) == 8
+    monkeypatch.setattr(measurement, "MAX_LEAVES", 7)
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", backend)
+    assert (code, out) == (1, "")
+    assert err == "error: branch tree: more leaves than the limit MAX_LEAVES = 7\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from feqc import circuit, fock
-from feqc.errors import PreconditionError
+from feqc.errors import FeqcError, PreconditionError
 from feqc.fock import (
     BEAM_SPLITTER_MATRIX,
     FockState,
@@ -251,6 +251,47 @@ def test_table_matrices_are_read_only_and_checked_once(monkeypatch):
     assert checked == []
     spin_rotation(state, 1, np.array(fock.HADAMARD))  # an equal matrix, not the table's
     assert checked == [2]
+
+
+TABLE_MATRICES = [m for _, m in fock.TWO_ARM_ELEMENTS.values()] + list(fock.ROTATIONS.values())
+
+
+def test_kernel_entries_registry_holds_exactly_the_table_matrices():
+    assert set(fock._TABLE_ENTRIES) == {id(m) for m in TABLE_MATRICES}
+    for matrix in TABLE_MATRICES:
+        entries = fock._TABLE_ENTRIES[id(matrix)]
+        assert entries == fock._kernel_entries(np.array(matrix))
+        assert all(isinstance(e, np.complex128) for row in entries for e in row)
+
+
+@pytest.mark.parametrize("index", range(len(TABLE_MATRICES)))
+def test_registry_entries_give_the_same_amplitudes_as_a_copy(index):
+    matrix = TABLE_MATRICES[index]
+    copy = np.array(matrix)  # writable and not in the registry
+    assert id(copy) not in fock._TABLE_ENTRIES
+    rng = np.random.default_rng(index)
+    for _ in range(4):
+        dense = random_state(rng, 3).amplitudes
+        keep = rng.random(len(dense)) < 0.5
+        amplitudes = {k: a for (k, a), kept in zip(dense.items(), keep) if kept}
+        for p in range(6):
+            for q in range(6):
+                if p == q:
+                    continue
+                out = fock._two_mode(amplitudes, p, q, matrix)
+                expected = fock._two_mode(amplitudes, p, q, copy)
+                assert list(out) == list(expected)
+                assert [repr(a) for a in out.values()] == [repr(a) for a in expected.values()]
+
+
+def test_kernel_and_preparation_refuse_a_state_over_the_key_limit(monkeypatch):
+    state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 1), 2, 1, 0)  # two keys
+    monkeypatch.setattr(fock, "MAX_KEYS", 3)
+    assert len(polarizing_beam_splitter(state, 1, 2).amplitudes) == 2
+    with pytest.raises(FeqcError, match="a state of 4 keys exceeds the limit MAX_KEYS = 3"):
+        spin_rotation(state, 2, fock.HADAMARD)
+    with pytest.raises(FeqcError, match="a state of 4 keys exceeds the limit MAX_KEYS = 3"):
+        prepare_spin(prepare_spin(vacuum(2), 1, 1, 1), 2, 1, 1)
 
 
 @pytest.mark.parametrize("writeable", [True, False])
