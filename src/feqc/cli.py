@@ -220,10 +220,12 @@ def _gadget_cnot(args) -> dict:
     x, y = args.control, args.target
     state = _spin_state(3, [(1, 1 - x, x), (2, 1 - y, y), (3, 1, 1)])
 
+    # The ideal output for each ancilla readout z, built once for all records.
+    ideal = {z: _spin_state(3, [(1, 1 - x, x), (2, 1 - (x + y) % 2, (x + y) % 2), (3, 1 - z, z)])
+             for z in (0, 1)}
+
     def fidelity(rec) -> float:
-        z = rec.outcomes["z"]
-        ideal = _spin_state(3, [(1, 1 - x, x), (2, 1 - (x + y) % 2, (x + y) % 2), (3, 1 - z, z)])
-        return fock.fidelity(rec.output_state, ideal)
+        return fock.fidelity(rec.output_state, ideal[rec.outcomes["z"]])
 
     records = gadgets.cnot(state, control_arm=1, target_arm=2, ancilla_arm=3)
     return {"options": {"control": x, "target": y}, **_scored(records, fidelity)}

@@ -35,6 +35,8 @@ PROBABILITY_FLOOR = 1e-12
 MAX_ARMS = 1024  # a 2048 x 2048 complex matrix is 64 MB
 JOINT_BLOCK = 1024  # monomials expanded and stacked per batched determinant call
 MAX_JOINT_TERMS = 3 ** 12  # 12 arms take seconds; each further arm triples it
+# Bytes the leaf matrices of one branch tree may take: 7281 leaves at 48 arms.
+MAX_TREE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,8 @@ def charge_branch_tree(circuit: Circuit):
     arm after its charge readout, are refused.  When every charge readout is
     terminal, the joint all-arms-singly-occupied probability is also evaluated
     through the exponential monomial expansion and its 3^m term count
-    reported in the stats.
+    reported in the stats.  A tree whose leaves' matrices would take more
+    than MAX_TREE_BYTES is refused while it is expanded.
     """
     validate_circuit(circuit)
     _reject_non_gaussian(circuit)
@@ -277,14 +280,23 @@ def charge_branch_tree(circuit: Circuit):
     terminal = bool(measures) and all(
         isinstance(ins, Measure) for ins in instructions[-len(measures):]
     )
+    leaf_count = 1  # the leaves the tree will have once every path made so far ends
 
     def branches(M: CorrelationMatrix, ins: Measure):
+        nonlocal leaf_count
         # The complexity demonstration: price the joint charge-1 query on the
         # state the first of a terminal block of charge readouts sees.
         if terminal and stats.joint_charge1 is None:
             stats.joint_charge1 = single_occupancy_probability(M, stats.measured_arms)
             stats.terms = 3 ** len(stats.measured_arms)
-        return _charge_outcomes(M, ins.arm)
+        outcomes = _charge_outcomes(M, ins.arm)
+        # Every leaf keeps its own matrix, so refuse a tree whose leaves outgrow
+        # the budget while it is being expanded.
+        leaf_count += len(outcomes) - 1
+        if leaf_count * M.matrix.nbytes > MAX_TREE_BYTES:
+            raise FeqcError(f"corr backend: {leaf_count} leaves of {M.matrix.nbytes} bytes "
+                            f"each exceed the limit MAX_TREE_BYTES = {MAX_TREE_BYTES}")
+        return outcomes
 
     root = walk(instructions, init_from_occupations([], circuit.arm_count), _apply, branches)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0

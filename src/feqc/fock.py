@@ -189,7 +189,7 @@ def prepare_two_spin(
     combined: dict[int, complex] = {}
     for spin_a in (Spin.UP, Spin.DOWN):
         for spin_b in (Spin.UP, Spin.DOWN):
-            coef = c[int(spin_a), int(spin_b)]
+            coef = complex(c[int(spin_a), int(spin_b)])
             if coef == 0:
                 continue
             term = _append_mode(_append_mode(state, (arm_a, spin_a)), (arm_b, spin_b))
@@ -235,9 +235,9 @@ def step_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _kernel_entries(u: np.ndarray) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """The entries ((u_pp, u_pq), (u_qp, u_qq)) of a 2x2 step matrix as numpy
-    scalars, those at or below PRUNE_THRESHOLD set to zero."""
-    (u_pp, u_pq), (u_qp, u_qq) = np.where(abs(u) > PRUNE_THRESHOLD, u, 0)
+    """The entries ((u_pp, u_pq), (u_qp, u_qq)) of a 2x2 step matrix as Python
+    complex numbers, those at or below PRUNE_THRESHOLD set to zero."""
+    (u_pp, u_pq), (u_qp, u_qq) = np.where(abs(u) > PRUNE_THRESHOLD, u, 0).tolist()
     return (u_pp, u_pq), (u_qp, u_qq)
 
 
@@ -248,18 +248,14 @@ def _two_mode(
     as described in apply_single_particle_unitary.  Entries at or below
     PRUNE_THRESHOLD contribute nothing; the output is not pruned."""
     # Report bytes depend on the last bit of every amplitude and on the key
-    # order: keep the entries numpy scalars, these product orders, the term
-    # landing on p first, and the `0j +` that turns -0.0 into 0.0.
+    # order: keep these product orders, the term landing on p first, and the
+    # `0j +` that turns -0.0 into 0.0.
     (u_pp, u_pq), (u_qp, u_qq) = _TABLE_ENTRIES.get(id(u)) or _kernel_entries(u)  # u_xy: y -> x
-    flip = 1 << p | 1 << q
+    bit_p = 1 << p
+    flip = bit_p | 1 << q
     between = (1 << max(p, q)) - (2 << min(p, q))
     # det U as (amp * u_hh) * u_ll - (amp * u_lh) * u_hl, h = the higher mode
     a, b, c, d = (u_qq, u_pp, u_pq, u_qp) if p < q else (u_pp, u_qq, u_qp, u_pq)
-    # A lone electron's terms as (bits to flip, entry), the one landing on p first.
-    images = {
-        1 << p: [(bits, e) for bits, e in ((0, u_pp), (flip, u_qp)) if e != 0],
-        1 << q: [(bits, e) for bits, e in ((flip, u_pq), (0, u_qq)) if e != 0],
-    }
     out: dict[int, complex] = {}
     for key, amp in amplitudes.items():
         occupied = key & flip
@@ -268,16 +264,27 @@ def _two_mode(
         elif occupied == flip:
             out[key] = 0j + ((amp * a) * b - (amp * c) * d)
         else:
-            for bits, coef in images[occupied]:
-                val = amp * coef
-                if bits and (key & between).bit_count() & 1:
-                    val = -val
-                nk = key ^ bits
-                out[nk] = out.get(nk, 0j) + val
+            # A lone electron on p stays (u_pp) and moves to q (u_qp); one on q
+            # moves to p (u_pq) and stays (u_qq).  A move takes the sign of the
+            # occupied modes in between; zero entries add no term.
+            moved = key ^ flip
+            odd = (key & between).bit_count() & 1
+            if occupied == bit_p:
+                if u_pp:
+                    out[key] = out.get(key, 0j) + amp * u_pp
+                if u_qp:
+                    val = amp * u_qp
+                    out[moved] = out.get(moved, 0j) + (-val if odd else val)
+            else:
+                if u_pq:
+                    val = amp * u_pq
+                    out[moved] = out.get(moved, 0j) + (-val if odd else val)
+                if u_qq:
+                    out[key] = out.get(key, 0j) + amp * u_qq
     return out
 
 
-def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
+def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], list[complex]]:
     """Factor a unitary as G_1^H ... G_K^H D with two-row rotations G_k.
 
     Returns the rotations as (row i, row j, 2x2 G_k^H) in the order they act
@@ -293,7 +300,7 @@ def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarra
             g = np.array([[x.conjugate(), y.conjugate()], [-y, x]]) / np.hypot(abs(x), abs(y))
             w[[col, row]] = g @ w[[col, row]]
             rotations.append((col, row, g.conj().T))
-    return rotations[::-1], np.diag(w)
+    return rotations[::-1], np.diag(w).tolist()
 
 
 def apply_single_particle_unitary(

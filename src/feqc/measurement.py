@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -33,13 +33,15 @@ SAMPLE_BLOCK = 1 << 16  # shots drawn per numpy call: bounds the draw's memory
 Branch = tuple[int, float, FockState]
 
 
-def _partition(state: FockState, classify: Callable[[int], int]) -> list[Branch]:
-    groups: dict[int, dict[int, complex]] = {}
+def _partition(state: FockState, mask: int, outcome_of: dict[int, int]) -> list[Branch]:
+    """Born-rule branches of a readout whose outcome for a key is
+    ``outcome_of[key & mask]``, in ascending outcome order."""
+    groups: dict[int, dict[int, complex]] = {o: {} for o in sorted(set(outcome_of.values()))}
+    group_of = {bits: groups[o] for bits, o in outcome_of.items()}
     for key, amp in state.amplitudes.items():
-        groups.setdefault(classify(key), {})[key] = amp
+        group_of[key & mask][key] = amp
     branches = []
-    for outcome in sorted(groups):
-        group = groups[outcome]
+    for outcome, group in groups.items():
         prob = sum(abs(a) ** 2 for a in group.values())
         if prob > BRANCH_THRESHOLD:
             # fock.normalize, with the norm taken from prob instead of a second sum
@@ -53,10 +55,16 @@ def _partition(state: FockState, classify: Callable[[int], int]) -> list[Branch]
     return [(o, p / total, s) for o, p, s in branches]
 
 
+def _arm_bits(state: FockState, arm: int) -> tuple[int, int]:
+    """The (up, down) mode bits of an arm; validates the arm."""
+    up = 1 << mode_position((arm, Spin.UP), state.num_arms)
+    return up, up << 1
+
+
 def measure_charge(state: FockState, arm: int) -> list[Branch]:
     """Electrometer: project onto occupation 0, 1 or 2 of the arm."""
-    mode_position((arm, Spin.UP), state.num_arms)
-    return _partition(state, lambda key: arm_charge(key, arm))
+    up, down = _arm_bits(state, arm)
+    return _partition(state, up | down, {0: 0, up: 1, down: 1, up | down: 2})
 
 
 def measure_parity(state: FockState, arm: int) -> list[Branch]:
@@ -65,8 +73,8 @@ def measure_parity(state: FockState, arm: int) -> list[Branch]:
     The even branch keeps the coherent superposition of its empty and doubly
     occupied components; that is what distinguishes it from an electrometer.
     """
-    mode_position((arm, Spin.UP), state.num_arms)
-    return _partition(state, lambda key: arm_charge(key, arm) % 2)
+    up, down = _arm_bits(state, arm)
+    return _partition(state, up | down, {0: 0, up: 1, down: 1, up | down: 0})
 
 
 def measure_spin(state: FockState, arm: int) -> list[Branch]:
@@ -75,9 +83,9 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     The electron stays in place.  Arms without a definite single electron are
     rejected rather than silently projected.
     """
-    up_pos = mode_position((arm, Spin.UP), state.num_arms)
+    up, _ = _arm_bits(state, arm)
     require_single_occupancy(state, arm, "measure_spin")
-    return _partition(state, lambda key: 0 if key >> up_pos & 1 else 1)
+    return _partition(state, up, {up: 0, 0: 1})
 
 
 def measure_mode(state: FockState, mode) -> list[Branch]:
@@ -87,8 +95,8 @@ def measure_mode(state: FockState, mode) -> list[Branch]:
     correlation-matrix backend can track; an arm-level charge readout is the
     coarse-graining of its two modes.
     """
-    pos = mode_position(mode, state.num_arms)
-    return _partition(state, lambda key: key >> pos & 1)
+    bit = 1 << mode_position(mode, state.num_arms)
+    return _partition(state, bit, {0: 0, bit: 1})
 
 
 def charge1_expectation(state: FockState, arm: int) -> float:

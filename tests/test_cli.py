@@ -335,13 +335,18 @@ def test_fock_refuses_a_state_over_its_key_limit(capsys, tmp_path):
     assert err == "error: fock backend: a state of 524288 keys exceeds the limit MAX_KEYS = 262144\n"
 
 
-@pytest.mark.parametrize("backend", ["fock", "corr"])
-def test_walker_refuses_a_tree_over_its_leaf_limit(capsys, monkeypatch, tmp_path, backend):
-    # Three splitters each leave one electron in either of two arms: 2^3 leaves.
+def eight_leaf_tree(tmp_path) -> Path:
+    """Three splitters each leave one electron in either of two arms: 2^3 leaves."""
     src = tmp_path / "tree.feqc"
     src.write_text("arms 6\n" + "".join(
         f"electron {a} up\nbs {a} {a + 1}\nq{a} = charge {a}\nr{a} = charge {a + 1}\n"
         for a in (1, 3, 5)))
+    return src
+
+
+@pytest.mark.parametrize("backend", ["fock", "corr"])
+def test_walker_refuses_a_tree_over_its_leaf_limit(capsys, monkeypatch, tmp_path, backend):
+    src = eight_leaf_tree(tmp_path)
     monkeypatch.setattr(measurement, "MAX_LEAVES", 8)
     code, out, _ = run_cli(capsys, "run", str(src), "--backend", backend)
     assert code == 0 and len(json.loads(out)["branches"]) == 8
@@ -349,3 +354,16 @@ def test_walker_refuses_a_tree_over_its_leaf_limit(capsys, monkeypatch, tmp_path
     code, out, err = run_cli(capsys, "run", str(src), "--backend", backend)
     assert (code, out) == (1, "")
     assert err == "error: branch tree: more leaves than the limit MAX_LEAVES = 7\n"
+
+
+def test_corr_refuses_a_tree_over_its_byte_budget(capsys, monkeypatch, tmp_path):
+    src = eight_leaf_tree(tmp_path)
+    leaf_bytes = 12 * 12 * 16  # one 12 x 12 complex matrix per leaf
+    monkeypatch.setattr(corr, "MAX_TREE_BYTES", 8 * leaf_bytes)
+    code, out, _ = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert code == 0 and len(json.loads(out)["branches"]) == 8
+    monkeypatch.setattr(corr, "MAX_TREE_BYTES", 8 * leaf_bytes - 1)
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert (code, out) == (1, "")
+    assert err == (f"error: corr backend: 8 leaves of {leaf_bytes} bytes each exceed the limit "
+                   f"MAX_TREE_BYTES = {8 * leaf_bytes - 1}\n")

@@ -261,7 +261,26 @@ def test_kernel_entries_registry_holds_exactly_the_table_matrices():
     for matrix in TABLE_MATRICES:
         entries = fock._TABLE_ENTRIES[id(matrix)]
         assert entries == fock._kernel_entries(np.array(matrix))
-        assert all(isinstance(e, np.complex128) for row in entries for e in row)
+        assert all(type(e) is complex for row in entries for e in row)
+
+
+def python_complex_only(state) -> bool:
+    # np.complex128 subclasses complex, so isinstance would not tell them apart.
+    return all(type(a) is complex for a in state.amplitudes.values())
+
+
+def test_preparations_and_kernel_make_only_python_complex_amplitudes():
+    rng = np.random.default_rng(7)
+    state = prepare_spin(vacuum(4), 1, 0.6, 0.8j)
+    assert python_complex_only(state)
+    state = prepare_two_spin(state, 2, 3, np.array([[0.5, 0.5j], [0, -1]]))
+    assert python_complex_only(state)
+    assert python_complex_only(prepare_bell(vacuum(2), 0, 1, 2))
+    state = prepare_spin(state, 4, 1, 1)
+    for matrix in [*TABLE_MATRICES, random_unitary(rng, 2)]:
+        assert python_complex_only(apply_single_particle_unitary(state, [(1, UP), (4, DOWN)], matrix))
+    givens = apply_single_particle_unitary(state, [(1, UP), (2, DOWN), (4, UP)], random_unitary(rng, 3))
+    assert python_complex_only(givens)
 
 
 @pytest.mark.parametrize("index", range(len(TABLE_MATRICES)))

@@ -20,7 +20,10 @@ from feqc.circuit import (
     SpinRotation,
 )
 from feqc.errors import CircuitError, FeqcError, PreconditionError
-from feqc.fock import FockState, Spin, beam_splitter, create, fidelity, prepare_bell, prepare_spin, vacuum
+from feqc.fock import (
+    FockState, Spin, arm_charge, beam_splitter, create, fidelity, format_key, prepare_bell,
+    prepare_spin, vacuum,
+)
 from feqc.measurement import (
     BranchLeaf,
     BranchNode,
@@ -235,6 +238,45 @@ def test_measurements_report_norm_drift_instead_of_renormalizing(measure):
                 measure(scaled, 2)
         else:
             assert sum(p for _, p, _ in measure(scaled, 2)) == pytest.approx(1.0)
+
+
+# Each readout's outcome for a key, as the mask table in its measure_* must give it.
+KEY_CLASSIFIERS = {
+    "charge": (measure_charge, lambda key, arm: arm_charge(key, arm)),
+    "parity": (measure_parity, lambda key, arm: arm_charge(key, arm) % 2),
+    "spin": (measure_spin, lambda key, arm: 0 if key >> 2 * (arm - 1) & 1 else 1),
+    "mode up": (lambda state, arm: measure_mode(state, (arm, UP)),
+                lambda key, arm: key >> 2 * (arm - 1) & 1),
+    "mode down": (lambda state, arm: measure_mode(state, (arm, DOWN)),
+                  lambda key, arm: key >> 2 * arm - 1 & 1),
+}
+
+
+@pytest.mark.parametrize("kind", KEY_CLASSIFIERS)
+def test_readout_mask_tables_agree_with_key_classifiers(monkeypatch, kind):
+    measure, classify = KEY_CLASSIFIERS[kind]
+    arms = 5
+    state = vacuum(arms)
+    for arm in range(1, arms + 1):
+        state = prepare_spin(state, arm, 0.6, 0.8)  # every arm singly occupied, for measure_spin
+    tables = []
+    monkeypatch.setattr(measurement, "_partition",
+                        lambda state, mask, outcome_of: tables.append((mask, outcome_of)))
+    rng = np.random.default_rng(len(kind))
+    for arm in range(1, arms + 1):
+        measure(state, arm)
+        mask, outcome_of = tables.pop()
+        for key in rng.integers(0, 1 << 2 * arms, size=200).tolist():
+            assert outcome_of[key & mask] == classify(key, arm), (arm, format_key(key, arms))
+
+
+@pytest.mark.parametrize("kind", KEY_CLASSIFIERS)
+def test_readout_post_states_hold_python_complex_amplitudes(kind):
+    measure, _ = KEY_CLASSIFIERS[kind]
+    state = prepare_spin(prepare_spin(vacuum(2), 1, 0.6, 0.8j), 2, 1, 1)
+    for arm in (1, 2):
+        for _, _, post in measure(beam_splitter(state, 1, 2) if kind != "spin" else state, arm):
+            assert all(type(a) is complex for a in post.amplitudes.values())
 
 
 def encoder_circuit(alpha=0.6, beta=0.8):

@@ -9,8 +9,11 @@ builds a Unicode table that costs seconds in a fresh checkout.
 from __future__ import annotations
 
 import dataclasses
+import json
 import string
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from feqc.circuit import (
     print_circuit,
     validate_circuit,
 )
-from feqc.errors import CircuitError, NonGaussianOperationError
+from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError
 from feqc.measurement import BranchNode, enumerate_branches
 from feqc.parser import parse
 from helpers import (dense_bilinear_unitary, dense_evolve, dense_project, dense_single_occupancy,
@@ -273,6 +276,34 @@ def test_fock_state_has_norm_one_before_every_readout(circuit):
         return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
 
     measurement.walk(circuit.instructions, fock.vacuum(circuit.arm_count), apply_instruction, meter)
+
+
+def assert_kept_outcomes_sum_to_one(circuit):
+    """Expand a circuit on fock with _partition's drift check tightened from
+    1e-9 to 1e-12: the outcome probabilities each readout keeps must sum to 1
+    within 1e-12 before it divides by their total."""
+    with mock.patch.object(measurement, "NORM_TOLERANCE", 1e-12):
+        enumerate_branches(circuit, fock.vacuum(circuit.arm_count))
+
+
+@charge_examples
+def test_fock_kept_outcome_probabilities_sum_to_one(circuit):
+    assert_kept_outcomes_sum_to_one(circuit)
+
+
+FOCK_DEEP_POOL = Path(__file__).resolve().parents[1] / "bench" / "reference" / "fock-deep.json"
+
+
+def test_fock_kept_outcome_probabilities_sum_to_one_on_the_fock_deep_pool():
+    pool = json.loads(FOCK_DEEP_POOL.read_text(encoding="utf-8"))["circuits"]
+    for entry in pool:
+        assert_kept_outcomes_sum_to_one(parse(entry["circuit"]).circuit)
+    # The tightened check is live: a state that lost 1e-11 of its norm fails it.
+    state = fock.prepare_spin(fock.vacuum(1), 1, 1, 1)
+    lossy = fock.FockState(1, {k: a * (1 - 5e-12) for k, a in state.amplitudes.items()})
+    with mock.patch.object(measurement, "NORM_TOLERANCE", 1e-12):
+        with pytest.raises(FeqcError, match="norm drifted"):
+            measurement.measure_charge(lossy, 1)
 
 
 def gaussian_state(seed, arms):
