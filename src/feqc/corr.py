@@ -13,6 +13,11 @@ this backend can do instead is answer "is every arm in S singly occupied?"
 by expanding the product of one-per-arm projectors into 3^|S| occupation
 monomials, each a determinant.  That exponential term count is deliberately
 surfaced to callers.
+
+A circuit's trailing run of charge readouts is expanded breadth first, as one
+frontier: the live branches' 2m x 2m blocks over the m read arms are stacked,
+and each readout is one batched rank-one update per mode.  That block is
+exact because a projection on a mode of a set reads only entries in the set.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, unitary
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import Spin, mode_position
-from .measurement import NORM_TOLERANCE, BranchRecord, leaves, walk
+from .measurement import NORM_TOLERANCE, BranchLeaf, BranchNode, BranchRecord, leaves, walk
 
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
@@ -35,7 +40,9 @@ PROBABILITY_FLOOR = 1e-12
 MAX_ARMS = 1024  # a 2048 x 2048 complex matrix is 64 MB
 JOINT_BLOCK = 1024  # monomials expanded and stacked per batched determinant call
 MAX_JOINT_TERMS = 3 ** 12  # 12 arms take seconds; each further arm triples it
-# Bytes the leaf matrices of one branch tree may take: 7281 leaves at 48 arms.
+# Bytes one branch tree may take, counted as one full matrix per leaf: 7281
+# leaves at 48 arms.  A terminal block's frontier keeps a smaller matrix per
+# live branch and never more branches than leaves, so this bounds it too.
 MAX_TREE_BYTES = 1 << 30
 
 
@@ -104,9 +111,46 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
     return CorrelationMatrix(M.num_arms, m)
 
 
+def occupation_probabilities(stack: np.ndarray, pos: int) -> list[float]:
+    """<n> of mode position ``pos`` in each matrix of a (B, n, n) stack,
+    clipped to [0, 1]."""
+    return [min(max(occ, 0.0), 1.0) for occ in stack[:, pos, pos].real.tolist()]
+
+
 def occupation_probability(M: CorrelationMatrix, mode) -> float:
-    pos = mode_position(mode, M.num_arms)
-    return float(min(max(M.matrix[pos, pos].real, 0.0), 1.0))
+    return occupation_probabilities(M.matrix[None], mode_position(mode, M.num_arms))[0]
+
+
+def _condition(stack: np.ndarray, pos: int, outcome: int) -> np.ndarray:
+    """Every matrix of a (B, n, n) stack conditioned on mode position ``pos``
+    reading ``outcome``, by project_occupation's rank-one update.  The update
+    is elementwise, so a matrix gets the same bits in any stack."""
+    col = stack[:, :, pos, None]
+    occ = col[:, pos, None].real
+    if outcome == 1:
+        updated = col * stack[:, None, pos, :]
+        updated /= occ
+        np.subtract(stack, updated, out=updated)
+    else:
+        updated = col * col.conj().transpose(0, 2, 1)
+        updated /= 1.0 - occ
+        np.add(stack, updated, out=updated)
+    updated[:, pos, :] = updated[:, :, pos] = 0.0
+    updated[:, pos, pos] = outcome
+    return updated
+
+
+def _project(stack: np.ndarray, pos: int, picks) -> np.ndarray:
+    """For each (b, outcome) of ``picks``, stack[b] conditioned on mode
+    position ``pos`` reading that outcome, stacked in the order of ``picks``."""
+    groups = [(outcome, [k for k, (_, o) in enumerate(picks) if o == outcome]) for outcome in (0, 1)]
+    groups = [(outcome, at) for outcome, at in groups if at]
+    if len(groups) == 1:  # one outcome: nothing to interleave
+        return _condition(stack[[b for b, _ in picks]], pos, groups[0][0])
+    out = np.empty((len(picks), *stack.shape[1:]), complex)
+    for outcome, at in groups:
+        out[at] = _condition(stack[[picks[k][0] for k in at]], pos, outcome)
+    return out
 
 
 def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float, CorrelationMatrix]:
@@ -115,21 +159,16 @@ def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float,
     Rank-one updates (Wick contractions of n M n and (1-n) M (1-n)) off mode p,
       outcome 1: M' = M - M[:,p] M[p,:] / M[p,p]
       outcome 0: M' = M + M[:,p] M[:,p]^dag / (1 - M[p,p]),
-    and row and column p those of the definite outcome."""
+    and row and column p those of the definite outcome.  A projection on a
+    mode of a set S reads only entries in S."""
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     pos = mode_position(mode, M.num_arms)
-    m = M.matrix
-    occ = m[pos, pos].real
+    occ = M.matrix[pos, pos].real
     prob = occ if outcome == 1 else 1.0 - occ
     if prob <= PROBABILITY_FLOOR:
         raise ValueError(f"outcome {outcome} on mode {tuple(mode)} has zero probability")
-    col = m[:, pos]
-    updated = col[:, None] * (m[pos, :] if outcome == 1 else col.conj())
-    updated /= prob
-    (np.subtract if outcome == 1 else np.add)(m, updated, out=updated)
-    updated[pos, :] = updated[:, pos] = 0.0
-    updated[pos, pos] = outcome
+    updated = _condition(M.matrix[None], pos, outcome)[0]
     return float(min(prob, 1.0)), CorrelationMatrix(M.num_arms, updated)
 
 
@@ -221,34 +260,36 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
                 )
 
 
-def _charge_outcomes(
-    M: CorrelationMatrix, arm: int
-) -> list[tuple[int, float, CorrelationMatrix]]:
-    """Spin-resolved charge readout: the two mode projections in sequence.
+def _charge_readout(stack: np.ndarray, up: int, admit, last: bool = False):
+    """One spin-resolved charge readout of every matrix in a (B, n, n) stack:
+    the up mode's projections, then the down mode's, batched over the stack.
 
-    The two single-occupancy outcomes (up vs down) stay distinct branches
-    even though both report charge 1; a Gaussian state cannot keep their
-    coherence, which is exactly the information an electrometer would not
-    reveal.
+    Returns each parent's (outcome, probability) children and the stack of
+    their matrices in parent order, which is None when ``last``.  The two
+    single-occupancy outcomes (up vs down) stay distinct children even though
+    both report charge 1; a Gaussian state cannot keep their coherence, which
+    is exactly the information an electrometer would not reveal.
+    ``admit(n)`` is told that the tree grows by n leaves before the children's
+    matrices are made.
     """
-    outcomes = []
-    up = (arm, Spin.UP)
-    down = (arm, Spin.DOWN)
-    p_up1 = occupation_probability(M, up)
-    for n_up, p_up in ((0, 1.0 - p_up1), (1, p_up1)):
-        if p_up <= PROBABILITY_FLOOR:
-            continue
-        _, m_up = project_occupation(M, up, n_up)
-        p_down1 = occupation_probability(m_up, down)
-        for n_down, p_down in ((0, 1.0 - p_down1), (1, p_down1)):
-            if p_up * p_down <= PROBABILITY_FLOOR:
-                continue
-            _, m_both = project_occupation(m_up, down, n_down)
-            outcomes.append((n_up + n_down, p_up * p_down, m_both))
-    total = sum(p for _, p, _ in outcomes)
-    if abs(total - 1) > NORM_TOLERANCE:
-        raise FeqcError(f"correlation matrix drifted: outcome probabilities sum to {total!r}")
-    return outcomes
+    ups = [(b, n_up, p_up) for b, q in enumerate(occupation_probabilities(stack, up))
+           for n_up, p_up in ((0, 1.0 - q), (1, q)) if p_up > PROBABILITY_FLOOR]
+    mid = _project(stack, up, [(b, n_up) for b, n_up, _ in ups])
+    groups: list[list[tuple[int, float]]] = [[] for _ in range(len(stack))]
+    kept = []  # (index in mid, down outcome) of each child, in parent order
+    for k, ((b, n_up, p_up), q) in enumerate(zip(ups, occupation_probabilities(mid, up + 1))):
+        for n_down, p_down in ((0, 1.0 - q), (1, q)):
+            if p_up * p_down > PROBABILITY_FLOOR:
+                groups[b].append((n_up + n_down, p_up * p_down))
+                kept.append((k, n_down))
+    for group in groups:
+        total = sum(p for _, p in group)
+        if abs(total - 1) > NORM_TOLERANCE:
+            raise FeqcError(f"correlation matrix drifted: outcome probabilities sum to {total!r}")
+    admit(len(kept) - len(stack))
+    if last:
+        return groups, None
+    return groups, _project(mid, up + 1, kept)
 
 
 def _apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
@@ -264,11 +305,16 @@ def charge_branch_tree(circuit: Circuit):
 
     Charge is read out mode by mode (spin-resolved), the realization a
     correlation matrix can track; parity and spin meters, and elements on an
-    arm after its charge readout, are refused.  When every charge readout is
-    terminal, the joint all-arms-singly-occupied probability is also evaluated
+    arm after its charge readout, are refused.  A readout followed by other
+    instructions branches one matrix at a time.  The circuit's trailing run
+    of readouts is expanded breadth first: every live branch's 2m x 2m block
+    over the m read arms is stacked, and each readout is one batched rank-one
+    update per mode.  Its leaves keep no matrix (``post_state`` is None).
+    When every charge readout is terminal, the joint all-arms-singly-occupied
+    probability is also evaluated, on the state the block starts from,
     through the exponential monomial expansion and its 3^m term count
-    reported in the stats.  A tree whose leaves' matrices would take more
-    than MAX_TREE_BYTES is refused while it is expanded.
+    reported in the stats.  A tree whose leaves would take more than
+    MAX_TREE_BYTES as full matrices is refused while it is expanded.
     """
     validate_circuit(circuit)
     _reject_non_gaussian(circuit)
@@ -281,24 +327,59 @@ def charge_branch_tree(circuit: Circuit):
         isinstance(ins, Measure) for ins in instructions[-len(measures):]
     )
     leaf_count = 1  # the leaves the tree will have once every path made so far ends
+    leaf_bytes = 16 * (2 * circuit.arm_count) ** 2  # one full complex matrix
+
+    def admit(grown: int) -> None:
+        # Refuse a tree whose leaves, one full matrix each, outgrow the budget
+        # while it is being expanded; a terminal block's stack is never larger.
+        nonlocal leaf_count
+        leaf_count += grown
+        if leaf_count * leaf_bytes > MAX_TREE_BYTES:
+            raise FeqcError(f"corr backend: {leaf_count} leaves of {leaf_bytes} bytes "
+                            f"each exceed the limit MAX_TREE_BYTES = {MAX_TREE_BYTES}")
 
     def branches(M: CorrelationMatrix, ins: Measure):
-        nonlocal leaf_count
+        up = mode_position((ins.arm, Spin.UP), M.num_arms)
+        (group,), post = _charge_readout(M.matrix[None], up, admit)
+        return [(n, p, CorrelationMatrix(M.num_arms, m)) for (n, p), m in zip(group, post)]
+
+    def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
         # The complexity demonstration: price the joint charge-1 query on the
-        # state the first of a terminal block of charge readouts sees.
-        if terminal and stats.joint_charge1 is None:
+        # state the terminal block starts from.
+        if terminal:
             stats.joint_charge1 = single_occupancy_probability(M, stats.measured_arms)
             stats.terms = 3 ** len(stats.measured_arms)
-        outcomes = _charge_outcomes(M, ins.arm)
-        # Every leaf keeps its own matrix, so refuse a tree whose leaves outgrow
-        # the budget while it is being expanded.
-        leaf_count += len(outcomes) - 1
-        if leaf_count * M.matrix.nbytes > MAX_TREE_BYTES:
-            raise FeqcError(f"corr backend: {leaf_count} leaves of {M.matrix.nbytes} bytes "
-                            f"each exceed the limit MAX_TREE_BYTES = {MAX_TREE_BYTES}")
-        return outcomes
+        # The block holds the arms still to be read, the next to leave first:
+        # an arm's modes leave the front once it is read for the last time.
+        final = {ins.arm: i for i, ins in enumerate(readouts)}
+        arms = sorted(final, key=final.get)
+        modes = [mode_position((arm, spin), M.num_arms) for arm in arms for spin in Spin]
+        stack = M.matrix[np.ix_(modes, modes)][None]
 
-    root = walk(instructions, init_from_occupations([], circuit.arm_count), _apply, branches)
+        def grow(n: int) -> None:
+            admit(n)
+            count(n)
+
+        levels = []
+        paths = [(outcomes, prob)]  # each live branch's outcomes and probability
+        for i, ins in enumerate(readouts):
+            last = i == len(readouts) - 1
+            groups, stack = _charge_readout(stack, 2 * arms.index(ins.arm), grow, last)
+            if final[ins.arm] == i and not last:
+                arms.remove(ins.arm)
+                stack = stack[:, 2:, 2:]
+            levels.append((ins.label, groups))
+            paths = [({**o, ins.label: n}, q * p) for (o, q), group in zip(paths, groups)
+                     for n, p in group]
+        nodes = [BranchLeaf(BranchRecord(o, q, None)) for o, q in paths]
+        for label, groups in reversed(levels):
+            below = iter(nodes)
+            nodes = [BranchNode(label, [(n, p, next(below)) for n, p in group])
+                     for group in groups]
+        return nodes[0]
+
+    root = walk(instructions, init_from_occupations([], circuit.arm_count), _apply, branches,
+                block)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return root, stats
 
@@ -307,6 +388,7 @@ def enumerate_charge_branches(
     circuit: Circuit,
 ) -> tuple[list[BranchRecord], CorrRunStats]:
     """Flattened charge_branch_tree: every outcome assignment with its
-    probability and conditional Gaussian state."""
+    probability, and its conditional Gaussian state where a later
+    instruction needed one (None after a terminal block of readouts)."""
     root, stats = charge_branch_tree(circuit)
     return leaves(root), stats

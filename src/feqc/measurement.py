@@ -110,7 +110,9 @@ def charge1_expectation(state: FockState, arm: int) -> float:
 @dataclass
 class BranchRecord:
     """One outcome assignment; ``post_state`` is the backend's state (a
-    FockState, or a CorrelationMatrix on the corr backend)."""
+    FockState, or a CorrelationMatrix on the corr backend).  It is None on
+    corr leaves made by a terminal block of charge readouts, which keeps no
+    matrix per leaf."""
 
     outcomes: dict[str, int]
     probability: float
@@ -131,20 +133,38 @@ class BranchNode:
 _MEASURE_FNS = {"charge": measure_charge, "parity": measure_parity, "spin": measure_spin}
 
 
-def walk(instructions, state, apply, branches) -> Union[BranchNode, BranchLeaf]:
+def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, BranchLeaf]:
     """Expand instructions from ``state`` into the measurement-outcome tree.
 
     The backend supplies ``apply(state, ins)`` for preparations and elements,
     and ``branches(state, measure)`` returning a readout's (outcome,
     probability, post-state) list.  Conditionals fire on earlier outcomes.
+    A backend may also pass ``block(state, measures, outcomes, prob, count)``
+    to take over the circuit's trailing run of Measures on each path that
+    reaches it.  It returns their subtree, whose leaves extend ``outcomes``
+    and whose probabilities are ``prob`` times the readouts' products, in the
+    order the walker would have made them.  The walker counts the path as one
+    leaf, and the block calls ``count(n)`` before its tree grows by n more.
+    Without ``block`` the walker recurses through ``branches`` to the end.
     A tree of more than MAX_LEAVES leaves is refused.
     """
     leaf_count = 0
+    tail = len(instructions)  # where the trailing run of Measures starts
+    while block is not None and tail and isinstance(instructions[tail - 1], Measure):
+        tail -= 1
+
+    def count(n):
+        nonlocal leaf_count
+        leaf_count += n
+        if leaf_count > MAX_LEAVES:
+            raise FeqcError(f"branch tree: more leaves than the limit MAX_LEAVES = {MAX_LEAVES}")
 
     def expand(index, state, outcomes, prob):
-        nonlocal leaf_count
         for i in range(index, len(instructions)):
             ins = instructions[i]
+            if i == tail:
+                count(1)
+                return block(state, instructions[tail:], outcomes, prob, count)
             if isinstance(ins, Measure):
                 return BranchNode(ins.label, [
                     (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
@@ -155,9 +175,7 @@ def walk(instructions, state, apply, branches) -> Union[BranchNode, BranchLeaf]:
                     state = apply(state, ins.op)
             else:
                 state = apply(state, ins)
-        leaf_count += 1
-        if leaf_count > MAX_LEAVES:
-            raise FeqcError(f"branch tree: more leaves than the limit MAX_LEAVES = {MAX_LEAVES}")
+        count(1)
         return BranchLeaf(BranchRecord(dict(outcomes), prob, state))
 
     return expand(0, state, {}, 1.0)

@@ -347,8 +347,23 @@ def test_charge_readout_reports_probability_drift(monkeypatch):
     circuit = parse("arms 1\nelectron 1 up\nq = charge 1\n").circuit
     records, _ = enumerate_charge_branches(circuit)
     assert [(rec.outcomes, rec.probability) for rec in records] == [({"q": 1}, 1.0)]
-    exact = corr.occupation_probability
-    monkeypatch.setattr(corr, "occupation_probability", lambda M, mode: 1.01 * exact(M, mode))
+    exact = corr.occupation_probabilities
+    monkeypatch.setattr(corr, "occupation_probabilities",
+                        lambda stack, pos: [1.01 * q for q in exact(stack, pos)])
+    with pytest.raises(FeqcError, match="sum to 1.01"):
+        enumerate_charge_branches(circuit)
+
+
+def test_terminal_block_reports_drift_in_a_later_parent(monkeypatch):
+    # The split electron gives the last readout two parents; only the second drifts.
+    circuit = parse("arms 3\nelectron 1 plus\nelectron 3 up\n"
+                    "q1 = charge 1\nq2 = charge 2\nq3 = charge 3\n").circuit
+    records, _ = enumerate_charge_branches(circuit)
+    assert [rec.probability for rec in records] == pytest.approx([0.5, 0.5])
+    exact = corr.occupation_probabilities
+    monkeypatch.setattr(corr, "occupation_probabilities",
+                        lambda stack, pos: [q * (1.01 if b else 1.0)
+                                            for b, q in enumerate(exact(stack, pos))])
     with pytest.raises(FeqcError, match="sum to 1.01"):
         enumerate_charge_branches(circuit)
 
@@ -382,6 +397,7 @@ def test_charge_branches_match_fock_for_terminal_measurements():
         assert corr_probs[key] == pytest.approx(p, abs=1e-9)
     assert stats.terms == 3 ** 3
     assert stats.joint_charge1 is not None
+    assert all(rec.post_state is None for rec in records)  # terminal leaves keep no matrix
 
 
 def _random_terminal_charge_circuit(rng, num_arms=4, electrons=4, elements=8) -> Circuit:

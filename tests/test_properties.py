@@ -265,6 +265,86 @@ def test_corr_branch_probabilities_sum_to_one(circuit):
             nodes += [child for _, _, child in node.children]
 
 
+@st.composite
+def terminal_charge_circuits(draw):
+    """charge_circuits followed by a trailing run of 1-4 charge readouts."""
+    circuit = draw(charge_circuits())
+    arms = draw(st.lists(st.integers(1, circuit.arm_count), min_size=1, max_size=4))
+    return Circuit(circuit.arm_count, [*circuit.instructions,
+                                       *(Measure(f"t{i}", "charge", a) for i, a in enumerate(arms))])
+
+
+def deep_terminal_circuit(seed=11, num_arms=12, readouts=8) -> Circuit:
+    """A random circuit of corr-scale's deep shape: 8 electrons, 12 two-arm
+    elements, then charge readouts of 8 distinct arms."""
+    rng = np.random.default_rng(seed)
+    arms = [int(a) for a in rng.permutation(np.arange(1, num_arms + 1))]
+    instructions = []
+    for arm in arms[:readouts]:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        instructions.append(PrepSpin(arm, complex(v[0]), complex(v[1])))
+    for _ in range(12):
+        i, j = (int(a) for a in rng.choice(np.arange(1, num_arms + 1), size=2, replace=False))
+        instructions.append((BeamSplitter, PolarizingBeamSplitter)[int(rng.integers(2))](i, j))
+    read = rng.choice(np.arange(1, num_arms + 1), size=readouts, replace=False)
+    instructions += [Measure(f"q{a}", "charge", int(a)) for a in read]
+    return Circuit(num_arms, instructions)
+
+
+def walk_without_block(instructions, state, apply, branches, block):
+    return measurement.walk(instructions, state, apply, branches)
+
+
+def sequential_charge_outcomes(M, ins):
+    """A charge readout as two mode projections in sequence, one matrix at a
+    time: the loop the batched readout replaced, kept as its reference."""
+    up, down = (ins.arm, fock.Spin.UP), (ins.arm, fock.Spin.DOWN)
+    outcomes = []
+    p_up1 = corr.occupation_probability(M, up)
+    for n_up, p_up in ((0, 1.0 - p_up1), (1, p_up1)):
+        if p_up > corr.PROBABILITY_FLOOR:
+            _, m_up = corr.project_occupation(M, up, n_up)
+            p_down1 = corr.occupation_probability(m_up, down)
+            for n_down, p_down in ((0, 1.0 - p_down1), (1, p_down1)):
+                if p_up * p_down > corr.PROBABILITY_FLOOR:
+                    _, m_both = corr.project_occupation(m_up, down, n_down)
+                    outcomes.append((n_up + n_down, p_up * p_down, m_both))
+    return outcomes
+
+
+def tree_shape(node):
+    """A branch tree's labels, outcomes and probabilities, without post-states."""
+    if isinstance(node, BranchNode):
+        return node.label, [(outcome, p, tree_shape(child)) for outcome, p, child in node.children]
+    return list(node.record.outcomes.items()), node.record.probability
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(terminal_charge_circuits())
+@example(Circuit(2, [PrepSpin(1, 1, 1), BeamSplitter(1, 2), Measure("q", "charge", 1),
+                     Measure("r", "charge", 1), Measure("s", "charge", 2)]))
+@example(Circuit(1, [PrepSpin(1, 1j, 6.103515625e-05j), Measure("q", "charge", 1)]))
+@example(Circuit(3, [PrepSpin(1, 1, 1), PrepSpin(2, 1, 0), BeamSplitter(1, 2),
+                     Measure("q", "charge", 1), Conditional("q", 1, SpinRotation(2, "h")),
+                     BeamSplitter(2, 3), Measure("r", "charge", 2), Measure("s", "charge", 3),
+                     Measure("t", "charge", 1)]))
+@example(deep_terminal_circuit())
+def test_corr_terminal_block_equals_the_walk_without_it(circuit):
+    """Corr's batched terminal block gives the tree the walker makes readout
+    by readout, and the one-matrix-at-a-time reference loop gives: the same
+    labels, outcomes, order and probability bits."""
+    try:
+        root, _ = charge_branch_tree(circuit)
+    except NonGaussianOperationError:
+        return
+    with mock.patch.object(corr, "walk", walk_without_block):
+        plain, _ = charge_branch_tree(circuit)
+    reference = measurement.walk(circuit.instructions, corr.init_from_occupations(
+        [], circuit.arm_count), corr._apply, sequential_charge_outcomes)
+    assert tree_shape(root) == tree_shape(plain) == tree_shape(reference)
+    assert all(rec.post_state is None for rec in measurement.leaves(root))
+
+
 @charge_examples
 def test_fock_state_has_norm_one_before_every_readout(circuit):
     """Fock renormalizes each branch after pruning and its elements are
