@@ -117,13 +117,15 @@ def _state_entries(state: FockState) -> list[dict]:
 
 
 def _merge_branches(entries: list[dict]) -> list[dict]:
-    merged: dict[str, dict] = {}
+    """One entry per outcome assignment, probabilities summed, in order of
+    first appearance (corr splits a charge readout into spin-resolved leaves)."""
+    merged: dict[tuple, dict] = {}
     for entry in entries:
-        sig = outcome_signature(entry["outcomes"])
-        if sig in merged:
-            merged[sig]["probability"] += entry["probability"]
+        key = tuple(entry["outcomes"].items())
+        if key in merged:
+            merged[key]["probability"] += entry["probability"]
         else:
-            merged[sig] = dict(entry)
+            merged[key] = dict(entry)
     return list(merged.values())
 
 

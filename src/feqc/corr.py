@@ -344,6 +344,7 @@ def charge_branch_tree(circuit: Circuit):
         return [(n, p, CorrelationMatrix(M.num_arms, m)) for (n, p), m in zip(group, post)]
 
     def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
+        count(1)
         # The complexity demonstration: price the joint charge-1 query on the
         # state the terminal block starts from.
         if terminal:

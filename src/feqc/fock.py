@@ -85,7 +85,11 @@ def _jw_sign(key: int, pos: int) -> int:
     return -1 if (key & ((1 << pos) - 1)).bit_count() & 1 else 1
 
 
-def _pruned(amplitudes: dict[int, complex]) -> dict[int, complex]:
+def pruned(amplitudes: dict[int, complex]) -> dict[int, complex]:
+    """The amplitudes at or above PRUNE_THRESHOLD.  The caller builds
+    ``amplitudes`` fresh: it is returned as it is when none falls below."""
+    if not amplitudes or min(map(abs, amplitudes.values())) >= PRUNE_THRESHOLD:
+        return amplitudes
     return {k: a for k, a in amplitudes.items() if abs(a) >= PRUNE_THRESHOLD}
 
 
@@ -101,7 +105,7 @@ def normalize(state: FockState) -> FockState:
     n = state.norm()
     if n < PRUNE_THRESHOLD:
         raise ValueError("cannot normalize a zero state")
-    return FockState(state.num_arms, _pruned({k: a / n for k, a in state.amplitudes.items()}))
+    return FockState(state.num_arms, pruned({k: a / n for k, a in state.amplitudes.items()}))
 
 
 def vacuum(num_arms: int) -> FockState:
@@ -325,12 +329,12 @@ def apply_single_particle_unitary(
         raise ValueError("modes must be distinct")
     u = step_unitary(matrix, m)
     rotations, phases = ([(0, 1, u)], []) if m == 2 else _givens(u)
-    amplitudes = state.amplitudes
+    amplitudes = state.amplitudes if m else dict(state.amplitudes)  # never share the input's dict
     for p, phase in zip(positions, phases):
         amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
     for i, j, g in rotations:
         amplitudes = _two_mode(amplitudes, positions[i], positions[j], g)
-    return FockState(state.num_arms, _bounded(_pruned(amplitudes)))
+    return FockState(state.num_arms, _bounded(pruned(amplitudes)))
 
 
 # 50/50 splitter, real symmetric convention; its own inverse.

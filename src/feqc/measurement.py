@@ -1,11 +1,15 @@
 """Projective charge, parity and spin measurements with Born-rule branching.
 
 Measurements return every outcome with probability above the branch
-threshold, each with its renormalized post-state.  ``enumerate_branches``
-expands a circuit into the full outcome tree.  ``sample`` flattens the
-tree's leaves into a cumulative distribution and routes shot i by the i-th
-double of one Philox stream keyed by the seed, so identical inputs reproduce
-identical records and a run is a prefix of any longer run with its seed.
+threshold, each with its renormalized post-state.  One Born-rule routine,
+``_born``, reads a run of readouts from a state in one pass over its keys;
+a single ``measure_*`` call is its one-readout case.  ``enumerate_branches``
+expands a circuit into the full outcome tree through the branch walker,
+``walk``, which hands the circuit's trailing run of readouts to that routine
+on every path that reaches it.  ``sample`` flattens the tree's leaves into a
+cumulative distribution and routes shot i by the i-th double of one Philox
+stream keyed by the seed, so identical inputs reproduce identical records
+and a run is a prefix of any longer run with its seed.
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Any, Union
 
 import numpy as np
 
 from .circuit import Circuit, Conditional, Measure, apply_instruction, validate_circuit
-from .errors import FeqcError
-from .fock import (
-    PRUNE_THRESHOLD, FockState, Spin, arm_charge, mode_position, require_single_occupancy,
-)
+from .errors import FeqcError, PreconditionError
+from .fock import FockState, Spin, arm_charge, mode_position, pruned, require_single_occupancy
 
 BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
@@ -33,26 +36,89 @@ SAMPLE_BLOCK = 1 << 16  # shots drawn per numpy call: bounds the draw's memory
 Branch = tuple[int, float, FockState]
 
 
-def _partition(state: FockState, mask: int, outcome_of: dict[int, int]) -> list[Branch]:
-    """Born-rule branches of a readout whose outcome for a key is
-    ``outcome_of[key & mask]``, in ascending outcome order."""
-    groups: dict[int, dict[int, complex]] = {o: {} for o in sorted(set(outcome_of.values()))}
-    group_of = {bits: groups[o] for bits, o in outcome_of.items()}
+REFUSED = -1  # the outcome of a key pattern a meter's table lacks
+
+# One readout: (mask, outcome_of, refusal).  A key's outcome is
+# outcome_of[key & mask]; a surviving node that holds a key whose pattern the
+# table lacks raises PreconditionError(refusal).
+Meter = tuple[int, dict[int, int], str]
+
+
+def _born(state: FockState, meters: list[Meter], count=None) -> list:
+    """Born-rule outcome tree of the readouts ``meters``, made in turn on ``state``.
+
+    Returns the first readout's children [(outcome, probability, child)] in
+    ascending outcome order; a child is the next readout's children, or the
+    post-state after the last readout.  The keys are grouped once, by their
+    outcomes under every meter, and a node's probability is its summed leaf
+    mass over its parent's.  Every node drops the outcomes at or below
+    BRANCH_THRESHOLD and renormalizes the rest, and a leaf's post-state is its
+    group over the square root of its mass, so each node matches a readout
+    of its parent's renormalized post-state.  ``count(1)`` is called before
+    each leaf is made, in depth-first order.
+    """
+    mask = 0
+    for bits, _, _ in meters:
+        mask |= bits
+    groups: dict[tuple[int, ...], dict[int, complex]] = {}  # outcome path -> amplitudes
+    group_of: dict[int, dict[int, complex]] = {}  # key & mask -> its path's group, filled lazily
     for key, amp in state.amplitudes.items():
-        group_of[key & mask][key] = amp
-    branches = []
-    for outcome, group in groups.items():
-        prob = sum(abs(a) ** 2 for a in group.values())
-        if prob > BRANCH_THRESHOLD:
-            # fock.normalize, with the norm taken from prob instead of a second sum
-            norm = math.sqrt(prob)
-            post = {k: b for k, a in group.items() if abs(b := a / norm) >= PRUNE_THRESHOLD}
-            branches.append((outcome, prob, FockState(state.num_arms, post)))
-    total = sum(p for _, p, _ in branches)
+        bits = key & mask
+        group = group_of.get(bits)
+        if group is None:  # a new bit pattern; a loop costs less here than a comprehension
+            path = ()
+            for m, outcome_of, _ in meters:
+                path += (outcome_of.get(bits & m, REFUSED),)
+            group = group_of[bits] = groups.setdefault(path, {})
+        group[key] = amp
+    # (path, mass, amplitudes) of every leaf, in the walker's order
+    leaves = sorted([(path, sum([abs(a) ** 2 for a in group.values()]), group)
+                     for path, group in groups.items()])
+    return _expand(leaves, 0, 1.0, meters, state.num_arms, count)
+
+
+def _expand(items: list, depth: int, mass: float, meters: list[Meter], num_arms: int,
+            count) -> list:
+    """The children of a _born node: ``items`` are the (path, mass, amplitudes)
+    leaves below it, which share their first ``depth`` outcomes, and ``mass``
+    is theirs (1 at the root).  A module-level function, not a closure: a
+    recursive closure is a reference cycle that would keep the state alive
+    until the garbage collector runs."""
+    if items and items[0][0][depth] == REFUSED:  # an empty state has no items
+        raise PreconditionError(meters[depth][2])
+    last = depth == len(meters) - 1
+    if not last:
+        runs = [list(run) for _, run in groupby(items, key=lambda item: item[0][depth])]
+        items = [(run[0][0], sum([m for _, m, _ in run]), run) for run in runs]
+    kept = []
+    total = 0  # as sum() starts: an empty node reports "sum to 0"
+    for path, m, sub in items:
+        if (p := m / mass) > BRANCH_THRESHOLD:
+            kept.append((path[depth], p, m, sub))
+            total += p
     # Report a kernel that lost norm instead of renormalizing it away.
     if abs(total - 1) > NORM_TOLERANCE:
         raise FeqcError(f"state norm drifted: outcome probabilities sum to {total!r}")
-    return [(o, p / total, s) for o, p, s in branches]
+    nodes = []
+    for outcome, p, m, sub in kept:
+        if not last:
+            child = _expand(sub, depth + 1, m, meters, num_arms, count)
+        else:
+            if count is not None:
+                count(1)
+            norm = math.sqrt(m)
+            for key, amp in sub.items():  # in place: no second dict per leaf
+                sub[key] = amp / norm
+            child = FockState(num_arms, pruned(sub))
+        nodes.append((outcome, p / total, child))
+    return nodes
+
+
+def _partition(state: FockState, mask: int, outcome_of: dict[int, int]) -> list[Branch]:
+    """Born-rule branches of a readout whose outcome for a key is
+    ``outcome_of[key & mask]``, in ascending outcome order: the one-meter
+    case of _born."""
+    return _born(state, [(mask, outcome_of, "")])
 
 
 def _arm_bits(state: FockState, arm: int) -> tuple[int, int]:
@@ -61,10 +127,22 @@ def _arm_bits(state: FockState, arm: int) -> tuple[int, int]:
     return up, up << 1
 
 
+def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
+    """A charge, parity or spin readout of an arm as a meter over both of its
+    mode bits; the spin meter refuses what measure_spin refuses."""
+    up, down = _arm_bits(state, arm)
+    both = up | down
+    if kind == "charge":
+        return both, {0: 0, up: 1, down: 1, both: 2}, ""
+    if kind == "parity":
+        return both, {0: 0, up: 1, down: 1, both: 0}, ""
+    return both, {up: 0, down: 1}, f"measure_spin: arm {arm} must carry exactly one electron"
+
+
 def measure_charge(state: FockState, arm: int) -> list[Branch]:
     """Electrometer: project onto occupation 0, 1 or 2 of the arm."""
-    up, down = _arm_bits(state, arm)
-    return _partition(state, up | down, {0: 0, up: 1, down: 1, up | down: 2})
+    mask, outcome_of, _ = _arm_meter(state, "charge", arm)
+    return _partition(state, mask, outcome_of)
 
 
 def measure_parity(state: FockState, arm: int) -> list[Branch]:
@@ -73,8 +151,8 @@ def measure_parity(state: FockState, arm: int) -> list[Branch]:
     The even branch keeps the coherent superposition of its empty and doubly
     occupied components; that is what distinguishes it from an electrometer.
     """
-    up, down = _arm_bits(state, arm)
-    return _partition(state, up | down, {0: 0, up: 1, down: 1, up | down: 0})
+    mask, outcome_of, _ = _arm_meter(state, "parity", arm)
+    return _partition(state, mask, outcome_of)
 
 
 def measure_spin(state: FockState, arm: int) -> list[Branch]:
@@ -143,9 +221,11 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
     to take over the circuit's trailing run of Measures on each path that
     reaches it.  It returns their subtree, whose leaves extend ``outcomes``
     and whose probabilities are ``prob`` times the readouts' products, in the
-    order the walker would have made them.  The walker counts the path as one
-    leaf, and the block calls ``count(n)`` before its tree grows by n more.
-    Without ``block`` the walker recurses through ``branches`` to the end.
+    order the walker would have made them.  The block calls ``count(n)``
+    before its tree grows by n leaves, counting every leaf it makes.  Without
+    ``block`` the walker recurses through ``branches`` to the end.  Fock's
+    block groups the state's keys once for the whole run (``_born``); corr's
+    stacks every live branch's matrix block (``corr.charge_branch_tree``).
     A tree of more than MAX_LEAVES leaves is refused.
     """
     leaf_count = 0
@@ -163,7 +243,6 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
         for i in range(index, len(instructions)):
             ins = instructions[i]
             if i == tail:
-                count(1)
                 return block(state, instructions[tail:], outcomes, prob, count)
             if isinstance(ins, Measure):
                 return BranchNode(ins.label, [
@@ -189,12 +268,34 @@ def leaves(root) -> list[BranchRecord]:
 
 
 def branch_tree(circuit: Circuit, input_state: FockState) -> Union[BranchNode, BranchLeaf]:
-    """Expand a circuit into its measurement-outcome tree."""
+    """Expand a circuit into its measurement-outcome tree; its trailing run
+    of readouts is read in one pass over each state that reaches it."""
     validate_circuit(circuit)
     if input_state.num_arms != circuit.arm_count:
         raise ValueError("input state arm count does not match circuit")
     return walk(circuit.instructions, input_state, apply_instruction,
-                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm))
+                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm), _terminal_block)
+
+
+def _terminal_block(state: FockState, measures, outcomes, prob, count) -> BranchNode:
+    """The walker's terminal-block hook on fock: every trailing readout in one
+    _born pass over the state's keys."""
+    children = _born(state, [_arm_meter(state, ins.kind, ins.arm) for ins in measures], count)
+    return _subtree(measures, children, outcomes, prob)
+
+
+def _subtree(measures, children, outcomes, prob) -> BranchNode:
+    """A _born tree as the walker's nodes and leaves, below ``outcomes`` and ``prob``."""
+    label = measures[0].label
+    nodes = []
+    for outcome, p, child in children:
+        path = {**outcomes, label: outcome}
+        if len(measures) > 1:
+            child = _subtree(measures[1:], child, path, prob * p)
+        else:
+            child = BranchLeaf(BranchRecord(path, prob * p, child))
+        nodes.append((outcome, p, child))
+    return BranchNode(label, nodes)
 
 
 def enumerate_branches(circuit: Circuit, input_state: FockState) -> list[BranchRecord]:
@@ -257,11 +358,12 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
     records = leaves(root)
     cdf = np.cumsum([rec.probability for rec in records])
     counts = sum(np.bincount(picks, minlength=len(cdf)) for picks in _leaf_picks(cdf, seed, shots))
-    frequencies: dict[str, int] = {}
+    by_outcomes: dict[tuple, int] = {}
     for rec, count in zip(records, counts.tolist()):
-        if count:  # corr leaves can share a signature; their counts add
-            sig = outcome_signature(rec.outcomes)
-            frequencies[sig] = frequencies.get(sig, 0) + count
+        if count:  # corr leaves can share outcomes; their counts add
+            key = tuple(rec.outcomes.items())
+            by_outcomes[key] = by_outcomes.get(key, 0) + count
+    frequencies = {outcome_signature(dict(key)): count for key, count in by_outcomes.items()}
     outcomes = [rec.outcomes for rec in records]
     return SampleResult(dict(sorted(frequencies.items())), ShotRecords(outcomes, cdf, seed, shots))
 

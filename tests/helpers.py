@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 from scipy.linalg import expm, schur
 
+from feqc import fock
 from feqc.fock import FockState
 
 
@@ -60,6 +61,27 @@ def dense_bilinear_unitary(num_arms: int, modes, u: np.ndarray) -> np.ndarray:
             if h_small[j, k] != 0:
                 h_fock += h_small[j, k] * (a_dag[pj] @ a_dag[pk].conj().T)
     return expm(1j * h_fock)
+
+
+def always_pruned_unitary(state: FockState, modes, matrix) -> FockState:
+    """apply_single_particle_unitary with the output rebuilt by the prune
+    comprehension on every call, as the kernel did before it kept an output
+    with nothing to prune: the reference for that shortcut."""
+    positions = [fock.mode_position(mode, state.num_arms) for mode in modes]
+    u = fock.step_unitary(matrix, len(modes))
+    rotations, phases = ([(0, 1, u)], []) if len(modes) == 2 else fock._givens(u)
+    amplitudes = state.amplitudes
+    for p, phase in zip(positions, phases):
+        amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
+    for i, j, g in rotations:
+        amplitudes = fock._two_mode(amplitudes, positions[i], positions[j], g)
+    return FockState(state.num_arms, {k: a for k, a in amplitudes.items()
+                                      if abs(a) >= fock.PRUNE_THRESHOLD})
+
+
+def amplitude_bits(state: FockState) -> list[tuple[int, str, str]]:
+    """A state's keys in order with the exact bits of each amplitude (signed zeros included)."""
+    return [(k, a.real.hex(), a.imag.hex()) for k, a in state.amplitudes.items()]
 
 
 def dense_two_point(state: FockState) -> np.ndarray:

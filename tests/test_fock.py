@@ -28,6 +28,8 @@ from feqc.fock import (
     vacuum,
 )
 from helpers import (
+    always_pruned_unitary,
+    amplitude_bits,
     dense_bilinear_unitary,
     dense_vector,
     random_state,
@@ -301,6 +303,40 @@ def test_registry_entries_give_the_same_amplitudes_as_a_copy(index):
                 expected = fock._two_mode(amplitudes, p, q, copy)
                 assert list(out) == list(expected)
                 assert [repr(a) for a in out.values()] == [repr(a) for a in expected.values()]
+
+
+def kernel_cases(rng):
+    """(state, modes, matrix) kernel calls: random states under table, Haar
+    and Givens-path unitaries, and Hong-Ou-Mandel pairs whose coincidence
+    term cancels exactly."""
+    table = [fock.BEAM_SPLITTER_MATRIX, fock._SWAP2, *fock.ROTATIONS.values()]
+    for trial in range(40):
+        arms = int(rng.integers(1, 4))
+        state = random_state(rng, arms, particles=int(rng.integers(0, 2 * arms + 1)))
+        count = 2 if trial % 4 else int(rng.integers(1, min(4, 2 * arms) + 1))
+        modes = [(p // 2 + 1, Spin(p % 2)) for p in rng.permutation(2 * arms)[:count].tolist()]
+        matrix = table[trial % len(table)] if count == 2 and trial % 2 else random_unitary(rng, count)
+        yield state, modes, matrix
+    for k in range(4):
+        # The splitter's down step after its up step on an entangled pair: for
+        # pairs 0 and 1 two of the four keys cancel exactly.
+        half = apply_single_particle_unitary(prepare_bell(vacuum(2), k, 1, 2),
+                                             [(1, UP), (2, UP)], BEAM_SPLITTER_MATRIX)
+        yield half, [(1, DOWN), (2, DOWN)], BEAM_SPLITTER_MATRIX
+    yield random_state(rng, 2), [], np.zeros((0, 0))
+
+
+def test_kernel_output_equals_the_always_pruned_reference_and_is_never_the_input():
+    rng = np.random.default_rng(12)
+    cancelled = 0
+    for state, modes, matrix in kernel_cases(rng):
+        out = apply_single_particle_unitary(state, modes, matrix)
+        reference = always_pruned_unitary(state, modes, matrix)
+        assert amplitude_bits(out) == amplitude_bits(reference), (modes, matrix)
+        assert out.amplitudes is not state.amplitudes
+        cancelled += len(out.amplitudes) < len(state.amplitudes)
+    # The HOM pairs lost the keys that cancel: the prune path ran.
+    assert cancelled >= 2
 
 
 def test_kernel_and_preparation_refuse_a_state_over_the_key_limit(monkeypatch):

@@ -231,6 +231,8 @@ def test_measurements_report_norm_drift_instead_of_renormalizing(measure):
     # A raw creation operator on a half-blocked arm leaves norm 1/sqrt(2).
     with pytest.raises(FeqcError, match="norm drifted"):
         measure(create(state, (1, UP)), 2)
+    with pytest.raises(FeqcError, match="norm drifted"):  # no keys at all
+        measure(FockState(2, {}), 2)
     for scale, drifts in ((1 + 1e-11, False), (1 + 1e-8, True)):
         scaled = FockState(2, {k: a * scale for k, a in state.amplitudes.items()})
         if drifts:

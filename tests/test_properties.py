@@ -291,8 +291,11 @@ def deep_terminal_circuit(seed=11, num_arms=12, readouts=8) -> Circuit:
     return Circuit(num_arms, instructions)
 
 
+WALK = measurement.walk  # the walker itself: the block tests patch the name it is called by
+
+
 def walk_without_block(instructions, state, apply, branches, block):
-    return measurement.walk(instructions, state, apply, branches)
+    return WALK(instructions, state, apply, branches)
 
 
 def sequential_charge_outcomes(M, ins):
@@ -345,6 +348,121 @@ def test_corr_terminal_block_equals_the_walk_without_it(circuit):
     assert all(rec.post_state is None for rec in measurement.leaves(root))
 
 
+READOUT_KINDS = ["charge", "parity", "spin"]
+FOCK_DEEP_POOL = Path(__file__).resolve().parents[1] / "bench" / "reference" / "fock-deep.json"
+
+
+def fock_deep_pool() -> list[Circuit]:
+    """The 8-arm benchmark circuits: hundreds of keys, mid-circuit readouts,
+    and terminal blocks of several charge readouts."""
+    pool = json.loads(FOCK_DEEP_POOL.read_text(encoding="utf-8"))["circuits"]
+    return [parse(entry["circuit"]).circuit for entry in pool]
+
+
+def with_pool_examples(test):
+    for circuit in fock_deep_pool():
+        test = example(circuit, measurement.MAX_LEAVES)(test)
+    return test
+
+
+@st.composite
+def fock_terminal_circuits(draw):
+    """Prepared 2-4-arm fock circuits with elements, mid-circuit readouts of
+    every kind and conditionals on them, then a trailing run of 1-4 charge,
+    parity or spin readouts whose arms may repeat and need not be singly
+    occupied."""
+    n = draw(st.integers(2, 4))
+    arm = st.integers(1, n)
+    rotations = st.builds(SpinRotation, arm, st.sampled_from(["x", "y", "z", "h"]))
+    filled = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(1, n))]
+    instructions = []
+    if len(filled) >= 2 and draw(st.booleans()):
+        instructions.append(PrepBell(draw(st.integers(0, 3)), filled.pop(), filled.pop()))
+    instructions += [PrepSpin(a, *draw(st.sampled_from(SPINORS))) for a in filled]
+    measured: dict[str, str] = {}
+    for _ in range(draw(st.integers(1, 8))):
+        choice = draw(st.sampled_from(["element", "element", "rot", "measure", "if"]))
+        if choice == "element":
+            i, j = draw(st.permutations(range(1, n + 1)))[:2]
+            cls = draw(st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms]))
+            instructions.append(cls(i, j))
+        elif choice == "measure":
+            label = f"m{len(measured)}"
+            measured[label] = draw(st.sampled_from(READOUT_KINDS))
+            instructions.append(Measure(label, measured[label], draw(arm)))
+        elif choice == "if" and measured:
+            label = draw(st.sampled_from(sorted(measured)))
+            value = draw(st.integers(0, 2 if measured[label] == "charge" else 1))
+            instructions.append(Conditional(label, value, draw(rotations)))
+        else:
+            instructions.append(draw(rotations))
+    readouts = draw(st.lists(st.tuples(st.sampled_from(READOUT_KINDS), arm), min_size=1,
+                             max_size=4))
+    instructions += [Measure(f"t{i}", kind, a) for i, (kind, a) in enumerate(readouts)]
+    return Circuit(n, instructions)
+
+
+# All three kinds on repeated arms after a mid-circuit readout and a conditional.
+MIXED_TERMINAL_RUN = Circuit(3, [
+    PrepSpin(1, 0.6, 0.8j), PrepSpin(2, 1, 1), PrepSpin(3, 1, -1j), BeamSplitter(1, 2),
+    Measure("p", "parity", 1), Conditional("p", 1, SpinRotation(2, "h")),
+    Measure("a", "charge", 2), Measure("b", "parity", 2), Measure("c", "spin", 3),
+    Measure("d", "charge", 1), Measure("e", "spin", 3)])
+
+
+def fock_tree_or_error(circuit):
+    try:
+        return measurement.branch_tree(circuit, fock.vacuum(circuit.arm_count))
+    except FeqcError as err:  # PreconditionError is one
+        return type(err), str(err)
+
+
+def assert_same_fock_tree(tree, plain):
+    """Equal labels, outcomes, order and post-state keys (in order); equal
+    probabilities and amplitudes within 1e-14 relative."""
+    if isinstance(plain, tuple):  # the walk without the block raised
+        assert tree == plain
+        return
+    if isinstance(plain, BranchNode):
+        assert isinstance(tree, BranchNode) and tree.label == plain.label
+        assert [o for o, _, _ in tree.children] == [o for o, _, _ in plain.children]
+        for (_, p, child), (_, q, other) in zip(tree.children, plain.children):
+            assert abs(p - q) <= 1e-14 * q, (plain.label, p, q)
+            assert_same_fock_tree(child, other)
+        return
+    rec, ref = tree.record, plain.record
+    assert list(rec.outcomes.items()) == list(ref.outcomes.items())
+    assert abs(rec.probability - ref.probability) <= 1e-14 * ref.probability
+    amps, ref_amps = rec.post_state.amplitudes, ref.post_state.amplitudes
+    assert list(amps) == list(ref_amps)
+    assert all(abs(amps[k] - a) <= 1e-14 * abs(a) for k, a in ref_amps.items())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(fock_terminal_circuits(), st.sampled_from([measurement.MAX_LEAVES, 1, 2, 3, 5]))
+# A spin readout after the charge readout of the same arm: the first
+# surviving branch, q=0 (p = 1/8), leaves that arm empty.
+@example(Circuit(2, [PrepSpin(1, 1, 1), PrepSpin(2, 1, 0), BeamSplitter(1, 2),
+                     Measure("q", "charge", 1), Measure("s", "spin", 1)]),
+         measurement.MAX_LEAVES)
+# A spin readout of a doubly occupied arm is refused at the block's root.
+@example(Circuit(2, [PrepBell(0, 1, 2), BeamSplitter(1, 2), Measure("s", "spin", 1),
+                     Measure("q", "charge", 2)]), measurement.MAX_LEAVES)
+# A 6-leaf tree, and the same circuit over a limit of 5 leaves.
+@example(MIXED_TERMINAL_RUN, measurement.MAX_LEAVES)
+@example(MIXED_TERMINAL_RUN, 5)
+@with_pool_examples
+def test_fock_terminal_block_equals_the_walk_without_it(circuit, max_leaves):
+    """Fock's terminal block, one grouping of the keys for the whole run of
+    readouts, gives the tree the walker makes readout by readout, or the same
+    error (a refused spin readout, or MAX_LEAVES lowered)."""
+    with mock.patch.object(measurement, "MAX_LEAVES", max_leaves):
+        tree = fock_tree_or_error(circuit)
+        with mock.patch.object(measurement, "walk", walk_without_block):
+            plain = fock_tree_or_error(circuit)
+    assert_same_fock_tree(tree, plain)
+
+
 @charge_examples
 def test_fock_state_has_norm_one_before_every_readout(circuit):
     """Fock renormalizes each branch after pruning and its elements are
@@ -371,13 +489,9 @@ def test_fock_kept_outcome_probabilities_sum_to_one(circuit):
     assert_kept_outcomes_sum_to_one(circuit)
 
 
-FOCK_DEEP_POOL = Path(__file__).resolve().parents[1] / "bench" / "reference" / "fock-deep.json"
-
-
 def test_fock_kept_outcome_probabilities_sum_to_one_on_the_fock_deep_pool():
-    pool = json.loads(FOCK_DEEP_POOL.read_text(encoding="utf-8"))["circuits"]
-    for entry in pool:
-        assert_kept_outcomes_sum_to_one(parse(entry["circuit"]).circuit)
+    for circuit in fock_deep_pool():
+        assert_kept_outcomes_sum_to_one(circuit)
     # The tightened check is live: a state that lost 1e-11 of its norm fails it.
     state = fock.prepare_spin(fock.vacuum(1), 1, 1, 1)
     lossy = fock.FockState(1, {k: a * (1 - 5e-12) for k, a in state.amplitudes.items()})
