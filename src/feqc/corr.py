@@ -11,8 +11,10 @@ branch is not a Gaussian operation, and neither are parity meters or
 entangled-pair preparations; those raise NonGaussianOperationError.  What
 this backend can do instead is answer "is every arm in S singly occupied?"
 by expanding the product of one-per-arm projectors into 3^|S| occupation
-monomials, each a determinant.  That exponential term count is deliberately
-surfaced to callers.
+monomials, each a principal-minor determinant.  The determinants are formed
+as products of Schur-complement pivots, all 3^|S| of them as the leaves of
+one breadth-first frontier over the 2|S| x 2|S| block of the arms in S.
+That exponential term count is deliberately surfaced to callers.
 
 A circuit's trailing run of charge readouts is expanded breadth first, as one
 frontier: the live branches' 2m x 2m blocks over the m read arms are stacked,
@@ -22,6 +24,8 @@ exact because a projection on a mode of a set reads only entries in the set.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,9 +41,13 @@ from .measurement import NORM_TOLERANCE, BranchLeaf, BranchNode, BranchRecord, l
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
 PROBABILITY_FLOOR = 1e-12
+# A Schur pivot of the joint query at or below this is rounding noise: its
+# child weighs 0 and divides by 1.  Above it a pivot is a real, if tiny,
+# probability, and dividing by it is safe: the blocks are positive
+# semidefinite, so no rank-one update it makes exceeds 1 in magnitude.
+PIVOT_FLOOR = 1e-15
 MAX_ARMS = 1024  # a 2048 x 2048 complex matrix is 64 MB
-JOINT_BLOCK = 1024  # monomials expanded and stacked per batched determinant call
-MAX_JOINT_TERMS = 3 ** 12  # 12 arms take seconds; each further arm triples it
+MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~0.2 s and ~70 MB; each further arm triples both
 # Bytes one branch tree may take, counted as one full matrix per leaf: 7281
 # leaves at 48 arms.  A terminal block's frontier keeps a smaller matrix per
 # live branch and never more branches than leaves, so this bounds it too.
@@ -184,42 +192,90 @@ def principal_minor_probability(M: CorrelationMatrix, modes) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _monomial_blocks(arms, num_arms: int):
-    """Expand prod_i (n_up + n_down - 2 n_up n_down) over the arms of S, each
-    arm picking up, down or both, JOINT_BLOCK picks at a time in product order.
-    Per block, yields its size and a (k, rows, positions) group per count k of
-    arms that picked both: coefficient (-2)^k, |S| + k ascending positions."""
-    modes = np.array([mode_position((a, s), num_arms) for a in sorted(set(arms)) for s in Spin], int)
-    m = len(modes) // 2
+def _joint_ups(arms, num_arms: int) -> list[int]:
+    """The up-mode positions of the joint query's arms, in ascending arm
+    order (an arm's down mode follows its up mode); a query of more than
+    MAX_JOINT_TERMS terms is refused."""
+    ups = [mode_position((arm, Spin.UP), num_arms) for arm in sorted(set(arms))]
+    m = len(ups)
     if 3 ** m > MAX_JOINT_TERMS:
         raise FeqcError(f"corr backend: the joint query over {m} arms has 3^{m} terms, "
                         f"more than the limit MAX_JOINT_TERMS = {MAX_JOINT_TERMS}")
-    for start in range(0, 3 ** m, JOINT_BLOCK):
-        index = np.arange(start, min(start + JOINT_BLOCK, 3 ** m))
-        pick = np.array(np.unravel_index(index, (3,) * m + (1,)))[:m].T  # (1,): m may be 0
-        used = (pick[:, :, None] != [1, 0]).reshape(len(index), 2 * m)  # up, down of each arm
-        size = used.sum(axis=1)
-        groups = [(k, np.flatnonzero(size == m + k)) for k in range(m + 1)]
-        yield len(index), [(k, rows, modes[np.nonzero(used[rows])[1]].reshape(len(rows), m + k))
-                           for k, rows in groups if len(rows)]
+    return ups
 
 
 def single_occupancy_monomials(arms, num_arms: int) -> list[tuple[float, tuple[int, ...]]]:
     """All 3^|S| (coefficient, mode positions) monomials of the joint query
-    before any collection; the length of this list is its advertised cost."""
-    return [((-2.0) ** k, tuple(pos)) for _, groups in _monomial_blocks(arms, num_arms)
-            for k, _, positions in groups for pos in positions.tolist()]
+    before any collection: prod_i (n_up + n_down - 2 n_up n_down) over the
+    arms of S, each arm picking up, down or both in product order, with
+    coefficient (-2)^k for k arms that picked both.  The length of this list
+    is the query's advertised cost."""
+    picks = [((1.0, (up,)), (1.0, (up + 1,)), (-2.0, (up, up + 1)))
+             for up in _joint_ups(arms, num_arms)]
+    return [(math.prod(c for c, _ in pick), sum((p for _, p in pick), ()))
+            for pick in itertools.product(*picks)]
+
+
+def _floored(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real pivots as (weight factor, divisor): a pivot at or below
+    PIVOT_FLOOR weighs 0 and divides by 1."""
+    kept = pivots > PIVOT_FLOOR
+    return np.where(kept, pivots, 0.0), np.where(kept, pivots, 1.0)
+
+
+def _grow(weights: np.ndarray, up, down, both) -> np.ndarray:
+    """The weights of every entry's up, down and both children, in parent order."""
+    grown = np.empty((len(weights), 3))
+    np.multiply(weights, up, out=grown[:, 0])
+    np.multiply(weights, down, out=grown[:, 1])
+    np.multiply(grown[:, 0], -2.0 * both, out=grown[:, 2])
+    return grown.reshape(-1)
+
+
+def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
+    """The joint query's 3^|S| terms (-2)^k det(M_T), in the order of
+    single_occupancy_monomials, as the leaves of one breadth-first frontier.
+
+    The arms are taken in ascending order.  Every live entry, a weight w and
+    a block S over the modes of the arms still to pick, branches into its
+    up, down and both children, with weights w S00, w S11 and
+    -2 w S00 (S11 - S10 S01 / S00).  A child's block is the Schur complement
+    of the modes it picked, the arm's rows and columns dropped, so every
+    determinant is a product of pivots; at the last arm only the pivots are
+    computed.  A pivot at or below PIVOT_FLOOR zeros its child's weight and
+    divides by 1 instead: the subtree it drops is a conditional probability,
+    worth at most |w| PIVOT_FLOOR.
+    """
+    ups = _joint_ups(arms, M.num_arms)
+    if not ups:
+        return np.ones(1)  # the empty product
+    modes = [pos for up in ups for pos in (up, up + 1)]
+    block = M.matrix.take(modes, 0).take(modes, 1)[None]
+    weights = np.ones(1)
+    while True:
+        count, n = len(block), block.shape[1] - 1
+        pivots, divisors = _floored(block.diagonal(0, 1, 2)[:, :2].real)
+        if n == 1:  # the last arm: its pivots alone
+            both = block[:, 1, 1] - block[:, 1, 0] * (block[:, 0, 1] / divisors[:, 0])
+            return _grow(weights, pivots[:, 0], pivots[:, 1], _floored(both.real)[0])
+        # Rows and columns 1: of every block with its up (0) or its down (1)
+        # mode eliminated; the both child is the up one with mode 1 eliminated.
+        cols = block[:, 1:, :2].transpose(0, 2, 1)[..., None]
+        rows = block[:, :2, None, 1:] / divisors[..., None, None]
+        picked = np.empty((count, 3, n, n), complex)
+        np.multiply(cols, rows, out=picked[:, :2])
+        np.subtract(block[:, None, 1:, 1:], picked[:, :2], out=picked[:, :2])
+        up = picked[:, 0]
+        both, divisor = _floored(up[:, 0, 0].real)
+        np.subtract(up[:, 1:, 1:], up[:, 1:, :1] * (up[:, :1, 1:] / divisor[:, None, None]),
+                    out=picked[:, 2, 1:, 1:])
+        weights = _grow(weights, pivots[:, 0], pivots[:, 1], both)
+        block = picked.reshape(3 * count, n, n)[:, 1:, 1:]
 
 
 def single_occupancy_probability(M: CorrelationMatrix, arms) -> float:
     """Probability that every arm in the set holds exactly one electron."""
-    total = 0.0
-    for count, groups in _monomial_blocks(arms, M.num_arms):
-        terms = np.full(count + 1, total)  # the sum so far, then the terms in product order
-        for k, rows, positions in groups:
-            subs = M.matrix[positions[:, :, None], positions[:, None, :]]
-            terms[rows + 1] = (-2.0) ** k * np.linalg.det(subs).real
-        total = float(np.cumsum(terms)[-1])  # term by term, as a loop would add them
+    total = float(np.cumsum(single_occupancy_terms(M, arms))[-1])  # term by term, in order
     if total < -EIGENVALUE_SLACK:
         raise ValueError(f"single-occupancy probability {total} is negative")
     return min(max(total, 0.0), 1.0)
@@ -313,7 +369,9 @@ def charge_branch_tree(circuit: Circuit):
     When every charge readout is terminal, the joint all-arms-singly-occupied
     probability is also evaluated, on the state the block starts from,
     through the exponential monomial expansion and its 3^m term count
-    reported in the stats.  A tree whose leaves would take more than
+    reported in the stats; a joint probability that differs from the summed
+    all-charge-1 leaves by more than NORM_TOLERANCE is an error, never
+    renormalized.  A tree whose leaves would take more than
     MAX_TREE_BYTES as full matrices is refused while it is expanded.
     """
     validate_circuit(circuit)
@@ -372,6 +430,13 @@ def charge_branch_tree(circuit: Circuit):
             levels.append((ins.label, groups))
             paths = [({**o, ins.label: n}, q * p) for (o, q), group in zip(paths, groups)
                      for n, p in group]
+        if terminal:  # the block is the whole tree: check the joint query against it
+            # a charge is 0, 1 or 2: a path reads all 1s when it reads no 0 and no 2
+            summed = sum([q for o, q in paths if 0 not in o.values() and 2 not in o.values()])
+            if abs(summed - stats.joint_charge1) > NORM_TOLERANCE:
+                raise FeqcError(f"corr backend: joint charge-1 probability "
+                                f"{stats.joint_charge1!r} but the all-charge-1 branches "
+                                f"sum to {summed!r}")
         nodes = [BranchLeaf(BranchRecord(o, q, None)) for o, q in paths]
         for label, groups in reversed(levels):
             below = iter(nodes)

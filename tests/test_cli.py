@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -145,16 +146,47 @@ def test_corr_refuses_more_arms_than_its_limit_before_allocating(capsys, tmp_pat
     assert peak < 1_000_000  # the matrix at MAX_ARMS + 1 arms would be 67 MB
 
 
-@pytest.mark.parametrize("readouts", [13, 41])
-def test_corr_refuses_a_joint_query_over_its_term_limit(capsys, tmp_path, readouts):
+def _one_electron_per_arm(tmp_path, readouts: int) -> Path:
     arms = range(1, readouts + 1)
     src = tmp_path / "joint.feqc"
     src.write_text("\n".join([f"arms {readouts}", *(f"electron {a} up" for a in arms),
                               *(f"q{a} = charge {a}" for a in arms)]) + "\n")
+    return src
+
+
+@pytest.mark.parametrize("readouts", [13, 41])
+def test_corr_refuses_a_joint_query_over_its_term_limit(capsys, tmp_path, readouts):
+    src = _one_electron_per_arm(tmp_path, readouts)
     code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
     assert (code, out) == (1, "")
     assert err == (f"error: corr backend: the joint query over {readouts} arms has "
                    f"3^{readouts} terms, more than the limit MAX_JOINT_TERMS = 531441\n")
+
+
+def test_corr_evaluates_a_joint_query_at_its_term_limit(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "run", str(_one_electron_per_arm(tmp_path, 12)),
+                             "--backend", "corr")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    jsonschema.validate(report, RUN_SCHEMA)
+    assert (report["corr"]["terms"], report["corr"]["joint_charge1"]) == (531441, 1.0)
+    assert [b["probability"] for b in report["branches"]] == [1.0]
+
+
+def test_corr_refuses_a_joint_query_that_disagrees_with_its_branches(capsys, monkeypatch):
+    exact = corr.single_occupancy_probability
+    monkeypatch.setattr(corr, "single_occupancy_probability",
+                        lambda M, arms: exact(M, arms) - 1e-8)
+    code, out, err = run_cli(capsys, "run", str(DATA / "hom_triplet.feqc"), "--backend", "corr")
+    assert (code, out) == (1, "")
+    joint, summed = (float(x) for x in re.fullmatch(
+        r"error: corr backend: joint charge-1 probability (\S+) "
+        r"but the all-charge-1 branches sum to (\S+)\n", err).groups())
+    assert summed == pytest.approx(1.0, abs=1e-14) and summed - joint == pytest.approx(1e-8)
+    monkeypatch.setattr(corr, "single_occupancy_probability",
+                        lambda M, arms: exact(M, arms) - 1e-10)  # within NORM_TOLERANCE
+    code, out, err = run_cli(capsys, "run", str(DATA / "hom_triplet.feqc"), "--backend", "corr")
+    assert (code, err) == (0, "")
 
 
 def test_gadget_bell(capsys):

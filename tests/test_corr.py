@@ -451,8 +451,20 @@ def test_arm_limit_admits_max_arms(monkeypatch):
 
 def test_joint_term_limit_admits_twelve_arms_and_guards_both_queries():
     assert corr.MAX_JOINT_TERMS == 3 ** 12
-    # Twelve arms expand in full; their determinants would take seconds.
-    assert sum(count for count, _ in corr._monomial_blocks(range(1, 13), 12)) == 3 ** 12
+    # Twelve arms evaluate in full.  Six beam-split pairs of electrons share
+    # nothing, so the joint query over all twelve is one pair's to the sixth.
+    def split_pairs(pairs: int) -> corr.CorrelationMatrix:
+        M = init_from_occupations([], 2 * pairs)
+        for first in range(1, 2 * pairs, 2):
+            M = add_electron(add_electron(M, first, 0.6, 0.8), first + 1, 1, 0)
+            for spin in Spin:
+                M = evolve(M, [(first, spin), (first + 1, spin)], BEAM_SPLITTER_MATRIX)
+        return M
+
+    one = single_occupancy_probability(split_pairs(1), [1, 2])
+    assert 0.5 < one < 1
+    assert single_occupancy_probability(split_pairs(6), range(1, 13)) == pytest.approx(
+        one ** 6, abs=1e-14)
     message = r"over 13 arms has 3\^13 terms, more than the limit MAX_JOINT_TERMS = 531441"
     with pytest.raises(FeqcError, match=message):
         corr.single_occupancy_probability(init_from_occupations([], 13), range(1, 14))

@@ -545,15 +545,56 @@ def test_corr_projection_matches_dense_oracle(seed, arms, pos, outcome):
     assert np.abs(post.matrix - oracle).max() <= 1e-13
 
 
+def split_state(arms, spinors):
+    """Electrons with the given spinors on arms 1, 2, ..., then a beam
+    splitter on the down modes of arms 1 and 2."""
+    M = corr.init_from_occupations([], arms)
+    for arm, spinor in enumerate(spinors, start=1):
+        M = corr.add_electron(M, arm, *spinor)
+    return corr.evolve(M, [(1, fock.Spin.DOWN), (2, fock.Spin.DOWN)], fock.BEAM_SPLITTER_MATRIX)
+
+
+# Arm 3 holds no electron: every term that reads it has a zero pivot.
+EMPTY_ARM = split_state(3, [(0.6, 0.8), (1, 0)])
+# Arm 1's down occupation, 1e-12 / (1 + 1e-12), lies just under PROBABILITY_FLOOR.
+STRADDLING_ARM = split_state(2, [(1, 1e-6), (0.6, 0.8)])
+
+
+def joint_state(state, arms):
+    """The random Gaussian state of a seed, or an explicit example's state."""
+    return state if isinstance(state, corr.CorrelationMatrix) else gaussian_state(state, arms)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(seeds, joint_arms)
 @example(0, (6, [1, 2, 3, 4, 5, 6]))
 @example(1, (5, [4, 2]))
-def test_corr_joint_query_matches_dense_oracle(seed, arms_and_subset):
+@example(EMPTY_ARM, (3, [1, 2, 3]))
+@example(STRADDLING_ARM, (2, [1, 2]))
+@example(STRADDLING_ARM, (2, [1]))
+def test_corr_joint_query_matches_dense_oracle(state, arms_and_subset):
     arms, subset = arms_and_subset
-    M = gaussian_state(seed, arms)
+    M = joint_state(state, arms)
     expected = dense_single_occupancy(M.matrix, subset)
-    assert abs(corr.single_occupancy_probability(M, subset) - expected) <= 1e-14
+    got = corr.single_occupancy_probability(M, subset)
+    assert abs(got - expected) <= 1e-14
+    occupations = M.matrix.diagonal().real
+    if any(occupations[2 * a - 2] == occupations[2 * a - 1] == 0 for a in subset):
+        assert got == 0.0  # a read arm holds no electron
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seeds, joint_arms)
+@example(EMPTY_ARM, (3, [3, 1]))
+def test_joint_frontier_forms_every_monomial_in_order(state, arms_and_subset):
+    arms, subset = arms_and_subset
+    M = joint_state(state, arms)
+    terms = corr.single_occupancy_terms(M, subset)
+    monomials = corr.single_occupancy_monomials(subset, arms)
+    assert len(terms) == len(monomials) == 3 ** len(subset)
+    for term, (coef, positions) in zip(terms.tolist(), monomials):
+        minor = np.linalg.det(M.matrix[np.ix_(positions, positions)]).real
+        assert abs(term - coef * minor) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None, database=None)
