@@ -118,14 +118,17 @@ def _state_entries(state: FockState) -> list[dict]:
 
 def _merge_branches(entries: list[dict]) -> list[dict]:
     """One entry per outcome assignment, probabilities summed, in order of
-    first appearance (corr splits a charge readout into spin-resolved leaves)."""
+    first appearance (corr splits a charge readout into spin-resolved leaves).
+    Every leaf of a tree carries the same labels in the same order, so an
+    assignment is keyed by its outcomes alone."""
     merged: dict[tuple, dict] = {}
     for entry in entries:
-        key = tuple(entry["outcomes"].items())
-        if key in merged:
-            merged[key]["probability"] += entry["probability"]
-        else:
+        key = tuple(entry["outcomes"].values())
+        first = merged.get(key)
+        if first is None:
             merged[key] = dict(entry)
+        else:
+            first["probability"] += entry["probability"]
     return list(merged.values())
 
 

@@ -20,6 +20,12 @@ A circuit's trailing run of charge readouts is expanded breadth first, as one
 frontier: the live branches' 2m x 2m blocks over the m read arms are stacked,
 and each readout is one batched rank-one update per mode.  That block is
 exact because a projection on a mode of a set reads only entries in the set.
+
+A circuit runs on the backward light cone of its readouts: the instructions
+the read arms depend on, over the arms those need, renumbered in ascending
+order (``_light_cone``).  The cost follows the cone, not the declared arm
+count; the limits, the joint query's pricing and every reported arm number
+are still decided on the circuit as written.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, unitary_steps,
-                      validate_circuit)
+from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, TwoArmElement,
+                      unitary_steps, validate_circuit)
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import Spin, mode_position
@@ -48,9 +54,10 @@ PROBABILITY_FLOOR = 1e-12
 PIVOT_FLOOR = 1e-15
 MAX_ARMS = 1024  # a 2048 x 2048 complex matrix is 64 MB
 MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~0.2 s and ~70 MB; each further arm triples both
-# Bytes one branch tree may take, counted as one full matrix per leaf: 7281
-# leaves at 48 arms.  A terminal block's frontier keeps a smaller matrix per
-# live branch and never more branches than leaves, so this bounds it too.
+# Bytes one branch tree may take, counted as one full matrix of the circuit's
+# declared arms per leaf: 7281 leaves at 48 arms.  A terminal block's frontier
+# keeps a smaller matrix per live branch and never more branches than leaves,
+# and the light cone's matrices are no larger, so this bounds them too.
 MAX_TREE_BYTES = 1 << 30
 
 
@@ -76,10 +83,14 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix eigenvalues leave [0, 1]")
 
 
-def init_from_occupations(occupied, num_arms: int) -> CorrelationMatrix:
-    """Diagonal 0/1 matrix with ones at the given (arm, spin) modes."""
+def _admit_arms(num_arms: int) -> None:
     if num_arms > MAX_ARMS:
         raise FeqcError(f"corr backend: {num_arms} arms exceed the limit MAX_ARMS = {MAX_ARMS}")
+
+
+def init_from_occupations(occupied, num_arms: int) -> CorrelationMatrix:
+    """Diagonal 0/1 matrix with ones at the given (arm, spin) modes."""
+    _admit_arms(num_arms)
     m = np.zeros((2 * num_arms, 2 * num_arms), dtype=complex)
     for mode in occupied:
         pos = mode_position(mode, num_arms)
@@ -87,11 +98,14 @@ def init_from_occupations(occupied, num_arms: int) -> CorrelationMatrix:
     return CorrelationMatrix(num_arms, m)
 
 
-def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex) -> CorrelationMatrix:
-    """Occupy one fresh orbital of an empty arm with the given spinor."""
+def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex,
+                 name: int | None = None) -> CorrelationMatrix:
+    """Occupy one fresh orbital of an empty arm with the given spinor; a
+    refusal calls the arm ``name`` (by default ``arm``)."""
     up = mode_position((arm, Spin.UP), M.num_arms)
     block = M.matrix[up:up + 2, up:up + 2]
     if np.linalg.norm(block) > 1e-9:
+        arm = arm if name is None else name
         raise PreconditionError(f"add_electron: arm {arm} is already occupied")
     fock.check_spinor(alpha, beta)
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
@@ -289,6 +303,12 @@ class CorrRunStats:
     joint_charge1: float | None = None
 
 
+def _arms(ins) -> tuple[int, ...]:
+    """The arms an electron, readout or element (plain or conditional) acts on."""
+    op = ins.op if isinstance(ins, Conditional) else ins
+    return (op.arm_i, op.arm_j) if isinstance(op, TwoArmElement) else (op.arm,)
+
+
 def _reject_non_gaussian(circuit: Circuit) -> None:
     # Conditionals on parity/spin labels are rejected transitively: the
     # offending measurement always precedes them.  A charge readout dephases
@@ -308,8 +328,7 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
         if isinstance(ins, Measure):
             read.setdefault(ins.arm, ins.label)
         elif not isinstance(ins, PrepSpin):  # an element, plain or conditional
-            op = ins.op if isinstance(ins, Conditional) else ins
-            for arm in [a for modes, _ in unitary_steps(op) for a, _ in modes if a in read]:
+            for arm in [a for a in _arms(ins) if a in read]:
                 raise NonGaussianOperationError(
                     f"non-Gaussian operation: element on arm {arm} after charge measurement "
                     f"{read[arm]!r} of that arm cannot be tracked by the correlation backend"
@@ -348,6 +367,50 @@ def _charge_readout(stack: np.ndarray, up: int, admit, last: bool = False):
     return groups, _project(mid, up + 1, kept)
 
 
+def _light_cone(circuit: Circuit) -> tuple[Circuit, list[int]]:
+    """The instructions a Gaussian circuit's readouts depend on, over the arms
+    they need, and those arms in ascending order.  Arm ``arms[k - 1]`` of the
+    circuit is arm k of the restricted one; the order is kept, so mode
+    positions keep their order too.
+
+    Walking backward from the readouts' arms, an element is kept if it
+    touches a needed arm, and its arms are then needed too; an electron is
+    kept if its arm is needed.  An electron is also a read of its arm when an
+    element before it touched that arm, so that add_electron's occupancy
+    check sees what it sees in the full circuit.  A dropped instruction acts
+    only on arms that no kept one reads later, so every kept entry of the
+    matrix, and with it every probability, is computed as in the full circuit.
+    """
+    instructions = circuit.instructions
+    touched: set[int] = set()  # arms an element before the current instruction touched
+    reads = set()  # indices of the electrons whose occupancy check reads their arm
+    for i, ins in enumerate(instructions):
+        if isinstance(ins, PrepSpin):
+            if ins.arm in touched:
+                reads.add(i)
+        elif not isinstance(ins, Measure):
+            touched.update(_arms(ins))
+    needed = {ins.arm for ins in instructions if isinstance(ins, Measure)}
+    kept = []
+    for i in reversed(range(len(instructions))):
+        ins = instructions[i]
+        arms = _arms(ins)
+        if isinstance(ins, Measure) or i in reads or not needed.isdisjoint(arms):
+            kept.append(ins)
+            needed.update(arms)
+    arms = sorted(needed)
+    local = {arm: k for k, arm in enumerate(arms, start=1)}
+
+    def renumbered(ins):
+        if isinstance(ins, Conditional):
+            return replace(ins, op=renumbered(ins.op))
+        if isinstance(ins, TwoArmElement):
+            return replace(ins, arm_i=local[ins.arm_i], arm_j=local[ins.arm_j])
+        return replace(ins, arm=local[ins.arm])
+
+    return Circuit(len(arms), [renumbered(ins) for ins in reversed(kept)]), arms
+
+
 def _apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
     if isinstance(ins, PrepSpin):
         return add_electron(M, ins.arm, ins.alpha, ins.beta)
@@ -373,17 +436,25 @@ def charge_branch_tree(circuit: Circuit):
     all-charge-1 leaves by more than NORM_TOLERANCE is an error, never
     renormalized.  A tree whose leaves would take more than
     MAX_TREE_BYTES as full matrices is refused while it is expanded.
+
+    The walk runs on the readouts' light cone (``_light_cone``).  MAX_ARMS,
+    the bytes of a leaf, which readouts are terminal and which form the
+    trailing run, and the arms the stats and messages name are taken from the
+    circuit as written, so the tree, the stats and every refusal are the ones
+    the full circuit gives.
     """
     validate_circuit(circuit)
     _reject_non_gaussian(circuit)
+    _admit_arms(circuit.arm_count)
     stats = CorrRunStats()
     start = time.perf_counter()
     instructions = circuit.instructions
     measures = [ins for ins in instructions if isinstance(ins, Measure)]
     stats.measured_arms = sorted({ins.arm for ins in measures})
-    terminal = bool(measures) and all(
-        isinstance(ins, Measure) for ins in instructions[-len(measures):]
-    )
+    trailing = 0  # the readouts the circuit as written ends with
+    while trailing < len(instructions) and isinstance(instructions[-1 - trailing], Measure):
+        trailing += 1
+    terminal = bool(measures) and trailing == len(measures)
     leaf_count = 1  # the leaves the tree will have once every path made so far ends
     leaf_bytes = 16 * (2 * circuit.arm_count) ** 2  # one full complex matrix
 
@@ -402,11 +473,18 @@ def charge_branch_tree(circuit: Circuit):
         return [(n, p, CorrelationMatrix(M.num_arms, m)) for (n, p), m in zip(group, post)]
 
     def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
+        if len(readouts) > trailing:
+            # The cone dropped what separates this readout from the trailing
+            # run: read it one matrix at a time, as the walker would have.
+            ins, rest = readouts[0], readouts[1:]
+            return BranchNode(ins.label, [
+                (n, p, block(post, rest, {**outcomes, ins.label: n}, prob * p, count))
+                for n, p, post in branches(M, ins)])
         count(1)
         # The complexity demonstration: price the joint charge-1 query on the
         # state the terminal block starts from.
         if terminal:
-            stats.joint_charge1 = single_occupancy_probability(M, stats.measured_arms)
+            stats.joint_charge1 = single_occupancy_probability(M, [ins.arm for ins in readouts])
             stats.terms = 3 ** len(stats.measured_arms)
         # The block holds the arms still to be read, the next to leave first:
         # an arm's modes leave the front once it is read for the last time.
@@ -444,8 +522,14 @@ def charge_branch_tree(circuit: Circuit):
                      for group in groups]
         return nodes[0]
 
-    root = walk(instructions, init_from_occupations([], circuit.arm_count), _apply, branches,
-                block)
+    def apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
+        if isinstance(ins, PrepSpin):  # named by the circuit's arm number
+            return add_electron(M, ins.arm, ins.alpha, ins.beta, arms[ins.arm - 1])
+        return _apply(M, ins)
+
+    cone, arms = _light_cone(circuit)
+    root = walk(cone.instructions, init_from_occupations([], cone.arm_count), apply, branches,
+                block if trailing else None)
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return root, stats
 
@@ -455,6 +539,7 @@ def enumerate_charge_branches(
 ) -> tuple[list[BranchRecord], CorrRunStats]:
     """Flattened charge_branch_tree: every outcome assignment with its
     probability, and its conditional Gaussian state where a later
-    instruction needed one (None after a terminal block of readouts)."""
+    instruction needed one (None after a terminal block of readouts), over
+    the arms of the readouts' light cone."""
     root, stats = charge_branch_tree(circuit)
     return leaves(root), stats

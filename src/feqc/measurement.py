@@ -358,12 +358,16 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
     records = leaves(root)
     cdf = np.cumsum([rec.probability for rec in records])
     counts = sum(np.bincount(picks, minlength=len(cdf)) for picks in _leaf_picks(cdf, seed, shots))
+    # Every leaf carries the same labels in the same order, so the outcomes
+    # alone key an assignment.
+    labels = records[0].outcomes.keys()
     by_outcomes: dict[tuple, int] = {}
     for rec, count in zip(records, counts.tolist()):
         if count:  # corr leaves can share outcomes; their counts add
-            key = tuple(rec.outcomes.items())
+            key = tuple(rec.outcomes.values())
             by_outcomes[key] = by_outcomes.get(key, 0) + count
-    frequencies = {outcome_signature(dict(key)): count for key, count in by_outcomes.items()}
+    frequencies = {outcome_signature(dict(zip(labels, key))): count
+                   for key, count in by_outcomes.items()}
     outcomes = [rec.outcomes for rec in records]
     return SampleResult(dict(sorted(frequencies.items())), ShotRecords(outcomes, cdf, seed, shots))
 

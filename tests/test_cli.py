@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -144,6 +145,67 @@ def test_corr_refuses_more_arms_than_its_limit_before_allocating(capsys, tmp_pat
     assert (code, out) == (1, "")
     assert err == f"error: corr backend: {arms} arms exceed the limit MAX_ARMS = 1024\n"
     assert peak < 1_000_000  # the matrix at MAX_ARMS + 1 arms would be 67 MB
+
+
+# Electrons, splitters and readouts on the first arms of MAX_ARMS.  The
+# readouts' light cone is arms 1-4; arm 5's electron and the rotation on the
+# last arm lie outside it.
+WIDEST = (f"arms {corr.MAX_ARMS}\nelectron 1 up\nelectron 3 (0.6,0) (0,0.8)\nelectron 5 plus\n"
+          f"bs 1 2\nbs 3 4\npbs 2 3\nrot {corr.MAX_ARMS} h\nq1 = charge 1\nq2 = charge 2\n"
+          "q3 = charge 4\n")
+
+
+def test_corr_runs_its_widest_circuit_on_the_readouts_light_cone(capsys, tmp_path):
+    src = tmp_path / "widest.feqc"
+    src.write_text(WIDEST)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["arm_count"] == corr.MAX_ARMS
+    assert report["corr"]["measured_arms"] == [1, 2, 4]
+    assert report["corr"]["terms"] == 27
+    assert math.fsum(b["probability"] for b in report["branches"]) == pytest.approx(1.0)
+    assert peak < 1_000_000  # the full 2048 x 2048 matrix alone would be 67 MB
+
+
+def test_corr_names_the_circuits_arm_when_an_electron_lands_on_a_filled_arm(capsys, tmp_path):
+    # The splitter on arms 3 and 4 is outside the cone of q, but the electron
+    # on arm 4 after it reads that arm, which is arm 3 of the cone.
+    src = tmp_path / "filled.feqc"
+    src.write_text("arms 4\nelectron 3 up\nbs 3 4\nelectron 4 up\nelectron 1 up\n"
+                   "q = charge 1\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert (code, out, err) == (1, "", "error: add_electron: arm 4 is already occupied\n")
+
+
+def test_corr_prices_no_joint_query_before_elements_that_end_a_circuit(capsys, tmp_path):
+    # The splitter after the readout is outside its cone; the circuit as
+    # written still does not end in its readouts.
+    src = tmp_path / "trailing.feqc"
+    src.write_text("arms 3\nelectron 1 up\nq = charge 1\nbs 2 3\n")
+    code, out, _ = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert code == 0
+    report = json.loads(out)
+    assert report["corr"] == {**report["corr"], "terms": 0, "measured_arms": [1],
+                              "joint_charge1": None}
+    assert report["branches"] == [{"outcomes": {"q": 1}, "probability": 1.0}]
+
+
+def test_corr_reports_one_certain_branch_for_a_circuit_without_readouts(capsys, tmp_path):
+    src = tmp_path / "silent.feqc"
+    src.write_text("arms 3\nelectron 1 up\nbs 1 2\nelectron 3 plus\n")
+    code, out, _ = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, RUN_SCHEMA)
+    assert report["branches"] == [{"outcomes": {}, "probability": 1.0}]
+    assert report["corr"] == {**report["corr"], "terms": 0, "measured_arms": [],
+                              "joint_charge1": None}
 
 
 def _one_electron_per_arm(tmp_path, readouts: int) -> Path:

@@ -368,6 +368,37 @@ def test_terminal_block_reports_drift_in_a_later_parent(monkeypatch):
         enumerate_charge_branches(circuit)
 
 
+def test_light_cone_keeps_what_the_readouts_depend_on_on_renumbered_arms():
+    circuit = parse("arms 8\nelectron 2 plus\nelectron 7 up\nbs 2 5\nrot 7 h\nswap 3 4\n"
+                    "electron 4 down\nq = charge 5\nif q == 1 : rot 2 x\nbs 7 8\n"
+                    "r = charge 2\n").circuit
+    cone, arms = corr._light_cone(circuit)
+    # Arm 7's electron and elements, and arm 3's swap, act outside the cone;
+    # arm 4's electron lands on an arm the swap touched, so it is a read of arm 4.
+    assert arms == [2, 3, 4, 5]
+    assert cone == parse("arms 4\nelectron 1 plus\nbs 1 4\nswap 2 3\nelectron 3 down\n"
+                         "q = charge 4\nif q == 1 : rot 1 x\nr = charge 1\n").circuit
+
+
+def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch):
+    """An element outside the cone between readouts (rot 7 x) leaves the
+    readouts before it to be read one matrix at a time, as in the full
+    circuit, so a refused tree names the leaf count the full circuit names."""
+    circuit = parse("arms 7\n" + "".join(f"electron {a} (0.6,0) (0,0.8)\n" for a in range(1, 7))
+                    + "".join(f"bs {a} {a + 1}\nrot {a} h\nbs {a} {a + 1}\n" for a in (1, 3, 5))
+                    + "m1 = charge 1\nm2 = charge 2\nrot 7 x\n"
+                    + "".join(f"t{a} = charge {a}\n" for a in range(3, 7))).circuit
+    assert len(enumerate_charge_branches(circuit)[0]) == 216
+    leaf_bytes = 16 * 14 * 14  # the circuit's 7 arms, not the cone's 6
+    monkeypatch.setattr(corr, "MAX_TREE_BYTES", 176 * leaf_bytes)
+    message = f"181 leaves of {leaf_bytes} bytes each exceed the limit MAX_TREE_BYTES"
+    with pytest.raises(FeqcError, match=message):
+        enumerate_charge_branches(circuit)
+    monkeypatch.setattr(corr, "_light_cone", lambda c: (c, list(range(1, c.arm_count + 1))))
+    with pytest.raises(FeqcError, match=message):
+        enumerate_charge_branches(circuit)
+
+
 def test_charge_branches_match_fock_for_terminal_measurements():
     circuit = Circuit(3, [
         PrepSpin(1, 1, 0),

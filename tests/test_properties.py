@@ -36,7 +36,7 @@ from feqc.circuit import (
     print_circuit,
     validate_circuit,
 )
-from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError
+from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.measurement import BranchNode, enumerate_branches
 from feqc.parser import parse
 from helpers import (dense_bilinear_unitary, dense_evolve, dense_project, dense_single_occupancy,
@@ -346,6 +346,95 @@ def test_corr_terminal_block_equals_the_walk_without_it(circuit):
         [], circuit.arm_count), corr._apply, sequential_charge_outcomes)
     assert tree_shape(root) == tree_shape(plain) == tree_shape(reference)
     assert all(rec.post_state is None for rec in measurement.leaves(root))
+
+
+@st.composite
+def wide_charge_circuits(draw):
+    """Gaussian 6-16-arm circuits with 1-3 charge readouts, mid-circuit or
+    trailing, conditionals on them, and electrons that may come after
+    elements, so that an electron can land on an arm an element filled.  Most
+    of their instructions lie outside the readouts' light cone."""
+    n = draw(st.integers(6, 16))
+    arm = st.integers(1, n)
+    fresh = draw(st.permutations(range(1, n + 1)))
+    unread = list(range(1, n + 1))  # elements stay off read arms: corr would refuse them
+    readouts = draw(st.integers(1, 3))
+    instructions, labels = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        choice = draw(st.sampled_from(["electron", "element", "element", "rot", "measure",
+                                       "if"]))
+        rotation = st.builds(SpinRotation, st.sampled_from(unread), st.sampled_from("xyzh"))
+        if choice == "electron" and fresh:
+            instructions.append(PrepSpin(fresh.pop(), *draw(st.sampled_from(SPINORS))))
+        elif choice == "element" and len(unread) >= 2:
+            i, j = draw(st.permutations(unread))[:2]
+            cls = draw(st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms]))
+            instructions.append(cls(i, j))
+        elif choice == "measure" and len(labels) < readouts:
+            labels.append(f"q{len(labels)}")
+            instructions.append(Measure(labels[-1], "charge", draw(arm)))
+            if instructions[-1].arm in unread:
+                unread.remove(instructions[-1].arm)
+        elif choice == "if" and labels:
+            label = draw(st.sampled_from(labels))
+            instructions.append(Conditional(label, draw(st.integers(0, 2)), draw(rotation)))
+        else:
+            instructions.append(draw(rotation))
+    instructions += [Measure(f"t{i}", "charge", draw(arm))
+                     for i in range(readouts - len(labels))]
+    return Circuit(n, instructions)
+
+
+def shape_or_refusal(expand):
+    """The tree_shape of a branch tree, or the message of the occupancy refusal
+    that stopped its expansion."""
+    try:
+        return tree_shape(expand())
+    except PreconditionError as err:
+        return str(err)
+
+
+def corr_run(circuit):
+    """charge_branch_tree's tree shape and stats, wall time aside, or the
+    message of the occupancy refusal that stopped it."""
+    try:
+        root, stats = charge_branch_tree(circuit)
+    except PreconditionError as err:
+        return str(err)
+    return tree_shape(root), dataclasses.replace(stats, wall_ms=0.0)
+
+
+def whole_circuit(circuit):
+    """A _light_cone that keeps every instruction and arm."""
+    return circuit, list(range(1, circuit.arm_count + 1))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(wide_charge_circuits())
+# Only arms 5 and 6 are in the cone of q, through the splitter; arm 3's
+# electron lands on an arm the first splitter filled and is refused by name.
+@example(Circuit(8, [PrepSpin(2, 1, 1), PrepSpin(5, 0.6, 0.8), BeamSplitter(2, 3),
+                     SpinRotation(7, "h"), BeamSplitter(5, 6), Measure("q", "charge", 6),
+                     PrepSpin(3, 1, 0), SwapArms(1, 4)]))
+# Elements after the readouts and between them, outside their cone.
+@example(Circuit(6, [PrepSpin(1, 1, 1), PrepSpin(4, 0.6, 0.8j), BeamSplitter(1, 2),
+                     Measure("q", "charge", 2), SpinRotation(4, "x"),
+                     Conditional("q", 1, SpinRotation(1, "h")), Measure("r", "charge", 1),
+                     BeamSplitter(4, 5)]))
+# Terminal readouts of three arms: the joint query is priced on the cone.
+@example(deep_terminal_circuit(seed=3, num_arms=10, readouts=3))
+def test_corr_light_cone_gives_the_full_circuit_walk(circuit):
+    """Corr expands only the readouts' light cone, on renumbered arms.  It
+    gets the tree the full circuit's readout-by-readout walk gets, bit for
+    bit, or the same occupancy refusal, which names the circuit's arm; and
+    the stats, joint query included, that it gets on the whole circuit."""
+    got = corr_run(circuit)
+    reference = shape_or_refusal(lambda: measurement.walk(
+        circuit.instructions, corr.init_from_occupations([], circuit.arm_count), corr._apply,
+        sequential_charge_outcomes))
+    assert (got if isinstance(got, str) else got[0]) == reference
+    with mock.patch.object(corr, "_light_cone", whole_circuit):
+        assert corr_run(circuit) == got
 
 
 READOUT_KINDS = ["charge", "parity", "spin"]
