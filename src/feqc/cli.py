@@ -116,20 +116,23 @@ def _state_entries(state: FockState) -> list[dict]:
     ]
 
 
-def _merge_branches(entries: list[dict]) -> list[dict]:
-    """One entry per outcome assignment, probabilities summed, in order of
-    first appearance (corr splits a charge readout into spin-resolved leaves).
-    Every leaf of a tree carries the same labels in the same order, so an
-    assignment is keyed by its outcomes alone."""
-    merged: dict[tuple, dict] = {}
-    for entry in entries:
-        key = tuple(entry["outcomes"].values())
-        first = merged.get(key)
-        if first is None:
-            merged[key] = dict(entry)
-        else:
-            first["probability"] += entry["probability"]
-    return list(merged.values())
+def _merged_branches(root) -> list[dict]:
+    """A corr tree's branches, one per outcome assignment, in order of first
+    appearance, each probability its leaves' summed in leaf order (corr
+    splits a charge readout into spin-resolved leaves)."""
+    labels, rows, probs = measurement.leaf_table(root)
+    if not labels:  # a circuit without readouts has one leaf
+        return [{"outcomes": {}, "probability": float(probs[0])}]
+    order = np.lexsort(rows.T)  # stable: equal rows side by side, each run in leaf order
+    ordered = rows[order]
+    starts = np.empty(len(rows), bool)  # where a run of equal rows starts
+    starts[0] = True
+    (ordered[1:] != ordered[:-1]).any(1, out=starts[1:])
+    summed = np.bincount(starts.cumsum() - 1, weights=probs[order])  # each run's, in leaf order
+    first = order[starts]  # each run's first leaf
+    by_first = first.argsort()
+    return [{"outcomes": dict(zip(labels, row)), "probability": p}
+            for row, p in zip(rows[first[by_first]].tolist(), summed[by_first].tolist())]
 
 
 def _run_report(args, circuit: Circuit) -> dict:
@@ -142,15 +145,16 @@ def _run_report(args, circuit: Circuit) -> dict:
     }
     if args.backend == "fock":
         root = measurement.branch_tree(circuit, vacuum(circuit.arm_count))
+        branches = []
+        for rec in measurement.leaves(root):
+            entry: dict = {"outcomes": rec.outcomes, "probability": rec.probability}
+            if args.emit_state:
+                entry["state"] = _state_entries(rec.post_state)
+            branches.append(entry)
+        report["branches"] = branches
     else:
         root, stats = corr.charge_branch_tree(circuit)
-    branches = []
-    for rec in measurement.leaves(root):
-        entry: dict = {"outcomes": rec.outcomes, "probability": rec.probability}
-        if args.emit_state and args.backend == "fock":
-            entry["state"] = _state_entries(rec.post_state)
-        branches.append(entry)
-    report["branches"] = branches if args.backend == "fock" else _merge_branches(branches)
+        report["branches"] = _merged_branches(root)
     if args.mode == "sample":
         result = sample_tree(root, args.seed, args.shots)
         report["frequencies"] = result.frequencies

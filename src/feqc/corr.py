@@ -42,7 +42,7 @@ from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, TwoArmE
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import Spin, mode_position
-from .measurement import NORM_TOLERANCE, BranchLeaf, BranchNode, BranchRecord, leaves, walk
+from .measurement import NORM_TOLERANCE, BranchNode, BranchRecord, FrontierNode, leaves, walk
 
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
@@ -133,14 +133,14 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
     return CorrelationMatrix(M.num_arms, m)
 
 
-def occupation_probabilities(stack: np.ndarray, pos: int) -> list[float]:
+def occupation_probabilities(stack: np.ndarray, pos: int) -> np.ndarray:
     """<n> of mode position ``pos`` in each matrix of a (B, n, n) stack,
     clipped to [0, 1]."""
-    return [min(max(occ, 0.0), 1.0) for occ in stack[:, pos, pos].real.tolist()]
+    return np.minimum(np.maximum(stack[:, pos, pos].real, 0.0), 1.0)
 
 
 def occupation_probability(M: CorrelationMatrix, mode) -> float:
-    return occupation_probabilities(M.matrix[None], mode_position(mode, M.num_arms))[0]
+    return float(occupation_probabilities(M.matrix[None], mode_position(mode, M.num_arms))[0])
 
 
 def _condition(stack: np.ndarray, pos: int, outcome: int) -> np.ndarray:
@@ -162,16 +162,16 @@ def _condition(stack: np.ndarray, pos: int, outcome: int) -> np.ndarray:
     return updated
 
 
-def _project(stack: np.ndarray, pos: int, picks) -> np.ndarray:
-    """For each (b, outcome) of ``picks``, stack[b] conditioned on mode
-    position ``pos`` reading that outcome, stacked in the order of ``picks``."""
-    groups = [(outcome, [k for k, (_, o) in enumerate(picks) if o == outcome]) for outcome in (0, 1)]
-    groups = [(outcome, at) for outcome, at in groups if at]
-    if len(groups) == 1:  # one outcome: nothing to interleave
-        return _condition(stack[[b for b, _ in picks]], pos, groups[0][0])
-    out = np.empty((len(picks), *stack.shape[1:]), complex)
-    for outcome, at in groups:
-        out[at] = _condition(stack[[picks[k][0] for k in at]], pos, outcome)
+def _project(stack: np.ndarray, pos: int, at: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """stack[at[i]] conditioned on mode position ``pos`` reading outcomes[i],
+    for every i, stacked in that order."""
+    ones = np.count_nonzero(outcomes)
+    if ones in (0, len(at)):  # one outcome: nothing to interleave
+        return _condition(stack[at], pos, int(ones > 0))
+    out = np.empty((len(at), *stack.shape[1:]), complex)
+    for outcome in (0, 1):
+        picked = outcomes == outcome
+        out[picked] = _condition(stack[at[picked]], pos, outcome)
     return out
 
 
@@ -335,36 +335,44 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
                 )
 
 
+# q * _FLIP + _ONE_ZERO is (1 - q, q) bit for bit: -q + 1 rounds as 1 - q does.
+_FLIP, _ONE_ZERO = np.array([-1.0, 1.0]), np.array([1.0, 0.0])
+
+
+def _outcomes(pairs: np.ndarray):
+    """The outcomes of (K, 2) outcome probabilities above PROBABILITY_FLOOR,
+    as (entry, outcome, probability) arrays in entry order."""
+    kept = pairs > PROBABILITY_FLOOR
+    return *kept.nonzero(), pairs[kept]
+
+
 def _charge_readout(stack: np.ndarray, up: int, admit, last: bool = False):
     """One spin-resolved charge readout of every matrix in a (B, n, n) stack:
     the up mode's projections, then the down mode's, batched over the stack.
 
-    Returns each parent's (outcome, probability) children and the stack of
-    their matrices in parent order, which is None when ``last``.  The two
-    single-occupancy outcomes (up vs down) stay distinct children even though
-    both report charge 1; a Gaussian state cannot keep their coherence, which
-    is exactly the information an electrometer would not reveal.
-    ``admit(n)`` is told that the tree grows by n leaves before the children's
-    matrices are made.
+    Returns the children's parent indices, charges and probabilities as
+    arrays in parent order, and the stack of their matrices in that order,
+    which is None when ``last``.  The two single-occupancy outcomes (up vs
+    down) stay distinct children even though both report charge 1; a
+    Gaussian state cannot keep their coherence, which is exactly the
+    information an electrometer would not reveal.  ``admit(n)`` is told that
+    the tree grows by n leaves before the children's matrices are made.
     """
-    ups = [(b, n_up, p_up) for b, q in enumerate(occupation_probabilities(stack, up))
-           for n_up, p_up in ((0, 1.0 - q), (1, q)) if p_up > PROBABILITY_FLOOR]
-    mid = _project(stack, up, [(b, n_up) for b, n_up, _ in ups])
-    groups: list[list[tuple[int, float]]] = [[] for _ in range(len(stack))]
-    kept = []  # (index in mid, down outcome) of each child, in parent order
-    for k, ((b, n_up, p_up), q) in enumerate(zip(ups, occupation_probabilities(mid, up + 1))):
-        for n_down, p_down in ((0, 1.0 - q), (1, q)):
-            if p_up * p_down > PROBABILITY_FLOOR:
-                groups[b].append((n_up + n_down, p_up * p_down))
-                kept.append((k, n_down))
-    for group in groups:
-        total = sum(p for _, p in group)
-        if abs(total - 1) > NORM_TOLERANCE:
-            raise FeqcError(f"correlation matrix drifted: outcome probabilities sum to {total!r}")
-    admit(len(kept) - len(stack))
-    if last:
-        return groups, None
-    return groups, _project(mid, up + 1, kept)
+    # occupation_probabilities may be swapped for any callable giving a sequence of floats
+    q = np.asarray(occupation_probabilities(stack, up))[:, None]
+    at, n_up, p_up = _outcomes(q * _FLIP + _ONE_ZERO)
+    mid = _project(stack, up, at, n_up)
+    q = np.asarray(occupation_probabilities(mid, up + 1))[:, None]
+    k, n_down, p = _outcomes((q * _FLIP + _ONE_ZERO) * p_up[:, None])  # p_up * p_down
+    parents = at[k]
+    totals = np.bincount(parents, weights=p, minlength=len(stack))  # each parent's, in order
+    drifted = np.abs(totals - 1) > NORM_TOLERANCE
+    if np.count_nonzero(drifted):
+        total = float(totals[drifted][0]) or 0  # a parent without children sums to 0
+        raise FeqcError(f"correlation matrix drifted: outcome probabilities sum to {total!r}")
+    admit(len(p) - len(stack))
+    charges = n_up[k] + n_down
+    return parents, charges, p, None if last else _project(mid, up + 1, k, n_down)
 
 
 def _light_cone(circuit: Circuit) -> tuple[Circuit, list[int]]:
@@ -428,7 +436,9 @@ def charge_branch_tree(circuit: Circuit):
     instructions branches one matrix at a time.  The circuit's trailing run
     of readouts is expanded breadth first: every live branch's 2m x 2m block
     over the m read arms is stacked, and each readout is one batched rank-one
-    update per mode.  Its leaves keep no matrix (``post_state`` is None).
+    update per mode.  The run is one FrontierNode: its leaves are kept as
+    arrays of outcomes and probabilities, and keep no matrix; their records
+    (``post_state`` None) are built when the node's children are first read.
     When every charge readout is terminal, the joint all-arms-singly-occupied
     probability is also evaluated, on the state the block starts from,
     through the exponential monomial expansion and its 3^m term count
@@ -469,8 +479,9 @@ def charge_branch_tree(circuit: Circuit):
 
     def branches(M: CorrelationMatrix, ins: Measure):
         up = mode_position((ins.arm, Spin.UP), M.num_arms)
-        (group,), post = _charge_readout(M.matrix[None], up, admit)
-        return [(n, p, CorrelationMatrix(M.num_arms, m)) for (n, p), m in zip(group, post)]
+        _, charges, probs, post = _charge_readout(M.matrix[None], up, admit)
+        return [(n, p, CorrelationMatrix(M.num_arms, m))
+                for n, p, m in zip(charges.tolist(), probs.tolist(), post)]
 
     def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
         if len(readouts) > trailing:
@@ -491,36 +502,31 @@ def charge_branch_tree(circuit: Circuit):
         final = {ins.arm: i for i, ins in enumerate(readouts)}
         arms = sorted(final, key=final.get)
         modes = [mode_position((arm, spin), M.num_arms) for arm in arms for spin in Spin]
-        stack = M.matrix[np.ix_(modes, modes)][None]
+        stack = M.matrix.take(modes, 0).take(modes, 1)[None]
 
         def grow(n: int) -> None:
             admit(n)
             count(n)
 
-        levels = []
-        paths = [(outcomes, prob)]  # each live branch's outcomes and probability
+        levels = []  # (label, parents, charges, probabilities) of each readout's children
+        paths = np.array([prob])  # each live branch's probability
         for i, ins in enumerate(readouts):
             last = i == len(readouts) - 1
-            groups, stack = _charge_readout(stack, 2 * arms.index(ins.arm), grow, last)
+            parents, charges, probs, stack = _charge_readout(stack, 2 * arms.index(ins.arm), grow,
+                                                             last)
             if final[ins.arm] == i and not last:
                 arms.remove(ins.arm)
                 stack = stack[:, 2:, 2:]
-            levels.append((ins.label, groups))
-            paths = [({**o, ins.label: n}, q * p) for (o, q), group in zip(paths, groups)
-                     for n, p in group]
+            levels.append((ins.label, parents, charges, probs))
+            paths = paths[parents] * probs
+        node = FrontierNode(outcomes, levels, paths)
         if terminal:  # the block is the whole tree: check the joint query against it
-            # a charge is 0, 1 or 2: a path reads all 1s when it reads no 0 and no 2
-            summed = sum([q for o, q in paths if 0 not in o.values() and 2 not in o.values()])
+            summed = sum(paths[np.logical_and.reduce(node.rows == 1, axis=1)].tolist())
             if abs(summed - stats.joint_charge1) > NORM_TOLERANCE:
                 raise FeqcError(f"corr backend: joint charge-1 probability "
                                 f"{stats.joint_charge1!r} but the all-charge-1 branches "
                                 f"sum to {summed!r}")
-        nodes = [BranchLeaf(BranchRecord(o, q, None)) for o, q in paths]
-        for label, groups in reversed(levels):
-            below = iter(nodes)
-            nodes = [BranchNode(label, [(n, p, next(below)) for n, p in group])
-                     for group in groups]
-        return nodes[0]
+        return node
 
     def apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
         if isinstance(ins, PrepSpin):  # named by the circuit's arm number

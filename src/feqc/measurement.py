@@ -6,10 +6,11 @@ threshold, each with its renormalized post-state.  One Born-rule routine,
 a single ``measure_*`` call is its one-readout case.  ``enumerate_branches``
 expands a circuit into the full outcome tree through the branch walker,
 ``walk``, which hands the circuit's trailing run of readouts to that routine
-on every path that reaches it.  ``sample`` flattens the tree's leaves into a
-cumulative distribution and routes shot i by the i-th double of one Philox
-stream keyed by the seed, so identical inputs reproduce identical records
-and a run is a prefix of any longer run with its seed.
+on every path that reaches it.  ``sample`` reads the tree's leaves as one
+table (``leaf_table``) into a cumulative distribution and routes shot i by
+the i-th double of one Philox stream keyed by the seed, so identical inputs
+reproduce identical records and a run is a prefix of any longer run with its
+seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Any, Union
 
 import numpy as np
@@ -190,7 +191,8 @@ class BranchRecord:
     """One outcome assignment; ``post_state`` is the backend's state (a
     FockState, or a CorrelationMatrix on the corr backend).  It is None on
     corr leaves made by a terminal block of charge readouts, which keeps no
-    matrix per leaf."""
+    matrix per leaf: that block keeps its leaves as arrays (FrontierNode),
+    and their records are built when its children are first read."""
 
     outcomes: dict[str, int]
     probability: float
@@ -206,6 +208,47 @@ class BranchLeaf:
 class BranchNode:
     label: str
     children: list[tuple[int, float, Union["BranchNode", BranchLeaf]]]
+
+
+class FrontierNode(BranchNode):
+    """The subtree of a run of readouts, kept as arrays.
+
+    ``levels`` holds each readout's (label, parents, outcomes, probabilities)
+    arrays: child i of a level hangs below entry parents[i] of the level
+    above, and the first level hangs below this node.  ``rows`` is the (L, k)
+    matrix of the leaves' outcomes over ``labels``, which start with the
+    labels of the readouts above the subtree (their outcomes are
+    ``prefix``), and ``probabilities`` the column of the leaves'
+    probabilities, both in leaf order.  The ``children`` are built as
+    BranchNodes and BranchLeafs when first read; ``leaf_table`` reads the
+    arrays without them."""
+
+    def __init__(self, prefix: dict[str, int], levels, probabilities: np.ndarray):
+        self.label = levels[0][0]
+        self.labels = (*prefix, *(label for label, *_ in levels))
+        self.levels = levels
+        self.probabilities = probabilities
+        rows = np.empty((len(probabilities), len(self.labels)), np.int64)
+        if prefix:
+            rows[:, :len(prefix)] = tuple(prefix.values())
+        at = slice(None)  # each leaf's entry in the current level: the last level is the leaves
+        for column, (_, parents, outcomes, _) in enumerate(reversed(levels), start=1):
+            rows[:, -column] = outcomes[at]
+            at = parents[at]
+        self.rows = rows
+
+    @cached_property
+    def children(self):
+        labels = self.labels
+        nodes = [BranchLeaf(BranchRecord(dict(zip(labels, row)), q, None))
+                 for row, q in zip(self.rows.tolist(), self.probabilities.tolist())]
+        above = [1] + [len(parents) for _, parents, _, _ in self.levels[:-1]]  # parents per level
+        for (label, parents, outcomes, probabilities), count in zip(reversed(self.levels),
+                                                                    reversed(above)):
+            below = iter(zip(outcomes.tolist(), probabilities.tolist(), nodes))
+            nodes = [BranchNode(label, list(islice(below, n)))
+                     for n in np.bincount(parents, minlength=count).tolist()]
+        return nodes[0].children
 
 
 _MEASURE_FNS = {"charge": measure_charge, "parity": measure_parity, "spin": measure_spin}
@@ -225,7 +268,9 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
     before its tree grows by n leaves, counting every leaf it makes.  Without
     ``block`` the walker recurses through ``branches`` to the end.  Fock's
     block groups the state's keys once for the whole run (``_born``); corr's
-    stacks every live branch's matrix block (``corr.charge_branch_tree``).
+    stacks every live branch's matrix block and returns the run as one
+    FrontierNode, which keeps its leaves as arrays and builds its children
+    when they are first read (``corr.charge_branch_tree``).
     A tree of more than MAX_LEAVES leaves is refused.
     """
     leaf_count = 0
@@ -265,6 +310,45 @@ def leaves(root) -> list[BranchRecord]:
     if isinstance(root, BranchLeaf):
         return [root.record]
     return [record for _, _, child in root.children for record in leaves(child)]
+
+
+def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The leaves of a branch tree as (labels, rows, probabilities): row i of
+    the (L, k) integer matrix holds leaf i's outcomes in label order, in the
+    order of ``leaves``.  Every leaf of a tree carries the same labels in the
+    same order.  A FrontierNode gives its arrays; its children are not built."""
+    labels: tuple[str, ...] | None = None  # read off the first leaf
+    chunks = []  # (rows, probabilities) arrays, in leaf order
+    outcomes: list[int] = []  # the outcomes of the BranchLeafs met since the last chunk, in rows
+    probs: list[float] = []
+
+    def flush() -> None:
+        if probs:
+            chunks.append((np.array(outcomes, np.int64).reshape(len(probs), len(labels)),
+                           np.array(probs)))
+            outcomes.clear()
+            probs.clear()
+
+    def visit(node) -> None:
+        nonlocal labels
+        if isinstance(node, FrontierNode):
+            flush()
+            labels = node.labels
+            chunks.append((node.rows, node.probabilities))
+        elif isinstance(node, BranchLeaf):
+            if labels is None:
+                labels = tuple(node.record.outcomes)
+            outcomes.extend(node.record.outcomes.values())
+            probs.append(node.record.probability)
+        else:
+            for _, _, child in node.children:
+                visit(child)
+
+    visit(root)
+    flush()
+    if len(chunks) == 1:
+        return labels, *chunks[0]
+    return labels, np.concatenate([r for r, _ in chunks]), np.concatenate([p for _, p in chunks])
 
 
 def branch_tree(circuit: Circuit, input_state: FockState) -> Union[BranchNode, BranchLeaf]:
@@ -322,19 +406,22 @@ def _leaf_picks(cdf: np.ndarray, seed: int, shots: int):
 
 class ShotRecords(Sequence):
     """Each shot's outcome assignment, in shot order.  The picks are drawn
-    again from the seeded stream when a record is first read, so a caller
-    that needs only the frequencies keeps nothing per shot."""
+    again from the seeded stream, and the leaves' outcome dicts built, when a
+    record is first read, so a caller that needs only the frequencies keeps
+    nothing per shot."""
 
-    def __init__(self, outcomes: list[dict[str, int]], cdf: np.ndarray, seed: int, shots: int):
-        self._draw = outcomes, cdf, seed, shots
+    def __init__(self, labels: tuple[str, ...], rows: np.ndarray, cdf: np.ndarray, seed: int,
+                 shots: int):
+        self._draw = labels, rows, cdf, seed, shots
 
     @cached_property
     def _records(self) -> list[dict[str, int]]:
-        outcomes, cdf, seed, shots = self._draw
+        labels, rows, cdf, seed, shots = self._draw
+        outcomes = [dict(zip(labels, row)) for row in rows.tolist()]
         return [outcomes[i] for picks in _leaf_picks(cdf, seed, shots) for i in picks.tolist()]
 
     def __len__(self) -> int:
-        return self._draw[3]
+        return self._draw[4]
 
     def __getitem__(self, index):
         return self._records[index]
@@ -355,21 +442,18 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
         raise ValueError("shots must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    records = leaves(root)
-    cdf = np.cumsum([rec.probability for rec in records])
+    labels, rows, probs = leaf_table(root)
+    cdf = np.cumsum(probs)
     counts = sum(np.bincount(picks, minlength=len(cdf)) for picks in _leaf_picks(cdf, seed, shots))
-    # Every leaf carries the same labels in the same order, so the outcomes
-    # alone key an assignment.
-    labels = records[0].outcomes.keys()
     by_outcomes: dict[tuple, int] = {}
-    for rec, count in zip(records, counts.tolist()):
+    for row, count in zip(rows.tolist(), counts.tolist()):
         if count:  # corr leaves can share outcomes; their counts add
-            key = tuple(rec.outcomes.values())
+            key = tuple(row)
             by_outcomes[key] = by_outcomes.get(key, 0) + count
     frequencies = {outcome_signature(dict(zip(labels, key))): count
                    for key, count in by_outcomes.items()}
-    outcomes = [rec.outcomes for rec in records]
-    return SampleResult(dict(sorted(frequencies.items())), ShotRecords(outcomes, cdf, seed, shots))
+    return SampleResult(dict(sorted(frequencies.items())),
+                        ShotRecords(labels, rows, cdf, seed, shots))
 
 
 def sample(circuit: Circuit, input_state: FockState, seed: int, shots: int) -> SampleResult:

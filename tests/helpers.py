@@ -13,6 +13,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from feqc import fock
+from feqc.circuit import BeamSplitter, Circuit, Measure, PolarizingBeamSplitter, PrepSpin
 from feqc.fock import FockState
 
 
@@ -141,6 +142,21 @@ def haar_two_qubit(rng: np.random.Generator) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
+def merge_branches(entries: list[dict]) -> list[dict]:
+    """One entry per outcome assignment, probabilities summed in leaf order,
+    in order of first appearance (corr splits a charge readout into
+    spin-resolved leaves): the reference for the report's merged branches."""
+    merged: dict[tuple, dict] = {}
+    for entry in entries:
+        key = tuple(entry["outcomes"].values())
+        first = merged.get(key)
+        if first is None:
+            merged[key] = dict(entry)
+        else:
+            first["probability"] += entry["probability"]
+    return list(merged.values())
+
+
 def merged_probabilities(records) -> dict[tuple, float]:
     """Branch probabilities summed per outcome assignment; corr splits each
     charge readout into spin-resolved leaves with equal outcomes."""
@@ -204,3 +220,20 @@ def dense_single_occupancy(m: np.ndarray, arms) -> float:
     for coef, positions in product_monomials(arms, len(m) // 2):
         total += coef * float(np.linalg.det(m[np.ix_(positions, positions)]).real)
     return total
+
+
+def deep_terminal_circuit(seed=11, num_arms=12, readouts=8) -> Circuit:
+    """A random circuit of corr-scale's deep shape: 8 electrons, 12 two-arm
+    elements, then charge readouts of 8 distinct arms."""
+    rng = np.random.default_rng(seed)
+    arms = [int(a) for a in rng.permutation(np.arange(1, num_arms + 1))]
+    instructions = []
+    for arm in arms[:readouts]:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        instructions.append(PrepSpin(arm, complex(v[0]), complex(v[1])))
+    for _ in range(12):
+        i, j = (int(a) for a in rng.choice(np.arange(1, num_arms + 1), size=2, replace=False))
+        instructions.append((BeamSplitter, PolarizingBeamSplitter)[int(rng.integers(2))](i, j))
+    read = rng.choice(np.arange(1, num_arms + 1), size=readouts, replace=False)
+    instructions += [Measure(f"q{a}", "charge", int(a)) for a in read]
+    return Circuit(num_arms, instructions)

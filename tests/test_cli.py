@@ -15,8 +15,12 @@ import jsonschema
 import pytest
 
 from feqc import corr, measurement
+from feqc.circuit import print_circuit
 from feqc.cli import main
+from feqc.errors import NonGaussianOperationError
 from feqc.measurement import outcome_signature
+from feqc.parser import parse
+from helpers import deep_terminal_circuit, merge_branches
 
 DATA = Path(__file__).parent / "data"
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "feqc"
@@ -376,6 +380,36 @@ def test_run_corr_sample_counts_merged_signatures(capsys):
     assert set(report["frequencies"]) <= signatures
     assert sum(report["frequencies"].values()) == 3000
     assert json.loads(run_cli(capsys, *args)[1])["frequencies"] == report["frequencies"]
+
+
+MID_CIRCUIT_SPLITS = ("arms 4\nelectron 1 plus\nelectron 2 (0.6,0) (0,0.8)\nbs 1 2\n"
+                      "q = charge 1\nif q == 1 : rot 3 x\nelectron 3 plus\nbs 3 4\n"
+                      "r = charge 2\ns = charge 3\nt = charge 4\n")
+
+
+@pytest.mark.parametrize("source", [*sorted(DATA.glob("*.feqc")), "deep", "mid"],
+                         ids=lambda s: getattr(s, "name", s))
+def test_corr_report_merges_the_leaves_as_the_reference_merge(capsys, tmp_path, source):
+    """The report's corr branches are its tree's leaves merged by outcomes,
+    in order of first appearance, probabilities added in leaf order."""
+    if source == "deep":
+        text = print_circuit(deep_terminal_circuit())
+    else:
+        text = MID_CIRCUIT_SPLITS if source == "mid" else source.read_text()
+    src = tmp_path / "circuit.feqc"
+    src.write_text(text)
+    try:
+        root, _ = corr.charge_branch_tree(parse(text).circuit)
+    except NonGaussianOperationError:
+        assert run_cli(capsys, "run", str(src), "--backend", "corr")[0] == 1
+        return
+    expected = merge_branches([{"outcomes": rec.outcomes, "probability": rec.probability}
+                               for rec in measurement.leaves(root)])
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert (code, err) == (0, "")
+    branches = json.loads(out)["branches"]
+    assert [(b["outcomes"], b["probability"].hex()) for b in branches] == \
+        [(b["outcomes"], b["probability"].hex()) for b in expected]
 
 
 def test_run_accepts_largest_seed(capsys):

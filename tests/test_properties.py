@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from feqc import corr, fock, measurement
+from feqc import cli, corr, fock, measurement
 from feqc.corr import charge_branch_tree, enumerate_charge_branches
 from feqc.circuit import (
     BeamSplitter,
@@ -39,8 +39,8 @@ from feqc.circuit import (
 from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.measurement import BranchNode, enumerate_branches
 from feqc.parser import parse
-from helpers import (dense_bilinear_unitary, dense_evolve, dense_project, dense_single_occupancy,
-                     dense_vector, merged_probabilities, product_monomials,
+from helpers import (deep_terminal_circuit, dense_bilinear_unitary, dense_evolve, dense_project,
+                     dense_single_occupancy, dense_vector, merged_probabilities, product_monomials,
                      random_correlation_matrix, random_state, random_unitary)
 
 KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
@@ -274,23 +274,6 @@ def terminal_charge_circuits(draw):
                                        *(Measure(f"t{i}", "charge", a) for i, a in enumerate(arms))])
 
 
-def deep_terminal_circuit(seed=11, num_arms=12, readouts=8) -> Circuit:
-    """A random circuit of corr-scale's deep shape: 8 electrons, 12 two-arm
-    elements, then charge readouts of 8 distinct arms."""
-    rng = np.random.default_rng(seed)
-    arms = [int(a) for a in rng.permutation(np.arange(1, num_arms + 1))]
-    instructions = []
-    for arm in arms[:readouts]:
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        instructions.append(PrepSpin(arm, complex(v[0]), complex(v[1])))
-    for _ in range(12):
-        i, j = (int(a) for a in rng.choice(np.arange(1, num_arms + 1), size=2, replace=False))
-        instructions.append((BeamSplitter, PolarizingBeamSplitter)[int(rng.integers(2))](i, j))
-    read = rng.choice(np.arange(1, num_arms + 1), size=readouts, replace=False)
-    instructions += [Measure(f"q{a}", "charge", int(a)) for a in read]
-    return Circuit(num_arms, instructions)
-
-
 WALK = measurement.walk  # the walker itself: the block tests patch the name it is called by
 
 
@@ -437,6 +420,43 @@ def test_corr_light_cone_gives_the_full_circuit_walk(circuit):
         assert corr_run(circuit) == got
 
 
+def test_corr_cli_makes_no_leaf_node_for_a_terminal_block(tmp_path, monkeypatch, capsys):
+    """Corr's report and sampled counts read the terminal block's arrays: a
+    run of the 1944-leaf deep circuit, enumerated or sampled, constructs no
+    BranchLeaf, and the leaves of the tree it made are the walk's without
+    the block."""
+    src = tmp_path / "deep.feqc"
+    src.write_text(print_circuit(deep_terminal_circuit()))
+    made, roots = [], []
+    init, tree = measurement.BranchLeaf.__init__, corr.charge_branch_tree
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(measurement.BranchLeaf, "__init__", counted)
+    monkeypatch.setattr(corr, "charge_branch_tree", lambda c: roots.append(tree(c)) or roots[-1])
+    for mode in ("enumerate", "sample"):
+        assert cli.main(["run", str(src), "--backend", "corr", "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out)["corr"]["terms"] == 3 ** 8
+    assert made == []
+    with mock.patch.object(corr, "walk", walk_without_block):
+        plain, _ = tree(deep_terminal_circuit())
+    got = [(rec.outcomes, rec.probability.hex()) for rec in measurement.leaves(roots[0][0])]
+    assert len(got) == 1944
+    assert got == [(rec.outcomes, rec.probability.hex()) for rec in measurement.leaves(plain)]
+
+
+def backend_tree(backend, circuit):
+    """A circuit's branch tree on one backend, or None where it is refused."""
+    try:
+        if backend == "corr":
+            return charge_branch_tree(circuit)[0]
+        return measurement.branch_tree(circuit, fock.vacuum(circuit.arm_count))
+    except FeqcError:
+        return None
+
+
 READOUT_KINDS = ["charge", "parity", "spin"]
 FOCK_DEEP_POOL = Path(__file__).resolve().parents[1] / "bench" / "reference" / "fock-deep.json"
 
@@ -550,6 +570,29 @@ def test_fock_terminal_block_equals_the_walk_without_it(circuit, max_leaves):
         with mock.patch.object(measurement, "walk", walk_without_block):
             plain = fock_tree_or_error(circuit)
     assert_same_fock_tree(tree, plain)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(terminal_charge_circuits().map(lambda c: ("corr", c)),
+                 wide_charge_circuits().map(lambda c: ("corr", c)),
+                 fock_terminal_circuits().map(lambda c: ("fock", c))))
+@example(("corr", deep_terminal_circuit()))
+@example(("corr", Circuit(1, [PrepSpin(1, 1, 0)])))  # no readouts: one leaf without labels
+@example(("fock", MIXED_TERMINAL_RUN))
+def test_leaf_table_equals_the_leaves(drawn):
+    """leaf_table gives the rows of leaves(): the same labels, outcome values,
+    order and probability bits, on trees of plain nodes, on corr's terminal
+    blocks and on blocks below mid-circuit readouts."""
+    backend, circuit = drawn
+    root = backend_tree(backend, circuit)
+    if root is None:
+        return
+    labels, rows, probs = measurement.leaf_table(root)
+    records = measurement.leaves(root)
+    assert [tuple(rec.outcomes) for rec in records] == [labels] * len(records)
+    assert rows.shape == (len(records), len(labels))
+    assert rows.tolist() == [list(rec.outcomes.values()) for rec in records]
+    assert [p.hex() for p in probs.tolist()] == [rec.probability.hex() for rec in records]
 
 
 @charge_examples
