@@ -3,7 +3,8 @@ measurements and feedforward conditionals, plus structural validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterator, Sequence, Union
 
 from . import fock
@@ -26,21 +27,21 @@ RE_PREPARED = "re-prepared"
 ARMS_DECL = "arms-decl"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrepSpin:
     arm: int
     alpha: complex
     beta: complex
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrepBell:
     k: int
     arm_a: int
     arm_b: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoArmElement:
     """An element on two arms; ``keyword`` names it in the circuit language
     and in the element table ``fock.TWO_ARM_ELEMENTS``."""
@@ -62,20 +63,20 @@ class SwapArms(TwoArmElement):
     keyword = "swap"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinRotation:
     arm: int
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Measure:
     label: str
     kind: str
     arm: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Conditional:
     label: str
     value: int
@@ -88,10 +89,27 @@ Instruction = Union[
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """A declared arm count and a tuple of instructions (a list passed in is
+    converted).  Circuit and instructions are frozen, so a circuit is checked
+    once: ``problem`` is found on its first read and kept."""
+
     arm_count: int
-    instructions: list[Instruction] = field(default_factory=list)
+    instructions: tuple[Instruction, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+
+    @cached_property
+    def problem(self) -> str | None:
+        """The message of the first structural problem, or None for a valid
+        circuit: found by one ``structural_problems`` pass on the first read."""
+        if self.arm_count < 1:
+            return "arm count must be >= 1"
+        for _, _, message in structural_problems(self.arm_count, self.instructions):
+            return message
+        return None
 
 
 def structural_problems(
@@ -176,11 +194,10 @@ def structural_problems(
 
 
 def validate_circuit(circuit: Circuit) -> None:
-    """Raise CircuitError on the first structural problem found."""
-    if circuit.arm_count < 1:
-        raise CircuitError("arm count must be >= 1")
-    for _, _, message in structural_problems(circuit.arm_count, circuit.instructions):
-        raise CircuitError(message)
+    """Raise CircuitError on the circuit's first structural problem; only the
+    first call on a circuit scans it."""
+    if circuit.problem is not None:
+        raise CircuitError(circuit.problem)
 
 
 def unitary_steps(ins: Instruction) -> list[fock.Step]:

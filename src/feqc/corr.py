@@ -33,12 +33,12 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, TwoArmElement,
-                      unitary_steps, validate_circuit)
+from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, SpinRotation,
+                      TwoArmElement, unitary_steps, validate_circuit)
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import Spin, mode_position
@@ -411,10 +411,14 @@ def _light_cone(circuit: Circuit) -> tuple[Circuit, list[int]]:
 
     def renumbered(ins):
         if isinstance(ins, Conditional):
-            return replace(ins, op=renumbered(ins.op))
+            return Conditional(ins.label, ins.value, renumbered(ins.op))
         if isinstance(ins, TwoArmElement):
-            return replace(ins, arm_i=local[ins.arm_i], arm_j=local[ins.arm_j])
-        return replace(ins, arm=local[ins.arm])
+            return type(ins)(local[ins.arm_i], local[ins.arm_j])
+        if isinstance(ins, PrepSpin):
+            return PrepSpin(local[ins.arm], ins.alpha, ins.beta)
+        if isinstance(ins, Measure):
+            return Measure(ins.label, ins.kind, local[ins.arm])
+        return SpinRotation(local[ins.arm], ins.name)
 
     return Circuit(len(arms), [renumbered(ins) for ins in reversed(kept)]), arms
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import Circuit, Conditional, Measure, apply_instruction, validate_circuit
 from .errors import FeqcError, PreconditionError
-from .fock import FockState, Spin, arm_charge, mode_position, pruned, require_single_occupancy
+from .fock import FockState, Spin, arm_charge, mode_position, pruned
 
 BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
@@ -115,23 +115,18 @@ def _expand(items: list, depth: int, mass: float, meters: list[Meter], num_arms:
     return nodes
 
 
-def _partition(state: FockState, mask: int, outcome_of: dict[int, int]) -> list[Branch]:
-    """Born-rule branches of a readout whose outcome for a key is
-    ``outcome_of[key & mask]``, in ascending outcome order: the one-meter
-    case of _born."""
-    return _born(state, [(mask, outcome_of, "")])
-
-
-def _arm_bits(state: FockState, arm: int) -> tuple[int, int]:
-    """The (up, down) mode bits of an arm; validates the arm."""
-    up = 1 << mode_position((arm, Spin.UP), state.num_arms)
-    return up, up << 1
+def _partition(state: FockState, meter: Meter) -> list[Branch]:
+    """Born-rule branches of one readout, in ascending outcome order: the
+    one-meter case of _born."""
+    return _born(state, [meter])
 
 
 def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
     """A charge, parity or spin readout of an arm as a meter over both of its
-    mode bits; the spin meter refuses what measure_spin refuses."""
-    up, down = _arm_bits(state, arm)
+    mode bits (validates the arm); the spin meter refuses every key whose
+    arm does not hold exactly one electron."""
+    up = 1 << mode_position((arm, Spin.UP), state.num_arms)
+    down = up << 1
     both = up | down
     if kind == "charge":
         return both, {0: 0, up: 1, down: 1, both: 2}, ""
@@ -142,8 +137,7 @@ def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
 
 def measure_charge(state: FockState, arm: int) -> list[Branch]:
     """Electrometer: project onto occupation 0, 1 or 2 of the arm."""
-    mask, outcome_of, _ = _arm_meter(state, "charge", arm)
-    return _partition(state, mask, outcome_of)
+    return _partition(state, _arm_meter(state, "charge", arm))
 
 
 def measure_parity(state: FockState, arm: int) -> list[Branch]:
@@ -152,8 +146,7 @@ def measure_parity(state: FockState, arm: int) -> list[Branch]:
     The even branch keeps the coherent superposition of its empty and doubly
     occupied components; that is what distinguishes it from an electrometer.
     """
-    mask, outcome_of, _ = _arm_meter(state, "parity", arm)
-    return _partition(state, mask, outcome_of)
+    return _partition(state, _arm_meter(state, "parity", arm))
 
 
 def measure_spin(state: FockState, arm: int) -> list[Branch]:
@@ -162,9 +155,7 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     The electron stays in place.  Arms without a definite single electron are
     rejected rather than silently projected.
     """
-    up, _ = _arm_bits(state, arm)
-    require_single_occupancy(state, arm, "measure_spin")
-    return _partition(state, up, {up: 0, 0: 1})
+    return _partition(state, _arm_meter(state, "spin", arm))
 
 
 def measure_mode(state: FockState, mode) -> list[Branch]:
@@ -175,7 +166,7 @@ def measure_mode(state: FockState, mode) -> list[Branch]:
     coarse-graining of its two modes.
     """
     bit = 1 << mode_position(mode, state.num_arms)
-    return _partition(state, bit, {0: 0, bit: 1})
+    return _partition(state, (bit, {0: 0, bit: 1}, ""))
 
 
 def charge1_expectation(state: FockState, arm: int) -> float:

@@ -169,7 +169,8 @@ def _parse_line(tokens: list[tuple[str, int]]) -> Instruction | tuple[str, int]:
 
 
 def parse(source: str) -> ParseResult:
-    """Parse circuit text; returns a circuit only when no diagnostics fired."""
+    """Parse circuit text; returns a circuit only when no diagnostics fired.
+    The circuit keeps its structural verdict, so no backend scans it again."""
     diagnostics: list[Diagnostic] = []
     parsed: list[tuple[int, int, Instruction]] = []  # (line, column, instruction)
     arm_count: int | None = None
@@ -207,11 +208,14 @@ def parse(source: str) -> ParseResult:
     if arm_count is None:
         diagnostics.append(Diagnostic(1, 1, ARMS_DECL, "missing 'arms <N>' declaration"))
 
-    lines = [lineno for lineno, _, _ in parsed]
     instructions = [ins for _, _, ins in parsed]
-    for index, code, message in structural_problems(arm_count, instructions, lines):
-        diagnostics.append(Diagnostic(lines[index], parsed[index][1], code, message))
+    circuit = None if arm_count is None else Circuit(arm_count, instructions)
+    if circuit is None or circuit.problem is not None:
+        # Scan again, with source lines, to position every problem.
+        lines = [lineno for lineno, _, _ in parsed]
+        for index, code, message in structural_problems(arm_count, instructions, lines):
+            diagnostics.append(Diagnostic(lines[index], parsed[index][1], code, message))
     diagnostics.sort(key=lambda d: (d.line, d.column))
     if diagnostics:
         return ParseResult(None, diagnostics)
-    return ParseResult(Circuit(arm_count, instructions), [])
+    return ParseResult(circuit, [])

@@ -25,6 +25,7 @@ from feqc.fock import (
     prepare_spin, vacuum,
 )
 from feqc.measurement import (
+    REFUSED,
     BranchLeaf,
     BranchNode,
     BranchRecord,
@@ -242,11 +243,13 @@ def test_measurements_report_norm_drift_instead_of_renormalizing(measure):
             assert sum(p for _, p, _ in measure(scaled, 2)) == pytest.approx(1.0)
 
 
-# Each readout's outcome for a key, as the mask table in its measure_* must give it.
+# Each readout's outcome for a key, as the mask table in its measure_* must give
+# it; REFUSED for a key the readout refuses, which its table must lack.
 KEY_CLASSIFIERS = {
     "charge": (measure_charge, lambda key, arm: arm_charge(key, arm)),
     "parity": (measure_parity, lambda key, arm: arm_charge(key, arm) % 2),
-    "spin": (measure_spin, lambda key, arm: 0 if key >> 2 * (arm - 1) & 1 else 1),
+    "spin": (measure_spin, lambda key, arm: (REFUSED if arm_charge(key, arm) != 1
+                                             else 0 if key >> 2 * (arm - 1) & 1 else 1)),
     "mode up": (lambda state, arm: measure_mode(state, (arm, UP)),
                 lambda key, arm: key >> 2 * (arm - 1) & 1),
     "mode down": (lambda state, arm: measure_mode(state, (arm, DOWN)),
@@ -262,14 +265,14 @@ def test_readout_mask_tables_agree_with_key_classifiers(monkeypatch, kind):
     for arm in range(1, arms + 1):
         state = prepare_spin(state, arm, 0.6, 0.8)  # every arm singly occupied, for measure_spin
     tables = []
-    monkeypatch.setattr(measurement, "_partition",
-                        lambda state, mask, outcome_of: tables.append((mask, outcome_of)))
+    monkeypatch.setattr(measurement, "_partition", lambda state, meter: tables.append(meter))
     rng = np.random.default_rng(len(kind))
     for arm in range(1, arms + 1):
         measure(state, arm)
-        mask, outcome_of = tables.pop()
+        mask, outcome_of, _ = tables.pop()
         for key in rng.integers(0, 1 << 2 * arms, size=200).tolist():
-            assert outcome_of[key & mask] == classify(key, arm), (arm, format_key(key, arms))
+            assert outcome_of.get(key & mask, REFUSED) == classify(key, arm), (
+                arm, format_key(key, arms))
 
 
 @pytest.mark.parametrize("kind", KEY_CLASSIFIERS)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
-from feqc.circuit import Circuit, Conditional, Measure, PrepSpin, SpinRotation, validate_circuit
+from feqc import circuit as circuit_module
+from feqc import cli, parser
+from feqc.circuit import (BeamSplitter, Circuit, Conditional, Measure, PrepSpin, SpinRotation,
+                          validate_circuit)
 from feqc.errors import CircuitError
 from feqc.fock import vacuum
 from feqc.measurement import enumerate_branches
@@ -167,3 +171,57 @@ def test_labels_may_spell_keywords():
 def test_conditional_rotation_tail_diagnostics(tail, column, message):
     (diag,) = parse(f"arms 1\nelectron 1 up\np = parity 1\nif p == 0 : {tail}\n").diagnostics
     assert (diag.line, diag.column, diag.code, diag.message) == (4, column, BAD_LITERAL, message)
+
+
+@pytest.fixture
+def structural_passes(monkeypatch):
+    """The calls made to structural_problems, under the names the circuit
+    module and the parser use."""
+    calls = []
+    original = circuit_module.structural_problems
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(circuit_module, "structural_problems", counted)
+    monkeypatch.setattr(parser, "structural_problems", counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["fock", "corr"])
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+def test_a_run_checks_its_circuit_once(structural_passes, capsys, backend, mode):
+    for path in sorted(DATA.glob("*.feqc")):
+        structural_passes.clear()
+        cli.main(["run", str(path), "--backend", backend, "--mode", mode])
+        capsys.readouterr()
+        assert len(structural_passes) == 1, path.name
+
+
+def test_a_circuit_keeps_its_structural_verdict(structural_passes):
+    instructions = [PrepSpin(1, 1, 0), Conditional("q", 0, SpinRotation(1, "x")),
+                    Measure("q", "charge", 1)]
+    bad = Circuit(1, instructions)
+    assert bad.instructions == tuple(instructions)
+    messages = []
+    for check in (validate_circuit, validate_circuit, lambda c: enumerate_branches(c, vacuum(1))):
+        with pytest.raises(CircuitError) as err:
+            check(bad)
+        messages.append(str(err.value))
+    assert messages == ["label 'q' is measured later (line 4)"] * 3
+    assert len(structural_passes) == 1
+    # A circuit built from another one gets its own verdict.
+    fixed = dataclasses.replace(bad, instructions=(instructions[0], instructions[2],
+                                                   instructions[1]))
+    validate_circuit(fixed)
+    assert [r.outcomes for r in enumerate_branches(fixed, vacuum(1))] == [{"q": 1}]
+    assert len(structural_passes) == 2
+
+
+def test_circuits_and_instructions_are_frozen():
+    circuit = Circuit(2, [BeamSplitter(1, 2), PrepSpin(1, 1, 0)])
+    for value, name in ((circuit, "arm_count"), (circuit, "instructions"),
+                        (circuit.instructions[0], "arm_j"), (circuit.instructions[1], "arm")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1)
