@@ -13,6 +13,9 @@ from .errors import CircuitError
 # Number of outcomes of each measurement kind: charge 0..2, parity and spin 0..1.
 OUTCOME_COUNTS = {"charge": 3, "parity": 2, "spin": 2}
 ROTATION_NAMES = tuple(fock.ROTATIONS)  # x, y, z, h
+# The spinors an 'electron' line may name instead of giving two amplitudes.
+NAMED_SPINORS = {"up": (1 + 0j, 0j), "down": (0j, 1 + 0j), "plus": (1 + 0j, 1 + 0j)}
+_SPINOR_NAMES = {spinor: name for name, spinor in NAMED_SPINORS.items()}
 
 # Diagnostic codes, one per failure class.
 UNKNOWN_KEYWORD = "unknown-keyword"
@@ -225,8 +228,7 @@ def _complex_literal(z: complex) -> str:
 
 
 def _spinor_text(alpha: complex, beta: complex) -> str:
-    named = {(1 + 0j, 0j): "up", (0j, 1 + 0j): "down", (1 + 0j, 1 + 0j): "plus"}
-    name = named.get((complex(alpha), complex(beta)))
+    name = _SPINOR_NAMES.get((complex(alpha), complex(beta)))
     if name is not None:
         return name
     return f"{_complex_literal(alpha)} {_complex_literal(beta)}"

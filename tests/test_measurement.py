@@ -429,7 +429,8 @@ def test_sample_rejects_seeds_outside_64_bits(seed):
         sample(encoder_circuit(), vacuum(2), seed=seed, shots=10)
 
 
-@pytest.mark.parametrize("source", [UNEVEN_TREE, (DATA / "cnot_core.feqc").read_text()])
+@pytest.mark.parametrize("source", [UNEVEN_TREE, (DATA / "cnot_core.feqc").read_text()],
+                         ids=["uneven_tree", "cnot_core"])
 def test_sample_counts_within_five_sigma_of_each_leaf(source):
     circuit = parse(source).circuit
     shots = 20_000

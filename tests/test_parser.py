@@ -72,6 +72,45 @@ def test_invalid_corpus_reports_intended_code(name, code):
     assert code in codes, [str(d) for d in result.diagnostics]
 
 
+# Every diagnostic of each file in tests/data/invalid, in the order parse reports them.
+INVALID_DIAGNOSTICS = {
+    "arity.feqc": ["2:1: arity: expected 'bs <i> <j>'"],
+    "arm_range.feqc": ["2:1: arm-range: arm 3 out of range 1..2"],
+    "arms_decl.feqc": ["1:1: arms-decl: missing 'arms <N>' declaration",
+                       "2:1: arms-decl: arms must be declared first"],
+    "bad_literal.feqc": ["2:10: bad-literal: arm: expected an integer, got 'one'"],
+    "bad_rotation.feqc": ["3:7: bad-literal: unknown rotation 'q' (x|y|z|h)"],
+    "bad_spin.feqc": ["2:12: bad-literal: unknown spin 'sideways' (up|down|plus)"],
+    "bell_range.feqc": ["2:6: bad-literal: bell index 5 not in 0..3"],
+    "duplicate_arm.feqc": ["3:6: duplicate-arm: bs needs two distinct arms"],
+    "forward_reference.feqc": ["3:1: forward-reference: label 'q' is measured later (line 4)"],
+    "label_redefined.feqc": ["4:1: label-redefined: label 'q' already defined on line 3"],
+    "multi_error.feqc": ["3:1: unknown-keyword: unknown keyword 'bc'",
+                         "4:1: forward-reference: label 'q' is measured later (line 5)",
+                         "6:6: duplicate-arm: bs needs two distinct arms"],
+    "re_prepared.feqc": ["3:1: re-prepared: arm 1 prepared twice"],
+    "unknown_keyword.feqc": ["3:1: unknown-keyword: unknown keyword 'splitter'"],
+    "unknown_label.feqc": ["3:1: unknown-label: label 'w' is never measured"],
+}
+
+
+def test_invalid_corpus_diagnostics_in_full():
+    found = {path.name: [str(d) for d in
+                         parse(path.read_text(encoding="utf-8")).diagnostics]
+             for path in sorted((DATA / "invalid").glob("*.feqc"))}
+    assert found == INVALID_DIAGNOSTICS
+
+
+def test_only_newline_carriage_return_and_crlf_end_a_line():
+    # A form feed, and the other characters str.splitlines also breaks at,
+    # are whitespace inside a line, so line numbers match an editor's.
+    for source in ("arms 2\nelectron 1 up\n\f\nbs 1 1\n", "arms 2\r\nelectron 1 up\r\rbs 1 1"):
+        assert [str(d) for d in parse(source).diagnostics] == [
+            "4:6: duplicate-arm: bs needs two distinct arms"]
+    assert [str(d) for d in parse("arms 1\velectron 1 up").diagnostics] == [
+        "1:1: arity: expected 'arms <N>'", "1:1: arms-decl: missing 'arms <N>' declaration"]
+
+
 def test_diagnostics_carry_line_and_column():
     result = parse("arms 2\nelectron 1 up\nbs 1 1\n")
     (diag,) = result.diagnostics

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import string
 from collections import Counter
 from pathlib import Path
@@ -140,6 +141,46 @@ def test_validator_and_parser_agree(circuit):
     assert valid == result.ok, [str(d) for d in result.diagnostics]
     if valid:
         assert result.circuit == circuit
+
+
+CORPUS = [path.read_text(encoding="utf-8")
+          for path in sorted((Path(__file__).parent / "data").rglob("*.feqc"))]
+# Whitespace other than a space, a line end, and characters that begin a
+# comment, a measurement or a literal.
+INSERTED = ["\t", "\xa0", "\u3000", "\f", "\x85", "\u2028", " ", "\r", "#", "=", "(", ",",
+            "1", "x"]
+
+
+@st.composite
+def mutated_corpus(draw):
+    """A corpus file with a few characters inserted into or deleted from its lines."""
+    lines = draw(st.sampled_from(CORPUS)).split("\n")
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(lines) - 1))
+        k = draw(st.integers(0, len(lines[i])))
+        if draw(st.booleans()):
+            lines[i] = lines[i][:k] + draw(st.sampled_from(INSERTED)) + lines[i][k:]
+        else:
+            lines[i] = lines[i][:k] + lines[i][k + 1:]
+    return "\n".join(lines)
+
+
+def token_starts(line: str) -> set[int]:
+    """The 1-based columns at which the tokens of a line start, before any '#'."""
+    text = line.split("#", 1)[0]
+    return {k + 1 for k, c in enumerate(text)
+            if not c.isspace() and (k == 0 or text[k - 1].isspace())}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mutated_corpus())
+def test_diagnostics_point_at_a_token_of_their_line(source):
+    lines = re.split(r"\r\n|\r|\n", source)
+    for diag in parse(source).diagnostics:
+        if diag.message == "missing 'arms <N>' declaration":
+            assert (diag.line, diag.column) == (1, 1)
+        else:
+            assert diag.column in token_starts(lines[diag.line - 1]), str(diag)
 
 
 ARMS = 2  # four modes: pairs can have one or two occupied modes between them
