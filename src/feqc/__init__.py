@@ -86,7 +86,6 @@ from .corr import (
     occupation_probability,
     principal_minor_probability,
     project_occupation,
-    single_occupancy_monomials,
     single_occupancy_probability,
 )
 from .parser import Diagnostic, ParseResult, parse

@@ -170,7 +170,7 @@ def _run_report(args, circuit: Circuit) -> dict:
 
 def _cmd_run(args) -> int:
     try:
-        source = Path(args.file).read_text(encoding="utf-8")
+        source = Path(args.file).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -30,8 +30,6 @@ are still decided on the circuit as written.
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,8 +39,9 @@ from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, SpinRot
                       TwoArmElement, unitary_steps, validate_circuit)
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
-from .fock import Spin, mode_position
-from .measurement import NORM_TOLERANCE, BranchNode, BranchRecord, FrontierNode, leaves, walk
+from .fock import MAX_ARMS, Spin, mode_position
+from .measurement import (NORM_TOLERANCE, BranchRecord, FrontierNode, admit_depth, leaves,
+                          trailing_measures, walk)
 
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
@@ -52,7 +51,6 @@ PROBABILITY_FLOOR = 1e-12
 # probability, and dividing by it is safe: the blocks are positive
 # semidefinite, so no rank-one update it makes exceeds 1 in magnitude.
 PIVOT_FLOOR = 1e-15
-MAX_ARMS = 1024  # a 2048 x 2048 complex matrix is 64 MB
 MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~0.2 s and ~70 MB; each further arm triples both
 # Bytes one branch tree may take, counted as one full matrix of the circuit's
 # declared arms per leaf: 7281 leaves at 48 arms.  A terminal block's frontier
@@ -108,6 +106,7 @@ def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex,
         arm = arm if name is None else name
         raise PreconditionError(f"add_electron: arm {arm} is already occupied")
     fock.check_spinor(alpha, beta)
+    alpha, beta = fock.unit_scaled(alpha, beta)
     norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     v = np.array([alpha / norm, beta / norm], dtype=complex)
     m = M.matrix.copy()
@@ -218,18 +217,6 @@ def _joint_ups(arms, num_arms: int) -> list[int]:
     return ups
 
 
-def single_occupancy_monomials(arms, num_arms: int) -> list[tuple[float, tuple[int, ...]]]:
-    """All 3^|S| (coefficient, mode positions) monomials of the joint query
-    before any collection: prod_i (n_up + n_down - 2 n_up n_down) over the
-    arms of S, each arm picking up, down or both in product order, with
-    coefficient (-2)^k for k arms that picked both.  The length of this list
-    is the query's advertised cost."""
-    picks = [((1.0, (up,)), (1.0, (up + 1,)), (-2.0, (up, up + 1)))
-             for up in _joint_ups(arms, num_arms)]
-    return [(math.prod(c for c, _ in pick), sum((p for _, p in pick), ()))
-            for pick in itertools.product(*picks)]
-
-
 def _floored(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real pivots as (weight factor, divisor): a pivot at or below
     PIVOT_FLOOR weighs 0 and divides by 1."""
@@ -247,18 +234,21 @@ def _grow(weights: np.ndarray, up, down, both) -> np.ndarray:
 
 
 def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
-    """The joint query's 3^|S| terms (-2)^k det(M_T), in the order of
-    single_occupancy_monomials, as the leaves of one breadth-first frontier.
+    """The joint query's 3^|S| terms (-2)^k det(M_T), one per monomial of
+    prod_i (n_up + n_down - 2 n_up n_down) over the arms of S before any
+    collection, as the leaves of one breadth-first frontier.  Each arm picks
+    its up mode, its down mode or both, in ``itertools.product`` order over
+    the arms in ascending order, and k counts the arms that picked both.
+    The length of this array is the query's advertised cost.
 
-    The arms are taken in ascending order.  Every live entry, a weight w and
-    a block S over the modes of the arms still to pick, branches into its
-    up, down and both children, with weights w S00, w S11 and
-    -2 w S00 (S11 - S10 S01 / S00).  A child's block is the Schur complement
-    of the modes it picked, the arm's rows and columns dropped, so every
-    determinant is a product of pivots; at the last arm only the pivots are
-    computed.  A pivot at or below PIVOT_FLOOR zeros its child's weight and
-    divides by 1 instead: the subtree it drops is a conditional probability,
-    worth at most |w| PIVOT_FLOOR.
+    Every live entry, a weight w and a block S over the modes of the arms
+    still to pick, branches into its up, down and both children, with
+    weights w S00, w S11 and -2 w S00 (S11 - S10 S01 / S00).  A child's
+    block is the Schur complement of the modes it picked, the arm's rows and
+    columns dropped, so every determinant is a product of pivots; at the
+    last arm only the pivots are computed.  A pivot at or below PIVOT_FLOOR
+    zeros its child's weight and divides by 1 instead: the subtree it drops
+    is a conditional probability, worth at most |w| PIVOT_FLOOR.
     """
     ups = _joint_ups(arms, M.num_arms)
     if not ups:
@@ -465,9 +455,8 @@ def charge_branch_tree(circuit: Circuit):
     instructions = circuit.instructions
     measures = [ins for ins in instructions if isinstance(ins, Measure)]
     stats.measured_arms = sorted({ins.arm for ins in measures})
-    trailing = 0  # the readouts the circuit as written ends with
-    while trailing < len(instructions) and isinstance(instructions[-1 - trailing], Measure):
-        trailing += 1
+    trailing = trailing_measures(instructions)  # the readouts the circuit as written ends with
+    admit_depth(len(measures) - trailing)  # the terminal block is a loop: only the rest nest
     terminal = bool(measures) and trailing == len(measures)
     leaf_count = 1  # the leaves the tree will have once every path made so far ends
     leaf_bytes = 16 * (2 * circuit.arm_count) ** 2  # one full complex matrix
@@ -488,13 +477,6 @@ def charge_branch_tree(circuit: Circuit):
                 for n, p, m in zip(charges.tolist(), probs.tolist(), post)]
 
     def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
-        if len(readouts) > trailing:
-            # The cone dropped what separates this readout from the trailing
-            # run: read it one matrix at a time, as the walker would have.
-            ins, rest = readouts[0], readouts[1:]
-            return BranchNode(ins.label, [
-                (n, p, block(post, rest, {**outcomes, ins.label: n}, prob * p, count))
-                for n, p, post in branches(M, ins)])
         count(1)
         # The complexity demonstration: price the joint charge-1 query on the
         # state the terminal block starts from.
@@ -538,8 +520,10 @@ def charge_branch_tree(circuit: Circuit):
         return _apply(M, ins)
 
     cone, arms = _light_cone(circuit)
+    # The block takes only the circuit's own trailing run: a readout the cone
+    # moved up next to it branches one matrix at a time, as written.
     root = walk(cone.instructions, init_from_occupations([], cone.arm_count), apply, branches,
-                block if trailing else None)
+                (len(cone.instructions) - trailing, block))
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return root, stats
 

@@ -30,6 +30,9 @@ UNITARY_ATOL = 1e-10
 # Keys a state may hold after a preparation or a kernel step: every key of 9
 # arms, about 360 times the largest benchmark state.
 MAX_KEYS = 1 << 18
+# Arms a circuit may declare, on either backend: a fock key is then an integer
+# of up to 2048 bits, and a corr matrix 2048 x 2048 complex, 64 MB.
+MAX_ARMS = 1024
 
 
 class Spin(IntEnum):
@@ -112,6 +115,8 @@ def vacuum(num_arms: int) -> FockState:
     """Empty state on ``num_arms`` arms."""
     if num_arms < 1:
         raise ValueError("num_arms must be >= 1")
+    if num_arms > MAX_ARMS:
+        raise FeqcError(f"fock backend: {num_arms} arms exceed the limit MAX_ARMS = {MAX_ARMS}")
     return FockState(num_arms, {0: 1.0 + 0.0j})
 
 
@@ -162,15 +167,27 @@ def check_spinor(alpha: complex, beta: complex) -> None:
         raise ValueError("spinor must be finite, with a squared norm below 1.8e308")
 
 
+def unit_scaled(*values: complex) -> list[complex]:
+    """The complex ``values`` times the power of two that brings the largest
+    magnitude into [0.5, 1).  The scaling is exact: normalized afterwards,
+    values whose squared norm is a normal float give the same bits as
+    before, and values in the normal range whose squared norm is subnormal
+    or below the prune threshold lose none."""
+    _, exp = math.frexp(max(map(abs, values)))
+    return [complex(math.ldexp(z.real, -exp), math.ldexp(z.imag, -exp))
+            for z in map(complex, values)]
+
+
 def prepare_spin(state: FockState, arm: int, alpha: complex, beta: complex) -> FockState:
     """Add one electron in ``arm`` with (normalized) spinor alpha|up> + beta|down>."""
     check_spinor(alpha, beta)
+    alpha, beta = unit_scaled(alpha, beta)
     mode_position((arm, Spin.UP), state.num_arms)
     _require_arm_empty(state, arm, "prepare_spin")
     up = _append_mode(state, (arm, Spin.UP))
     down = _append_mode(state, (arm, Spin.DOWN))
     combined: dict[int, complex] = {}
-    for part, coef in ((up, complex(alpha)), (down, complex(beta))):
+    for part, coef in ((up, alpha), (down, beta)):
         for key, amp in part.amplitudes.items():
             combined[key] = combined.get(key, 0j) + coef * amp
     return normalize(FockState(state.num_arms, _bounded(combined)))
@@ -188,12 +205,13 @@ def prepare_two_spin(
         raise ValueError("coeffs must be a 2x2 array over (spin_a, spin_b)")
     if np.linalg.norm(c) == 0:
         raise ValueError("coeffs must be nonzero")
+    coefs = unit_scaled(*c.ravel().tolist())  # in (spin_a, spin_b) order
     _require_arm_empty(state, arm_a, "prepare_two_spin")
     _require_arm_empty(state, arm_b, "prepare_two_spin")
     combined: dict[int, complex] = {}
     for spin_a in (Spin.UP, Spin.DOWN):
         for spin_b in (Spin.UP, Spin.DOWN):
-            coef = complex(c[int(spin_a), int(spin_b)])
+            coef = coefs[2 * spin_a + spin_b]
             if coef == 0:
                 continue
             term = _append_mode(_append_mode(state, (arm_a, spin_a)), (arm_b, spin_b))

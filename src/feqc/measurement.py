@@ -32,6 +32,10 @@ BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
 # Leaves one walk may create: about 20 times the largest benchmark tree.
 MAX_LEAVES = 1 << 16
+# Readouts one path of a tree may nest.  The walker, fock's terminal block and
+# the tree readers take at most two frames per nested readout, so this leaves
+# a caller about 200 of Python's default limit of 1000 frames.
+MAX_DEPTH = 400
 SAMPLE_BLOCK = 1 << 16  # shots drawn per numpy call: bounds the draw's memory
 
 Branch = tuple[int, float, FockState]
@@ -179,8 +183,9 @@ def charge1_expectation(state: FockState, arm: int) -> float:
 
 @dataclass
 class BranchRecord:
-    """One outcome assignment; ``post_state`` is the backend's state (a
-    FockState, or a CorrelationMatrix on the corr backend).  It is None on
+    """One outcome assignment, and the leaf of a branch tree that ends in it;
+    ``post_state`` is the backend's state (a FockState, or a
+    CorrelationMatrix on the corr backend).  It is None on
     corr leaves made by a terminal block of charge readouts, which keeps no
     matrix per leaf: that block keeps its leaves as arrays (FrontierNode),
     and their records are built when its children are first read."""
@@ -191,14 +196,9 @@ class BranchRecord:
 
 
 @dataclass
-class BranchLeaf:
-    record: BranchRecord
-
-
-@dataclass
 class BranchNode:
     label: str
-    children: list[tuple[int, float, Union["BranchNode", BranchLeaf]]]
+    children: list[tuple[int, float, Union["BranchNode", BranchRecord]]]
 
 
 class FrontierNode(BranchNode):
@@ -211,7 +211,7 @@ class FrontierNode(BranchNode):
     labels of the readouts above the subtree (their outcomes are
     ``prefix``), and ``probabilities`` the column of the leaves'
     probabilities, both in leaf order.  The ``children`` are built as
-    BranchNodes and BranchLeafs when first read; ``leaf_table`` reads the
+    BranchNodes and BranchRecords when first read; ``leaf_table`` reads the
     arrays without them."""
 
     def __init__(self, prefix: dict[str, int], levels, probabilities: np.ndarray):
@@ -231,7 +231,7 @@ class FrontierNode(BranchNode):
     @cached_property
     def children(self):
         labels = self.labels
-        nodes = [BranchLeaf(BranchRecord(dict(zip(labels, row)), q, None))
+        nodes = [BranchRecord(dict(zip(labels, row)), q, None)
                  for row, q in zip(self.rows.tolist(), self.probabilities.tolist())]
         above = [1] + [len(parents) for _, parents, _, _ in self.levels[:-1]]  # parents per level
         for (label, parents, outcomes, probabilities), count in zip(reversed(self.levels),
@@ -245,29 +245,45 @@ class FrontierNode(BranchNode):
 _MEASURE_FNS = {"charge": measure_charge, "parity": measure_parity, "spin": measure_spin}
 
 
-def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, BranchLeaf]:
+def trailing_measures(instructions) -> int:
+    """The number of Measures that ``instructions`` end with."""
+    count = 0
+    while count < len(instructions) and isinstance(instructions[-1 - count], Measure):
+        count += 1
+    return count
+
+
+def admit_depth(readouts: int) -> None:
+    """Refuse, before it is expanded, a tree that nests ``readouts`` readouts
+    on a path, if that is more than MAX_DEPTH."""
+    if readouts > MAX_DEPTH:
+        raise FeqcError(f"branch tree: {readouts} nested readouts exceed the limit "
+                        f"MAX_DEPTH = {MAX_DEPTH}")
+
+
+def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, BranchRecord]:
     """Expand instructions from ``state`` into the measurement-outcome tree.
 
     The backend supplies ``apply(state, ins)`` for preparations and elements,
     and ``branches(state, measure)`` returning a readout's (outcome,
     probability, post-state) list.  Conditionals fire on earlier outcomes.
-    A backend may also pass ``block(state, measures, outcomes, prob, count)``
-    to take over the circuit's trailing run of Measures on each path that
-    reaches it.  It returns their subtree, whose leaves extend ``outcomes``
-    and whose probabilities are ``prob`` times the readouts' products, in the
-    order the walker would have made them.  The block calls ``count(n)``
-    before its tree grows by n leaves, counting every leaf it makes.  Without
-    ``block`` the walker recurses through ``branches`` to the end.  Fock's
-    block groups the state's keys once for the whole run (``_born``); corr's
-    stacks every live branch's matrix block and returns the run as one
-    FrontierNode, which keeps its leaves as arrays and builds its children
-    when they are first read (``corr.charge_branch_tree``).
+    A backend may also pass ``block`` = (start, hook), where the
+    instructions from ``start`` on are Measures, for
+    ``hook(state, measures, outcomes, prob, count)`` to take over those
+    readouts on each path that reaches them.  It returns their subtree,
+    whose leaves extend ``outcomes`` and whose probabilities are ``prob``
+    times the readouts' products, in the order the walker would have made
+    them.  The hook calls ``count(n)`` before its tree grows by n leaves,
+    counting every leaf it makes.  Every other readout branches through
+    ``branches``.  Fock's hook groups the state's keys once for the whole
+    run (``_born``); corr's stacks every live branch's matrix block and
+    returns the run as one FrontierNode, which keeps its leaves as arrays
+    and builds its children when they are first read
+    (``corr.charge_branch_tree``).
     A tree of more than MAX_LEAVES leaves is refused.
     """
     leaf_count = 0
-    tail = len(instructions)  # where the trailing run of Measures starts
-    while block is not None and tail and isinstance(instructions[tail - 1], Measure):
-        tail -= 1
+    tail, hook = block or (None, None)
 
     def count(n):
         nonlocal leaf_count
@@ -279,7 +295,7 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
         for i in range(index, len(instructions)):
             ins = instructions[i]
             if i == tail:
-                return block(state, instructions[tail:], outcomes, prob, count)
+                return hook(state, instructions[tail:], outcomes, prob, count)
             if isinstance(ins, Measure):
                 return BranchNode(ins.label, [
                     (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
@@ -291,15 +307,15 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
             else:
                 state = apply(state, ins)
         count(1)
-        return BranchLeaf(BranchRecord(dict(outcomes), prob, state))
+        return BranchRecord(dict(outcomes), prob, state)
 
     return expand(0, state, {}, 1.0)
 
 
 def leaves(root) -> list[BranchRecord]:
     """The leaf records of a branch tree, in outcome order."""
-    if isinstance(root, BranchLeaf):
-        return [root.record]
+    if isinstance(root, BranchRecord):
+        return [root]
     return [record for _, _, child in root.children for record in leaves(child)]
 
 
@@ -310,7 +326,7 @@ def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     same order.  A FrontierNode gives its arrays; its children are not built."""
     labels: tuple[str, ...] | None = None  # read off the first leaf
     chunks = []  # (rows, probabilities) arrays, in leaf order
-    outcomes: list[int] = []  # the outcomes of the BranchLeafs met since the last chunk, in rows
+    outcomes: list[int] = []  # the outcomes of the leaf records met since the last chunk, in rows
     probs: list[float] = []
 
     def flush() -> None:
@@ -326,11 +342,11 @@ def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
             flush()
             labels = node.labels
             chunks.append((node.rows, node.probabilities))
-        elif isinstance(node, BranchLeaf):
+        elif isinstance(node, BranchRecord):
             if labels is None:
-                labels = tuple(node.record.outcomes)
-            outcomes.extend(node.record.outcomes.values())
-            probs.append(node.record.probability)
+                labels = tuple(node.outcomes)
+            outcomes.extend(node.outcomes.values())
+            probs.append(node.probability)
         else:
             for _, _, child in node.children:
                 visit(child)
@@ -342,14 +358,17 @@ def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     return labels, np.concatenate([r for r, _ in chunks]), np.concatenate([p for _, p in chunks])
 
 
-def branch_tree(circuit: Circuit, input_state: FockState) -> Union[BranchNode, BranchLeaf]:
+def branch_tree(circuit: Circuit, input_state: FockState) -> Union[BranchNode, BranchRecord]:
     """Expand a circuit into its measurement-outcome tree; its trailing run
     of readouts is read in one pass over each state that reaches it."""
     validate_circuit(circuit)
     if input_state.num_arms != circuit.arm_count:
         raise ValueError("input state arm count does not match circuit")
-    return walk(circuit.instructions, input_state, apply_instruction,
-                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm), _terminal_block)
+    instructions = circuit.instructions
+    admit_depth(sum(isinstance(ins, Measure) for ins in instructions))  # the block nests too
+    return walk(instructions, input_state, apply_instruction,
+                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm),
+                (len(instructions) - trailing_measures(instructions), _terminal_block))
 
 
 def _terminal_block(state: FockState, measures, outcomes, prob, count) -> BranchNode:
@@ -368,7 +387,7 @@ def _subtree(measures, children, outcomes, prob) -> BranchNode:
         if len(measures) > 1:
             child = _subtree(measures[1:], child, path, prob * p)
         else:
-            child = BranchLeaf(BranchRecord(path, prob * p, child))
+            child = BranchRecord(path, prob * p, child)
         nodes.append((outcome, p, child))
     return BranchNode(label, nodes)
 

@@ -283,7 +283,7 @@ def test_criterion_7_backend_equivalence():
             if all(fock.arm_charge(k, arm) == 1 for arm in arms)
         )
         assert corr.single_occupancy_probability(M, arms) == pytest.approx(expected, abs=TOL)
-        term_counts.append(len(corr.single_occupancy_monomials(arms, 4)))
+        term_counts.append(len(corr.single_occupancy_terms(M, arms)))
     assert term_counts == [3, 9, 27]
     assert term_counts == sorted(term_counts)
     _report(7, "fock and correlation backends agree within 1e-9 on 20 random "

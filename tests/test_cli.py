@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from feqc import corr, measurement
+from feqc import corr, fock, measurement
 from feqc.circuit import print_circuit
 from feqc.cli import main
 from feqc.errors import NonGaussianOperationError
@@ -495,3 +495,126 @@ def test_corr_refuses_a_tree_over_its_byte_budget(capsys, monkeypatch, tmp_path)
     assert (code, out) == (1, "")
     assert err == (f"error: corr backend: 8 leaves of {leaf_bytes} bytes each exceed the limit "
                    f"MAX_TREE_BYTES = {8 * leaf_bytes - 1}\n")
+
+
+def test_fock_refuses_more_arms_than_its_limit_before_allocating(capsys, tmp_path):
+    src = tmp_path / "wide.feqc"
+    src.write_text("arms 2000000000\nelectron 1 up\nq = charge 1\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", str(src))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: fock backend: 2000000000 arms exceed the limit MAX_ARMS = 1024\n"
+    assert peak < 1_000_000
+
+
+def test_fock_runs_a_circuit_of_max_arms(capsys, tmp_path):
+    src = tmp_path / "widest.feqc"
+    src.write_text(f"arms {fock.MAX_ARMS}\nelectron 1 up\nelectron {fock.MAX_ARMS} plus\n"
+                   f"bs 1 {fock.MAX_ARMS}\nq = charge 1\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--emit-state")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["arm_count"] == fock.MAX_ARMS == corr.MAX_ARMS
+    assert math.fsum(b["probability"] for b in report["branches"]) == pytest.approx(1.0)
+    assert all(len(entry["key"]) == 2 * fock.MAX_ARMS
+               for b in report["branches"] for entry in b["state"])
+
+
+def readout_chain(readouts: int, arms: int = 1, element: str = "") -> str:
+    """One electron read on arm 1 ``readouts`` times, each readout followed by
+    ``element`` (none: a trailing run); arm 3, if there is one, holds an
+    electron up that only the element touches."""
+    third = "electron 3 up\n" if arms == 3 else ""
+    return (f"arms {arms}\nelectron 1 plus\n{third}"
+            + "".join(f"q{i} = charge 1\n{element}" for i in range(readouts)))
+
+
+# Each circuit nests more readouts than MAX_DEPTH on one path, and once
+# raised RecursionError: in fock's walker, in fock's terminal block and tree
+# readers, and in corr's walker (the cone drops the rotations on arm 3).
+TOO_DEEP = {
+    "fock-pairs": ("fock", readout_chain(494, element="rot 1 x\n"), 494),
+    "fock-trailing": ("fock", readout_chain(498), 498),
+    "corr-pairs": ("corr", readout_chain(600, arms=3, element="rot 3 x\n"), 600),
+}
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+@pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+def test_a_tree_deeper_than_its_limit_is_refused_before_it_is_walked(capsys, monkeypatch, tmp_path,
+                                                                     shape, mode):
+    backend, text, readouts = TOO_DEEP[shape]
+    src = tmp_path / "deep.feqc"
+    src.write_text(text)
+    monkeypatch.setattr(measurement, "walk", None)  # called, it would raise TypeError
+    monkeypatch.setattr(corr, "walk", None)
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", backend, "--mode", mode)
+    assert (code, out) == (1, "")
+    assert err == (f"error: branch tree: {readouts} nested readouts exceed the limit "
+                   f"MAX_DEPTH = {measurement.MAX_DEPTH}\n")
+
+
+AT_THE_LIMIT = {
+    "fock-pairs": ("fock", readout_chain(measurement.MAX_DEPTH, element="rot 1 x\n")),
+    "fock-trailing": ("fock", readout_chain(measurement.MAX_DEPTH)),
+    "corr-pairs": ("corr", readout_chain(measurement.MAX_DEPTH, arms=3, element="rot 3 x\n")),
+    # Corr's terminal run is read in a loop, so it has no depth limit.
+    "corr-trailing": ("corr", "arms 2\nelectron 1 plus\nbs 1 2\n"
+                      + "".join(f"q{i} = charge {1 + i % 2}\n" for i in range(600))),
+}
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+@pytest.mark.parametrize("shape", sorted(AT_THE_LIMIT))
+def test_a_tree_at_its_depth_limit_runs(capsys, tmp_path, shape, mode):
+    backend, text = AT_THE_LIMIT[shape]
+    src = tmp_path / "deep.feqc"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", backend, "--mode", mode)
+    assert (code, err) == (0, "")
+    branches = json.loads(out)["branches"]
+    assert math.fsum(b["probability"] for b in branches) == pytest.approx(1.0)
+    assert len(branches[0]["outcomes"]) == text.count(" = charge")
+
+
+# A spinor whose norm is far below 1, with its unit spinor.
+TINY_SPINORS = [("(1e-13,0) (0,0)", "up"), ("(3e-13,0) (4e-13,0)", "(0.6,0) (0.8,0)"),
+                ("(3e-160,0) (4e-160,0)", "(0.6,0) (0.8,0)")]
+
+
+@pytest.mark.parametrize("backend", ["fock", "corr"])
+@pytest.mark.parametrize("tiny, unit", TINY_SPINORS)
+def test_a_spinor_of_tiny_norm_runs_as_its_unit_spinor(capsys, tmp_path, backend, tiny, unit):
+    branches = []
+    for spinor in (tiny, unit):
+        src = tmp_path / "spinor.feqc"
+        # The splitter passes up and reflects down, so q reads the spinor after h.
+        src.write_text(f"arms 2\nelectron 1 {spinor}\nrot 1 h\npbs 1 2\nq = charge 1\n")
+        code, out, err = run_cli(capsys, "run", str(src), "--backend", backend)
+        assert (code, err) == (0, "")
+        branches.append(json.loads(out)["branches"])
+    got, want = branches
+    assert [b["outcomes"] for b in got] == [b["outcomes"] for b in want]
+    assert all(abs(g["probability"] - w["probability"]) <= 1e-12 for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("qubit", ["(1e-13,0),(0,0)", "(3e-160,0),(4e-160,0)"])
+def test_gadget_encoder_of_a_qubit_of_tiny_norm_has_fidelity_one(capsys, qubit):
+    code, out, err = run_cli(capsys, "gadget", "encoder", "--qubit", qubit)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert all(abs(b["fidelity"] - 1) <= 1e-12 for b in report["branches"])
+    assert report["success_probability"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sample"])
+def test_run_reads_a_file_that_starts_with_a_byte_order_mark(capsys, tmp_path, mode):
+    src = tmp_path / "bom.feqc"
+    src.write_bytes(b"\xef\xbb\xbf" + (DATA / "cnot_core.feqc").read_bytes())
+    with_bom = run_cli(capsys, "run", str(src), "--mode", mode)
+    assert with_bom == run_cli(capsys, "run", str(DATA / "cnot_core.feqc"), "--mode", mode)
+    assert with_bom[0] == 0

@@ -26,8 +26,8 @@ from feqc.corr import (
     occupation_probability,
     principal_minor_probability,
     project_occupation,
-    single_occupancy_monomials,
     single_occupancy_probability,
+    single_occupancy_terms,
 )
 from feqc.errors import FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.fock import BEAM_SPLITTER_MATRIX, Spin, beam_splitter, prepare_bell, prepare_spin, vacuum
@@ -241,7 +241,8 @@ def test_principal_minors_match_oracle_on_gaussian_states():
 
 def test_single_occupancy_monomial_count_is_three_to_the_m():
     for m in (1, 2, 3):
-        assert len(single_occupancy_monomials(range(1, m + 1), 4)) == 3 ** m
+        M = init_from_occupations([], 4)
+        assert len(single_occupancy_terms(M, range(1, m + 1))) == 3 ** m
 
 
 def test_single_occupancy_examples():
@@ -500,4 +501,4 @@ def test_joint_term_limit_admits_twelve_arms_and_guards_both_queries():
     with pytest.raises(FeqcError, match=message):
         corr.single_occupancy_probability(init_from_occupations([], 13), range(1, 14))
     with pytest.raises(FeqcError, match=message):
-        corr.single_occupancy_monomials(range(1, 14), 13)
+        corr.single_occupancy_terms(init_from_occupations([], 13), range(1, 14))

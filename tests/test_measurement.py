@@ -26,7 +26,6 @@ from feqc.fock import (
 )
 from feqc.measurement import (
     REFUSED,
-    BranchLeaf,
     BranchNode,
     BranchRecord,
     branch_tree,
@@ -391,8 +390,7 @@ def test_sample_is_a_prefix_of_any_longer_run_across_blocks():
 
 def test_draws_past_the_last_cumulative_value_pick_the_last_leaf():
     # Rounding can leave the leaf total just below 1; here it is 0.5.
-    root = BranchNode("m", [(m, 0.25, BranchLeaf(BranchRecord({"m": m}, 0.25, None)))
-                            for m in (0, 1)])
+    root = BranchNode("m", [(m, 0.25, BranchRecord({"m": m}, 0.25, None)) for m in (0, 1)])
     shots = 4000
     u = np.random.Generator(np.random.Philox(key=8)).random(shots)
     result = sample_tree(root, 8, shots)

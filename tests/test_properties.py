@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import string
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -220,6 +220,30 @@ def test_two_mode_kernel_matches_dense_oracle(seed, modes_at, u):
     check_against_oracle(seed, modes_at, u)
 
 
+# Spinor components of normal size: zero, or a magnitude in [1e-3, 1e3].
+spinor_parts = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(spinor_parts, min_size=4, max_size=4), st.integers(-400, 400))
+def test_a_spinor_times_a_power_of_two_prepares_the_same_bits(parts, exp):
+    """Both backends normalize a spinor after scaling it by an exact power
+    of two, so a spinor and the spinor times 2^exp give the same state, bit
+    for bit; at exp = -400 the parent could not normalize it at all."""
+    assume(any(parts))
+    alpha, beta = complex(*parts[:2]), complex(*parts[2:])
+    scaled = [complex(math.ldexp(z.real, exp), math.ldexp(z.imag, exp)) for z in (alpha, beta)]
+    other = fock.prepare_spin(fock.vacuum(2), 2, 0.6, 0.8j)  # a second electron to move past
+
+    def bits(spinor):
+        state = fock.prepare_spin(other, 1, *spinor)
+        M = corr.add_electron(corr.init_from_occupations([], 2), 1, *spinor)
+        return ({k: (a.real.hex(), a.imag.hex()) for k, a in state.amplitudes.items()},
+                M.matrix.tobytes())
+
+    assert bits(scaled) == bits((alpha, beta))
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(seeds, st.sampled_from([1, 3, 4]).flatmap(positions))
 def test_givens_path_matches_dense_oracle(seed, modes_at):
@@ -343,7 +367,7 @@ def tree_shape(node):
     """A branch tree's labels, outcomes and probabilities, without post-states."""
     if isinstance(node, BranchNode):
         return node.label, [(outcome, p, tree_shape(child)) for outcome, p, child in node.children]
-    return list(node.record.outcomes.items()), node.record.probability
+    return list(node.outcomes.items()), node.probability
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -464,18 +488,18 @@ def test_corr_light_cone_gives_the_full_circuit_walk(circuit):
 def test_corr_cli_makes_no_leaf_node_for_a_terminal_block(tmp_path, monkeypatch, capsys):
     """Corr's report and sampled counts read the terminal block's arrays: a
     run of the 1944-leaf deep circuit, enumerated or sampled, constructs no
-    BranchLeaf, and the leaves of the tree it made are the walk's without
+    leaf record, and the leaves of the tree it made are the walk's without
     the block."""
     src = tmp_path / "deep.feqc"
     src.write_text(print_circuit(deep_terminal_circuit()))
     made, roots = [], []
-    init, tree = measurement.BranchLeaf.__init__, corr.charge_branch_tree
+    init, tree = measurement.BranchRecord.__init__, corr.charge_branch_tree
 
     def counted(self, *args, **kwargs):
         made.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(measurement.BranchLeaf, "__init__", counted)
+    monkeypatch.setattr(measurement.BranchRecord, "__init__", counted)
     monkeypatch.setattr(corr, "charge_branch_tree", lambda c: roots.append(tree(c)) or roots[-1])
     for mode in ("enumerate", "sample"):
         assert cli.main(["run", str(src), "--backend", "corr", "--mode", mode]) == 0
@@ -580,10 +604,9 @@ def assert_same_fock_tree(tree, plain):
             assert abs(p - q) <= 1e-14 * q, (plain.label, p, q)
             assert_same_fock_tree(child, other)
         return
-    rec, ref = tree.record, plain.record
-    assert list(rec.outcomes.items()) == list(ref.outcomes.items())
-    assert abs(rec.probability - ref.probability) <= 1e-14 * ref.probability
-    amps, ref_amps = rec.post_state.amplitudes, ref.post_state.amplitudes
+    assert list(tree.outcomes.items()) == list(plain.outcomes.items())
+    assert abs(tree.probability - plain.probability) <= 1e-14 * plain.probability
+    amps, ref_amps = tree.post_state.amplitudes, plain.post_state.amplitudes
     assert list(amps) == list(ref_amps)
     assert all(abs(amps[k] - a) <= 1e-14 * abs(a) for k, a in ref_amps.items())
 
@@ -763,17 +786,9 @@ def test_joint_frontier_forms_every_monomial_in_order(state, arms_and_subset):
     arms, subset = arms_and_subset
     M = joint_state(state, arms)
     terms = corr.single_occupancy_terms(M, subset)
-    monomials = corr.single_occupancy_monomials(subset, arms)
+    monomials = product_monomials(subset, arms)
     assert len(terms) == len(monomials) == 3 ** len(subset)
     for term, (coef, positions) in zip(terms.tolist(), monomials):
         minor = np.linalg.det(M.matrix[np.ix_(positions, positions)]).real
         assert abs(term - coef * minor) <= 1e-14
 
-
-@settings(max_examples=40, deadline=None, database=None)
-@given(joint_arms)
-def test_single_occupancy_monomials_are_the_product_expansion(arms_and_subset):
-    arms, subset = arms_and_subset
-    monomials = corr.single_occupancy_monomials(subset, arms)
-    assert len(monomials) == 3 ** len(subset)
-    assert Counter(monomials) == Counter(product_monomials(subset, arms))
