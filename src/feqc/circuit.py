@@ -3,8 +3,7 @@ measurements and feedforward conditionals, plus structural validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import ClassVar, Iterator, Sequence, Union
 
 from . import fock
@@ -96,23 +95,22 @@ Instruction = Union[
 class Circuit:
     """A declared arm count and a tuple of instructions (a list passed in is
     converted).  Circuit and instructions are frozen, so a circuit is checked
-    once: ``problem`` is found on its first read and kept."""
+    once, when it is made: ``problem`` is the message of its first structural
+    problem, or None for a valid circuit."""
 
     arm_count: int
     instructions: tuple[Instruction, ...] = ()
+    problem: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
-
-    @cached_property
-    def problem(self) -> str | None:
-        """The message of the first structural problem, or None for a valid
-        circuit: found by one ``structural_problems`` pass on the first read."""
+        problem = None
         if self.arm_count < 1:
-            return "arm count must be >= 1"
-        for _, _, message in structural_problems(self.arm_count, self.instructions):
-            return message
-        return None
+            problem = "arm count must be >= 1"
+        else:
+            for _, _, problem in structural_problems(self.arm_count, self.instructions):
+                break
+        object.__setattr__(self, "problem", problem)
 
 
 def structural_problems(
@@ -197,8 +195,8 @@ def structural_problems(
 
 
 def validate_circuit(circuit: Circuit) -> None:
-    """Raise CircuitError on the circuit's first structural problem; only the
-    first call on a circuit scans it."""
+    """Raise CircuitError on the circuit's first structural problem, found
+    when the circuit was made."""
     if circuit.problem is not None:
         raise CircuitError(circuit.problem)
 

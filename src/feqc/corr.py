@@ -365,11 +365,11 @@ def _charge_readout(stack: np.ndarray, up: int, admit, last: bool = False):
     return parents, charges, p, None if last else _project(mid, up + 1, k, n_down)
 
 
-def _light_cone(circuit: Circuit) -> tuple[Circuit, list[int]]:
-    """The instructions a Gaussian circuit's readouts depend on, over the arms
-    they need, and those arms in ascending order.  Arm ``arms[k - 1]`` of the
-    circuit is arm k of the restricted one; the order is kept, so mode
-    positions keep their order too.
+def _light_cone(circuit: Circuit) -> tuple[list, list[int]]:
+    """The instructions a Gaussian circuit's readouts depend on, renumbered
+    onto the arms they need, and those arms in ascending order.  Arm
+    ``arms[k - 1]`` of the circuit is arm k of the cone; the order is kept,
+    so mode positions keep their order too.
 
     Walking backward from the readouts' arms, an element is kept if it
     touches a needed arm, and its arms are then needed too; an electron is
@@ -410,7 +410,7 @@ def _light_cone(circuit: Circuit) -> tuple[Circuit, list[int]]:
             return Measure(ins.label, ins.kind, local[ins.arm])
         return SpinRotation(local[ins.arm], ins.name)
 
-    return Circuit(len(arms), [renumbered(ins) for ins in reversed(kept)]), arms
+    return [renumbered(ins) for ins in reversed(kept)], arms
 
 
 def _apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
@@ -432,7 +432,8 @@ def charge_branch_tree(circuit: Circuit):
     over the m read arms is stacked, and each readout is one batched rank-one
     update per mode.  The run is one FrontierNode: its leaves are kept as
     arrays of outcomes and probabilities, and keep no matrix; their records
-    (``post_state`` None) are built when the node's children are first read.
+    (``post_state`` None) are built when they or the node's children are
+    first read.
     When every charge readout is terminal, the joint all-arms-singly-occupied
     probability is also evaluated, on the state the block starts from,
     through the exponential monomial expansion and its 3^m term count
@@ -522,8 +523,8 @@ def charge_branch_tree(circuit: Circuit):
     cone, arms = _light_cone(circuit)
     # The block takes only the circuit's own trailing run: a readout the cone
     # moved up next to it branches one matrix at a time, as written.
-    root = walk(cone.instructions, init_from_occupations([], cone.arm_count), apply, branches,
-                (len(cone.instructions) - trailing, block))
+    root = walk(cone, init_from_occupations([], len(arms)), apply, branches,
+                (len(cone) - trailing, block))
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return root, stats
 

@@ -159,10 +159,13 @@ def require_single_occupancy(state: FockState, arm: int, op: str) -> None:
 
 
 def check_spinor(alpha: complex, beta: complex) -> None:
-    """Reject a spinor whose squared norm is zero, NaN or overflows a float."""
-    norm2 = sum(x * x for z in (complex(alpha), complex(beta)) for x in (z.real, z.imag))
-    if norm2 == 0:
+    """Reject a spinor whose components are both zero, or whose squared norm
+    is NaN or overflows a float.  A squared norm that underflows to 0 is not
+    a zero spinor: the backends scale a spinor before they normalize it."""
+    alpha, beta = complex(alpha), complex(beta)
+    if alpha == 0 and beta == 0:
         raise ValueError("spinor must be nonzero")
+    norm2 = sum(x * x for z in (alpha, beta) for x in (z.real, z.imag))
     if not math.isfinite(norm2):
         raise ValueError("spinor must be finite, with a squared norm below 1.8e308")
 
@@ -203,7 +206,7 @@ def prepare_two_spin(
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (2, 2):
         raise ValueError("coeffs must be a 2x2 array over (spin_a, spin_b)")
-    if np.linalg.norm(c) == 0:
+    if not c.any():
         raise ValueError("coeffs must be nonzero")
     coefs = unit_scaled(*c.ravel().tolist())  # in (spin_a, spin_b) order
     _require_arm_empty(state, arm_a, "prepare_two_spin")
@@ -470,7 +473,7 @@ def arm_qubit_density(state: FockState, arm: int) -> np.ndarray:
 
 def spinor_fidelity(rho: np.ndarray, alpha: complex, beta: complex) -> float:
     """Overlap <psi|rho|psi> of a density matrix with a (normalized) spinor."""
-    v = np.array([alpha, beta], dtype=complex)
+    v = np.array(unit_scaled(alpha, beta), dtype=complex)
     v /= np.linalg.norm(v)
     val = float(np.real(v.conj() @ rho @ v))
     return min(max(val, 0.0), 1.0)

@@ -16,7 +16,6 @@ seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, islice
@@ -119,12 +118,6 @@ def _expand(items: list, depth: int, mass: float, meters: list[Meter], num_arms:
     return nodes
 
 
-def _partition(state: FockState, meter: Meter) -> list[Branch]:
-    """Born-rule branches of one readout, in ascending outcome order: the
-    one-meter case of _born."""
-    return _born(state, [meter])
-
-
 def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
     """A charge, parity or spin readout of an arm as a meter over both of its
     mode bits (validates the arm); the spin meter refuses every key whose
@@ -141,7 +134,7 @@ def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
 
 def measure_charge(state: FockState, arm: int) -> list[Branch]:
     """Electrometer: project onto occupation 0, 1 or 2 of the arm."""
-    return _partition(state, _arm_meter(state, "charge", arm))
+    return _born(state, [_arm_meter(state, "charge", arm)])
 
 
 def measure_parity(state: FockState, arm: int) -> list[Branch]:
@@ -150,7 +143,7 @@ def measure_parity(state: FockState, arm: int) -> list[Branch]:
     The even branch keeps the coherent superposition of its empty and doubly
     occupied components; that is what distinguishes it from an electrometer.
     """
-    return _partition(state, _arm_meter(state, "parity", arm))
+    return _born(state, [_arm_meter(state, "parity", arm)])
 
 
 def measure_spin(state: FockState, arm: int) -> list[Branch]:
@@ -159,7 +152,7 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     The electron stays in place.  Arms without a definite single electron are
     rejected rather than silently projected.
     """
-    return _partition(state, _arm_meter(state, "spin", arm))
+    return _born(state, [_arm_meter(state, "spin", arm)])
 
 
 def measure_mode(state: FockState, mode) -> list[Branch]:
@@ -170,7 +163,7 @@ def measure_mode(state: FockState, mode) -> list[Branch]:
     coarse-graining of its two modes.
     """
     bit = 1 << mode_position(mode, state.num_arms)
-    return _partition(state, (bit, {0: 0, bit: 1}, ""))
+    return _born(state, [(bit, {0: 0, bit: 1}, "")])
 
 
 def charge1_expectation(state: FockState, arm: int) -> float:
@@ -210,9 +203,9 @@ class FrontierNode(BranchNode):
     matrix of the leaves' outcomes over ``labels``, which start with the
     labels of the readouts above the subtree (their outcomes are
     ``prefix``), and ``probabilities`` the column of the leaves'
-    probabilities, both in leaf order.  The ``children`` are built as
-    BranchNodes and BranchRecords when first read; ``leaf_table`` reads the
-    arrays without them."""
+    probabilities, both in leaf order.  The leaf ``records``, and the
+    ``children`` that nest them in BranchNodes, are built when first read;
+    ``leaf_table`` reads the arrays without them."""
 
     def __init__(self, prefix: dict[str, int], levels, probabilities: np.ndarray):
         self.label = levels[0][0]
@@ -229,10 +222,14 @@ class FrontierNode(BranchNode):
         self.rows = rows
 
     @cached_property
-    def children(self):
+    def records(self) -> list[BranchRecord]:
         labels = self.labels
-        nodes = [BranchRecord(dict(zip(labels, row)), q, None)
-                 for row, q in zip(self.rows.tolist(), self.probabilities.tolist())]
+        return [BranchRecord(dict(zip(labels, row)), q, None)
+                for row, q in zip(self.rows.tolist(), self.probabilities.tolist())]
+
+    @cached_property
+    def children(self):
+        nodes = self.records
         above = [1] + [len(parents) for _, parents, _, _ in self.levels[:-1]]  # parents per level
         for (label, parents, outcomes, probabilities), count in zip(reversed(self.levels),
                                                                     reversed(above)):
@@ -316,6 +313,8 @@ def leaves(root) -> list[BranchRecord]:
     """The leaf records of a branch tree, in outcome order."""
     if isinstance(root, BranchRecord):
         return [root]
+    if isinstance(root, FrontierNode):  # no node per readout: a run may be deep
+        return list(root.records)
     return [record for _, _, child in root.children for record in leaves(child)]
 
 
@@ -414,36 +413,31 @@ def _leaf_picks(cdf: np.ndarray, seed: int, shots: int):
         yield np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-class ShotRecords(Sequence):
-    """Each shot's outcome assignment, in shot order.  The picks are drawn
-    again from the seeded stream, and the leaves' outcome dicts built, when a
-    record is first read, so a caller that needs only the frequencies keeps
-    nothing per shot."""
+@dataclass(eq=False)
+class SampleResult:
+    """Sampled shots: ``frequencies`` maps each outcome signature to its shot
+    count, and ``records`` lists each shot's outcome assignment in shot
+    order.  The result keeps the draw, the leaves' outcome ``rows`` over
+    ``labels`` and their ``cdf``, and draws the records again from the seeded
+    stream when they are first read, so a caller that needs only the
+    frequencies keeps nothing per shot."""
 
-    def __init__(self, labels: tuple[str, ...], rows: np.ndarray, cdf: np.ndarray, seed: int,
-                 shots: int):
-        self._draw = labels, rows, cdf, seed, shots
+    frequencies: dict[str, int]
+    labels: tuple[str, ...]
+    rows: np.ndarray
+    cdf: np.ndarray
+    seed: int
+    shots: int
 
     @cached_property
-    def _records(self) -> list[dict[str, int]]:
-        labels, rows, cdf, seed, shots = self._draw
-        outcomes = [dict(zip(labels, row)) for row in rows.tolist()]
-        return [outcomes[i] for picks in _leaf_picks(cdf, seed, shots) for i in picks.tolist()]
-
-    def __len__(self) -> int:
-        return self._draw[4]
-
-    def __getitem__(self, index):
-        return self._records[index]
+    def records(self) -> list[dict[str, int]]:
+        outcomes = [dict(zip(self.labels, row)) for row in self.rows.tolist()]
+        return [outcomes[i] for picks in _leaf_picks(self.cdf, self.seed, self.shots)
+                for i in picks.tolist()]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and self._records == list(other)
-
-
-@dataclass
-class SampleResult:
-    frequencies: dict[str, int]
-    records: Sequence[dict[str, int]]
+        return (isinstance(other, SampleResult) and self.frequencies == other.frequencies
+                and self.records == other.records)
 
 
 def sample_tree(root, seed: int, shots: int) -> SampleResult:
@@ -462,8 +456,7 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
             by_outcomes[key] = by_outcomes.get(key, 0) + count
     frequencies = {outcome_signature(dict(zip(labels, key))): count
                    for key, count in by_outcomes.items()}
-    return SampleResult(dict(sorted(frequencies.items())),
-                        ShotRecords(labels, rows, cdf, seed, shots))
+    return SampleResult(dict(sorted(frequencies.items())), labels, rows, cdf, seed, shots)
 
 
 def sample(circuit: Circuit, input_state: FockState, seed: int, shots: int) -> SampleResult:

@@ -611,6 +611,33 @@ def test_gadget_encoder_of_a_qubit_of_tiny_norm_has_fidelity_one(capsys, qubit):
     assert report["success_probability"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("backend", ["fock", "corr"])
+def test_a_spinor_whose_squared_norm_underflows_runs(capsys, tmp_path, backend):
+    src = tmp_path / "spinor.feqc"
+    src.write_text("arms 1\nelectron 1 (1e-170,0) (0,0)\nq = charge 1\n")  # nonzero
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", backend)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["branches"] == [{"outcomes": {"q": 1}, "probability": 1.0}]
+
+
+@pytest.mark.parametrize("gadget", ["teleport", "encoder"])
+def test_a_gadget_qubit_whose_squared_norm_underflows_succeeds(capsys, gadget):
+    code, out, err = run_cli(capsys, "gadget", gadget, "--qubit", "(1e-170,0),(0,0)")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["success_probability"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spinor, message", [
+    ("(0,0) (0,0)", "spinor must be nonzero"),
+    ("(1e200,0) (0,0)", "spinor must be finite, with a squared norm below 1.8e308"),
+])
+def test_a_zero_or_overflowing_spinor_is_still_refused(capsys, tmp_path, spinor, message):
+    src = tmp_path / "spinor.feqc"
+    src.write_text(f"arms 1\nelectron 1 {spinor}\nq = charge 1\n")
+    code, out, err = run_cli(capsys, "run", str(src))
+    assert (code, out, err) == (2, "", f"{src}:2:12: bad-literal: {message}\n")
+
+
 @pytest.mark.parametrize("mode", ["enumerate", "sample"])
 def test_run_reads_a_file_that_starts_with_a_byte_order_mark(capsys, tmp_path, mode):
     src = tmp_path / "bom.feqc"

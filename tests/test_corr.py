@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feqc import corr, fock
+from feqc import corr, fock, measurement
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -377,8 +377,9 @@ def test_light_cone_keeps_what_the_readouts_depend_on_on_renumbered_arms():
     # Arm 7's electron and elements, and arm 3's swap, act outside the cone;
     # arm 4's electron lands on an arm the swap touched, so it is a read of arm 4.
     assert arms == [2, 3, 4, 5]
-    assert cone == parse("arms 4\nelectron 1 plus\nbs 1 4\nswap 2 3\nelectron 3 down\n"
-                         "q = charge 4\nif q == 1 : rot 1 x\nr = charge 1\n").circuit
+    expected = parse("arms 4\nelectron 1 plus\nbs 1 4\nswap 2 3\nelectron 3 down\n"
+                     "q = charge 4\nif q == 1 : rot 1 x\nr = charge 1\n").circuit
+    assert cone == list(expected.instructions)
 
 
 def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch):
@@ -395,9 +396,23 @@ def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch)
     message = f"181 leaves of {leaf_bytes} bytes each exceed the limit MAX_TREE_BYTES"
     with pytest.raises(FeqcError, match=message):
         enumerate_charge_branches(circuit)
-    monkeypatch.setattr(corr, "_light_cone", lambda c: (c, list(range(1, c.arm_count + 1))))
+    monkeypatch.setattr(corr, "_light_cone",
+                        lambda c: (list(c.instructions), list(range(1, c.arm_count + 1))))
     with pytest.raises(FeqcError, match=message):
         enumerate_charge_branches(circuit)
+
+
+def test_a_deep_terminal_frontier_gives_its_leaves_without_a_node_per_readout():
+    """600 trailing readouts alternating between two arms: the library reads
+    the frontier's leaf records from its arrays, not through 600 nested
+    levels of nodes, so it does not run out of Python's recursion limit."""
+    circuit = parse("arms 2\nelectron 1 plus\nbs 1 2\n"
+                    + "".join(f"q{i} = charge {1 + i % 2}\n" for i in range(600))).circuit
+    records, _ = enumerate_charge_branches(circuit)
+    assert len(records) == 4
+    assert abs(sum(rec.probability for rec in records) - 1) <= 1e-12
+    root, _ = corr.charge_branch_tree(circuit)
+    assert measurement.leaves(root) == records
 
 
 def test_charge_branches_match_fock_for_terminal_measurements():

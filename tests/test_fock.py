@@ -104,6 +104,11 @@ def test_prepare_spin_rejects_zero_spinor():
         prepare_spin(vacuum(1), 1, 0, 0)
 
 
+def test_spinor_fidelity_scales_a_spinor_whose_squared_norm_underflows():
+    rho = np.array([[1, 0], [0, 0]], dtype=complex)
+    assert fock.spinor_fidelity(rho, 1e-170, 0) == 1.0
+
+
 def test_bell_singlet_amplitudes():
     state = prepare_bell(vacuum(2), 0, 1, 2)
     up_down = (1 << 0) | (1 << 3)

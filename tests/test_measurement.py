@@ -264,7 +264,7 @@ def test_readout_mask_tables_agree_with_key_classifiers(monkeypatch, kind):
     for arm in range(1, arms + 1):
         state = prepare_spin(state, arm, 0.6, 0.8)  # every arm singly occupied, for measure_spin
     tables = []
-    monkeypatch.setattr(measurement, "_partition", lambda state, meter: tables.append(meter))
+    monkeypatch.setattr(measurement, "_born", lambda state, meters: tables.append(*meters))
     rng = np.random.default_rng(len(kind))
     for arm in range(1, arms + 1):
         measure(state, arm)
@@ -395,6 +395,23 @@ def test_draws_past_the_last_cumulative_value_pick_the_last_leaf():
     u = np.random.Generator(np.random.Philox(key=8)).random(shots)
     result = sample_tree(root, 8, shots)
     assert result.frequencies == {"m=0": int((u < 0.25).sum()), "m=1": int((u >= 0.25).sum())}
+
+
+def test_a_sample_draws_its_records_once_when_they_are_first_read(monkeypatch):
+    calls = []
+    draw = measurement._leaf_picks
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(measurement, "_leaf_picks", counted)
+    result = sample_tree(uneven_tree(), 4, 300)
+    assert len(calls) == 1  # the frequencies
+    first = result.records[0]
+    assert len(calls) == 2
+    assert result.records[0] == first and len(result.records) == 300
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000])

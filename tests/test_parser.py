@@ -228,6 +228,22 @@ def structural_passes(monkeypatch):
     return calls
 
 
+def test_a_circuit_is_checked_when_it_is_made(monkeypatch):
+    circuit = Circuit(1, [PrepSpin(1, 1, 0), Measure("q", "charge", 3)])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return iter(())
+
+    monkeypatch.setattr(circuit_module, "structural_problems", counted)
+    assert circuit.problem == "arm 3 out of range 1..1"
+    assert circuit.problem == "arm 3 out of range 1..1"
+    with pytest.raises(CircuitError, match="arm 3 out of range 1..1"):
+        validate_circuit(circuit)
+    assert calls == []
+
+
 @pytest.mark.parametrize("backend", ["fock", "corr"])
 @pytest.mark.parametrize("mode", ["enumerate", "sample"])
 def test_a_run_checks_its_circuit_once(structural_passes, capsys, backend, mode):

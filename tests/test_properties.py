@@ -454,7 +454,7 @@ def corr_run(circuit):
 
 def whole_circuit(circuit):
     """A _light_cone that keeps every instruction and arm."""
-    return circuit, list(range(1, circuit.arm_count + 1))
+    return list(circuit.instructions), list(range(1, circuit.arm_count + 1))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -673,7 +673,7 @@ def test_fock_state_has_norm_one_before_every_readout(circuit):
 
 
 def assert_kept_outcomes_sum_to_one(circuit):
-    """Expand a circuit on fock with _partition's drift check tightened from
+    """Expand a circuit on fock with _born's drift check tightened from
     1e-9 to 1e-12: the outcome probabilities each readout keeps must sum to 1
     within 1e-12 before it divides by their total."""
     with mock.patch.object(measurement, "NORM_TOLERANCE", 1e-12):
