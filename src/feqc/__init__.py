@@ -42,10 +42,8 @@ from .fock import (
 from .measurement import (
     BranchRecord,
     SampleResult,
-    charge1_expectation,
     enumerate_branches,
     measure_charge,
-    measure_mode,
     measure_parity,
     measure_spin,
     outcome_signature,
@@ -83,8 +81,6 @@ from .corr import (
     enumerate_charge_branches,
     evolve,
     init_from_occupations,
-    occupation_probability,
-    principal_minor_probability,
     project_occupation,
     single_occupancy_probability,
 )

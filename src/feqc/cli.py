@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import corr, fock, gadgets, measurement
 from .circuit import Circuit
-from .errors import CircuitError, FeqcError, NonGaussianOperationError, PreconditionError
+from .errors import CircuitError, FeqcError
 from .fock import FockState, format_key, vacuum
 from .measurement import outcome_signature, sample_tree
 from .parser import parse
@@ -314,10 +315,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _emit(report: dict, pretty: bool, renderer) -> None:
-    if pretty:
-        print(renderer(report))
-    else:
-        print(json.dumps(report))
+    # Flushed here, so that a closed stdout raises inside main, not at exit.
+    print(renderer(report) if pretty else json.dumps(report), flush=True)
 
 
 def _render_run(report: dict) -> str:
@@ -375,8 +374,13 @@ def main(argv=None) -> int:
     except CircuitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (PreconditionError, NonGaussianOperationError, FeqcError, ValueError) as err:
+    except (FeqcError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
         return 1
 
 

@@ -138,10 +138,6 @@ def occupation_probabilities(stack: np.ndarray, pos: int) -> np.ndarray:
     return np.minimum(np.maximum(stack[:, pos, pos].real, 0.0), 1.0)
 
 
-def occupation_probability(M: CorrelationMatrix, mode) -> float:
-    return float(occupation_probabilities(M.matrix[None], mode_position(mode, M.num_arms))[0])
-
-
 def _condition(stack: np.ndarray, pos: int, outcome: int) -> np.ndarray:
     """Every matrix of a (B, n, n) stack conditioned on mode position ``pos``
     reading ``outcome``, by project_occupation's rank-one update.  The update
@@ -191,18 +187,6 @@ def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float,
         raise ValueError(f"outcome {outcome} on mode {tuple(mode)} has zero probability")
     updated = _condition(M.matrix[None], pos, outcome)[0]
     return float(min(prob, 1.0)), CorrelationMatrix(M.num_arms, updated)
-
-
-def principal_minor_probability(M: CorrelationMatrix, modes) -> float:
-    """Expectation of a product of mode occupations: det of the submatrix."""
-    positions = sorted({mode_position(mode, M.num_arms) for mode in modes})
-    if not positions:
-        raise ValueError("need at least one mode")
-    sub = M.matrix[np.ix_(positions, positions)]
-    value = float(np.linalg.det(sub).real)
-    if value < -EIGENVALUE_SLACK or value > 1 + EIGENVALUE_SLACK:
-        raise ValueError(f"principal minor {value} is not a probability")
-    return min(max(value, 0.0), 1.0)
 
 
 def _joint_ups(arms, num_arms: int) -> list[int]:

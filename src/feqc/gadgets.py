@@ -21,7 +21,9 @@ branches by the one branch walker, ``measurement.branch_tree``:
 Every gadget returns one ``GadgetBranchRecord`` per branch: its outcomes,
 the Pauli corrections applied, its probability and its output state.
 Correction rules depend only on measurement outcomes, never on the input
-state.
+state.  The encoder's and the controlled-NOT's corrections are conditional
+rotations that the walker runs; teleport's follow the analyzer's class and
+are applied after it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, measurement
-from .circuit import (BeamSplitter, Circuit, Measure, PolarizingBeamSplitter, SpinRotation,
-                      apply_instruction)
+from .circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
+                      SpinRotation, apply_instruction)
 from .errors import PreconditionError
 from .fock import FockState, arm_qubit_density, require_single_occupancy, spinor_fidelity
 # Not called here: bench/tracing.py patches these names, and the walker's meters are the same.
@@ -55,19 +57,25 @@ class GadgetBranchRecord:
     output_state: FockState
 
 
-def _run(state: FockState, instructions: list,
-         rule=lambda outcomes: []) -> list[GadgetBranchRecord]:
-    """Expand a gadget's instructions from ``state`` through the branch walker,
-    then apply to each leaf the corrections ``rule`` reads off its outcomes."""
+def _run(state: FockState, instructions: list) -> list[GadgetBranchRecord]:
+    """Expand a gadget's instructions from ``state`` through the branch walker."""
     tree = measurement.branch_tree(Circuit(state.num_arms, instructions), state)
-    return [_corrected(rec.outcomes, rec.probability, rec.post_state, rule(rec.outcomes))
+    conditionals = [ins for ins in instructions if isinstance(ins, Conditional)]
+    return [GadgetBranchRecord(rec.outcomes, _fired(conditionals, rec.outcomes),
+                               rec.probability, rec.post_state)
             for rec in measurement.leaves(tree)]
 
 
-def _corrected(outcomes: dict[str, int], probability: float, state: FockState,
-               corrections: list[tuple[int, str]]) -> GadgetBranchRecord:
-    return GadgetBranchRecord(outcomes, corrections, probability,
-                              _apply_paulis(state, corrections))
+def _fired(conditionals: list[Conditional], outcomes: dict[str, int]) -> list[tuple[int, str]]:
+    """The (arm, name) rotations of the conditionals that fire on ``outcomes``,
+    in order of first firing; a Pauli that fires an even number of times
+    squares to the identity and is left out."""
+    counts: dict[tuple[int, str], int] = {}
+    for ins in conditionals:
+        if outcomes[ins.label] == ins.value:
+            pauli = (ins.op.arm, ins.op.name)
+            counts[pauli] = counts.get(pauli, 0) + 1
+    return [pauli for pauli, n in counts.items() if n % 2]
 
 
 def _parity_box(arm_a: int, arm_b: int, label: str) -> list:
@@ -135,15 +143,18 @@ def encoder(
 ) -> list[GadgetBranchRecord]:
     """Polarizing splitter pair with a parity meter in between.
 
-    With the correction enabled, the parity-0 branch gets a spin flip on
-    arm_b, recorded as the correction (arm_b, "x"), and both branches emit the same two-electron encoding of the arm_a
-    qubit.  Without it the parity-0 branch comes out with the arm_b spin
-    inverted, which is what ``spin_parity_readout`` relies on.
+    With the correction enabled, the circuit ends in ``if p == 0 : rot arm_b
+    x``, recorded as the correction (arm_b, "x"), and both branches emit the
+    same two-electron encoding of the arm_a qubit.  Without it the parity-0
+    branch comes out with the arm_b spin inverted, which is what
+    ``spin_parity_readout`` relies on.
     """
     require_single_occupancy(state, arm_a, "encoder")
     require_single_occupancy(state, arm_b, "encoder")
-    return _run(state, _parity_box(arm_a, arm_b, "p"),
-                lambda outcomes: [(arm_b, "x")] if apply_correction and outcomes["p"] == 0 else [])
+    instructions = _parity_box(arm_a, arm_b, "p")
+    if apply_correction:
+        instructions.append(Conditional("p", 0, SpinRotation(arm_b, "x")))
+    return _run(state, instructions)
 
 
 def spin_parity_readout(
@@ -202,30 +213,27 @@ def cnot(
 
     One instruction list: the ``spin_parity_readout`` box on control and
     ancilla (parity p1), then the ``hadamard_pbs_gadget`` box on ancilla and
-    target (parity p2, ancilla spin z).  The corrections, sigma_z on the
-    control when p2 is even and sigma_x on the target when z + p1 is even,
-    read parities mod 2.  Each of the eight branches has probability 1/8 and
-    outputs the gate result exactly, up to a global phase.
+    target (parity p2, ancilla spin z), then the corrections as conditionals:
+    sigma_z on the control when p2 == 0, and sigma_x on the target when
+    z + p1 is even, written as two flips, one on p1 == 0 and one on z == 1.
+    Each of the eight branches has probability 1/8 and outputs the gate
+    result exactly, up to a global phase.
 
-    The two correction switches exist for negative controls only: disabling
-    either one must break specific branches.
+    The two correction switches exist for negative controls only: each drops
+    its conditionals, and disabling either one must break specific branches.
     """
     require_single_occupancy(state, control_arm, "cnot")
     require_single_occupancy(state, target_arm, "cnot")
     require_single_occupancy(state, ancilla_arm, "cnot")
     _require_plus_ancilla(state, ancilla_arm)
-
-    def corrections(outcomes: dict[str, int]) -> list[tuple[int, str]]:
-        p1, p2, z = outcomes["p1"], outcomes["p2"], outcomes["z"]
-        applied = []
-        if apply_control_correction and p2 % 2 == 0:
-            applied.append((control_arm, "z"))
-        if apply_target_correction and (z + p1) % 2 == 0:
-            applied.append((target_arm, "x"))
-        return applied
-
-    box = _parity_box(control_arm, ancilla_arm, "p1") + _hadamard_pbs_box(ancilla_arm, target_arm)
-    return _run(state, box, corrections)
+    instructions = (_parity_box(control_arm, ancilla_arm, "p1")
+                    + _hadamard_pbs_box(ancilla_arm, target_arm))
+    if apply_control_correction:
+        instructions.append(Conditional("p2", 0, SpinRotation(control_arm, "z")))
+    if apply_target_correction:
+        flip = SpinRotation(target_arm, "x")
+        instructions += [Conditional("p1", 0, flip), Conditional("z", 1, flip)]
+    return _run(state, instructions)
 
 
 # Qubit correction per analyzer class, in application order.  Frozen from
@@ -249,9 +257,12 @@ def teleport(
     """
     for arm in (source_arm, pair_arm_1, pair_arm_2):
         require_single_occupancy(state, arm, "teleport")
-    return [_corrected(rec.outcomes, rec.probability, rec.output_state,
-                       [(pair_arm_2, name) for name in TELEPORT_CORRECTIONS[rec.outcomes["b"]]])
-            for rec in bell_analyzer(state, source_arm, pair_arm_1)]
+    records = []
+    for rec in bell_analyzer(state, source_arm, pair_arm_1):
+        corrections = [(pair_arm_2, name) for name in TELEPORT_CORRECTIONS[rec.outcomes["b"]]]
+        records.append(GadgetBranchRecord(rec.outcomes, corrections, rec.probability,
+                                          _apply_paulis(rec.output_state, corrections)))
+    return records
 
 
 def _apply_paulis(state: FockState, corrections: list[tuple[int, str]]) -> FockState:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import Circuit, Conditional, Measure, apply_instruction, validate_circuit
 from .errors import FeqcError, PreconditionError
-from .fock import FockState, Spin, arm_charge, mode_position, pruned
+from .fock import FockState, Spin, mode_position, pruned
 
 BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
@@ -153,25 +153,6 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     rejected rather than silently projected.
     """
     return _born(state, [_arm_meter(state, "spin", arm)])
-
-
-def measure_mode(state: FockState, mode) -> list[Branch]:
-    """Project one (arm, spin) mode onto occupation 0 or 1.
-
-    This spin-resolved detector is the measurement primitive the
-    correlation-matrix backend can track; an arm-level charge readout is the
-    coarse-graining of its two modes.
-    """
-    bit = 1 << mode_position(mode, state.num_arms)
-    return _born(state, [(bit, {0: 0, bit: 1}, "")])
-
-
-def charge1_expectation(state: FockState, arm: int) -> float:
-    """Probability that the arm holds exactly one electron."""
-    mode_position((arm, Spin.UP), state.num_arms)
-    return float(
-        sum(abs(a) ** 2 for k, a in state.amplitudes.items() if arm_charge(k, arm) == 1)
-    )
 
 
 @dataclass

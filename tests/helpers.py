@@ -112,6 +112,37 @@ def dense_measure(vec: np.ndarray, predicate) -> list[tuple[int, float, np.ndarr
     return branches
 
 
+def mode_branches(state: FockState, mode) -> list[tuple[int, float, FockState]]:
+    """A projective readout of one (arm, spin) mode's occupation: (outcome,
+    probability, post-state) for each outcome above probability 1e-12, in
+    outcome order, through the dense vector."""
+    pos = pos_of(mode, state.num_arms)
+    return [(out, p, from_dense(vec, state.num_arms))
+            for out, p, vec in dense_measure(dense_vector(state), lambda key: key >> pos & 1)
+            if p > 1e-12]
+
+
+def charge1_probability(state: FockState, arm: int) -> float:
+    """Probability that the arm holds exactly one electron."""
+    up, down = (pos_of((arm, spin), state.num_arms) for spin in (0, 1))
+    return float(sum(abs(a) ** 2 for k, a in state.amplitudes.items()
+                     if (k >> up & 1) + (k >> down & 1) == 1))
+
+
+def mode_occupation(M, mode) -> float:
+    """<n> of one (arm, spin) mode of a CorrelationMatrix: its diagonal
+    entry, clipped to [0, 1] as corr clips it."""
+    pos = pos_of(mode, M.num_arms)
+    return float(min(max(M.matrix[pos, pos].real, 0.0), 1.0))
+
+
+def principal_minor(M, modes) -> float:
+    """<prod n> over distinct modes of a CorrelationMatrix: by Wick's theorem,
+    the determinant of its submatrix on those modes."""
+    positions = sorted({pos_of(mode, M.num_arms) for mode in modes})
+    return float(np.linalg.det(M.matrix[np.ix_(positions, positions)]).real)
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)

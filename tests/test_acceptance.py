@@ -31,9 +31,9 @@ from feqc.fock import (
     vacuum,
 )
 from feqc.gadgets import bell_analyzer, cnot, encoder, hadamard_pbs_gadget, teleport
-from feqc.measurement import enumerate_branches, measure_mode
+from feqc.measurement import enumerate_branches
 from feqc.parser import parse
-from helpers import haar_two_qubit, random_spinor, random_unitary
+from helpers import haar_two_qubit, mode_branches, mode_occupation, random_spinor, random_unitary
 
 DATA = Path(__file__).parent / "data"
 TOL = 1e-9
@@ -225,17 +225,17 @@ def test_criterion_7_backend_equivalence():
         modes = [all_modes[i] for i in rng.choice(len(all_modes), 2, replace=False)]
         fock_joint: dict[tuple, float] = {}
         corr_joint: dict[tuple, float] = {}
-        for o1, p1, post1 in measure_mode(state, modes[0]):
-            for o2, p2, post2 in measure_mode(post1, modes[1]):
+        for o1, p1, post1 in mode_branches(state, modes[0]):
+            for o2, p2, post2 in mode_branches(post1, modes[1]):
                 fock_joint[(o1, o2)] = p1 * p2
         for o1 in (0, 1):
-            prob1 = corr.occupation_probability(M, modes[0])
+            prob1 = mode_occupation(M, modes[0])
             p1 = prob1 if o1 else 1 - prob1
             if p1 <= 1e-12:
                 continue
             _, m1 = corr.project_occupation(M, modes[0], o1)
             for o2 in (0, 1):
-                prob2 = corr.occupation_probability(m1, modes[1])
+                prob2 = mode_occupation(m1, modes[1])
                 p2 = prob2 if o2 else 1 - prob2
                 if p2 <= 1e-12:
                     continue
@@ -244,9 +244,9 @@ def test_criterion_7_backend_equivalence():
                 for mode in all_modes:
                     pos = fock.mode_position(mode, num_arms)
                     post_fock = None
-                    for oo1, pp1, ps1 in measure_mode(state, modes[0]):
+                    for oo1, pp1, ps1 in mode_branches(state, modes[0]):
                         if oo1 == o1:
-                            for oo2, pp2, ps2 in measure_mode(ps1, modes[1]):
+                            for oo2, pp2, ps2 in mode_branches(ps1, modes[1]):
                                 if oo2 == o2:
                                     post_fock = ps2
                     expected = sum(
@@ -254,7 +254,7 @@ def test_criterion_7_backend_equivalence():
                         for k, a in post_fock.amplitudes.items()
                         if k >> pos & 1
                     )
-                    assert corr.occupation_probability(M=m2, mode=mode) == pytest.approx(
+                    assert mode_occupation(m2, mode) == pytest.approx(
                         expected, abs=TOL
                     )
         for key, p in fock_joint.items():

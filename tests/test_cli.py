@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -320,6 +321,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["success_probability"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(DATA / "cnot_core.feqc")],
+    ["run", str(DATA / "cnot_core.feqc"), "--pretty"],
+    ["gadget", "teleport"],
+])
+def test_a_closed_stdout_gives_one_error_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nothing will ever read the report
+    try:
+        proc = subprocess.run([sys.executable, "-m", "feqc", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: stdout was closed before the report was written\n"
 
 
 @pytest.mark.parametrize("spinor", ["(nan,0) (0,1)", "(1e308,0) (1e308,0)"])

@@ -23,17 +23,15 @@ from feqc.corr import (
     enumerate_charge_branches,
     evolve,
     init_from_occupations,
-    occupation_probability,
-    principal_minor_probability,
     project_occupation,
     single_occupancy_probability,
     single_occupancy_terms,
 )
 from feqc.errors import FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.fock import BEAM_SPLITTER_MATRIX, Spin, beam_splitter, prepare_bell, prepare_spin, vacuum
-from feqc.measurement import charge1_expectation, measure_mode
 from feqc.parser import parse
-from helpers import dense_two_point, merged_probabilities, random_spinor, random_unitary
+from helpers import (charge1_probability, dense_two_point, merged_probabilities, mode_branches,
+                     mode_occupation, principal_minor, random_spinor, random_unitary)
 
 UP, DOWN = Spin.UP, Spin.DOWN
 DATA = Path(__file__).parent / "data"
@@ -92,7 +90,7 @@ def test_evolve_diagonals_match_fock_expectations():
                 for k, a in state.amplitudes.items()
                 if k >> fock.mode_position(mode, 2) & 1
             )
-            assert occupation_probability(M, mode) == pytest.approx(expected, abs=1e-9)
+            assert mode_occupation(M, mode) == pytest.approx(expected, abs=1e-9)
 
 
 def test_evolve_rejects_non_unitary():
@@ -131,11 +129,11 @@ def test_project_split_electron():
     M = evolve(M, [(1, UP), (2, UP)], BEAM_SPLITTER_MATRIX)
     prob, kept = project_occupation(M, (1, UP), 1)
     assert prob == pytest.approx(0.5)
-    assert occupation_probability(kept, (1, UP)) == pytest.approx(1.0)
-    assert occupation_probability(kept, (2, UP)) == pytest.approx(0.0, abs=1e-12)
+    assert mode_occupation(kept, (1, UP)) == pytest.approx(1.0)
+    assert mode_occupation(kept, (2, UP)) == pytest.approx(0.0, abs=1e-12)
     prob, emptied = project_occupation(M, (1, UP), 0)
     assert prob == pytest.approx(0.5)
-    assert occupation_probability(emptied, (2, UP)) == pytest.approx(1.0)
+    assert mode_occupation(emptied, (2, UP)) == pytest.approx(1.0)
 
 
 def test_project_rejects_impossible_outcome():
@@ -171,7 +169,7 @@ def test_projection_update_matches_oracle_two_point_functions():
     for _ in range(8):
         state, M = _random_gaussian_pair(rng)
         mode = (int(rng.integers(1, 4)), Spin(int(rng.integers(0, 2))))
-        for outcome, prob_fock, post in measure_mode(state, mode):
+        for outcome, prob_fock, post in mode_branches(state, mode):
             prob_corr, M_post = project_occupation(M, mode, outcome)
             assert prob_corr == pytest.approx(prob_fock, abs=1e-9)
             oracle = dense_two_point(post)
@@ -185,7 +183,7 @@ def test_purity_preserved_by_evolution_and_projection():
         m = M.matrix
         assert np.linalg.norm(m @ m - m) <= 1e-8
         mode = (1, UP)
-        occ = occupation_probability(M, mode)
+        occ = mode_occupation(M, mode)
         if 1e-6 < occ < 1 - 1e-6:
             _, post = project_occupation(M, mode, 1)
             pm = post.matrix
@@ -203,10 +201,10 @@ def test_trace_conserved_by_evolution():
 
 def test_principal_minor_examples():
     M = add_electron(init_from_occupations([], 2), 1, 1, 0)
-    assert principal_minor_probability(M, [(1, UP)]) == pytest.approx(1.0)
+    assert principal_minor(M, [(1, UP)]) == pytest.approx(1.0)
     diag = init_from_occupations([(1, UP), (2, DOWN)], 2)
-    assert principal_minor_probability(diag, [(1, UP), (2, DOWN)]) == pytest.approx(1.0)
-    assert principal_minor_probability(diag, [(1, UP), (2, UP)]) == pytest.approx(0.0)
+    assert principal_minor(diag, [(1, UP), (2, DOWN)]) == pytest.approx(1.0)
+    assert principal_minor(diag, [(1, UP), (2, UP)]) == pytest.approx(0.0)
 
 
 def test_principal_minor_matches_fock_double_occupancy():
@@ -222,7 +220,7 @@ def test_principal_minor_matches_fock_double_occupancy():
     # two opposite spins routed into one arm, which is doubly occupied for sure
     M = add_electron(add_electron(init_from_occupations([], 2), 1, 1, 0), 2, 0, 1)
     M = evolve(M, [(1, DOWN), (2, DOWN)], np.array([[0, 1], [1, 0]], dtype=complex))
-    assert principal_minor_probability(M, [(1, UP), (1, DOWN)]) == pytest.approx(1.0)
+    assert principal_minor(M, [(1, UP), (1, DOWN)]) == pytest.approx(1.0)
 
 
 def test_principal_minors_match_oracle_on_gaussian_states():
@@ -236,7 +234,7 @@ def test_principal_minors_match_oracle_on_gaussian_states():
             for k, a in state.amplitudes.items()
             if all(k >> p & 1 for p in positions)
         )
-        assert principal_minor_probability(M, modes) == pytest.approx(expected, abs=1e-9)
+        assert principal_minor(M, modes) == pytest.approx(expected, abs=1e-9)
 
 
 def test_single_occupancy_monomial_count_is_three_to_the_m():
@@ -262,7 +260,7 @@ def test_single_occupancy_matches_charge1_expectation():
         state, M = _random_gaussian_pair(rng)
         arm = int(rng.integers(1, 4))
         assert single_occupancy_probability(M, [arm]) == pytest.approx(
-            charge1_expectation(state, arm), abs=1e-9
+            charge1_probability(state, arm), abs=1e-9
         )
 
 
@@ -290,7 +288,7 @@ def test_dual_backend_equivalence_on_random_circuits():
                                          elements=int(rng.integers(3, 11)))
         for _ in range(3):
             mode = (int(rng.integers(1, num_arms + 1)), Spin(int(rng.integers(0, 2))))
-            fock_branches = {o: (p, post) for o, p, post in measure_mode(state, mode)}
+            fock_branches = {o: (p, post) for o, p, post in mode_branches(state, mode)}
             outcomes = sorted(fock_branches)
             weights = [fock_branches[o][0] for o in outcomes]
             pick = outcomes[int(rng.choice(len(outcomes), p=np.array(weights) / sum(weights)))]
@@ -304,7 +302,7 @@ def test_dual_backend_equivalence_on_random_circuits():
                         for k, a in state.amplitudes.items()
                         if k >> fock.mode_position((arm, spin), num_arms) & 1
                     )
-                    assert occupation_probability(M, (arm, spin)) == pytest.approx(
+                    assert mode_occupation(M, (arm, spin)) == pytest.approx(
                         expected, abs=1e-9
                     )
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feqc import fock, gadgets
-from feqc.circuit import Measure, PrepSpin, apply_instruction
+from feqc import fock, gadgets, measurement
+from feqc.circuit import Conditional, Measure, PrepSpin, apply_instruction
 from feqc.errors import PreconditionError
 from feqc.fock import (
     FockState,
@@ -167,7 +167,7 @@ def test_encoder_records_its_flip_as_a_correction():
     assert [rec.applied_corrections for rec in flipped] == [[(1, "x")], []]
     plain = encoder(state, 3, 1, apply_correction=False)
     assert [rec.applied_corrections for rec in plain] == [[], []]
-    # the flip is applied after the walk, to the uncorrected branch state
+    # the flip is the circuit's last instruction, made on the uncorrected branch state
     corrected = spin_rotation(plain[0].output_state, 1, fock.PAULI_X)
     assert flipped[0].output_state.amplitudes == corrected.amplitudes
 
@@ -380,11 +380,19 @@ def test_cnot_is_spin_parity_readout_then_hadamard_pbs_gadget(x, y):
 def test_cnot_with_electrometers_is_nearly_deterministic(monkeypatch):
     """Parity meters make the CNOT fully deterministic; electrometers in their
     place, with the same corrections read mod 2, only nearly."""
-    parity_box = gadgets._parity_box
+    run_parity = gadgets._run
 
-    def charge_box(arm_a, arm_b, label):
-        return [dataclasses.replace(ins, kind="charge") if isinstance(ins, Measure) else ins
-                for ins in parity_box(arm_a, arm_b, label)]
+    def run_charge(state, instructions):
+        """Each parity meter made an electrometer, and each correction on a
+        reading of 0 also made on a reading of 2."""
+        changed = []
+        for ins in instructions:
+            if isinstance(ins, Measure) and ins.kind == "parity":
+                ins = dataclasses.replace(ins, kind="charge")
+            changed.append(ins)
+            if isinstance(ins, Conditional) and ins.value == 0:
+                changed.append(dataclasses.replace(ins, value=2))
+        return run_parity(state, changed)
 
     def run(x, y):
         """Largest p2 reading and fidelity-weighted success on the input |x, y>."""
@@ -402,7 +410,7 @@ def test_cnot_with_electrometers_is_nearly_deterministic(monkeypatch):
 
     basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert [run(x, y) for x, y in basis] == [(1, pytest.approx(1.0, abs=1e-12))] * 4
-    monkeypatch.setattr(gadgets, "_parity_box", charge_box)
+    monkeypatch.setattr(gadgets, "_run", run_charge)
     assert [run(x, y) for x, y in basis] == [(2, pytest.approx(0.75, abs=1e-12))] * 4
 
 
@@ -433,6 +441,49 @@ def test_corpus_circuits_and_gadgets_agree_exactly(name):
     got = [(rec.outcomes, rec.probability, rec.output_state.amplitudes)
            for rec in CORPUS_GADGETS[name](state)]
     assert got == expected
+
+
+@pytest.mark.parametrize("name", ["encoder", "cnot_core"])
+def test_gadgets_walk_their_corpus_circuits(name, monkeypatch):
+    """The encoder and the controlled-NOT walk the corpus circuit's
+    instructions after its electron lines, corrections included."""
+    circuit = parse((DATA / f"{name}.feqc").read_text(encoding="utf-8")).circuit
+    _, state = corpus_run(name)
+    walked = []
+    walk = measurement.branch_tree
+    monkeypatch.setattr(measurement, "branch_tree",
+                        lambda circuit, state: walked.append(circuit.instructions)
+                        or walk(circuit, state))
+    CORPUS_GADGETS[name](state)
+    assert walked == [tuple(ins for ins in circuit.instructions if not isinstance(ins, PrepSpin))]
+
+
+def test_only_teleport_applies_corrections_after_the_walk(monkeypatch):
+    def refuse(state, corrections):
+        raise AssertionError("a correction applied after the walk")
+
+    monkeypatch.setattr(gadgets, "_apply_paulis", refuse)
+    assert len(encoder(spin_state(2, [(1, 0.6, 0.8j), (2, 1, 1)]), 1, 2)) == 2
+    coeffs = np.zeros((2, 2), dtype=complex)
+    coeffs[1, 0] = 1.0
+    assert len(cnot(cnot_input(coeffs), 1, 2, 3)) == 8
+    with pytest.raises(AssertionError, match="after the walk"):
+        teleport(teleport_input(0.6, 0.8j), 1, 2, 3)
+
+
+@pytest.mark.parametrize("control, target, ancilla", [(1, 2, 3), (2, 3, 1)])
+def test_cnot_records_the_corrections_its_outcomes_call_for(control, target, ancilla):
+    """sigma_z on the control when p2 is even, then sigma_x on the target
+    when z + p1 is even, on Haar inputs."""
+    rng = np.random.default_rng(38)
+    for _ in range(3):
+        state = cnot_input(haar_two_qubit(rng), control=control, target=target, ancilla=ancilla)
+        records = cnot(state, control, target, ancilla)
+        assert len(records) == 8
+        for rec in records:
+            p1, p2, z = rec.outcomes["p1"], rec.outcomes["p2"], rec.outcomes["z"]
+            expected = [(control, "z")] * (p2 % 2 == 0) + [(target, "x")] * ((z + p1) % 2 == 0)
+            assert rec.applied_corrections == expected
 
 
 def test_cnot_requires_plus_ancilla():

@@ -29,11 +29,9 @@ from feqc.measurement import (
     BranchNode,
     BranchRecord,
     branch_tree,
-    charge1_expectation,
     enumerate_branches,
     leaves,
     measure_charge,
-    measure_mode,
     measure_parity,
     measure_spin,
     outcome_signature,
@@ -41,9 +39,9 @@ from feqc.measurement import (
     sample_tree,
 )
 from feqc.parser import parse
-from helpers import random_state
+from helpers import charge1_probability, random_state
 
-UP, DOWN = Spin.UP, Spin.DOWN
+UP = Spin.UP
 DATA = Path(__file__).parent / "data"
 
 # Three readout levels, two conditionals and 14 leaves of unequal weight.
@@ -147,18 +145,12 @@ def test_spin_measurement_is_nondemolition():
         assert measure_spin(post, 1) == [(z, pytest.approx(1.0), post)]
 
 
-def test_charge1_expectation_examples():
-    assert charge1_expectation(vacuum(2), 1) == 0.0
-    assert charge1_expectation(prepare_bell(vacuum(2), 1, 1, 2), 1) == pytest.approx(1.0)
-    assert charge1_expectation(bunched_singlet(), 1) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_charge1_expectation_matches_charge_branch():
     rng = np.random.default_rng(21)
     for _ in range(10):
         state = random_state(rng, 2)
         expected = {q: p for q, p, _ in measure_charge(state, 1)}.get(1, 0.0)
-        assert abs(charge1_expectation(state, 1) - expected) <= 1e-12
+        assert abs(charge1_probability(state, 1) - expected) <= 1e-12
 
 
 def test_measurement_probabilities_complete():
@@ -212,20 +204,13 @@ def test_parity_branch_is_not_reachable_from_charge_branches():
     state = bunched_singlet()
     (_, _, parity_post), = measure_parity(state, 1)
     revived = beam_splitter(parity_post, 1, 2)
-    assert charge1_expectation(revived, 1) == pytest.approx(1.0)
+    assert charge1_probability(revived, 1) == pytest.approx(1.0)
     for _, _, charge_post in measure_charge(state, 1):
         revived = beam_splitter(charge_post, 1, 2)
-        assert charge1_expectation(revived, 1) == pytest.approx(0.5)
+        assert charge1_probability(revived, 1) == pytest.approx(0.5)
 
 
-def test_measure_mode_partitions_occupancy():
-    state = beam_splitter(create(vacuum(2), (1, UP)), 1, 2)
-    probs = {n: p for n, p, _ in measure_mode(state, (1, UP))}
-    assert probs == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
-
-
-@pytest.mark.parametrize("measure", [measure_charge, measure_parity, measure_spin,
-                                     lambda state, arm: measure_mode(state, (arm, UP))])
+@pytest.mark.parametrize("measure", [measure_charge, measure_parity, measure_spin])
 def test_measurements_report_norm_drift_instead_of_renormalizing(measure):
     state = prepare_spin(prepare_spin(vacuum(2), 2, 1, 0), 1, 1, 1)
     # A raw creation operator on a half-blocked arm leaves norm 1/sqrt(2).
@@ -249,10 +234,6 @@ KEY_CLASSIFIERS = {
     "parity": (measure_parity, lambda key, arm: arm_charge(key, arm) % 2),
     "spin": (measure_spin, lambda key, arm: (REFUSED if arm_charge(key, arm) != 1
                                              else 0 if key >> 2 * (arm - 1) & 1 else 1)),
-    "mode up": (lambda state, arm: measure_mode(state, (arm, UP)),
-                lambda key, arm: key >> 2 * (arm - 1) & 1),
-    "mode down": (lambda state, arm: measure_mode(state, (arm, DOWN)),
-                  lambda key, arm: key >> 2 * arm - 1 & 1),
 }
 
 

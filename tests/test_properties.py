@@ -41,8 +41,8 @@ from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError, Prec
 from feqc.measurement import BranchNode, enumerate_branches
 from feqc.parser import parse
 from helpers import (deep_terminal_circuit, dense_bilinear_unitary, dense_evolve, dense_project,
-                     dense_single_occupancy, dense_vector, merged_probabilities, product_monomials,
-                     random_correlation_matrix, random_state, random_unitary)
+                     dense_single_occupancy, dense_vector, merged_probabilities, mode_occupation,
+                     product_monomials, random_correlation_matrix, random_state, random_unitary)
 
 KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
             "spin", "up", "down", "plus"]
@@ -351,11 +351,11 @@ def sequential_charge_outcomes(M, ins):
     time: the loop the batched readout replaced, kept as its reference."""
     up, down = (ins.arm, fock.Spin.UP), (ins.arm, fock.Spin.DOWN)
     outcomes = []
-    p_up1 = corr.occupation_probability(M, up)
+    p_up1 = mode_occupation(M, up)
     for n_up, p_up in ((0, 1.0 - p_up1), (1, p_up1)):
         if p_up > corr.PROBABILITY_FLOOR:
             _, m_up = corr.project_occupation(M, up, n_up)
-            p_down1 = corr.occupation_probability(m_up, down)
+            p_down1 = mode_occupation(m_up, down)
             for n_down, p_down in ((0, 1.0 - p_down1), (1, p_down1)):
                 if p_up * p_down > corr.PROBABILITY_FLOOR:
                     _, m_both = corr.project_occupation(m_up, down, n_down)
