@@ -201,6 +201,53 @@ def validate_circuit(circuit: Circuit) -> None:
         raise CircuitError(circuit.problem)
 
 
+def instruction_arms(ins: Instruction) -> tuple[int, ...]:
+    """The arms a preparation, readout or element (plain or conditional) acts on."""
+    op = ins.op if isinstance(ins, Conditional) else ins
+    if isinstance(op, TwoArmElement):
+        return op.arm_i, op.arm_j
+    if isinstance(op, PrepBell):
+        return op.arm_a, op.arm_b
+    return (op.arm,)
+
+
+def light_cone(instructions: Sequence[Instruction]) -> list[Instruction]:
+    """The instructions that the readouts of a circuit run from the vacuum
+    depend on, in circuit order: the backward light cone of its readouts.
+
+    Walking backward, a readout is kept and makes its arm needed from that
+    point back.  An element or conditional that touches a needed arm is kept,
+    and its arms become needed.  An electron or entangled pair is kept if one
+    of its arms is needed, or if an earlier element touched one of them,
+    because its occupancy check reads that arm; its arms become needed too.
+    A dropped instruction acts only on arms that no kept instruction after it
+    touches, so it commutes to the end of the circuit, where no readout sees
+    it, and every kept state restricted to the needed arms is the full
+    circuit's.  A dropped preparation finds its arms empty, so it refuses
+    nothing.
+    """
+    arms_of = []  # each instruction's arms
+    touched: set[int] = set()  # arms an element before the current instruction touched
+    reads = set()  # indices of the preparations whose occupancy check reads an arm
+    for i, ins in enumerate(instructions):
+        arms = instruction_arms(ins)
+        arms_of.append(arms)
+        if isinstance(ins, (PrepSpin, PrepBell)):
+            if not touched.isdisjoint(arms):
+                reads.add(i)
+        elif not isinstance(ins, Measure):
+            touched.update(arms)
+    needed: set[int] = set()
+    kept = []
+    for i in reversed(range(len(instructions))):
+        ins, arms = instructions[i], arms_of[i]
+        if isinstance(ins, Measure) or i in reads or not needed.isdisjoint(arms):
+            kept.append(ins)
+            needed.update(arms)
+    kept.reverse()
+    return kept
+
+
 def unitary_steps(ins: Instruction) -> list[fock.Step]:
     """The (mode pair, 2x2 unitary) steps of an optical element; both backends
     apply elements through this."""

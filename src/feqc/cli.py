@@ -145,7 +145,10 @@ def _run_report(args, circuit: Circuit) -> dict:
         "arm_count": circuit.arm_count,
     }
     if args.backend == "fock":
-        root = measurement.branch_tree(circuit, vacuum(circuit.arm_count))
+        # The readouts' light cone gives the same branches; emitted states
+        # need every electron of the circuit.
+        root = measurement.branch_tree(circuit, vacuum(circuit.arm_count),
+                                       cone=not args.emit_state)
         branches = []
         for rec in measurement.leaves(root):
             entry: dict = {"outcomes": rec.outcomes, "probability": rec.probability}

@@ -21,11 +21,13 @@ frontier: the live branches' 2m x 2m blocks over the m read arms are stacked,
 and each readout is one batched rank-one update per mode.  That block is
 exact because a projection on a mode of a set reads only entries in the set.
 
-A circuit runs on the backward light cone of its readouts: the instructions
-the read arms depend on, over the arms those need, renumbered in ascending
-order (``_light_cone``).  The cost follows the cone, not the declared arm
-count; the limits, the joint query's pricing and every reported arm number
-are still decided on the circuit as written.
+A circuit runs on the backward light cone of its readouts, the rule fock's
+runs share (``circuit.light_cone``), over the arms it acts on, renumbered in
+ascending order (``_light_cone``).  The cost follows the cone, not the
+declared arm count; the limits, the joint query's pricing and every reported
+arm number are still decided on the circuit as written.  Every state that
+reaches a readout must hold the electrons the cone added on its path: its
+trace, the particle number, is checked, never renormalized.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, SpinRotation,
-                      TwoArmElement, unitary_steps, validate_circuit)
+                      TwoArmElement, instruction_arms, light_cone, unitary_steps,
+                      validate_circuit)
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import MAX_ARMS, Spin, mode_position
@@ -277,12 +280,6 @@ class CorrRunStats:
     joint_charge1: float | None = None
 
 
-def _arms(ins) -> tuple[int, ...]:
-    """The arms an electron, readout or element (plain or conditional) acts on."""
-    op = ins.op if isinstance(ins, Conditional) else ins
-    return (op.arm_i, op.arm_j) if isinstance(op, TwoArmElement) else (op.arm,)
-
-
 def _reject_non_gaussian(circuit: Circuit) -> None:
     # Conditionals on parity/spin labels are rejected transitively: the
     # offending measurement always precedes them.  A charge readout dephases
@@ -302,7 +299,7 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
         if isinstance(ins, Measure):
             read.setdefault(ins.arm, ins.label)
         elif not isinstance(ins, PrepSpin):  # an element, plain or conditional
-            for arm in [a for a in _arms(ins) if a in read]:
+            for arm in [a for a in instruction_arms(ins) if a in read]:
                 raise NonGaussianOperationError(
                     f"non-Gaussian operation: element on arm {arm} after charge measurement "
                     f"{read[arm]!r} of that arm cannot be tracked by the correlation backend"
@@ -349,38 +346,25 @@ def _charge_readout(stack: np.ndarray, up: int, admit, last: bool = False):
     return parents, charges, p, None if last else _project(mid, up + 1, k, n_down)
 
 
-def _light_cone(circuit: Circuit) -> tuple[list, list[int]]:
-    """The instructions a Gaussian circuit's readouts depend on, renumbered
-    onto the arms they need, and those arms in ascending order.  Arm
-    ``arms[k - 1]`` of the circuit is arm k of the cone; the order is kept,
-    so mode positions keep their order too.
+def _check_particle_number(M: CorrelationMatrix, electrons: int) -> None:
+    """Refuse a matrix whose trace, its particle number, is not the number of
+    electrons added on its path: elements and projections both conserve it.
+    O(N)."""
+    number = float(M.matrix.trace().real)
+    if abs(number - electrons) > NORM_TOLERANCE:
+        raise FeqcError(f"correlation matrix drifted: particle number {number!r} where "
+                        f"{electrons} electrons were added (drift {number - electrons!r})")
 
-    Walking backward from the readouts' arms, an element is kept if it
-    touches a needed arm, and its arms are then needed too; an electron is
-    kept if its arm is needed.  An electron is also a read of its arm when an
-    element before it touched that arm, so that add_electron's occupancy
-    check sees what it sees in the full circuit.  A dropped instruction acts
-    only on arms that no kept one reads later, so every kept entry of the
-    matrix, and with it every probability, is computed as in the full circuit.
-    """
-    instructions = circuit.instructions
-    touched: set[int] = set()  # arms an element before the current instruction touched
-    reads = set()  # indices of the electrons whose occupancy check reads their arm
-    for i, ins in enumerate(instructions):
-        if isinstance(ins, PrepSpin):
-            if ins.arm in touched:
-                reads.add(i)
-        elif not isinstance(ins, Measure):
-            touched.update(_arms(ins))
-    needed = {ins.arm for ins in instructions if isinstance(ins, Measure)}
-    kept = []
-    for i in reversed(range(len(instructions))):
-        ins = instructions[i]
-        arms = _arms(ins)
-        if isinstance(ins, Measure) or i in reads or not needed.isdisjoint(arms):
-            kept.append(ins)
-            needed.update(arms)
-    arms = sorted(needed)
+
+def _light_cone(circuit: Circuit) -> tuple[list, list[int]]:
+    """The instructions a Gaussian circuit's readouts depend on
+    (``circuit.light_cone``), renumbered onto the arms they act on, and those
+    arms in ascending order.  Arm ``arms[k - 1]`` of the circuit is arm k of
+    the cone; the order is kept, so mode positions keep their order too, and
+    every kept entry of the matrix, and with it every probability, is
+    computed as in the full circuit."""
+    cone = light_cone(circuit.instructions)
+    arms = sorted({arm for ins in cone for arm in instruction_arms(ins)})
     local = {arm: k for k, arm in enumerate(arms, start=1)}
 
     def renumbered(ins):
@@ -394,7 +378,7 @@ def _light_cone(circuit: Circuit) -> tuple[list, list[int]]:
             return Measure(ins.label, ins.kind, local[ins.arm])
         return SpinRotation(local[ins.arm], ins.name)
 
-    return [renumbered(ins) for ins in reversed(kept)], arms
+    return [renumbered(ins) for ins in cone], arms
 
 
 def _apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
@@ -424,7 +408,9 @@ def charge_branch_tree(circuit: Circuit):
     reported in the stats; a joint probability that differs from the summed
     all-charge-1 leaves by more than NORM_TOLERANCE is an error, never
     renormalized.  A tree whose leaves would take more than
-    MAX_TREE_BYTES as full matrices is refused while it is expanded.
+    MAX_TREE_BYTES as full matrices is refused while it is expanded, and a
+    state that reaches a readout with a trace other than the electrons added
+    on its path is refused (``_check_particle_number``).
 
     The walk runs on the readouts' light cone (``_light_cone``).  MAX_ARMS,
     the bytes of a leaf, which readouts are terminal and which form the
@@ -456,12 +442,14 @@ def charge_branch_tree(circuit: Circuit):
                             f"each exceed the limit MAX_TREE_BYTES = {MAX_TREE_BYTES}")
 
     def branches(M: CorrelationMatrix, ins: Measure):
+        _check_particle_number(M, electrons[ins.label])
         up = mode_position((ins.arm, Spin.UP), M.num_arms)
         _, charges, probs, post = _charge_readout(M.matrix[None], up, admit)
         return [(n, p, CorrelationMatrix(M.num_arms, m))
                 for n, p, m in zip(charges.tolist(), probs.tolist(), post)]
 
     def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
+        _check_particle_number(M, electrons[readouts[0].label])
         count(1)
         # The complexity demonstration: price the joint charge-1 query on the
         # state the terminal block starts from.
@@ -505,6 +493,13 @@ def charge_branch_tree(circuit: Circuit):
         return _apply(M, ins)
 
     cone, arms = _light_cone(circuit)
+    electrons: dict[str, int] = {}  # readout label -> electrons the cone adds before it
+    added = 0
+    for ins in cone:
+        if isinstance(ins, PrepSpin):
+            added += 1
+        elif isinstance(ins, Measure):
+            electrons[ins.label] = added
     # The block takes only the circuit's own trailing run: a readout the cone
     # moved up next to it branches one matrix at a time, as written.
     root = walk(cone, init_from_occupations([], len(arms)), apply, branches,

@@ -6,9 +6,13 @@ threshold, each with its renormalized post-state.  One Born-rule routine,
 a single ``measure_*`` call is its one-readout case.  ``enumerate_branches``
 expands a circuit into the full outcome tree through the branch walker,
 ``walk``, which hands the circuit's trailing run of readouts to that routine
-on every path that reaches it.  ``sample`` reads the tree's leaves as one
-table (``leaf_table``) into a cumulative distribution and routes shot i by
-the i-th double of one Philox stream keyed by the seed, so identical inputs
+on every path that reaches it.  ``branch_tree(..., cone=True)``, which
+``feqc run`` uses on fock unless it emits states, walks only the readouts'
+backward light cone from the vacuum (``circuit.light_cone``), so an
+instruction no readout depends on costs nothing, and MAX_KEYS bounds the
+cone's states.  ``sample`` reads the tree's leaves as one table
+(``leaf_table``) into a cumulative distribution and routes shot i by the
+i-th double of one Philox stream keyed by the seed, so identical inputs
 reproduce identical records and a run is a prefix of any longer run with its
 seed.
 """
@@ -23,7 +27,8 @@ from typing import Any, Union
 
 import numpy as np
 
-from .circuit import Circuit, Conditional, Measure, apply_instruction, validate_circuit
+from .circuit import (Circuit, Conditional, Measure, apply_instruction, light_cone,
+                      validate_circuit)
 from .errors import FeqcError, PreconditionError
 from .fock import FockState, Spin, mode_position, pruned
 
@@ -338,13 +343,25 @@ def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     return labels, np.concatenate([r for r, _ in chunks]), np.concatenate([p for _, p in chunks])
 
 
-def branch_tree(circuit: Circuit, input_state: FockState) -> Union[BranchNode, BranchRecord]:
+def branch_tree(circuit: Circuit, input_state: FockState,
+                *, cone: bool = False) -> Union[BranchNode, BranchRecord]:
     """Expand a circuit into its measurement-outcome tree; its trailing run
-    of readouts is read in one pass over each state that reaches it."""
+    of readouts is read in one pass over each state that reaches it.
+
+    With ``cone``, the walk runs from the vacuum ``input_state`` over the
+    readouts' light cone (``circuit.light_cone``) on the circuit's own arm
+    numbers, and the cone's trailing run is read in that pass.  The tree has
+    the full circuit's labels, outcomes, order and probabilities, up to
+    rounding, and every refusal but MAX_KEYS; its post-states hold only the
+    cone's electrons."""
     validate_circuit(circuit)
     if input_state.num_arms != circuit.arm_count:
         raise ValueError("input state arm count does not match circuit")
     instructions = circuit.instructions
+    if cone:
+        if input_state.amplitudes.keys() != {0}:
+            raise ValueError("the light cone is walked from the vacuum")
+        instructions = light_cone(instructions)
     admit_depth(sum(isinstance(ins, Measure) for ins in instructions))  # the block nests too
     return walk(instructions, input_state, apply_instruction,
                 lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm),

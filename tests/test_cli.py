@@ -542,6 +542,28 @@ def test_fock_runs_a_circuit_of_max_arms(capsys, tmp_path):
                for b in report["branches"] for entry in b["state"])
 
 
+def test_fock_runs_the_readouts_light_cone_unless_it_emits_states(capsys, tmp_path, monkeypatch):
+    """20 split electrons hold 2^20 keys; the readout of arm 1 sees one of
+    them.  A report walks the readout's light cone, through
+    measurement.branch_tree; a report with states walks the whole circuit and
+    is refused on MAX_KEYS."""
+    src = tmp_path / "twenty.feqc"
+    src.write_text("arms 20\n" + "".join(f"electron {a} plus\n" for a in range(1, 21))
+                   + "".join(f"bs {a} {a + 1}\n" for a in range(2, 20)) + "q = charge 1\n")
+    tree, cones = measurement.branch_tree, []
+    monkeypatch.setattr(measurement, "branch_tree",
+                        lambda c, state, *, cone: cones.append(cone) or tree(c, state, cone=cone))
+    for mode in ("enumerate", "sample"):
+        code, out, err = run_cli(capsys, "run", str(src), "--mode", mode)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["branches"] == [{"outcomes": {"q": 1}, "probability": 1.0}]
+    code, out, err = run_cli(capsys, "run", str(src), "--emit-state")
+    assert (code, out) == (1, "")
+    assert err == ("error: fock backend: a state of 524288 keys exceeds the limit "
+                   f"MAX_KEYS = {fock.MAX_KEYS}\n")
+    assert cones == [True, True, False]
+
+
 def readout_chain(readouts: int, arms: int = 1, element: str = "") -> str:
     """One electron read on arm 1 ``readouts`` times, each readout followed by
     ``element`` (none: a trailing run); arm 3, if there is one, holds an

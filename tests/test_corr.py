@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feqc import corr, fock, measurement
+from feqc import cli, corr, fock, measurement
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -365,6 +365,33 @@ def test_terminal_block_reports_drift_in_a_later_parent(monkeypatch):
                                             for b, q in enumerate(exact(stack, pos))])
     with pytest.raises(FeqcError, match="sum to 1.01"):
         enumerate_charge_branches(circuit)
+
+
+TWO_ARM_SPLIT = "arms 2\nelectron 1 (1,0) (0,0)\nbs 1 2\n"
+
+
+@pytest.mark.parametrize("readouts", ["q = charge 1\nr = charge 2\n",  # the terminal block
+                                      "q = charge 1\nrot 2 h\nr = charge 2\n"])  # one at a time
+@pytest.mark.parametrize("factor, number", [(1.5, "2.249999999999999"),
+                                            (0.5, "0.24999999999999994")])
+def test_a_run_refuses_a_matrix_whose_particle_number_drifted(tmp_path, capsys, monkeypatch,
+                                                             readouts, factor, number):
+    """A kernel that scales M changes its trace, the particle number, which
+    must equal the electrons added: the run stops with one error line instead
+    of reporting branches that lost or gained an electron."""
+    src = tmp_path / "split.feqc"
+    src.write_text(TWO_ARM_SPLIT + readouts)
+    assert cli.main(["run", str(src), "--backend", "corr"]) == 0
+    capsys.readouterr()
+    exact = corr.evolve
+    monkeypatch.setattr(corr, "evolve", lambda M, modes, matrix: corr.CorrelationMatrix(
+        M.num_arms, factor * exact(M, modes, matrix).matrix))
+    assert cli.main(["run", str(src), "--backend", "corr"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: correlation matrix drifted: particle number {number} "
+                                f"where 1 electrons were added "
+                                f"(drift {float(number) - 1!r})"]
 
 
 def test_light_cone_keeps_what_the_readouts_depend_on_on_renumbered_arms():

@@ -18,6 +18,7 @@ from feqc.circuit import (
     PrepBell,
     PrepSpin,
     SpinRotation,
+    light_cone,
 )
 from feqc.errors import CircuitError, FeqcError, PreconditionError
 from feqc.fock import (
@@ -438,3 +439,34 @@ def test_sample_counts_within_five_sigma_of_each_leaf(source):
     for sig, p in probs.items():
         n = result.frequencies.get(sig, 0)
         assert abs(n - shots * p) <= 5 * np.sqrt(shots * p * (1 - p)), sig
+
+
+def test_light_cone_keeps_what_the_readouts_depend_on():
+    instructions = [PrepSpin(1, 1, 1), PrepBell(0, 2, 3), PrepSpin(4, 1, 0), BeamSplitter(1, 5),
+                    Measure("q", "charge", 5), BeamSplitter(5, 4), BeamSplitter(6, 7),
+                    SpinRotation(3, "h"), PrepSpin(7, 0, 1), PrepBell(1, 8, 9),
+                    Conditional("q", 1, SpinRotation(8, "x")), Measure("r", "spin", 3)]
+    # Arm 4's electron and the splitter after q act on no arm read later.  The
+    # pair on arms 2 and 3 is read through arm 3.  Arm 7's electron lands on
+    # an arm a splitter touched, so its occupancy check reads arm 7 and keeps
+    # that splitter.  The pair on arms 8 and 9 lands before the conditional
+    # touches arm 8, and both are dropped.
+    cone = [PrepSpin(1, 1, 1), PrepBell(0, 2, 3), BeamSplitter(1, 5), Measure("q", "charge", 5),
+            BeamSplitter(6, 7), SpinRotation(3, "h"), PrepSpin(7, 0, 1), Measure("r", "spin", 3)]
+    assert light_cone(instructions) == cone
+    assert light_cone([]) == []
+    circuit = Circuit(9, instructions)
+    full = [(r.outcomes, r.probability) for r in enumerate_branches(circuit, vacuum(9))]
+    got = [(r.outcomes, r.probability) for r in leaves(branch_tree(circuit, vacuum(9), cone=True))]
+    assert [o for o, _ in got] == [o for o, _ in full]
+    assert [p for _, p in got] == pytest.approx([p for _, p in full], rel=1e-14)
+
+
+def test_the_light_cone_is_walked_from_the_vacuum():
+    circuit = Circuit(2, [PrepSpin(2, 1, 0), Measure("q", "charge", 1)])
+    state = prepare_spin(vacuum(2), 1, 1, 0)
+    assert [r.outcomes for r in enumerate_branches(circuit, state)] == [{"q": 1}]
+    with pytest.raises(ValueError, match="from the vacuum"):
+        branch_tree(circuit, state, cone=True)
+    tree = branch_tree(circuit, vacuum(2), cone=True)
+    assert [(r.outcomes, r.probability) for r in leaves(tree)] == [({"q": 0}, 1.0)]

@@ -34,6 +34,7 @@ from feqc.circuit import (
     SpinRotation,
     SwapArms,
     apply_instruction,
+    light_cone,
     print_circuit,
     validate_circuit,
 )
@@ -533,10 +534,13 @@ def fock_deep_pool() -> list[Circuit]:
     return [parse(entry["circuit"]).circuit for entry in pool]
 
 
-def with_pool_examples(test):
-    for circuit in fock_deep_pool():
-        test = example(circuit, measurement.MAX_LEAVES)(test)
-    return test
+def with_pool_examples(*args):
+    """Add every fock-deep circuit, followed by ``args``, as an example."""
+    def decorate(test):
+        for circuit in fock_deep_pool():
+            test = example(circuit, *args)(test)
+        return test
+    return decorate
 
 
 @st.composite
@@ -584,28 +588,31 @@ MIXED_TERMINAL_RUN = Circuit(3, [
     Measure("d", "charge", 1), Measure("e", "spin", 3)])
 
 
-def fock_tree_or_error(circuit):
+def fock_tree_or_error(circuit, cone=False):
     try:
-        return measurement.branch_tree(circuit, fock.vacuum(circuit.arm_count))
+        return measurement.branch_tree(circuit, fock.vacuum(circuit.arm_count), cone=cone)
     except FeqcError as err:  # PreconditionError is one
         return type(err), str(err)
 
 
-def assert_same_fock_tree(tree, plain):
-    """Equal labels, outcomes, order and post-state keys (in order); equal
-    probabilities and amplitudes within 1e-14 relative."""
-    if isinstance(plain, tuple):  # the walk without the block raised
+def assert_same_fock_tree(tree, plain, rel=1e-14, states=True):
+    """Equal labels, outcomes and order; equal probabilities within ``rel``
+    relative; with ``states``, equal post-state keys (in order) and
+    amplitudes within 1e-14 relative."""
+    if isinstance(plain, tuple):  # the reference walk raised
         assert tree == plain
         return
     if isinstance(plain, BranchNode):
         assert isinstance(tree, BranchNode) and tree.label == plain.label
         assert [o for o, _, _ in tree.children] == [o for o, _, _ in plain.children]
         for (_, p, child), (_, q, other) in zip(tree.children, plain.children):
-            assert abs(p - q) <= 1e-14 * q, (plain.label, p, q)
-            assert_same_fock_tree(child, other)
+            assert abs(p - q) <= rel * q, (plain.label, p, q)
+            assert_same_fock_tree(child, other, rel, states)
         return
     assert list(tree.outcomes.items()) == list(plain.outcomes.items())
-    assert abs(tree.probability - plain.probability) <= 1e-14 * plain.probability
+    assert abs(tree.probability - plain.probability) <= rel * plain.probability
+    if not states:
+        return
     amps, ref_amps = tree.post_state.amplitudes, plain.post_state.amplitudes
     assert list(amps) == list(ref_amps)
     assert all(abs(amps[k] - a) <= 1e-14 * abs(a) for k, a in ref_amps.items())
@@ -624,7 +631,7 @@ def assert_same_fock_tree(tree, plain):
 # A 6-leaf tree, and the same circuit over a limit of 5 leaves.
 @example(MIXED_TERMINAL_RUN, measurement.MAX_LEAVES)
 @example(MIXED_TERMINAL_RUN, 5)
-@with_pool_examples
+@with_pool_examples(measurement.MAX_LEAVES)
 def test_fock_terminal_block_equals_the_walk_without_it(circuit, max_leaves):
     """Fock's terminal block, one grouping of the keys for the whole run of
     readouts, gives the tree the walker makes readout by readout, or the same
@@ -634,6 +641,107 @@ def test_fock_terminal_block_equals_the_walk_without_it(circuit, max_leaves):
         with mock.patch.object(measurement, "walk", walk_without_block):
             plain = fock_tree_or_error(circuit)
     assert_same_fock_tree(tree, plain)
+
+
+@st.composite
+def fock_cone_circuits(draw):
+    """3-6-arm fock circuits whose electrons and entangled pairs may come
+    after elements, readouts of every kind anywhere, conditionals on them,
+    and a trailing run of 0-3 readouts: part of each circuit lies outside its
+    readouts' light cone, and a preparation can land on an arm an element
+    touched or filled."""
+    n = draw(st.integers(3, 6))
+    arm = st.integers(1, n)
+    rotations = st.builds(SpinRotation, arm, st.sampled_from(["x", "y", "z", "h"]))
+    fresh = draw(st.permutations(range(1, n + 1)))
+    instructions = []
+    measured: dict[str, str] = {}
+    for _ in range(draw(st.integers(1, 14))):
+        choice = draw(st.sampled_from(["electron", "electron", "bell", "element", "element",
+                                       "rot", "measure", "if"]))
+        if choice == "electron" and fresh:
+            instructions.append(PrepSpin(fresh.pop(), *draw(st.sampled_from(SPINORS))))
+        elif choice == "bell" and len(fresh) >= 2:
+            instructions.append(PrepBell(draw(st.integers(0, 3)), fresh.pop(), fresh.pop()))
+        elif choice == "element":
+            i, j = draw(st.permutations(range(1, n + 1)))[:2]
+            cls = draw(st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms]))
+            instructions.append(cls(i, j))
+        elif choice == "measure":
+            label = f"m{len(measured)}"
+            measured[label] = draw(st.sampled_from(READOUT_KINDS))
+            instructions.append(Measure(label, measured[label], draw(arm)))
+        elif choice == "if" and measured:
+            label = draw(st.sampled_from(sorted(measured)))
+            value = draw(st.integers(0, 2 if measured[label] == "charge" else 1))
+            instructions.append(Conditional(label, value, draw(rotations)))
+        else:
+            instructions.append(draw(rotations))
+    readouts = draw(st.lists(st.tuples(st.sampled_from(READOUT_KINDS), arm), max_size=3))
+    instructions += [Measure(f"t{i}", kind, a) for i, (kind, a) in enumerate(readouts)]
+    return Circuit(n, instructions)
+
+
+# The circuit of the CI check: 20 split electrons hold 2^20 keys, and the
+# full circuit is refused on MAX_KEYS; the readout's cone is one electron.
+TWENTY_ARMS = Circuit(20, [*(PrepSpin(a, 1, 1) for a in range(1, 21)),
+                           *(BeamSplitter(a, a + 1) for a in range(2, 20)),
+                           Measure("q", "charge", 1)])
+
+
+def is_max_keys_refusal(tree) -> bool:
+    return isinstance(tree, tuple) and "MAX_KEYS" in tree[1]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(fock_terminal_circuits(), fock_cone_circuits()))
+# Arm 2's electron lands on an arm the splitter filled: it reads arm 2, so the
+# cone keeps it, the splitter and arm 1's electron, and refuses it by name.
+@example(Circuit(4, [PrepSpin(1, 1, 1), BeamSplitter(1, 2), PrepSpin(2, 1, 0),
+                     PrepSpin(4, 0.6, 0.8j), BeamSplitter(3, 4), Measure("q", "spin", 4)]))
+# The splitter touched arm 3 but left it empty: the electron lands.  The pair
+# is in the cone through its second arm only; arm 1's electron is not.
+@example(Circuit(5, [PrepSpin(1, 1, 0), BeamSplitter(3, 4), PrepSpin(3, 0.6, 0.8),
+                     PrepBell(1, 5, 2), Measure("p", "parity", 3), Measure("q", "spin", 2)]))
+@example(TWENTY_ARMS)
+@with_pool_examples()
+def test_fock_light_cone_gives_the_full_circuit_tree(circuit):
+    """Fock's walk over the readouts' light cone gives the full circuit's
+    leaf outcomes, in the same order, with probabilities within 1e-12
+    relative, or the same refusal.  Only a MAX_KEYS refusal of the full
+    circuit may run on the cone, whose states hold fewer electrons."""
+    cone = fock_tree_or_error(circuit, cone=True)
+    plain = fock_tree_or_error(circuit)
+    if is_max_keys_refusal(plain):
+        assert not isinstance(cone, tuple) or is_max_keys_refusal(cone)
+        if circuit == TWENTY_ARMS:
+            assert plain[1] == ("fock backend: a state of 524288 keys exceeds the limit "
+                                "MAX_KEYS = 262144")
+            assert [(rec.outcomes, rec.probability) for rec in measurement.leaves(cone)] == [
+                ({"q": 1}, 1.0)]
+        return
+    assert_same_fock_tree(cone, plain, rel=1e-12, states=False)
+
+
+def electron_count(instructions) -> int:
+    return sum(2 if isinstance(ins, PrepBell) else 1 for ins in instructions
+               if isinstance(ins, (PrepSpin, PrepBell)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.one_of(fock_terminal_circuits(), fock_cone_circuits()))
+def test_fock_leaf_keys_hold_the_electrons_of_the_circuit_or_its_cone(circuit):
+    """Fock's kernel, preparations and readouts keep particle number per key:
+    every key of every leaf's post-state holds the circuit's electrons, and,
+    on the light cone, the cone's."""
+    for cone, instructions in ((False, circuit.instructions),
+                               (True, light_cone(circuit.instructions))):
+        tree = fock_tree_or_error(circuit, cone)
+        if isinstance(tree, tuple):
+            continue
+        electrons = electron_count(instructions)
+        for rec in measurement.leaves(tree):
+            assert {key.bit_count() for key in rec.post_state.amplitudes} == {electrons}
 
 
 @settings(max_examples=150, deadline=None, database=None)
