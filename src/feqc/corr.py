@@ -17,9 +17,12 @@ one breadth-first frontier over the 2|S| x 2|S| block of the arms in S.
 That exponential term count is deliberately surfaced to callers.
 
 A circuit's trailing run of charge readouts is expanded breadth first, as one
-frontier: the live branches' 2m x 2m blocks over the m read arms are stacked,
-and each readout is one batched rank-one update per mode.  That block is
+frontier: the live branches' blocks over the arms still to be read are
+stacked, and each readout is one batched rank-one update per mode; an arm
+read for the last time leaves the block before its update.  That block is
 exact because a projection on a mode of a set reads only entries in the set.
+Both frontiers stack (n, n, branches), so every elementwise step runs along
+the branch axis in long contiguous loops.
 
 A circuit runs on the backward light cone of its readouts, the rule fock's
 runs share (``circuit.light_cone``), over the arms it acts on, renumbered in
@@ -27,7 +30,10 @@ ascending order (``_light_cone``).  The cost follows the cone, not the
 declared arm count; the limits, the joint query's pricing and every reported
 arm number are still decided on the circuit as written.  Every state that
 reaches a readout must hold the electrons the cone added on its path: its
-trace, the particle number, is checked, never renormalized.
+trace, the particle number, is checked, never renormalized; nor is an
+occupation it reads, or the joint probability, more than EIGENVALUE_SLACK
+outside [0, 1].  Each drift is weighted by the probability of its branch,
+whose matrix carries the rounding of the divisions that conditioned it.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ PROBABILITY_FLOOR = 1e-12
 # probability, and dividing by it is safe: the blocks are positive
 # semidefinite, so no rank-one update it makes exceeds 1 in magnitude.
 PIVOT_FLOOR = 1e-15
-MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~0.2 s and ~70 MB; each further arm triples both
+MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~0.05 s and ~75 MB; each further arm triples both
 # Bytes one branch tree may take, counted as one full matrix of the circuit's
 # declared arms per leaf: 7281 leaves at 48 arms.  A terminal block's frontier
 # keeps a smaller matrix per live branch and never more branches than leaves,
@@ -135,49 +141,51 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
     return CorrelationMatrix(M.num_arms, m)
 
 
+def _check_unit(name: str, values, weights=1.0) -> None:
+    """Refuse a probability further than EIGENVALUE_SLACK outside [0, 1],
+    its distance weighted by ``weights``, the probabilities of the branches
+    it was read on.  A conditioned matrix divides by its outcome's
+    probability, and so does its rounding error; the weighted distance is
+    what a clip moves a leaf's probability by.  O(B)."""
+    weighted = (np.abs(values - 0.5) - 0.5) * weights  # each value's distance outside [0, 1]
+    worst = weighted.argmax()
+    if weighted.flat[worst] > EIGENVALUE_SLACK:
+        value = float(np.asarray(values).flat[worst])
+        raise FeqcError(f"correlation matrix drifted: {name} {value!r} outside [0, 1] "
+                        f"(drift {value - min(max(value, 0.0), 1.0)!r})")
+
+
 def occupation_probabilities(stack: np.ndarray, pos: int) -> np.ndarray:
-    """<n> of mode position ``pos`` in each matrix of a (B, n, n) stack,
+    """<n> of mode position ``pos`` in each matrix of an (n, n, B) stack,
     clipped to [0, 1]."""
-    return np.minimum(np.maximum(stack[:, pos, pos].real, 0.0), 1.0)
+    return np.minimum(np.maximum(stack[pos, pos].real, 0.0), 1.0)
 
 
-def _condition(stack: np.ndarray, pos: int, outcome: int) -> np.ndarray:
-    """Every matrix of a (B, n, n) stack conditioned on mode position ``pos``
-    reading ``outcome``, by project_occupation's rank-one update.  The update
-    is elementwise, so a matrix gets the same bits in any stack."""
-    col = stack[:, :, pos, None]
-    occ = col[:, pos, None].real
-    if outcome == 1:
-        updated = col * stack[:, None, pos, :]
-        updated /= occ
-        np.subtract(stack, updated, out=updated)
-    else:
-        updated = col * col.conj().transpose(0, 2, 1)
-        updated /= 1.0 - occ
-        np.add(stack, updated, out=updated)
-    updated[:, pos, :] = updated[:, :, pos] = 0.0
-    updated[:, pos, pos] = outcome
+def _project(stack: np.ndarray, pos: int, at: np.ndarray, outcomes: np.ndarray,
+             drop: bool = False) -> np.ndarray:
+    """stack[..., at[i]] conditioned on mode position ``pos`` reading
+    outcomes[i], for every i, stacked in that order on the last axis, by
+    project_occupation's one update for either outcome.  With ``drop`` the
+    mode is the stack's first and leaves it: only the other rows and columns
+    are computed.  The update is elementwise, so a matrix gets the same bits
+    in any stack."""
+    taken = stack.take(at, 2)
+    keep = slice(1, None) if drop else slice(None)
+    col = taken[keep, pos]
+    updated = col[:, None] * np.where(outcomes, taken[pos, keep], col.conj())
+    updated *= 1.0 / ((1 - outcomes) - taken[pos, pos].real)  # bit for bit / d: see _floored
+    updated += taken[keep, keep]
+    if not drop:
+        updated[pos] = updated[:, pos] = 0.0
+        updated[pos, pos] = outcomes
     return updated
-
-
-def _project(stack: np.ndarray, pos: int, at: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """stack[at[i]] conditioned on mode position ``pos`` reading outcomes[i],
-    for every i, stacked in that order."""
-    ones = np.count_nonzero(outcomes)
-    if ones in (0, len(at)):  # one outcome: nothing to interleave
-        return _condition(stack[at], pos, int(ones > 0))
-    out = np.empty((len(at), *stack.shape[1:]), complex)
-    for outcome in (0, 1):
-        picked = outcomes == outcome
-        out[picked] = _condition(stack[at[picked]], pos, outcome)
-    return out
 
 
 def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float, CorrelationMatrix]:
     """Condition the Gaussian state on one mode reading empty or occupied.
 
     Rank-one updates (Wick contractions of n M n and (1-n) M (1-n)) off mode p,
-      outcome 1: M' = M - M[:,p] M[p,:] / M[p,p]
+      outcome 1: M' = M + M[:,p] M[p,:] / (-M[p,p])
       outcome 0: M' = M + M[:,p] M[:,p]^dag / (1 - M[p,p]),
     and row and column p those of the definite outcome.  A projection on a
     mode of a set S reads only entries in S."""
@@ -188,8 +196,8 @@ def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float,
     prob = occ if outcome == 1 else 1.0 - occ
     if prob <= PROBABILITY_FLOOR:
         raise ValueError(f"outcome {outcome} on mode {tuple(mode)} has zero probability")
-    updated = _condition(M.matrix[None], pos, outcome)[0]
-    return float(min(prob, 1.0)), CorrelationMatrix(M.num_arms, updated)
+    updated = _project(M.matrix[..., None], pos, np.zeros(1, int), np.array([outcome]))
+    return float(min(prob, 1.0)), CorrelationMatrix(M.num_arms, updated[..., 0])
 
 
 def _joint_ups(arms, num_arms: int) -> list[int]:
@@ -205,18 +213,21 @@ def _joint_ups(arms, num_arms: int) -> list[int]:
 
 
 def _floored(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real pivots as (weight factor, divisor): a pivot at or below
-    PIVOT_FLOOR weighs 0 and divides by 1."""
+    """Real pivots as (weight factor, reciprocal divisor): a pivot at or
+    below PIVOT_FLOOR weighs 0 and divides by 1.  numpy divides a complex
+    number by a real one as a product with its reciprocal, so multiplying
+    by 1 / d gives the bits of dividing by d, in a faster loop."""
     kept = pivots > PIVOT_FLOOR
-    return np.where(kept, pivots, 0.0), np.where(kept, pivots, 1.0)
+    return np.where(kept, pivots, 0.0), 1.0 / np.where(kept, pivots, 1.0)
 
 
 def _grow(weights: np.ndarray, up, down, both) -> np.ndarray:
-    """The weights of every entry's up, down and both children, in parent order."""
-    grown = np.empty((len(weights), 3))
-    np.multiply(weights, up, out=grown[:, 0])
-    np.multiply(weights, down, out=grown[:, 1])
-    np.multiply(grown[:, 0], -2.0 * both, out=grown[:, 2])
+    """The weights of every entry's up, down and both children, child-major:
+    every entry's up child, then every down child, then every both child."""
+    grown = np.empty((3, len(weights)))
+    np.multiply(weights, up, out=grown[0])
+    np.multiply(weights, down, out=grown[1])
+    np.multiply(grown[0], -2.0 * both, out=grown[2])
     return grown.reshape(-1)
 
 
@@ -236,39 +247,41 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
     last arm only the pivots are computed.  A pivot at or below PIVOT_FLOOR
     zeros its child's weight and divides by 1 instead: the subtree it drops
     is a conditional probability, worth at most |w| PIVOT_FLOOR.
+
+    The entries' blocks are stacked (n, n, entries) and each arm's children
+    laid out child-major; one permutation puts the leaves in product order.
     """
     ups = _joint_ups(arms, M.num_arms)
     if not ups:
         return np.ones(1)  # the empty product
     modes = [pos for up in ups for pos in (up, up + 1)]
-    block = M.matrix.take(modes, 0).take(modes, 1)[None]
+    block = M.matrix.take(modes, 0).take(modes, 1)[..., None]
     weights = np.ones(1)
     while True:
-        count, n = len(block), block.shape[1] - 1
-        pivots, divisors = _floored(block.diagonal(0, 1, 2)[:, :2].real)
+        n, count = len(block) - 1, block.shape[2]
+        pivots, scales = _floored(block.diagonal()[:, :2].T.real)
         if n == 1:  # the last arm: its pivots alone
-            both = block[:, 1, 1] - block[:, 1, 0] * (block[:, 0, 1] / divisors[:, 0])
-            return _grow(weights, pivots[:, 0], pivots[:, 1], _floored(both.real)[0])
+            both = block[1, 1] - block[1, 0] * (block[0, 1] * scales[0])
+            terms = _grow(weights, pivots[0], pivots[1], _floored(both.real)[0])
+            return terms.reshape((3,) * len(ups)).transpose().reshape(-1)
         # Rows and columns 1: of every block with its up (0) or its down (1)
         # mode eliminated; the both child is the up one with mode 1 eliminated.
-        cols = block[:, 1:, :2].transpose(0, 2, 1)[..., None]
-        rows = block[:, :2, None, 1:] / divisors[..., None, None]
-        picked = np.empty((count, 3, n, n), complex)
-        np.multiply(cols, rows, out=picked[:, :2])
-        np.subtract(block[:, None, 1:, 1:], picked[:, :2], out=picked[:, :2])
-        up = picked[:, 0]
-        both, divisor = _floored(up[:, 0, 0].real)
-        np.subtract(up[:, 1:, 1:], up[:, 1:, :1] * (up[:, :1, 1:] / divisor[:, None, None]),
-                    out=picked[:, 2, 1:, 1:])
-        weights = _grow(weights, pivots[:, 0], pivots[:, 1], both)
-        block = picked.reshape(3 * count, n, n)[:, 1:, 1:]
+        rows = block[:2, 1:].transpose(1, 0, 2) * scales
+        picked = np.empty((n, n, 3, count), complex)  # [row, column, child, entry]
+        np.multiply(block[1:, None, :2], rows, out=picked[:, :, :2])
+        np.subtract(block[1:, 1:, None], picked[:, :, :2], out=picked[:, :, :2])
+        up = picked[:, :, 0]
+        both, scale = _floored(up[0, 0].real)
+        np.subtract(up[1:, 1:], up[1:, :1] * (up[:1, 1:] * scale), out=picked[1:, 1:, 2])
+        weights = _grow(weights, pivots[0], pivots[1], both)
+        block = picked[1:, 1:].reshape(n - 1, n - 1, 3 * count)
 
 
 def single_occupancy_probability(M: CorrelationMatrix, arms) -> float:
-    """Probability that every arm in the set holds exactly one electron."""
+    """Probability that every arm in the set holds exactly one electron; a
+    total further than EIGENVALUE_SLACK outside [0, 1] is refused."""
     total = float(np.cumsum(single_occupancy_terms(M, arms))[-1])  # term by term, in order
-    if total < -EIGENVALUE_SLACK:
-        raise ValueError(f"single-occupancy probability {total} is negative")
+    _check_unit("joint charge-1 probability", total)
     return min(max(total, 0.0), 1.0)
 
 
@@ -317,41 +330,51 @@ def _outcomes(pairs: np.ndarray):
     return *kept.nonzero(), pairs[kept]
 
 
-def _charge_readout(stack: np.ndarray, up: int, admit, last: bool = False):
-    """One spin-resolved charge readout of every matrix in a (B, n, n) stack:
+def _charge_readout(stack: np.ndarray, up: int, weights, admit, last: bool = False,
+                    drop: bool = False):
+    """One spin-resolved charge readout of every matrix in an (n, n, B) stack:
     the up mode's projections, then the down mode's, batched over the stack.
+    ``weights`` are the matrices' branch probabilities, which weigh the
+    drift of the arm's two occupations in every matrix before it is read
+    (``_check_unit``); the down mode's occupations after the up mode's
+    projection, divided by its outcome's probability, are only clipped.
 
     Returns the children's parent indices, charges and probabilities as
     arrays in parent order, and the stack of their matrices in that order,
-    which is None when ``last``.  The two single-occupancy outcomes (up vs
-    down) stay distinct children even though both report charge 1; a
-    Gaussian state cannot keep their coherence, which is exactly the
-    information an electrometer would not reveal.  ``admit(n)`` is told that
-    the tree grows by n leaves before the children's matrices are made.
+    which is None when ``last``.  With ``drop`` the read arm is the stack's
+    first and leaves it, mode by mode, before each update.  The two
+    single-occupancy outcomes (up vs down) stay distinct children even though
+    both report charge 1; a Gaussian state cannot keep their coherence, which
+    is exactly the information an electrometer would not reveal.  ``admit(n)``
+    is told that the tree grows by n leaves before the children's matrices
+    are made.
     """
+    _check_unit("occupation", stack[up:up + 2, up:up + 2].diagonal().T.real, weights)  # (2, B)
     # occupation_probabilities may be swapped for any callable giving a sequence of floats
     q = np.asarray(occupation_probabilities(stack, up))[:, None]
     at, n_up, p_up = _outcomes(q * _FLIP + _ONE_ZERO)
-    mid = _project(stack, up, at, n_up)
-    q = np.asarray(occupation_probabilities(mid, up + 1))[:, None]
+    mid = _project(stack, up, at, n_up, drop)
+    down = 0 if drop else up + 1
+    q = np.asarray(occupation_probabilities(mid, down))[:, None]
     k, n_down, p = _outcomes((q * _FLIP + _ONE_ZERO) * p_up[:, None])  # p_up * p_down
     parents = at[k]
-    totals = np.bincount(parents, weights=p, minlength=len(stack))  # each parent's, in order
+    totals = np.bincount(parents, weights=p, minlength=stack.shape[2])  # each parent's, in order
     drifted = np.abs(totals - 1) > NORM_TOLERANCE
     if np.count_nonzero(drifted):
         total = float(totals[drifted][0]) or 0  # a parent without children sums to 0
         raise FeqcError(f"correlation matrix drifted: outcome probabilities sum to {total!r}")
-    admit(len(p) - len(stack))
+    admit(len(p) - stack.shape[2])
     charges = n_up[k] + n_down
-    return parents, charges, p, None if last else _project(mid, up + 1, k, n_down)
+    return parents, charges, p, None if last else _project(mid, down, k, n_down, drop)
 
 
-def _check_particle_number(M: CorrelationMatrix, electrons: int) -> None:
+def _check_particle_number(M: CorrelationMatrix, electrons: int, weight: float) -> None:
     """Refuse a matrix whose trace, its particle number, is not the number of
     electrons added on its path: elements and projections both conserve it.
-    O(N)."""
+    The drift is weighted by ``weight``, the branch's probability, as in
+    ``_check_unit``.  O(N)."""
     number = float(M.matrix.trace().real)
-    if abs(number - electrons) > NORM_TOLERANCE:
+    if abs(number - electrons) * weight > NORM_TOLERANCE:
         raise FeqcError(f"correlation matrix drifted: particle number {number!r} where "
                         f"{electrons} electrons were added (drift {number - electrons!r})")
 
@@ -441,15 +464,15 @@ def charge_branch_tree(circuit: Circuit):
             raise FeqcError(f"corr backend: {leaf_count} leaves of {leaf_bytes} bytes "
                             f"each exceed the limit MAX_TREE_BYTES = {MAX_TREE_BYTES}")
 
-    def branches(M: CorrelationMatrix, ins: Measure):
-        _check_particle_number(M, electrons[ins.label])
+    def branches(M: CorrelationMatrix, ins: Measure, prob: float):
+        _check_particle_number(M, electrons[ins.label], prob)
         up = mode_position((ins.arm, Spin.UP), M.num_arms)
-        _, charges, probs, post = _charge_readout(M.matrix[None], up, admit)
+        _, charges, probs, post = _charge_readout(M.matrix[..., None], up, prob, admit)
         return [(n, p, CorrelationMatrix(M.num_arms, m))
-                for n, p, m in zip(charges.tolist(), probs.tolist(), post)]
+                for n, p, m in zip(charges.tolist(), probs.tolist(), post.transpose(2, 0, 1))]
 
     def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
-        _check_particle_number(M, electrons[readouts[0].label])
+        _check_particle_number(M, electrons[readouts[0].label], prob)
         count(1)
         # The complexity demonstration: price the joint charge-1 query on the
         # state the terminal block starts from.
@@ -457,11 +480,11 @@ def charge_branch_tree(circuit: Circuit):
             stats.joint_charge1 = single_occupancy_probability(M, [ins.arm for ins in readouts])
             stats.terms = 3 ** len(stats.measured_arms)
         # The block holds the arms still to be read, the next to leave first:
-        # an arm's modes leave the front once it is read for the last time.
+        # an arm's modes leave the front as it is read for the last time.
         final = {ins.arm: i for i, ins in enumerate(readouts)}
         arms = sorted(final, key=final.get)
         modes = [mode_position((arm, spin), M.num_arms) for arm in arms for spin in Spin]
-        stack = M.matrix.take(modes, 0).take(modes, 1)[None]
+        stack = M.matrix.take(modes, 0).take(modes, 1)[..., None]
 
         def grow(n: int) -> None:
             admit(n)
@@ -470,12 +493,11 @@ def charge_branch_tree(circuit: Circuit):
         levels = []  # (label, parents, charges, probabilities) of each readout's children
         paths = np.array([prob])  # each live branch's probability
         for i, ins in enumerate(readouts):
-            last = i == len(readouts) - 1
-            parents, charges, probs, stack = _charge_readout(stack, 2 * arms.index(ins.arm), grow,
-                                                             last)
-            if final[ins.arm] == i and not last:
+            leaving = final[ins.arm] == i
+            parents, charges, probs, stack = _charge_readout(
+                stack, 2 * arms.index(ins.arm), paths, grow, i == len(readouts) - 1, leaving)
+            if leaving:
                 arms.remove(ins.arm)
-                stack = stack[:, 2:, 2:]
             levels.append((ins.label, parents, charges, probs))
             paths = paths[parents] * probs
         node = FrontierNode(outcomes, levels, paths)

@@ -96,11 +96,16 @@ def pruned(amplitudes: dict[int, complex]) -> dict[int, complex]:
     return {k: a for k, a in amplitudes.items() if abs(a) >= PRUNE_THRESHOLD}
 
 
+def _admit_keys(count: int) -> None:
+    """Refuse a step's output of more than MAX_KEYS keys."""
+    if count > MAX_KEYS:
+        raise FeqcError(f"fock backend: a state of {count} keys exceeds the limit "
+                        f"MAX_KEYS = {MAX_KEYS}")
+
+
 def _bounded(amplitudes: dict[int, complex]) -> dict[int, complex]:
     """The amplitudes of a step's output, refused above MAX_KEYS keys."""
-    if len(amplitudes) > MAX_KEYS:
-        raise FeqcError(f"fock backend: a state of {len(amplitudes)} keys exceeds the limit "
-                        f"MAX_KEYS = {MAX_KEYS}")
+    _admit_keys(len(amplitudes))
     return amplitudes
 
 
@@ -187,13 +192,15 @@ def prepare_spin(state: FockState, arm: int, alpha: complex, beta: complex) -> F
     alpha, beta = unit_scaled(alpha, beta)
     mode_position((arm, Spin.UP), state.num_arms)
     _require_arm_empty(state, arm, "prepare_spin")
-    up = _append_mode(state, (arm, Spin.UP))
-    down = _append_mode(state, (arm, Spin.DOWN))
+    # Each nonzero component puts the electron into every key of the empty
+    # arm, a key of its own: the output's size is known before it is built.
+    parts = [(spin, coef) for spin, coef in ((Spin.UP, alpha), (Spin.DOWN, beta)) if coef != 0]
+    _admit_keys(len(parts) * len(state.amplitudes))
     combined: dict[int, complex] = {}
-    for part, coef in ((up, alpha), (down, beta)):
-        for key, amp in part.amplitudes.items():
+    for spin, coef in parts:
+        for key, amp in _append_mode(state, (arm, spin)).amplitudes.items():
             combined[key] = combined.get(key, 0j) + coef * amp
-    return normalize(FockState(state.num_arms, _bounded(combined)))
+    return normalize(FockState(state.num_arms, combined))
 
 
 def prepare_two_spin(

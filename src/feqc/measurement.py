@@ -248,12 +248,12 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
     """Expand instructions from ``state`` into the measurement-outcome tree.
 
     The backend supplies ``apply(state, ins)`` for preparations and elements,
-    and ``branches(state, measure)`` returning a readout's (outcome,
-    probability, post-state) list.  Conditionals fire on earlier outcomes.
-    A backend may also pass ``block`` = (start, hook), where the
-    instructions from ``start`` on are Measures, for
-    ``hook(state, measures, outcomes, prob, count)`` to take over those
-    readouts on each path that reaches them.  It returns their subtree,
+    and ``branches(state, measure, prob)`` returning a readout's (outcome,
+    probability, post-state) list, ``prob`` being the path's probability.
+    Conditionals fire on earlier outcomes.  A backend may also pass
+    ``block`` = (start, hook), where the instructions from ``start`` on are
+    Measures, for ``hook(state, measures, outcomes, prob, count)`` to take
+    over those readouts on each path that reaches them.  It returns their subtree,
     whose leaves extend ``outcomes`` and whose probabilities are ``prob``
     times the readouts' products, in the order the walker would have made
     them.  The hook calls ``count(n)`` before its tree grows by n leaves,
@@ -282,7 +282,7 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
             if isinstance(ins, Measure):
                 return BranchNode(ins.label, [
                     (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
-                    for outcome, p, post in branches(state, ins)
+                    for outcome, p, post in branches(state, ins, prob)
                 ])
             if isinstance(ins, Conditional):
                 if outcomes[ins.label] == ins.value:
@@ -364,7 +364,7 @@ def branch_tree(circuit: Circuit, input_state: FockState,
         instructions = light_cone(instructions)
     admit_depth(sum(isinstance(ins, Measure) for ins in instructions))  # the block nests too
     return walk(instructions, input_state, apply_instruction,
-                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm),
+                lambda state, ins, _prob: _MEASURE_FNS[ins.kind](state, ins.arm),
                 (len(instructions) - trailing_measures(instructions), _terminal_block))
 
 

@@ -394,6 +394,82 @@ def test_a_run_refuses_a_matrix_whose_particle_number_drifted(tmp_path, capsys, 
                                 f"(drift {float(number) - 1!r})"]
 
 
+@pytest.mark.parametrize("readouts", ["q = charge 1\nr = charge 2\n",  # the terminal block
+                                      "q = charge 1\nrot 2 h\nr = charge 2\n"])  # one at a time
+@pytest.mark.parametrize("delta, line", [
+    (1e-3, "error: correlation matrix drifted: occupation -0.0015 outside [0, 1] (drift -0.0015)"),
+    (1e-8, "error: correlation matrix drifted: occupation -1.5e-08 outside [0, 1] (drift -1.5e-08)"),
+    (1e-12, None),  # inside EIGENVALUE_SLACK: clipped
+])
+def test_a_run_refuses_an_occupation_outside_the_unit_interval(tmp_path, capsys, monkeypatch,
+                                                                readouts, delta, line):
+    """A kernel that adds the traceless diag(delta, -delta) on arm 1 keeps the
+    particle number but drives the down mode's occupation below 0."""
+    src = tmp_path / "split.feqc"
+    src.write_text(TWO_ARM_SPLIT + readouts)
+    exact = corr.evolve
+
+    def drifting(M, modes, matrix):
+        m = exact(M, modes, matrix).matrix.copy()
+        m[0, 0] += delta
+        m[1, 1] -= delta
+        return corr.CorrelationMatrix(M.num_arms, m)
+
+    monkeypatch.setattr(corr, "evolve", drifting)
+    assert cli.main(["run", str(src), "--backend", "corr"]) == (0 if line is None else 1)
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ([] if line is None else [line])
+    assert (out == "") == (line is not None)
+
+
+def test_occupations_are_clipped_only_inside_the_weighted_slack():
+    # Two matrices on the last axis; only the second one's mode 2 leaves the slack.
+    stack = np.stack([np.diag([1 + 1e-10, -1e-10, 0.5]), np.diag([0.25, 0.5, 1 + 2e-9])],
+                     axis=2).astype(complex)
+    assert corr.occupation_probabilities(stack, 0).tolist() == [1.0, 0.25]
+    assert corr.occupation_probabilities(stack, 1).tolist() == [0.0, 0.5]
+    assert corr.occupation_probabilities(stack, 2).tolist() == [0.5, 1.0]
+    corr._check_unit("occupation", stack[[0, 1], [0, 1]].real, np.ones(2))
+    with pytest.raises(FeqcError, match=r"occupation 1.000000002 outside \[0, 1\] \(drift "):
+        corr._check_unit("occupation", stack[[1, 2], [1, 2]].real, np.ones(2))
+    # On a branch of probability 0.1 the drift of 2e-9 weighs 2e-10.
+    corr._check_unit("occupation", stack[[1, 2], [1, 2]].real, np.array([1.0, 0.1]))
+
+
+# Electrons whose readouts have a kept branch of probability 1e-8 to 4e-12:
+# conditioning on it divides by that probability, and so does its rounding.
+@pytest.mark.parametrize("source", [
+    "arms 1\nelectron 1 (1,0) (2e-6,0)\nq = charge 1\n",
+    "arms 1\nelectron 1 (1,0) (1e-4,0)\nq = charge 1\n",
+    "arms 2\nelectron 1 (1,0) (2e-6,0)\nq = charge 1\nrot 2 h\nr = charge 2\n",
+    "arms 2\nelectron 1 (1,0) (1e-4,0)\nq = charge 1\nrot 2 h\nr = charge 2\n",
+    "arms 2\nelectron 1 (2e-6,0) (1,0)\nelectron 2 (1,0) (3e-6,0)\nbs 1 2\n"
+    "q1 = charge 1\nq2 = charge 2\n",
+    "arms 2\nelectron 1 (1,0) (2e-6,0)\nelectron 2 (1,0) (1e-4,0)\nbs 1 2\n"
+    "q1 = charge 1\nrot 2 h\nq2 = charge 2\n",
+])
+def test_low_probability_branches_are_read_as_fock_reads_them(source):
+    """A branch's rounding drift is weighed by its probability: a valid
+    circuit with a branch of probability 1e-8 or less runs on corr, in the
+    terminal block and at a mid-circuit readout, and agrees with fock."""
+    circuit = parse(source).circuit
+    records, _ = enumerate_charge_branches(circuit)
+    corr_probs = merged_probabilities(records)
+    fock_probs = merged_probabilities(measurement.enumerate_branches(
+        circuit, vacuum(circuit.arm_count)))
+    for key in corr_probs.keys() | fock_probs.keys():
+        assert corr_probs.get(key, 0.0) == pytest.approx(fock_probs.get(key, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("diagonal, total", [((1.5, 0.0), "1.5"), ((1 + 2e-9, 0.0), "1.000000002")])
+def test_joint_query_refuses_a_total_above_one(diagonal, total):
+    M = corr.CorrelationMatrix(1, np.diag(diagonal).astype(complex))
+    with pytest.raises(FeqcError, match=rf"joint charge-1 probability {total} outside \[0, 1\]"):
+        single_occupancy_probability(M, [1])
+    inside = corr.CorrelationMatrix(1, np.diag([1 + 1e-10, 0.0]).astype(complex))
+    assert single_occupancy_probability(inside, [1]) == 1.0
+
+
 def test_light_cone_keeps_what_the_readouts_depend_on_on_renumbered_arms():
     circuit = parse("arms 8\nelectron 2 plus\nelectron 7 up\nbs 2 5\nrot 7 h\nswap 3 4\n"
                     "electron 4 down\nq = charge 5\nif q == 1 : rot 2 x\nbs 7 8\n"

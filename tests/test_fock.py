@@ -354,6 +354,25 @@ def test_kernel_and_preparation_refuse_a_state_over_the_key_limit(monkeypatch):
         prepare_spin(prepare_spin(vacuum(2), 1, 1, 1), 2, 1, 1)
 
 
+@pytest.mark.parametrize("spinor", [(1, 0), (0, 1j)])
+def test_an_electron_of_one_spin_keeps_the_key_count_at_the_limit(monkeypatch, spinor):
+    state = prepare_spin(prepare_spin(vacuum(3), 1, 1, 1), 2, 1, -1)  # four keys
+    expected = prepare_spin(state, 3, *spinor)
+    monkeypatch.setattr(fock, "MAX_KEYS", 4)
+    out = prepare_spin(state, 3, *spinor)
+    assert list(out.amplitudes.items()) == list(expected.amplitudes.items())
+
+
+def test_preparation_refuses_an_oversized_state_before_building_it(monkeypatch):
+    state = prepare_spin(prepare_spin(vacuum(3), 1, 1, 1), 2, 1, -1)  # four keys
+    monkeypatch.setattr(fock, "MAX_KEYS", 7)
+    built = []
+    monkeypatch.setattr(fock, "_append_mode", lambda *args: built.append(args))
+    with pytest.raises(FeqcError, match="a state of 8 keys exceeds the limit MAX_KEYS = 7"):
+        prepare_spin(state, 3, 0.6, 0.8)
+    assert built == []
+
+
 @pytest.mark.parametrize("writeable", [True, False])
 def test_spin_rotation_still_rejects_a_non_unitary_matrix(writeable):
     matrix = np.array([[1, 1], [0, 1]], dtype=complex)

@@ -347,7 +347,7 @@ def walk_without_block(instructions, state, apply, branches, block):
     return WALK(instructions, state, apply, branches)
 
 
-def sequential_charge_outcomes(M, ins):
+def sequential_charge_outcomes(M, ins, _prob):
     """A charge readout as two mode projections in sequence, one matrix at a
     time: the loop the batched readout replaced, kept as its reference."""
     up, down = (ins.arm, fock.Spin.UP), (ins.arm, fock.Spin.DOWN)
@@ -371,6 +371,28 @@ def tree_shape(node):
     return list(node.outcomes.items()), node.probability
 
 
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference"
+
+
+def pool_circuits(name: str) -> list[Circuit]:
+    """A benchmark pool's circuits as recorded: ``fock-deep``'s 8-arm ones
+    (hundreds of keys, mid-circuit readouts, terminal blocks of several
+    charge readouts) or ``corr-scale``'s 48-arm and 12-arm ones (terminal
+    charge readouts of 3 and 8 arms)."""
+    pool = json.loads((REFERENCE_DIR / f"{name}.json").read_text(encoding="utf-8"))["circuits"]
+    return [parse(entry["circuit"]).circuit for entry in pool]
+
+
+def with_pool_examples(*args, pool="fock-deep", arguments=lambda circuit: (circuit,)):
+    """Add every circuit of a benchmark pool, as ``arguments`` makes it into a
+    test's leading arguments and followed by ``args``, as an example."""
+    def decorate(test):
+        for circuit in pool_circuits(pool):
+            test = example(*arguments(circuit), *args)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(terminal_charge_circuits())
 @example(Circuit(2, [PrepSpin(1, 1, 1), BeamSplitter(1, 2), Measure("q", "charge", 1),
@@ -381,6 +403,7 @@ def tree_shape(node):
                      BeamSplitter(2, 3), Measure("r", "charge", 2), Measure("s", "charge", 3),
                      Measure("t", "charge", 1)]))
 @example(deep_terminal_circuit())
+@with_pool_examples(pool="corr-scale")
 def test_corr_terminal_block_equals_the_walk_without_it(circuit):
     """Corr's batched terminal block gives the tree the walker makes readout
     by readout, and the one-matrix-at-a-time reference loop gives: the same
@@ -524,23 +547,6 @@ def backend_tree(backend, circuit):
 
 
 READOUT_KINDS = ["charge", "parity", "spin"]
-FOCK_DEEP_POOL = Path(__file__).resolve().parents[1] / "bench" / "reference" / "fock-deep.json"
-
-
-def fock_deep_pool() -> list[Circuit]:
-    """The 8-arm benchmark circuits: hundreds of keys, mid-circuit readouts,
-    and terminal blocks of several charge readouts."""
-    pool = json.loads(FOCK_DEEP_POOL.read_text(encoding="utf-8"))["circuits"]
-    return [parse(entry["circuit"]).circuit for entry in pool]
-
-
-def with_pool_examples(*args):
-    """Add every fock-deep circuit, followed by ``args``, as an example."""
-    def decorate(test):
-        for circuit in fock_deep_pool():
-            test = example(circuit, *args)(test)
-        return test
-    return decorate
 
 
 @st.composite
@@ -772,7 +778,7 @@ def test_fock_state_has_norm_one_before_every_readout(circuit):
     """Fock renormalizes each branch after pruning and its elements are
     unitary, so every readout must see a state of norm 1."""
 
-    def meter(state, ins):
+    def meter(state, ins, _prob):
         norm2 = sum(abs(a) ** 2 for a in state.amplitudes.values())
         assert abs(norm2 - 1) <= 1e-12, (ins.label, norm2)
         return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
@@ -794,7 +800,7 @@ def test_fock_kept_outcome_probabilities_sum_to_one(circuit):
 
 
 def test_fock_kept_outcome_probabilities_sum_to_one_on_the_fock_deep_pool():
-    for circuit in fock_deep_pool():
+    for circuit in pool_circuits("fock-deep"):
         assert_kept_outcomes_sum_to_one(circuit)
     # The tightened check is live: a state that lost 1e-11 of its norm fails it.
     state = fock.prepare_spin(fock.vacuum(1), 1, 1, 1)
@@ -887,9 +893,22 @@ def test_corr_joint_query_matches_dense_oracle(state, arms_and_subset):
         assert got == 0.0  # a read arm holds no electron
 
 
+def terminal_block_query(circuit):
+    """The state a circuit of terminal charge readouts reaches before them,
+    and its arm count and read arms: the joint query its block prices."""
+    M = corr.init_from_occupations([], circuit.arm_count)
+    for ins in circuit.instructions:
+        if not isinstance(ins, Measure):
+            M = corr._apply(M, ins)
+    read = [ins.arm for ins in circuit.instructions if isinstance(ins, Measure)]
+    assert all(isinstance(ins, Measure) for ins in circuit.instructions[-len(read):])
+    return M, (circuit.arm_count, read)
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(seeds, joint_arms)
 @example(EMPTY_ARM, (3, [3, 1]))
+@with_pool_examples(pool="corr-scale", arguments=terminal_block_query)
 def test_joint_frontier_forms_every_monomial_in_order(state, arms_and_subset):
     arms, subset = arms_and_subset
     M = joint_state(state, arms)
