@@ -23,20 +23,16 @@ from .fock import (
     apply_single_particle_unitary,
     arm_charge,
     arm_qubit_density,
-    beam_splitter,
     create,
     fidelity,
     format_key,
     inner_product,
     mode_position,
     normalize,
-    polarizing_beam_splitter,
     prepare_bell,
     prepare_spin,
     prepare_two_spin,
-    spin_rotation,
     spinor_fidelity,
-    swap_arms,
     vacuum,
 )
 from .measurement import (

@@ -265,7 +265,9 @@ def apply_instruction(state: fock.FockState, ins: Instruction) -> fock.FockState
         return fock.prepare_spin(state, ins.arm, ins.alpha, ins.beta)
     if isinstance(ins, PrepBell):
         return fock.prepare_bell(state, ins.k, ins.arm_a, ins.arm_b)
-    return fock.apply_steps(state, unitary_steps(ins))
+    for modes, matrix in unitary_steps(ins):
+        state = fock.apply_single_particle_unitary(state, modes, matrix)
+    return state
 
 
 def _complex_literal(z: complex) -> str:

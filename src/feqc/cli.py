@@ -26,7 +26,8 @@ from .parser import parse
 REPORT_VERSION = "1"
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+def _build_argparser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The top-level parser and its 'run' subparser."""
     top = argparse.ArgumentParser(prog="feqc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -67,7 +68,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     app = gsub.add_parser("appendix-table",
                           help="16-row closed-form check of the Hadamard-PBS block")
     _output_flags(app)
-    return top
+    return top, run
 
 
 def _seed(text: str) -> int:
@@ -92,7 +93,7 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
                      help="human-readable rendering")
 
 
-_PARSER = _build_argparser()  # built once; parse_args keeps no state between calls
+_PARSER, _RUN_PARSER = _build_argparser()  # built once; parse_args keeps no state between calls
 
 _SPINOR_RE = re.compile(
     r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)\s*,\s*\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)\Z"
@@ -370,6 +371,8 @@ def _render_gadget(report: dict) -> str:
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if args.command == "run" and args.emit_state and args.backend != "fock":
+        _RUN_PARSER.error("argument --emit-state: only the fock backend emits states")
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -16,6 +16,7 @@ product with overall phase +1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -103,12 +104,6 @@ def _admit_keys(count: int) -> None:
                         f"MAX_KEYS = {MAX_KEYS}")
 
 
-def _bounded(amplitudes: dict[int, complex]) -> dict[int, complex]:
-    """The amplitudes of a step's output, refused above MAX_KEYS keys."""
-    _admit_keys(len(amplitudes))
-    return amplitudes
-
-
 def normalize(state: FockState) -> FockState:
     n = state.norm()
     if n < PRUNE_THRESHOLD:
@@ -136,28 +131,31 @@ def create(state: FockState, mode: ModeIndex | tuple[int, Spin]) -> FockState:
     return FockState(state.num_arms, out)
 
 
-def _append_mode(state: FockState, mode: ModeIndex | tuple[int, Spin]) -> FockState:
-    """Right-multiply by a creation operator: the sign counts occupied modes
-    above the insertion point, so preparing arms one after another yields the
-    canonical ascending product with phase +1."""
-    pos = mode_position(mode, state.num_arms)
+def _append_mode(amplitudes: dict[int, complex], pos: int) -> dict[int, complex]:
+    """Right-multiply by the creation operator of mode ``pos``, empty in every
+    key: the sign counts occupied modes above the insertion point, so
+    preparing arms one after another yields the canonical ascending product
+    with phase +1."""
     out: dict[int, complex] = {}
-    for key, amp in state.amplitudes.items():
-        if key >> pos & 1:
-            continue
+    for key, amp in amplitudes.items():
         sign = -1 if (key >> (pos + 1)).bit_count() & 1 else 1
         out[key | (1 << pos)] = amp * sign
-    return FockState(state.num_arms, out)
+    return out
 
 
-def _require_arm_empty(state: FockState, arm: int, op: str) -> None:
+def _require_arm_empty(state: FockState, arm: int, op: str) -> int:
+    """Check the arm's range and that no key occupies it; return the position
+    of its spin-up mode."""
+    up = mode_position((arm, Spin.UP), state.num_arms)
     for key in state.amplitudes:
-        if arm_charge(key, arm) != 0:
+        if key >> up & 3:
             raise PreconditionError(f"{op}: arm {arm} is already occupied")
+    return up
 
 
 def require_single_occupancy(state: FockState, arm: int, op: str) -> None:
     """Every key must hold exactly one electron in the arm."""
+    mode_position((arm, Spin.UP), state.num_arms)
     for key in state.amplitudes:
         if arm_charge(key, arm) != 1:
             raise PreconditionError(f"{op}: arm {arm} must carry exactly one electron")
@@ -186,21 +184,35 @@ def unit_scaled(*values: complex) -> list[complex]:
             for z in map(complex, values)]
 
 
+# The spin patterns of one and of two electrons, in product order, up before down.
+_SPIN_PATTERNS = {n: tuple(itertools.product(Spin, repeat=n)) for n in (1, 2)}
+
+
+def _prepare(state: FockState, arms: tuple[int, ...], coefs: list[complex], op: str) -> FockState:
+    """Add one electron to each of the empty ``arms`` with joint spin
+    amplitudes ``coefs``, one per spin pattern; output normalized.
+
+    Each nonzero amplitude puts the electrons into every key of the empty
+    arms, a key of its own: the output's size is known, and refused above
+    MAX_KEYS, before it is built.
+    """
+    ups = [_require_arm_empty(state, arm, op) for arm in arms]
+    parts = [(spins, coef) for spins, coef in zip(_SPIN_PATTERNS[len(arms)], coefs) if coef]
+    _admit_keys(len(parts) * len(state.amplitudes))
+    combined: dict[int, complex] = {}
+    for spins, coef in parts:
+        amplitudes = state.amplitudes
+        for up, spin in zip(ups, spins):
+            amplitudes = _append_mode(amplitudes, up + spin)
+        for key, amp in amplitudes.items():
+            combined[key] = 0j + coef * amp  # each key is new; `0j +` turns -0.0 into 0.0
+    return normalize(FockState(state.num_arms, combined))
+
+
 def prepare_spin(state: FockState, arm: int, alpha: complex, beta: complex) -> FockState:
     """Add one electron in ``arm`` with (normalized) spinor alpha|up> + beta|down>."""
     check_spinor(alpha, beta)
-    alpha, beta = unit_scaled(alpha, beta)
-    mode_position((arm, Spin.UP), state.num_arms)
-    _require_arm_empty(state, arm, "prepare_spin")
-    # Each nonzero component puts the electron into every key of the empty
-    # arm, a key of its own: the output's size is known before it is built.
-    parts = [(spin, coef) for spin, coef in ((Spin.UP, alpha), (Spin.DOWN, beta)) if coef != 0]
-    _admit_keys(len(parts) * len(state.amplitudes))
-    combined: dict[int, complex] = {}
-    for spin, coef in parts:
-        for key, amp in _append_mode(state, (arm, spin)).amplitudes.items():
-            combined[key] = combined.get(key, 0j) + coef * amp
-    return normalize(FockState(state.num_arms, combined))
+    return _prepare(state, (arm,), unit_scaled(alpha, beta), "prepare_spin")
 
 
 def prepare_two_spin(
@@ -215,19 +227,7 @@ def prepare_two_spin(
         raise ValueError("coeffs must be a 2x2 array over (spin_a, spin_b)")
     if not c.any():
         raise ValueError("coeffs must be nonzero")
-    coefs = unit_scaled(*c.ravel().tolist())  # in (spin_a, spin_b) order
-    _require_arm_empty(state, arm_a, "prepare_two_spin")
-    _require_arm_empty(state, arm_b, "prepare_two_spin")
-    combined: dict[int, complex] = {}
-    for spin_a in (Spin.UP, Spin.DOWN):
-        for spin_b in (Spin.UP, Spin.DOWN):
-            coef = coefs[2 * spin_a + spin_b]
-            if coef == 0:
-                continue
-            term = _append_mode(_append_mode(state, (arm_a, spin_a)), (arm_b, spin_b))
-            for key, amp in term.amplitudes.items():
-                combined[key] = combined.get(key, 0j) + coef * amp
-    return normalize(FockState(state.num_arms, _bounded(combined)))
+    return _prepare(state, (arm_a, arm_b), unit_scaled(*c.ravel().tolist()), "prepare_two_spin")
 
 
 # Joint spin amplitudes of the four maximally entangled pair states:
@@ -362,7 +362,9 @@ def apply_single_particle_unitary(
         amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
     for i, j, g in rotations:
         amplitudes = _two_mode(amplitudes, positions[i], positions[j], g)
-    return FockState(state.num_arms, _bounded(pruned(amplitudes)))
+    amplitudes = pruned(amplitudes)
+    _admit_keys(len(amplitudes))
+    return FockState(state.num_arms, amplitudes)
 
 
 # 50/50 splitter, real symmetric convention; its own inverse.
@@ -409,32 +411,6 @@ def two_arm_steps(keyword: str, arm_i: int, arm_j: int) -> list[Step]:
 def rotation_steps(arm: int, matrix: np.ndarray) -> list[Step]:
     """A spin rotation: one 2x2 unitary on the (up, down) modes of an arm."""
     return [([(arm, Spin.UP), (arm, Spin.DOWN)], matrix)]
-
-
-def apply_steps(state: FockState, steps: list[Step]) -> FockState:
-    for modes, matrix in steps:
-        state = apply_single_particle_unitary(state, modes, matrix)
-    return state
-
-
-def beam_splitter(state: FockState, arm_i: int, arm_j: int) -> FockState:
-    """50/50 splitter between two arms, acting identically on both spins."""
-    return apply_steps(state, two_arm_steps("bs", arm_i, arm_j))
-
-
-def polarizing_beam_splitter(state: FockState, arm_i: int, arm_j: int) -> FockState:
-    """Transmit spin up, reflect spin down (reflection phase +1)."""
-    return apply_steps(state, two_arm_steps("pbs", arm_i, arm_j))
-
-
-def swap_arms(state: FockState, arm_i: int, arm_j: int) -> FockState:
-    """Exchange the full contents of two arms (pure routing, phase +1)."""
-    return apply_steps(state, two_arm_steps("swap", arm_i, arm_j))
-
-
-def spin_rotation(state: FockState, arm: int, matrix: np.ndarray) -> FockState:
-    """Apply a 2x2 unitary on the (up, down) modes of one arm."""
-    return apply_steps(state, rotation_steps(arm, matrix))
 
 
 def inner_product(state_a: FockState, state_b: FockState) -> complex:

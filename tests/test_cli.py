@@ -378,6 +378,18 @@ def test_run_rejects_seed_outside_64_bits(capsys, seed):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [("--backend", "corr", "--emit-state"),
+                                   ("--emit-state", "--backend", "corr")])
+def test_run_refuses_emit_state_on_corr(capsys, order):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(DATA / "swap_charge3.feqc"), *order])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "feqc run: error: argument --emit-state: only the fock backend emits states\n")
+
+
 @pytest.mark.parametrize("shots", ["0", "-3", "x"])
 def test_run_rejects_shots_below_one(capsys, shots):
     with pytest.raises(SystemExit) as exc:

@@ -17,6 +17,7 @@ from feqc.circuit import (
     PrepSpin,
     SpinRotation,
     SwapArms,
+    apply_instruction,
 )
 from feqc.corr import (
     add_electron,
@@ -28,7 +29,7 @@ from feqc.corr import (
     single_occupancy_terms,
 )
 from feqc.errors import FeqcError, NonGaussianOperationError, PreconditionError
-from feqc.fock import BEAM_SPLITTER_MATRIX, Spin, beam_splitter, prepare_bell, prepare_spin, vacuum
+from feqc.fock import BEAM_SPLITTER_MATRIX, Spin, prepare_bell, prepare_spin, vacuum
 from feqc.parser import parse
 from helpers import (charge1_probability, dense_two_point, merged_probabilities, mode_branches,
                      mode_occupation, principal_minor, random_spinor, random_unitary)
@@ -209,7 +210,7 @@ def test_principal_minor_examples():
 
 def test_principal_minor_matches_fock_double_occupancy():
     # bunched-singlet statistics: both modes of one arm occupied half the time
-    state = beam_splitter(prepare_bell(vacuum(2), 0, 1, 2), 1, 2)
+    state = apply_instruction(prepare_bell(vacuum(2), 0, 1, 2), BeamSplitter(1, 2))
     p_both = sum(
         abs(a) ** 2
         for k, a in state.amplitudes.items()

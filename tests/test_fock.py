@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from feqc import circuit, fock
+from feqc.circuit import (BeamSplitter, PolarizingBeamSplitter, SpinRotation, SwapArms,
+                          apply_instruction)
 from feqc.errors import FeqcError, PreconditionError
 from feqc.fock import (
     BEAM_SPLITTER_MATRIX,
@@ -14,17 +16,13 @@ from feqc.fock import (
     Spin,
     apply_single_particle_unitary,
     arm_charge,
-    beam_splitter,
     create,
     fidelity,
     format_key,
     inner_product,
-    polarizing_beam_splitter,
     prepare_bell,
     prepare_spin,
     prepare_two_spin,
-    spin_rotation,
-    swap_arms,
     vacuum,
 )
 from helpers import (
@@ -218,10 +216,10 @@ def test_moved_electron_takes_the_parity_of_modes_between():
 
 
 @pytest.mark.parametrize("element, calls", [
-    (lambda s: beam_splitter(s, 2, 1), 2),
-    (lambda s: polarizing_beam_splitter(s, 1, 2), 1),
-    (lambda s: swap_arms(s, 1, 2), 2),
-    (lambda s: spin_rotation(s, 1, fock.HADAMARD), 1),
+    (lambda s: apply_instruction(s, BeamSplitter(2, 1)), 2),
+    (lambda s: apply_instruction(s, PolarizingBeamSplitter(1, 2)), 1),
+    (lambda s: apply_instruction(s, SwapArms(1, 2)), 2),
+    (lambda s: apply_instruction(s, SpinRotation(1, "h")), 1),
     (lambda s: circuit.apply_instruction(s, circuit.BeamSplitter(1, 2)), 2),
     (lambda s: circuit.apply_instruction(s, circuit.PolarizingBeamSplitter(2, 1)), 1),
     (lambda s: circuit.apply_instruction(s, circuit.SwapArms(1, 2)), 2),
@@ -252,11 +250,13 @@ def test_table_matrices_are_read_only_and_checked_once(monkeypatch):
                         lambda matrix, dim: checked.append(dim) or np.asarray(matrix, complex))
     state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 0), 2, 0.6, 0.8)
     for keyword in fock.TWO_ARM_ELEMENTS:
-        fock.apply_steps(state, fock.two_arm_steps(keyword, 1, 2))
+        for modes, matrix in fock.two_arm_steps(keyword, 1, 2):
+            apply_single_particle_unitary(state, modes, matrix)
     for matrix in fock.ROTATIONS.values():
-        spin_rotation(state, 1, matrix)
+        apply_single_particle_unitary(state, [(1, UP), (1, DOWN)], matrix)
     assert checked == []
-    spin_rotation(state, 1, np.array(fock.HADAMARD))  # an equal matrix, not the table's
+    # an equal matrix, not the table's
+    apply_single_particle_unitary(state, [(1, UP), (1, DOWN)], np.array(fock.HADAMARD))
     assert checked == [2]
 
 
@@ -347,9 +347,9 @@ def test_kernel_output_equals_the_always_pruned_reference_and_is_never_the_input
 def test_kernel_and_preparation_refuse_a_state_over_the_key_limit(monkeypatch):
     state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 1), 2, 1, 0)  # two keys
     monkeypatch.setattr(fock, "MAX_KEYS", 3)
-    assert len(polarizing_beam_splitter(state, 1, 2).amplitudes) == 2
+    assert len(apply_instruction(state, PolarizingBeamSplitter(1, 2)).amplitudes) == 2
     with pytest.raises(FeqcError, match="a state of 4 keys exceeds the limit MAX_KEYS = 3"):
-        spin_rotation(state, 2, fock.HADAMARD)
+        apply_instruction(state, SpinRotation(2, "h"))
     with pytest.raises(FeqcError, match="a state of 4 keys exceeds the limit MAX_KEYS = 3"):
         prepare_spin(prepare_spin(vacuum(2), 1, 1, 1), 2, 1, 1)
 
@@ -364,12 +364,18 @@ def test_an_electron_of_one_spin_keeps_the_key_count_at_the_limit(monkeypatch, s
 
 
 def test_preparation_refuses_an_oversized_state_before_building_it(monkeypatch):
-    state = prepare_spin(prepare_spin(vacuum(3), 1, 1, 1), 2, 1, -1)  # four keys
+    state = prepare_spin(prepare_spin(vacuum(4), 1, 1, 1), 2, 1, -1)  # four keys
     monkeypatch.setattr(fock, "MAX_KEYS", 7)
     built = []
     monkeypatch.setattr(fock, "_append_mode", lambda *args: built.append(args))
     with pytest.raises(FeqcError, match="a state of 8 keys exceeds the limit MAX_KEYS = 7"):
         prepare_spin(state, 3, 0.6, 0.8)
+    # A pair counts its nonzero amplitudes times the keys: two for the singlet ...
+    with pytest.raises(FeqcError, match="a state of 8 keys exceeds the limit MAX_KEYS = 7"):
+        prepare_bell(state, 0, 3, 4)
+    # ... and four for a full coefficient matrix.
+    with pytest.raises(FeqcError, match="a state of 16 keys exceeds the limit MAX_KEYS = 7"):
+        prepare_two_spin(state, 3, 4, np.array([[1, 2], [3j, -4]]))
     assert built == []
 
 
@@ -378,11 +384,12 @@ def test_spin_rotation_still_rejects_a_non_unitary_matrix(writeable):
     matrix = np.array([[1, 1], [0, 1]], dtype=complex)
     matrix.setflags(write=writeable)
     with pytest.raises(ValueError, match="not unitary"):
-        spin_rotation(prepare_spin(vacuum(1), 1, 1, 0), 1, matrix)
+        apply_single_particle_unitary(prepare_spin(vacuum(1), 1, 1, 0), [(1, UP), (1, DOWN)],
+                                      matrix)
 
 
 def test_beam_splitter_bunches_singlet():
-    out = beam_splitter(prepare_bell(vacuum(2), 0, 1, 2), 1, 2)
+    out = apply_instruction(prepare_bell(vacuum(2), 0, 1, 2), BeamSplitter(1, 2))
     for key in out.amplitudes:
         assert arm_charge(key, 1) in (0, 2)
 
@@ -390,7 +397,7 @@ def test_beam_splitter_bunches_singlet():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_beam_splitter_flips_triplet_sign(k):
     state = prepare_bell(vacuum(2), k, 1, 2)
-    out = beam_splitter(state, 1, 2)
+    out = apply_instruction(state, BeamSplitter(1, 2))
     assert fidelity(state, out) == pytest.approx(1.0, abs=1e-12)
     assert inner_product(state, out) == pytest.approx(-1.0)
     for key in out.amplitudes:
@@ -398,48 +405,49 @@ def test_beam_splitter_flips_triplet_sign(k):
 
 
 def test_beam_splitter_splits_single_electron():
-    out = beam_splitter(create(vacuum(2), (1, UP)), 1, 2)
+    out = apply_instruction(create(vacuum(2), (1, UP)), BeamSplitter(1, 2))
     assert abs(out.amplitudes[1 << 0]) == pytest.approx(1 / np.sqrt(2))
     assert abs(out.amplitudes[1 << 2]) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_pbs_bunches_opposite_spins():
     state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 0), 2, 0, 1)
-    out = polarizing_beam_splitter(state, 1, 2)
+    out = apply_instruction(state, PolarizingBeamSplitter(1, 2))
     (key,) = out.amplitudes
     assert arm_charge(key, 1) == 2 and arm_charge(key, 2) == 0
 
 
 def test_pbs_keeps_aligned_spins():
     state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 0), 2, 1, 0)
-    out = polarizing_beam_splitter(state, 1, 2)
+    out = apply_instruction(state, PolarizingBeamSplitter(1, 2))
     assert fidelity(state, out) == pytest.approx(1.0)
 
 
 def test_pbs_twice_is_identity():
     rng = np.random.default_rng(6)
     state = random_state(rng, 2)
-    out = polarizing_beam_splitter(polarizing_beam_splitter(state, 1, 2), 1, 2)
+    pbs = PolarizingBeamSplitter(1, 2)
+    out = apply_instruction(apply_instruction(state, pbs), pbs)
     assert inner_product(state, out) == pytest.approx(1.0)
 
 
 def test_swap_moves_arm_contents():
     state = prepare_spin(vacuum(2), 1, 0.6, 0.8)
-    out = swap_arms(state, 1, 2)
+    out = apply_instruction(state, SwapArms(1, 2))
     expected = prepare_spin(vacuum(2), 2, 0.6, 0.8)
     assert fidelity(out, expected) == pytest.approx(1.0)
 
 
 def test_sigma_z_turns_plus_pair_into_singlet():
     state = prepare_bell(vacuum(2), 1, 1, 2)
-    out = spin_rotation(state, 2, fock.PAULI_Z)
+    out = apply_instruction(state, SpinRotation(2, "z"))
     singlet = prepare_bell(vacuum(2), 0, 1, 2)
     assert inner_product(singlet, out) == pytest.approx(-1.0)
 
 
 def test_sigma_x_sigma_z_turns_aligned_pair_into_singlet():
     state = prepare_bell(vacuum(2), 2, 1, 2)
-    out = spin_rotation(spin_rotation(state, 2, fock.PAULI_Z), 2, fock.PAULI_X)
+    out = apply_instruction(apply_instruction(state, SpinRotation(2, "z")), SpinRotation(2, "x"))
     singlet = prepare_bell(vacuum(2), 0, 1, 2)
     assert inner_product(singlet, out) == pytest.approx(1.0)
 
@@ -447,7 +455,7 @@ def test_sigma_x_sigma_z_turns_aligned_pair_into_singlet():
 def test_hadamard_squares_to_identity():
     rng = np.random.default_rng(7)
     state = random_state(rng, 1)
-    out = spin_rotation(spin_rotation(state, 1, fock.HADAMARD), 1, fock.HADAMARD)
+    out = apply_instruction(apply_instruction(state, SpinRotation(1, "h")), SpinRotation(1, "h"))
     assert inner_product(state, out) == pytest.approx(1.0)
 
 
@@ -508,7 +516,7 @@ def test_beam_splitter_matches_dense_oracle_on_two_particle_sector():
     oracle_down = dense_bilinear_unitary(2, [(1, DOWN), (2, DOWN)], BEAM_SPLITTER_MATRIX)
     for _ in range(4):
         state = random_state(rng, 2, particles=2)
-        engine = beam_splitter(state, 1, 2)
+        engine = apply_instruction(state, BeamSplitter(1, 2))
         oracle_vec = oracle_down @ oracle_up @ dense_vector(state)
         assert np.allclose(dense_vector(engine), oracle_vec, atol=1e-9)
 

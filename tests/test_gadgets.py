@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from feqc import fock, gadgets, measurement
-from feqc.circuit import Conditional, Measure, PrepSpin, apply_instruction
+from feqc.circuit import (Conditional, Measure, PolarizingBeamSplitter, PrepSpin, SpinRotation,
+                          apply_instruction)
 from feqc.errors import PreconditionError
 from feqc.fock import (
     FockState,
@@ -20,7 +21,6 @@ from feqc.fock import (
     prepare_bell,
     prepare_spin,
     prepare_two_spin,
-    spin_rotation,
     spinor_fidelity,
     vacuum,
 )
@@ -143,7 +143,7 @@ def test_encoder_parity_one_branch_is_direct():
         vacuum(2), 1, 2, np.array([[0, alpha], [beta, 0]], dtype=complex)
     )
     assert fidelity(direct[0], swapped) == pytest.approx(1.0, abs=1e-9)
-    corrected = spin_rotation(direct[0], 2, fock.PAULI_X)
+    corrected = apply_instruction(direct[0], SpinRotation(2, "x"))
     assert fidelity(corrected, encoded_pair(alpha, beta)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -168,16 +168,29 @@ def test_encoder_records_its_flip_as_a_correction():
     plain = encoder(state, 3, 1, apply_correction=False)
     assert [rec.applied_corrections for rec in plain] == [[], []]
     # the flip is the circuit's last instruction, made on the uncorrected branch state
-    corrected = spin_rotation(plain[0].output_state, 1, fock.PAULI_X)
+    corrected = apply_instruction(plain[0].output_state, SpinRotation(1, "x"))
     assert flipped[0].output_state.amplitudes == corrected.amplitudes
+
+
+def test_occupancy_checks_name_an_arm_out_of_range():
+    state = prepare_bell(vacuum(2), 0, 1, 2)
+    calls = [
+        (lambda: prepare_bell(vacuum(2), 0, 0, 2), 0),
+        (lambda: bell_analyzer(state, 0, 2), 0),
+        (lambda: encoder(state, 1, 0), 0),
+        (lambda: bell_analyzer(state, 1, 5), 5),
+    ]
+    for call, arm in calls:
+        with pytest.raises(ValueError, match=rf"^arm {arm} out of range 1\.\.2$"):
+            call()
 
 
 def test_encoder_rejects_shared_arm_occupancy():
     both_in_one = prepare_two_spin(
         vacuum(2), 1, 2, np.array([[1, 0], [0, 1]], dtype=complex)
     )
-    both_in_one = fock.polarizing_beam_splitter(
-        spin_state(2, [(1, 1, 0), (2, 0, 1)]), 1, 2
+    both_in_one = apply_instruction(
+        spin_state(2, [(1, 1, 0), (2, 0, 1)]), PolarizingBeamSplitter(1, 2)
     )  # bunches both electrons into arm 1
     with pytest.raises(PreconditionError):
         encoder(both_in_one, 1, 2)
@@ -190,7 +203,7 @@ def test_encoder_decoding_identity():
         alpha, beta = random_spinor(rng)
         state = spin_state(2, [(1, alpha, beta), (2, 1, 1)])
         for rec in encoder(state, 1, 2):
-            rotated = spin_rotation(rec.output_state, 2, fock.HADAMARD)  # maps |+> to |up>
+            rotated = apply_instruction(rec.output_state, SpinRotation(2, "h"))  # maps |+> to |up>
             survivors = [post for z, _, post in measure_spin(rotated, 2) if z == 0]
             assert len(survivors) == 1
             rho = arm_qubit_density(survivors[0], 1)
@@ -232,14 +245,13 @@ def test_control_branch_formula():
 
 def test_control_side_box_matches_formula():
     """The splitter pair hands the ancilla the spin x + p1 + 1."""
-    from feqc.fock import polarizing_beam_splitter
     from feqc.measurement import measure_parity
 
     for x in (0, 1):
         state = spin_state(2, [(1, 1 - x, x), (2, 1, 1)])
-        mixed = polarizing_beam_splitter(state, 1, 2)
+        mixed = apply_instruction(state, PolarizingBeamSplitter(1, 2))
         for p1, prob, post in measure_parity(mixed, 1):
-            out = polarizing_beam_splitter(post, 1, 2)
+            out = apply_instruction(post, PolarizingBeamSplitter(1, 2))
             assert prob == pytest.approx(0.5)
             expected = spin_state(
                 2, [(1, 1 - x, x), (2, 1 - control_branch_formula(x, p1), control_branch_formula(x, p1))]

@@ -18,11 +18,12 @@ from feqc.circuit import (
     PrepBell,
     PrepSpin,
     SpinRotation,
+    apply_instruction,
     light_cone,
 )
 from feqc.errors import CircuitError, FeqcError, PreconditionError
 from feqc.fock import (
-    FockState, Spin, arm_charge, beam_splitter, create, fidelity, format_key, prepare_bell,
+    FockState, Spin, arm_charge, create, fidelity, format_key, prepare_bell,
     prepare_spin, vacuum,
 )
 from feqc.measurement import (
@@ -62,7 +63,7 @@ c = charge 1
 
 
 def bunched_singlet():
-    return beam_splitter(prepare_bell(vacuum(2), 0, 1, 2), 1, 2)
+    return apply_instruction(prepare_bell(vacuum(2), 0, 1, 2), BeamSplitter(1, 2))
 
 
 def test_charge_definite_single_electron():
@@ -82,7 +83,7 @@ def test_charge_on_bunched_singlet_splits_evenly():
 
 
 def test_charge_on_split_electron():
-    state = beam_splitter(create(vacuum(2), (1, UP)), 1, 2)
+    state = apply_instruction(create(vacuum(2), (1, UP)), BeamSplitter(1, 2))
     branches = measure_charge(state, 1)
     assert {q: pytest.approx(0.5) for q, _, _ in branches} == {0: 0.5, 1: 0.5}
 
@@ -97,10 +98,8 @@ def test_parity_keeps_bunched_coherence():
 
 
 def test_parity_of_aligned_spins_after_pbs():
-    from feqc.fock import polarizing_beam_splitter
-
     state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 0), 2, 1, 0)
-    mixed = polarizing_beam_splitter(state, 1, 2)
+    mixed = apply_instruction(state, PolarizingBeamSplitter(1, 2))
     branches = measure_parity(mixed, 1)
     assert len(branches) == 1
     assert branches[0][0] == 1
@@ -135,7 +134,7 @@ def test_spin_measurement_weights():
 def test_spin_measurement_requires_single_occupancy():
     with pytest.raises(PreconditionError):
         measure_spin(vacuum(1), 1)
-    split = beam_splitter(create(vacuum(2), (1, UP)), 1, 2)
+    split = apply_instruction(create(vacuum(2), (1, UP)), BeamSplitter(1, 2))
     with pytest.raises(PreconditionError):
         measure_spin(split, 1)
 
@@ -204,10 +203,10 @@ def test_parity_branch_is_not_reachable_from_charge_branches():
     no mixture of electrometer outcomes can do that."""
     state = bunched_singlet()
     (_, _, parity_post), = measure_parity(state, 1)
-    revived = beam_splitter(parity_post, 1, 2)
+    revived = apply_instruction(parity_post, BeamSplitter(1, 2))
     assert charge1_probability(revived, 1) == pytest.approx(1.0)
     for _, _, charge_post in measure_charge(state, 1):
-        revived = beam_splitter(charge_post, 1, 2)
+        revived = apply_instruction(charge_post, BeamSplitter(1, 2))
         assert charge1_probability(revived, 1) == pytest.approx(0.5)
 
 
@@ -261,7 +260,8 @@ def test_readout_post_states_hold_python_complex_amplitudes(kind):
     measure, _ = KEY_CLASSIFIERS[kind]
     state = prepare_spin(prepare_spin(vacuum(2), 1, 0.6, 0.8j), 2, 1, 1)
     for arm in (1, 2):
-        for _, _, post in measure(beam_splitter(state, 1, 2) if kind != "spin" else state, arm):
+        split = apply_instruction(state, BeamSplitter(1, 2)) if kind != "spin" else state
+        for _, _, post in measure(split, arm):
             assert all(type(a) is complex for a in post.amplitudes.values())
 
 
