@@ -31,9 +31,11 @@ declared arm count; the limits, the joint query's pricing and every reported
 arm number are still decided on the circuit as written.  Every state that
 reaches a readout must hold the electrons the cone added on its path: its
 trace, the particle number, is checked, never renormalized; nor is an
-occupation it reads, or the joint probability, more than EIGENVALUE_SLACK
-outside [0, 1].  Each drift is weighted by the probability of its branch,
-whose matrix carries the rounding of the divisions that conditioned it.
+occupation it reads, the joint probability, or an eigenvalue of the block a
+terminal frontier starts from, more than EIGENVALUE_SLACK outside [0, 1],
+and that block must be Hermitian.  Each drift is weighted by the probability
+of its branch, whose matrix carries the rounding of the divisions that
+conditioned it.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ PROBABILITY_FLOOR = 1e-12
 # probability, and dividing by it is safe: the blocks are positive
 # semidefinite, so no rank-one update it makes exceeds 1 in magnitude.
 PIVOT_FLOOR = 1e-15
-MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~0.05 s and ~75 MB; each further arm triples both
+MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~55 ms and ~38 MiB; each further arm triples both
 # Bytes one branch tree may take, counted as one full matrix of the circuit's
 # declared arms per leaf: 7281 leaves at 48 arms.  A terminal block's frontier
 # keeps a smaller matrix per live branch and never more branches than leaves,
@@ -78,16 +80,6 @@ class CorrelationMatrix:
     @property
     def num_modes(self) -> int:
         return 2 * self.num_arms
-
-    def validate(self) -> None:
-        m = self.matrix
-        if m.shape != (self.num_modes, self.num_modes):
-            raise ValueError("matrix shape does not match arm count")
-        if not np.allclose(m, m.conj().T, atol=HERMITIAN_ATOL):
-            raise ValueError("correlation matrix is not Hermitian")
-        eig = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eig.min() < -EIGENVALUE_SLACK or eig.max() > 1 + EIGENVALUE_SLACK:
-            raise ValueError("correlation matrix eigenvalues leave [0, 1]")
 
 
 def _admit_arms(num_arms: int) -> None:
@@ -231,6 +223,13 @@ def _grow(weights: np.ndarray, up, down, both) -> np.ndarray:
     return grown.reshape(-1)
 
 
+def _schur(block: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray:
+    """Every (n, n, B) stack matrix's Schur complement of its first mode, whose pivots'
+    reciprocals are ``scale``: block[1:, 1:] - block[1:, :1] * (block[:1, 1:] * scale)."""
+    out = np.multiply(block[1:, :1], block[:1, 1:] * scale, out=out)
+    return np.subtract(block[1:, 1:], out, out=out)
+
+
 def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
     """The joint query's 3^|S| terms (-2)^k det(M_T), one per monomial of
     prod_i (n_up + n_down - 2 n_up n_down) over the arms of S before any
@@ -243,10 +242,13 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
     still to pick, branches into its up, down and both children, with
     weights w S00, w S11 and -2 w S00 (S11 - S10 S01 / S00).  A child's
     block is the Schur complement of the modes it picked, the arm's rows and
-    columns dropped, so every determinant is a product of pivots; at the
-    last arm only the pivots are computed.  A pivot at or below PIVOT_FLOOR
-    zeros its child's weight and divides by 1 instead: the subtree it drops
-    is a conditional probability, worth at most |w| PIVOT_FLOOR.
+    columns dropped, so every determinant is a product of pivots.  Each is
+    one Schur step on a first mode (``_schur``): the up child's on S, the
+    down child's on S without its up mode, and the both child's on the up
+    child before its down mode is dropped; at the last arm only the pivots
+    are computed.  A pivot at or below PIVOT_FLOOR zeros its child's weight
+    and divides by 1 instead: the subtree it drops is a conditional
+    probability, worth at most |w| PIVOT_FLOOR.
 
     The entries' blocks are stacked (n, n, entries) and each arm's children
     laid out child-major; one permutation puts the leaves in product order.
@@ -258,23 +260,20 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
     block = M.matrix.take(modes, 0).take(modes, 1)[..., None]
     weights = np.ones(1)
     while True:
-        n, count = len(block) - 1, block.shape[2]
+        n, count = len(block) - 2, block.shape[2]
         pivots, scales = _floored(block.diagonal()[:, :2].T.real)
-        if n == 1:  # the last arm: its pivots alone
+        if n == 0:  # the last arm: its pivots alone
             both = block[1, 1] - block[1, 0] * (block[0, 1] * scales[0])
             terms = _grow(weights, pivots[0], pivots[1], _floored(both.real)[0])
             return terms.reshape((3,) * len(ups)).transpose().reshape(-1)
-        # Rows and columns 1: of every block with its up (0) or its down (1)
-        # mode eliminated; the both child is the up one with mode 1 eliminated.
-        rows = block[:2, 1:].transpose(1, 0, 2) * scales
-        picked = np.empty((n, n, 3, count), complex)  # [row, column, child, entry]
-        np.multiply(block[1:, None, :2], rows, out=picked[:, :, :2])
-        np.subtract(block[1:, 1:, None], picked[:, :, :2], out=picked[:, :, :2])
-        up = picked[:, :, 0]
+        up = _schur(block, scales[0])  # still holds the arm's down mode, first
         both, scale = _floored(up[0, 0].real)
-        np.subtract(up[1:, 1:], up[1:, :1] * (up[:1, 1:] * scale), out=picked[1:, 1:, 2])
+        children = np.empty((n, n, 3, count), complex)  # [row, column, child, entry]
+        children[:, :, 0] = up[1:, 1:]
+        _schur(block[1:, 1:], scales[1], children[:, :, 1])
+        _schur(up, scale, children[:, :, 2])
         weights = _grow(weights, pivots[0], pivots[1], both)
-        block = picked[1:, 1:].reshape(n - 1, n - 1, 3 * count)
+        block = children.reshape(n, n, 3 * count)
 
 
 def single_occupancy_probability(M: CorrelationMatrix, arms) -> float:
@@ -379,6 +378,18 @@ def _check_particle_number(M: CorrelationMatrix, electrons: int, weight: float) 
                         f"{electrons} electrons were added (drift {number - electrons!r})")
 
 
+def _check_spectrum(block: np.ndarray, weight: float) -> None:
+    """Refuse a principal block of M that is not Hermitian, or whose
+    eigenvalues leave [0, 1] by more than EIGENVALUE_SLACK, each drift
+    weighted by ``weight``, the branch's probability, as in ``_check_unit``.
+    By Cauchy interlacing a block's eigenvalues lie within M's, so a block
+    eigenvalue outside [0, 1] proves one of M's is too.  O(n^3)."""
+    skew = float(np.abs(block - block.conj().T).max())
+    if skew * weight > HERMITIAN_ATOL:
+        raise FeqcError(f"correlation matrix drifted: not Hermitian (|M - M^dag| reaches {skew!r})")
+    _check_unit("eigenvalue", np.linalg.eigvalsh(block), weight)
+
+
 def _light_cone(circuit: Circuit) -> tuple[list, list[int]]:
     """The instructions a Gaussian circuit's readouts depend on
     (``circuit.light_cone``), renumbered onto the arms they act on, and those
@@ -433,7 +444,8 @@ def charge_branch_tree(circuit: Circuit):
     renormalized.  A tree whose leaves would take more than
     MAX_TREE_BYTES as full matrices is refused while it is expanded, and a
     state that reaches a readout with a trace other than the electrons added
-    on its path is refused (``_check_particle_number``).
+    on its path is refused (``_check_particle_number``), as is a block that
+    is not Hermitian or has an eigenvalue outside [0, 1] (``_check_spectrum``).
 
     The walk runs on the readouts' light cone (``_light_cone``).  MAX_ARMS,
     the bytes of a leaf, which readouts are terminal and which form the
@@ -484,7 +496,8 @@ def charge_branch_tree(circuit: Circuit):
         final = {ins.arm: i for i, ins in enumerate(readouts)}
         arms = sorted(final, key=final.get)
         modes = [mode_position((arm, spin), M.num_arms) for arm in arms for spin in Spin]
-        stack = M.matrix.take(modes, 0).take(modes, 1)[..., None]
+        start = M.matrix.take(modes, 0).take(modes, 1)
+        stack = start[..., None]
 
         def grow(n: int) -> None:
             admit(n)
@@ -500,6 +513,8 @@ def charge_branch_tree(circuit: Circuit):
                 arms.remove(ins.arm)
             levels.append((ins.label, parents, charges, probs))
             paths = paths[parents] * probs
+        # After the readouts, whose occupation checks name a drifted entry first.
+        _check_spectrum(start, prob)
         node = FrontierNode(outcomes, levels, paths)
         if terminal:  # the block is the whole tree: check the joint query against it
             summed = sum(paths[np.logical_and.reduce(node.rows == 1, axis=1)].tolist())

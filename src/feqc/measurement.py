@@ -2,11 +2,11 @@
 
 Measurements return every outcome with probability above the branch
 threshold, each with its renormalized post-state.  One Born-rule routine,
-``_born``, reads a run of readouts from a state in one pass over its keys;
-a single ``measure_*`` call is its one-readout case.  ``enumerate_branches``
-expands a circuit into the full outcome tree through the branch walker,
-``walk``, which hands the circuit's trailing run of readouts to that routine
-on every path that reaches it.  ``branch_tree(..., cone=True)``, which
+``_born``, reads a run of readouts from a state in one pass over its keys
+into the walker's nodes; a single ``measure_*`` call is its one-readout
+case.  ``enumerate_branches`` expands a circuit into the full outcome tree
+through the branch walker, ``walk``, which hands the circuit's trailing run
+of readouts to that routine on every path that reaches it.  ``branch_tree(..., cone=True)``, which
 ``feqc run`` uses on fock unless it emits states, walks only the readouts'
 backward light cone from the vacuum (``circuit.light_cone``), so an
 instruction no readout depends on costs nothing, and MAX_KEYS bounds the
@@ -53,19 +53,18 @@ REFUSED = -1  # the outcome of a key pattern a meter's table lacks
 Meter = tuple[int, dict[int, int], str]
 
 
-def _born(state: FockState, meters: list[Meter], count=None) -> list:
-    """Born-rule outcome tree of the readouts ``meters``, made in turn on ``state``.
-
-    Returns the first readout's children [(outcome, probability, child)] in
-    ascending outcome order; a child is the next readout's children, or the
-    post-state after the last readout.  The keys are grouped once, by their
-    outcomes under every meter, and a node's probability is its summed leaf
-    mass over its parent's.  Every node drops the outcomes at or below
-    BRANCH_THRESHOLD and renormalizes the rest, and a leaf's post-state is its
-    group over the square root of its mass, so each node matches a readout
-    of its parent's renormalized post-state.  ``count(1)`` is called before
-    each leaf is made, in depth-first order.
+def _born(state: FockState, measures, outcomes: dict[str, int], prob: float, count) -> BranchNode:
+    """Fock's terminal-block hook for ``walk``: the Born-rule subtree of the
+    readouts ``measures``, made in turn on ``state``, below ``outcomes`` and
+    ``prob``, its children in ascending outcome order.  The keys are grouped
+    once, by their outcomes under every readout's meter, and a node's
+    probability is its summed leaf mass over its parent's.  Every node drops
+    the outcomes at or below BRANCH_THRESHOLD and renormalizes the rest, and
+    a leaf's post-state is its group over the square root of its mass, so
+    each node matches a readout of its parent's renormalized post-state.
+    ``count(1)`` is called before each leaf is made, in depth-first order.
     """
+    meters = [_arm_meter(state, ins.kind, ins.arm) for ins in measures]
     mask = 0
     for bits, _, _ in meters:
         mask |= bits
@@ -83,19 +82,23 @@ def _born(state: FockState, meters: list[Meter], count=None) -> list:
     # (path, mass, amplitudes) of every leaf, in the walker's order
     leaves = sorted([(path, sum([abs(a) ** 2 for a in group.values()]), group)
                      for path, group in groups.items()])
-    return _expand(leaves, 0, 1.0, meters, state.num_arms, count)
+    readouts = ([ins.label for ins in measures], [refusal for _, _, refusal in meters],
+                state.num_arms, count)
+    return _expand(leaves, 0, 1.0, outcomes, prob, readouts)
 
 
-def _expand(items: list, depth: int, mass: float, meters: list[Meter], num_arms: int,
-            count) -> list:
-    """The children of a _born node: ``items`` are the (path, mass, amplitudes)
-    leaves below it, which share their first ``depth`` outcomes, and ``mass``
-    is theirs (1 at the root).  A module-level function, not a closure: a
-    recursive closure is a reference cycle that would keep the state alive
-    until the garbage collector runs."""
+def _expand(items: list, depth: int, mass: float, outcomes: dict[str, int], prob: float,
+            readouts) -> BranchNode:
+    """Readout ``depth``'s node of a _born run, below ``outcomes`` and
+    ``prob``: ``items`` are the (path, mass, amplitudes) leaves below it,
+    which share their first ``depth`` outcomes, and ``mass`` is theirs (1 at
+    the root); ``readouts`` holds the run's (labels, refusals, num_arms,
+    count).  A module-level function, not a closure: a recursive closure is a
+    reference cycle that would keep the state alive until the GC runs."""
+    labels, refusals, num_arms, count = readouts
     if items and items[0][0][depth] == REFUSED:  # an empty state has no items
-        raise PreconditionError(meters[depth][2])
-    last = depth == len(meters) - 1
+        raise PreconditionError(refusals[depth])
+    last = depth == len(labels) - 1
     if not last:
         runs = [list(run) for _, run in groupby(items, key=lambda item: item[0][depth])]
         items = [(run[0][0], sum([m for _, m, _ in run]), run) for run in runs]
@@ -110,17 +113,19 @@ def _expand(items: list, depth: int, mass: float, meters: list[Meter], num_arms:
         raise FeqcError(f"state norm drifted: outcome probabilities sum to {total!r}")
     nodes = []
     for outcome, p, m, sub in kept:
+        p /= total
+        path = {**outcomes, labels[depth]: outcome}
         if not last:
-            child = _expand(sub, depth + 1, m, meters, num_arms, count)
+            child = _expand(sub, depth + 1, m, path, prob * p, readouts)
         else:
             if count is not None:
                 count(1)
             norm = math.sqrt(m)
             for key, amp in sub.items():  # in place: no second dict per leaf
                 sub[key] = amp / norm
-            child = FockState(num_arms, pruned(sub))
-        nodes.append((outcome, p / total, child))
-    return nodes
+            child = BranchRecord(path, prob * p, FockState(num_arms, pruned(sub)))
+        nodes.append((outcome, p, child))
+    return BranchNode(labels[depth], nodes)
 
 
 def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
@@ -137,9 +142,15 @@ def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
     return both, {up: 0, down: 1}, f"measure_spin: arm {arm} must carry exactly one electron"
 
 
+def _measure(state: FockState, kind: str, arm: int) -> list[Branch]:
+    """An arm's readout as the (outcome, probability, post-state) triples of a _born node."""
+    node = _born(state, [Measure("", kind, arm)], {}, 1.0, None)
+    return [(outcome, p, leaf.post_state) for outcome, p, leaf in node.children]
+
+
 def measure_charge(state: FockState, arm: int) -> list[Branch]:
     """Electrometer: project onto occupation 0, 1 or 2 of the arm."""
-    return _born(state, [_arm_meter(state, "charge", arm)])
+    return _measure(state, "charge", arm)
 
 
 def measure_parity(state: FockState, arm: int) -> list[Branch]:
@@ -148,7 +159,7 @@ def measure_parity(state: FockState, arm: int) -> list[Branch]:
     The even branch keeps the coherent superposition of its empty and doubly
     occupied components; that is what distinguishes it from an electrometer.
     """
-    return _born(state, [_arm_meter(state, "parity", arm)])
+    return _measure(state, "parity", arm)
 
 
 def measure_spin(state: FockState, arm: int) -> list[Branch]:
@@ -157,7 +168,7 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     The electron stays in place.  Arms without a definite single electron are
     rejected rather than silently projected.
     """
-    return _born(state, [_arm_meter(state, "spin", arm)])
+    return _measure(state, "spin", arm)
 
 
 @dataclass
@@ -259,10 +270,10 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
     them.  The hook calls ``count(n)`` before its tree grows by n leaves,
     counting every leaf it makes.  Every other readout branches through
     ``branches``.  Fock's hook groups the state's keys once for the whole
-    run (``_born``); corr's stacks every live branch's matrix block and
-    returns the run as one FrontierNode, which keeps its leaves as arrays
-    and builds its children when they are first read
-    (``corr.charge_branch_tree``).
+    run and builds its nodes from the groups (``_born``); corr's stacks
+    every live branch's matrix block and returns the run as one
+    FrontierNode, which keeps its leaves as arrays and builds its children
+    when they are first read (``corr.charge_branch_tree``).
     A tree of more than MAX_LEAVES leaves is refused.
     """
     leaf_count = 0
@@ -365,28 +376,7 @@ def branch_tree(circuit: Circuit, input_state: FockState,
     admit_depth(sum(isinstance(ins, Measure) for ins in instructions))  # the block nests too
     return walk(instructions, input_state, apply_instruction,
                 lambda state, ins, _prob: _MEASURE_FNS[ins.kind](state, ins.arm),
-                (len(instructions) - trailing_measures(instructions), _terminal_block))
-
-
-def _terminal_block(state: FockState, measures, outcomes, prob, count) -> BranchNode:
-    """The walker's terminal-block hook on fock: every trailing readout in one
-    _born pass over the state's keys."""
-    children = _born(state, [_arm_meter(state, ins.kind, ins.arm) for ins in measures], count)
-    return _subtree(measures, children, outcomes, prob)
-
-
-def _subtree(measures, children, outcomes, prob) -> BranchNode:
-    """A _born tree as the walker's nodes and leaves, below ``outcomes`` and ``prob``."""
-    label = measures[0].label
-    nodes = []
-    for outcome, p, child in children:
-        path = {**outcomes, label: outcome}
-        if len(measures) > 1:
-            child = _subtree(measures[1:], child, path, prob * p)
-        else:
-            child = BranchRecord(path, prob * p, child)
-        nodes.append((outcome, p, child))
-    return BranchNode(label, nodes)
+                (len(instructions) - trailing_measures(instructions), _born))
 
 
 def enumerate_branches(circuit: Circuit, input_state: FockState) -> list[BranchRecord]:

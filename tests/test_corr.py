@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_purity_preserved_by_evolution_and_projection():
             _, post = project_occupation(M, mode, 1)
             pm = post.matrix
             assert np.linalg.norm(pm @ pm - pm) <= 1e-8
-        M.validate()
+        corr._check_spectrum(M.matrix, 1.0)  # Hermitian, eigenvalues in [0, 1]
 
 
 def test_trace_conserved_by_evolution():
@@ -421,6 +422,36 @@ def test_a_run_refuses_an_occupation_outside_the_unit_interval(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert err.splitlines() == ([] if line is None else [line])
     assert (out == "") == (line is not None)
+
+
+@pytest.mark.parametrize("entries, message", [
+    # Hermitian, trace and diagonal kept: M's eigenvalues become 0.999 and 1.001.
+    ([(0, 2), (2, 0)], r"eigenvalue (\S+) outside \[0, 1\] \(drift \S+\)"),
+    ([(0, 2)], r"not Hermitian \(\|M - M\^dag\| reaches (\S+)\)"),
+], ids=["hermitian", "non-hermitian"])
+def test_a_run_refuses_a_block_whose_spectrum_drifted(tmp_path, capsys, monkeypatch, entries,
+                                                      message):
+    """A kernel that adds 1e-3 off the diagonal between the two read up modes
+    keeps every occupation in [0, 1] and the particle number: the terminal
+    block's spectrum check refuses the run with one error line."""
+    src = tmp_path / "ups.feqc"
+    src.write_text("arms 2\nelectron 1 up\nelectron 2 up\nrot 1 z\nq1 = charge 1\nq2 = charge 2\n")
+    exact = corr.evolve
+
+    def drifting(M, modes, matrix):
+        m = exact(M, modes, matrix).matrix.copy()
+        for entry in entries:
+            m[entry] += 1e-3
+        return corr.CorrelationMatrix(M.num_arms, m)
+
+    monkeypatch.setattr(corr, "evolve", drifting)
+    assert cli.main(["run", str(src), "--backend", "corr"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    found = re.fullmatch("error: correlation matrix drifted: " + message, line)
+    assert found, line
+    assert float(found.group(1)) == pytest.approx(1.001 if len(entries) == 2 else 1e-3, abs=1e-12)
 
 
 def test_occupations_are_clipped_only_inside_the_weighted_slack():

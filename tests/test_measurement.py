@@ -245,7 +245,9 @@ def test_readout_mask_tables_agree_with_key_classifiers(monkeypatch, kind):
     for arm in range(1, arms + 1):
         state = prepare_spin(state, arm, 0.6, 0.8)  # every arm singly occupied, for measure_spin
     tables = []
-    monkeypatch.setattr(measurement, "_born", lambda state, meters: tables.append(*meters))
+    build = measurement._arm_meter
+    monkeypatch.setattr(measurement, "_arm_meter",
+                        lambda *args: tables.append(build(*args)) or tables[-1])
     rng = np.random.default_rng(len(kind))
     for arm in range(1, arms + 1):
         measure(state, arm)
