@@ -27,6 +27,7 @@ FORWARD_REFERENCE = "forward-reference"
 UNKNOWN_LABEL = "unknown-label"
 RE_PREPARED = "re-prepared"
 ARMS_DECL = "arms-decl"
+NOT_CONDITIONAL = "not-conditional"
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,12 @@ class Measure:
 
 @dataclass(frozen=True)
 class Conditional:
+    """``op`` (an element, readout or conditional), run on a path whose
+    outcome for ``label`` is ``value``; a path that did not read it skips it."""
+
     label: str
     value: int
-    op: SpinRotation
+    op: Instruction
 
 
 Instruction = Union[
@@ -126,24 +130,22 @@ def structural_problems(
     """
     if lines is None:
         lines = range(2, len(instructions) + 2)
+    unwrapped = [unwrap(ins) for ins in instructions]
     first_measure: dict[str, int] = {}
-    for i, ins in enumerate(instructions):
-        if isinstance(ins, Measure):
-            first_measure.setdefault(ins.label, i)
+    for i, (_, op) in enumerate(unwrapped):
+        if isinstance(op, Measure):
+            first_measure.setdefault(op.label, i)
 
     def arm_problems(i: int, *arms: int) -> Iterator[tuple[int, str, str]]:
         for arm in arms:
             if arm < 1 or (arm_count is not None and arm > arm_count):
                 yield i, ARM_RANGE, f"arm {arm} out of range 1..{arm_count}"
 
-    def rotation_problems(i: int, rot: SpinRotation) -> Iterator[tuple[int, str, str]]:
-        yield from arm_problems(i, rot.arm)
-        if rot.name not in ROTATION_NAMES:
-            yield i, BAD_LITERAL, f"unknown rotation {rot.name!r} (x|y|z|h)"
-
     prepared: set[int] = set()
-    for i, ins in enumerate(instructions):
-        if isinstance(ins, PrepSpin):
+    for i, (conditions, ins) in enumerate(unwrapped):
+        if conditions and isinstance(ins, (PrepSpin, PrepBell)):
+            yield i, NOT_CONDITIONAL, "a preparation cannot be conditional"
+        elif isinstance(ins, PrepSpin):
             yield from arm_problems(i, ins.arm)
             if ins.arm in prepared:
                 yield i, RE_PREPARED, f"arm {ins.arm} prepared twice"
@@ -167,7 +169,9 @@ def structural_problems(
             if ins.arm_i == ins.arm_j:
                 yield i, DUPLICATE_ARM, f"{ins.keyword} needs two distinct arms"
         elif isinstance(ins, SpinRotation):
-            yield from rotation_problems(i, ins)
+            yield from arm_problems(i, ins.arm)
+            if ins.name not in ROTATION_NAMES:
+                yield i, BAD_LITERAL, f"unknown rotation {ins.name!r} (x|y|z|h)"
         elif isinstance(ins, Measure):
             first = first_measure[ins.label]
             if first != i:
@@ -176,22 +180,21 @@ def structural_problems(
             yield from arm_problems(i, ins.arm)
             if ins.kind not in OUTCOME_COUNTS:
                 yield i, UNKNOWN_KEYWORD, f"unknown measurement kind {ins.kind!r}"
-        elif isinstance(ins, Conditional):
-            yield from rotation_problems(i, ins.op)
-            first = first_measure.get(ins.label)
-            if first is None:
-                yield i, UNKNOWN_LABEL, f"label {ins.label!r} is never measured"
-            elif first > i:
-                yield (i, FORWARD_REFERENCE,
-                       f"label {ins.label!r} is measured later (line {lines[first]})")
-            else:
-                kind = instructions[first].kind
-                count = OUTCOME_COUNTS.get(kind)
-                if count is not None and ins.value not in range(count):
-                    yield (i, BAD_LITERAL, f"outcome {ins.value} never occurs: "
-                           f"{kind} label {ins.label!r} reads 0..{count - 1}")
         else:
             yield i, UNKNOWN_KEYWORD, f"unknown instruction {ins!r}"
+        for cond in conditions:  # a label read by this instruction's own readout is read later
+            first = first_measure.get(cond.label)
+            if first is None:
+                yield i, UNKNOWN_LABEL, f"label {cond.label!r} is never measured"
+            elif first >= i:
+                yield (i, FORWARD_REFERENCE,
+                       f"label {cond.label!r} is measured later (line {lines[first]})")
+            else:
+                kind = unwrapped[first][1].kind
+                count = OUTCOME_COUNTS.get(kind)
+                if count is not None and cond.value not in range(count):
+                    yield (i, BAD_LITERAL, f"outcome {cond.value} never occurs: "
+                           f"{kind} label {cond.label!r} reads 0..{count - 1}")
 
 
 def validate_circuit(circuit: Circuit) -> None:
@@ -201,9 +204,27 @@ def validate_circuit(circuit: Circuit) -> None:
         raise CircuitError(circuit.problem)
 
 
+def unwrap(ins: Instruction) -> tuple[list[Conditional], Instruction]:
+    """An instruction's conditionals, outermost first, and what they hold."""
+    conditions = []
+    while isinstance(ins, Conditional):
+        conditions.append(ins)
+        ins = ins.op
+    return conditions, ins
+
+
+def readout_of(ins: Instruction) -> Measure | None:
+    """The readout an instruction makes, plain or under conditionals, or None."""
+    while isinstance(ins, Conditional):
+        ins = ins.op
+    return ins if isinstance(ins, Measure) else None
+
+
 def instruction_arms(ins: Instruction) -> tuple[int, ...]:
     """The arms a preparation, readout or element (plain or conditional) acts on."""
-    op = ins.op if isinstance(ins, Conditional) else ins
+    op = ins
+    while isinstance(op, Conditional):
+        op = op.op
     if isinstance(op, TwoArmElement):
         return op.arm_i, op.arm_j
     if isinstance(op, PrepBell):
@@ -228,20 +249,22 @@ def light_cone(instructions: Sequence[Instruction]) -> list[Instruction]:
     """
     arms_of = []  # each instruction's arms
     touched: set[int] = set()  # arms an element before the current instruction touched
-    reads = set()  # indices of the preparations whose occupancy check reads an arm
+    reads = set()  # the readouts, and the preparations whose occupancy check reads an arm
     for i, ins in enumerate(instructions):
         arms = instruction_arms(ins)
         arms_of.append(arms)
-        if isinstance(ins, (PrepSpin, PrepBell)):
+        if readout_of(ins) is not None:
+            reads.add(i)
+        elif isinstance(ins, (PrepSpin, PrepBell)):
             if not touched.isdisjoint(arms):
                 reads.add(i)
-        elif not isinstance(ins, Measure):
+        else:
             touched.update(arms)
     needed: set[int] = set()
     kept = []
     for i in reversed(range(len(instructions))):
         ins, arms = instructions[i], arms_of[i]
-        if isinstance(ins, Measure) or i in reads or not needed.isdisjoint(arms):
+        if i in reads or not needed.isdisjoint(arms):
             kept.append(ins)
             needed.update(arms)
     kept.reverse()
@@ -284,19 +307,18 @@ def _spinor_text(alpha: complex, beta: complex) -> str:
 def print_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format accepted by the parser."""
     lines = [f"arms {circuit.arm_count}"]
-    for ins in circuit.instructions:
+    for conditions, ins in map(unwrap, circuit.instructions):
+        prefix = "".join(f"if {cond.label} == {cond.value} : " for cond in conditions)
         if isinstance(ins, PrepSpin):
-            lines.append(f"electron {ins.arm} {_spinor_text(ins.alpha, ins.beta)}")
+            lines.append(f"{prefix}electron {ins.arm} {_spinor_text(ins.alpha, ins.beta)}")
         elif isinstance(ins, PrepBell):
-            lines.append(f"bell {ins.k} {ins.arm_a} {ins.arm_b}")
+            lines.append(f"{prefix}bell {ins.k} {ins.arm_a} {ins.arm_b}")
         elif isinstance(ins, TwoArmElement):
-            lines.append(f"{ins.keyword} {ins.arm_i} {ins.arm_j}")
+            lines.append(f"{prefix}{ins.keyword} {ins.arm_i} {ins.arm_j}")
         elif isinstance(ins, SpinRotation):
-            lines.append(f"rot {ins.arm} {ins.name}")
+            lines.append(f"{prefix}rot {ins.arm} {ins.name}")
         elif isinstance(ins, Measure):
-            lines.append(f"{ins.label} = {ins.kind} {ins.arm}")
-        elif isinstance(ins, Conditional):
-            lines.append(f"if {ins.label} == {ins.value} : rot {ins.op.arm} {ins.op.name}")
+            lines.append(f"{prefix}{ins.label} = {ins.kind} {ins.arm}")
         else:
             raise CircuitError(f"cannot print {ins!r}")
     return "\n".join(lines) + "\n"

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, SpinRotation,
-                      TwoArmElement, instruction_arms, light_cone, unitary_steps,
-                      validate_circuit)
+                      TwoArmElement, instruction_arms, light_cone, readout_of, unitary_steps,
+                      unwrap, validate_circuit)
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import MAX_ARMS, Spin, mode_position
@@ -298,6 +298,9 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
     # the read arm's spins, which only elements on that arm can reveal.
     read: dict[int, str] = {}  # arm -> label of its first charge readout
     for ins in circuit.instructions:
+        if isinstance(ins, Conditional) and readout_of(ins) is not None:
+            raise FeqcError(f"corr backend: readout {readout_of(ins).label!r} under a "
+                            "conditional is not supported")
         if isinstance(ins, PrepBell):
             raise NonGaussianOperationError(
                 "non-Gaussian operation: entangled-pair preparation has no "
@@ -402,15 +405,18 @@ def _light_cone(circuit: Circuit) -> tuple[list, list[int]]:
     local = {arm: k for k, arm in enumerate(arms, start=1)}
 
     def renumbered(ins):
-        if isinstance(ins, Conditional):
-            return Conditional(ins.label, ins.value, renumbered(ins.op))
+        conditions, ins = unwrap(ins)
         if isinstance(ins, TwoArmElement):
-            return type(ins)(local[ins.arm_i], local[ins.arm_j])
-        if isinstance(ins, PrepSpin):
-            return PrepSpin(local[ins.arm], ins.alpha, ins.beta)
-        if isinstance(ins, Measure):
-            return Measure(ins.label, ins.kind, local[ins.arm])
-        return SpinRotation(local[ins.arm], ins.name)
+            ins = type(ins)(local[ins.arm_i], local[ins.arm_j])
+        elif isinstance(ins, PrepSpin):
+            ins = PrepSpin(local[ins.arm], ins.alpha, ins.beta)
+        elif isinstance(ins, Measure):
+            ins = Measure(ins.label, ins.kind, local[ins.arm])
+        else:
+            ins = SpinRotation(local[ins.arm], ins.name)
+        for cond in reversed(conditions):
+            ins = Conditional(cond.label, cond.value, ins)
+        return ins
 
     return [renumbered(ins) for ins in cone], arms
 
@@ -427,15 +433,15 @@ def charge_branch_tree(circuit: Circuit):
     """Expand a Gaussian circuit into a branch tree over charge readouts.
 
     Charge is read out mode by mode (spin-resolved), the realization a
-    correlation matrix can track; parity and spin meters, and elements on an
-    arm after its charge readout, are refused.  A readout followed by other
-    instructions branches one matrix at a time.  The circuit's trailing run
-    of readouts is expanded breadth first: every live branch's 2m x 2m block
-    over the m read arms is stacked, and each readout is one batched rank-one
-    update per mode.  The run is one FrontierNode: its leaves are kept as
-    arrays of outcomes and probabilities, and keep no matrix; their records
-    (``post_state`` None) are built when they or the node's children are
-    first read.
+    correlation matrix can track; parity and spin meters, readouts under
+    conditionals, and elements on an arm after its charge readout, are
+    refused.  A readout followed by other instructions branches one matrix
+    at a time.  The circuit's trailing run of readouts is expanded breadth
+    first: every live branch's 2m x 2m block over the m read arms is
+    stacked, and each readout is one batched rank-one update per mode.  The
+    run is one FrontierNode: its leaves are kept as arrays of outcomes and
+    probabilities, and keep no matrix; their records (``post_state`` None)
+    are built when they or the node's children are first read.
     When every charge readout is terminal, the joint all-arms-singly-occupied
     probability is also evaluated, on the state the block starts from,
     through the exponential monomial expansion and its 3^m term count

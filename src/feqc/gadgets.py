@@ -5,8 +5,9 @@ over caller-chosen arms of a FockState, expanded into explicit outcome
 branches by the one branch walker, ``measurement.branch_tree``:
 
 * ``bell_analyzer`` sorts a two-electron spin pair into one of the four
-  maximally entangled classes through three rounds of splitter + charge
-  detector, with feedforward spin rotations in between.
+  maximally entangled classes through up to three rounds of splitter +
+  charge detector, each later round, with its feedforward spin rotation,
+  run under a conditional on an odd reading of the round before.
 * ``encoder`` entangles a spin qubit with a fresh ancilla through a pair of
   polarizing beam splitters and a parity meter in between, turning
   alpha|up> + beta|down> into alpha|up,up> + beta|down,down>.
@@ -15,15 +16,14 @@ branches by the one branch walker, ``measurement.branch_tree``:
   an ancilla spin readout), into an exactly deterministic controlled-NOT on
   two spin qubits.
 * ``teleport`` consumes a singlet pair and a Bell analysis to move a spin
-  qubit between arms, with a correction table derived by exhaustive search
-  and frozen here.
+  qubit between arms; its corrections give, for each analyzer class, the
+  correction table derived by exhaustive search and frozen here.
 
 Every gadget returns one ``GadgetBranchRecord`` per branch: its outcomes,
 the Pauli corrections applied, its probability and its output state.
 Correction rules depend only on measurement outcomes, never on the input
-state.  The encoder's and the controlled-NOT's corrections are conditional
-rotations that the walker runs; teleport's follow the analyzer's class and
-are applied after it.
+state.  A gadget's corrections are the conditional rotations after its last
+readout, and the walker runs them with the rest of its one circuit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import fock, measurement
 from .circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
-                      SpinRotation, apply_instruction)
+                      SpinRotation, apply_instruction, readout_of)
 from .errors import PreconditionError
 from .fock import FockState, arm_qubit_density, require_single_occupancy, spinor_fidelity
 # Not called here: bench/tracing.py patches these names, and the walker's meters are the same.
@@ -58,22 +58,28 @@ class GadgetBranchRecord:
 
 
 def _run(state: FockState, instructions: list) -> list[GadgetBranchRecord]:
-    """Expand a gadget's instructions from ``state`` through the branch walker."""
+    """Expand a gadget's instructions from ``state`` through the branch
+    walker; its corrections are the conditionals after its last readout."""
     tree = measurement.branch_tree(Circuit(state.num_arms, instructions), state)
-    conditionals = [ins for ins in instructions if isinstance(ins, Conditional)]
-    return [GadgetBranchRecord(rec.outcomes, _fired(conditionals, rec.outcomes),
+    last = len(instructions)  # just after the last readout
+    while readout_of(instructions[last - 1]) is None:
+        last -= 1
+    corrections = [ins for ins in instructions[last:] if isinstance(ins, Conditional)]
+    return [GadgetBranchRecord(rec.outcomes, _fired(corrections, rec.outcomes),
                                rec.probability, rec.post_state)
             for rec in measurement.leaves(tree)]
 
 
 def _fired(conditionals: list[Conditional], outcomes: dict[str, int]) -> list[tuple[int, str]]:
-    """The (arm, name) rotations of the conditionals that fire on ``outcomes``,
-    in order of first firing; a Pauli that fires an even number of times
-    squares to the identity and is left out."""
+    """The (arm, name) rotations of the conditionals, nested ones unwrapped,
+    that fire on ``outcomes``, in order of first firing; a Pauli that fires
+    an even number of times squares to the identity and is left out."""
     counts: dict[tuple[int, str], int] = {}
     for ins in conditionals:
-        if outcomes[ins.label] == ins.value:
-            pauli = (ins.op.arm, ins.op.name)
+        while isinstance(ins, Conditional) and outcomes.get(ins.label) == ins.value:
+            ins = ins.op
+        if not isinstance(ins, Conditional):
+            pauli = (ins.arm, ins.name)
             counts[pauli] = counts.get(pauli, 0) + 1
     return [pauli for pauli, n in counts.items() if n % 2]
 
@@ -108,34 +114,29 @@ def bell_analyzer(
     require_single_occupancy(state, arm_b, "bell_analyzer")
     if detector not in ("charge", "parity"):
         raise ValueError(f"unknown detector mode {detector!r}")
-    return _bell_stage(state, arm_a, arm_b, detector, (), 1.0)
+    return _classified(_run(state, _analyzer(arm_a, arm_b, detector)))
 
 
-# Feedforward rotation on arm_b before each analyzer stage.
-_BELL_FEEDFORWARD = (None, "z", "x")
+def _analyzer(arm_a: int, arm_b: int, detector: str) -> list:
+    """The analyzer as one circuit: a splitter and the reading q1 of arm_a;
+    then, each under 'if q1 == 1', sigma_z on arm_b, a splitter and q2; then,
+    each under 'if q2 == 1', sigma_x on arm_b, a splitter and q3.  A reading
+    of 1 is odd for both detectors."""
+    bs = BeamSplitter(arm_a, arm_b)
+    instructions = [bs, Measure("q1", detector, arm_a)]
+    for odd, name, label in (("q1", "z", "q2"), ("q2", "x", "q3")):
+        stage = [SpinRotation(arm_b, name), bs, Measure(label, detector, arm_a)]
+        instructions += [Conditional(odd, 1, ins) for ins in stage]
+    return instructions
 
 
-def _bell_stage(
-    state: FockState, arm_a: int, arm_b: int, detector: str,
-    parities: tuple[int, ...], prob: float,
-) -> list[GadgetBranchRecord]:
-    """One analyzer stage after the given parities; an odd parity before the
-    last stage continues to the next one, any other ends the branch."""
-    stage = [BeamSplitter(arm_a, arm_b), Measure("q", detector, arm_a)]
-    if parities:
-        stage.insert(0, SpinRotation(arm_b, _BELL_FEEDFORWARD[len(parities)]))
-    results: list[GadgetBranchRecord] = []
-    for rec in _run(state, stage):
-        seen = parities + (rec.outcomes["q"] % 2,)
-        if seen[-1] and len(seen) < 3:
-            results += _bell_stage(rec.output_state, arm_a, arm_b, detector, seen,
-                                   prob * rec.probability)
-        else:
-            p1, p2, p3 = (seen + (0, 0))[:3]
-            outcomes = {"p1": p1, "p2": p2, "p3": p3, "b": bell_statistic(p1, p2, p3)}
-            results.append(GadgetBranchRecord(outcomes, [], prob * rec.probability,
-                                              rec.output_state))
-    return results
+def _classified(records: list[GadgetBranchRecord]) -> list[GadgetBranchRecord]:
+    """Analyzer records with their readings q1..q3 replaced by the parities
+    p1, p2, p3 (0 for a stage that did not run) and the class index b."""
+    for rec in records:
+        p1, p2, p3 = (rec.outcomes.get(label, 0) % 2 for label in ("q1", "q2", "q3"))
+        rec.outcomes = {"p1": p1, "p2": p2, "p3": p3, "b": bell_statistic(p1, p2, p3)}
+    return records
 
 
 def encoder(
@@ -215,7 +216,8 @@ def cnot(
     ancilla (parity p1), then the ``hadamard_pbs_gadget`` box on ancilla and
     target (parity p2, ancilla spin z), then the corrections as conditionals:
     sigma_z on the control when p2 == 0, and sigma_x on the target when
-    z + p1 is even, written as two flips, one on p1 == 0 and one on z == 1.
+    z + p1 is even, written as two nested conditionals, one on p1 == 0 and
+    z == 0, the other on p1 == 1 and z == 1.
     Each of the eight branches has probability 1/8 and outputs the gate
     result exactly, up to a global phase.
 
@@ -232,7 +234,7 @@ def cnot(
         instructions.append(Conditional("p2", 0, SpinRotation(control_arm, "z")))
     if apply_target_correction:
         flip = SpinRotation(target_arm, "x")
-        instructions += [Conditional("p1", 0, flip), Conditional("z", 1, flip)]
+        instructions += [Conditional("p1", p, Conditional("z", p, flip)) for p in (0, 1)]
     return _run(state, instructions)
 
 
@@ -252,24 +254,16 @@ def teleport(
     """Move the spin qubit of ``source_arm`` onto ``pair_arm_2``.
 
     Expects a singlet pair across (pair_arm_1, pair_arm_2).  The analyzer
-    consumes the source and the first pair arm; the class outcome selects a
-    Pauli correction on the second pair arm.
+    consumes the source and the first pair arm; its readings select a Pauli
+    correction on the second pair arm: sigma_z when q1 == 1 and again when
+    q3 == 1, then sigma_x when q2 == 1, which is each class's entry of
+    TELEPORT_CORRECTIONS.
     """
     for arm in (source_arm, pair_arm_1, pair_arm_2):
         require_single_occupancy(state, arm, "teleport")
-    records = []
-    for rec in bell_analyzer(state, source_arm, pair_arm_1):
-        corrections = [(pair_arm_2, name) for name in TELEPORT_CORRECTIONS[rec.outcomes["b"]]]
-        records.append(GadgetBranchRecord(rec.outcomes, corrections, rec.probability,
-                                          _apply_paulis(rec.output_state, corrections)))
-    return records
-
-
-def _apply_paulis(state: FockState, corrections: list[tuple[int, str]]) -> FockState:
-    """Apply (arm, "x" | "z") Pauli corrections in order."""
-    for arm, name in corrections:
-        state = apply_instruction(state, SpinRotation(arm, name))
-    return state
+    corrections = [Conditional(label, 1, SpinRotation(pair_arm_2, name))
+                   for label, name in (("q1", "z"), ("q3", "z"), ("q2", "x"))]
+    return _classified(_run(state, _analyzer(source_arm, pair_arm_1, "parity") + corrections))
 
 
 def derive_teleport_corrections() -> dict[int, tuple[str, ...]]:
@@ -288,7 +282,9 @@ def derive_teleport_corrections() -> dict[int, tuple[str, ...]]:
         for rec in bell_analyzer(base, 1, 2):
             b = rec.outcomes["b"]
             for cand in candidates:
-                out = _apply_paulis(rec.output_state, [(3, name) for name in cand])
+                out = rec.output_state
+                for name in cand:
+                    out = apply_instruction(out, SpinRotation(3, name))
                 fid = spinor_fidelity(arm_qubit_density(out, 3), alpha, beta)
                 scores[b][cand] = min(scores[b].get(cand, 1.0), fid)
     table: dict[int, tuple[str, ...]] = {}

@@ -28,7 +28,7 @@ from typing import Any, Union
 import numpy as np
 
 from .circuit import (Circuit, Conditional, Measure, apply_instruction, light_cone,
-                      validate_circuit)
+                      readout_of, validate_circuit)
 from .errors import FeqcError, PreconditionError
 from .fock import FockState, Spin, mode_position, pruned
 
@@ -46,6 +46,7 @@ Branch = tuple[int, float, FockState]
 
 
 REFUSED = -1  # the outcome of a key pattern a meter's table lacks
+UNREAD = -2  # leaf_table's entry for a label a leaf did not read
 
 # One readout: (mask, outcome_of, refusal).  A key's outcome is
 # outcome_of[key & mask]; a surviving node that holds a key whose pattern the
@@ -261,7 +262,9 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
     The backend supplies ``apply(state, ins)`` for preparations and elements,
     and ``branches(state, measure, prob)`` returning a readout's (outcome,
     probability, post-state) list, ``prob`` being the path's probability.
-    Conditionals fire on earlier outcomes.  A backend may also pass
+    A conditional runs its op (an element, a readout or a conditional) on a
+    path that read its label's value, and is skipped on any other path, also
+    one that did not read the label.  A backend may also pass
     ``block`` = (start, hook), where the instructions from ``start`` on are
     Measures, for ``hook(state, measures, outcomes, prob, count)`` to take
     over those readouts on each path that reaches them.  It returns their subtree,
@@ -290,15 +293,14 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
             ins = instructions[i]
             if i == tail:
                 return hook(state, instructions[tail:], outcomes, prob, count)
+            while isinstance(ins, Conditional) and outcomes.get(ins.label) == ins.value:
+                ins = ins.op
             if isinstance(ins, Measure):
                 return BranchNode(ins.label, [
                     (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
                     for outcome, p, post in branches(state, ins, prob)
                 ])
-            if isinstance(ins, Conditional):
-                if outcomes[ins.label] == ins.value:
-                    state = apply(state, ins.op)
-            else:
+            if not isinstance(ins, Conditional):
                 state = apply(state, ins)
         count(1)
         return BranchRecord(dict(outcomes), prob, state)
@@ -318,29 +320,31 @@ def leaves(root) -> list[BranchRecord]:
 def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """The leaves of a branch tree as (labels, rows, probabilities): row i of
     the (L, k) integer matrix holds leaf i's outcomes in label order, in the
-    order of ``leaves``.  Every leaf of a tree carries the same labels in the
-    same order.  A FrontierNode gives its arrays; its children are not built."""
-    labels: tuple[str, ...] | None = None  # read off the first leaf
-    chunks = []  # (rows, probabilities) arrays, in leaf order
-    outcomes: list[int] = []  # the outcomes of the leaf records met since the last chunk, in rows
+    order of ``leaves``.  The labels are those of every leaf, each leaf's in
+    its own order (a readout under a conditional that did not fire leaves a
+    label out of some leaves); a label a leaf did not read holds UNREAD.  A
+    FrontierNode gives its arrays; its children are not built."""
+    chunks = []  # (labels, rows, probabilities) arrays, in leaf order
+    keys = None  # the labels of the leaf records met since the last chunk
+    outcomes: list[int] = []  # their outcomes, in rows
     probs: list[float] = []
 
     def flush() -> None:
         if probs:
-            chunks.append((np.array(outcomes, np.int64).reshape(len(probs), len(labels)),
+            chunks.append((tuple(keys), np.array(outcomes, np.int64).reshape(len(probs), len(keys)),
                            np.array(probs)))
             outcomes.clear()
             probs.clear()
 
     def visit(node) -> None:
-        nonlocal labels
+        nonlocal keys
         if isinstance(node, FrontierNode):
             flush()
-            labels = node.labels
-            chunks.append((node.rows, node.probabilities))
+            chunks.append((node.labels, node.rows, node.probabilities))
         elif isinstance(node, BranchRecord):
-            if labels is None:
-                labels = tuple(node.outcomes)
+            if node.outcomes.keys() != keys:  # as sets: a tree reads labels in circuit order
+                flush()
+                keys = node.outcomes.keys()
             outcomes.extend(node.outcomes.values())
             probs.append(node.probability)
         else:
@@ -349,9 +353,21 @@ def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
 
     visit(root)
     flush()
+    labels: list[str] = []
+    for chunk_labels, _, _ in chunks:  # each new label goes right after its predecessor
+        for k, label in enumerate(chunk_labels):
+            if label not in labels:
+                labels.insert(labels.index(chunk_labels[k - 1]) + 1 if k else 0, label)
+    labels = tuple(labels)
+    for n, (chunk_labels, rows, probs) in enumerate(chunks):
+        if chunk_labels != labels:
+            full = np.full((len(rows), len(labels)), UNREAD, np.int64)
+            full[:, [labels.index(label) for label in chunk_labels]] = rows
+            chunks[n] = chunk_labels, full, probs
     if len(chunks) == 1:
-        return labels, *chunks[0]
-    return labels, np.concatenate([r for r, _ in chunks]), np.concatenate([p for _, p in chunks])
+        return labels, *chunks[0][1:]
+    return (labels, np.concatenate([r for _, r, _ in chunks]),
+            np.concatenate([p for *_, p in chunks]))
 
 
 def branch_tree(circuit: Circuit, input_state: FockState,
@@ -373,7 +389,7 @@ def branch_tree(circuit: Circuit, input_state: FockState,
         if input_state.amplitudes.keys() != {0}:
             raise ValueError("the light cone is walked from the vacuum")
         instructions = light_cone(instructions)
-    admit_depth(sum(isinstance(ins, Measure) for ins in instructions))  # the block nests too
+    admit_depth(sum(readout_of(ins) is not None for ins in instructions))  # the block nests too
     return walk(instructions, input_state, apply_instruction,
                 lambda state, ins, _prob: _MEASURE_FNS[ins.kind](state, ins.arm),
                 (len(instructions) - trailing_measures(instructions), _born))
@@ -405,10 +421,11 @@ def _leaf_picks(cdf: np.ndarray, seed: int, shots: int):
 class SampleResult:
     """Sampled shots: ``frequencies`` maps each outcome signature to its shot
     count, and ``records`` lists each shot's outcome assignment in shot
-    order.  The result keeps the draw, the leaves' outcome ``rows`` over
-    ``labels`` and their ``cdf``, and draws the records again from the seeded
-    stream when they are first read, so a caller that needs only the
-    frequencies keeps nothing per shot."""
+    order; both leave out the labels a shot's leaf did not read.  The result
+    keeps the draw, the leaves' outcome ``rows`` over ``labels`` and their
+    ``cdf``, and draws the records again from the seeded stream when they
+    are first read, so a caller that needs only the frequencies keeps
+    nothing per shot."""
 
     frequencies: dict[str, int]
     labels: tuple[str, ...]
@@ -419,7 +436,8 @@ class SampleResult:
 
     @cached_property
     def records(self) -> list[dict[str, int]]:
-        outcomes = [dict(zip(self.labels, row)) for row in self.rows.tolist()]
+        outcomes = [{label: value for label, value in zip(self.labels, row) if value != UNREAD}
+                    for row in self.rows.tolist()]
         return [outcomes[i] for picks in _leaf_picks(self.cdf, self.seed, self.shots)
                 for i in picks.tolist()]
 
@@ -442,7 +460,7 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
         if count:  # corr leaves can share outcomes; their counts add
             key = tuple(row)
             by_outcomes[key] = by_outcomes.get(key, 0) + count
-    frequencies = {outcome_signature(dict(zip(labels, key))): count
+    frequencies = {outcome_signature({k: v for k, v in zip(labels, key) if v != UNREAD}): count
                    for key, count in by_outcomes.items()}
     return SampleResult(dict(sorted(frequencies.items())), labels, rows, cdf, seed, shots)
 

@@ -7,7 +7,7 @@
     bs <i> <j> | pbs <i> <j> | swap <i> <j>
     rot <arm> x|y|z|h
     <label> = charge <arm> | <label> = parity <arm> | <label> = spin <arm>
-    if <label> == <int> : rot <arm> x|y|z|h
+    if <label> == <int> : <element, rot, readout or if line>
 
 Parsing never stops at the first problem: every line is scanned and every
 independent diagnostic (with line, column and a stable code) is reported.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import fock
 from .circuit import (  # the diagnostic codes are re-exported from here
     ARITY, ARM_RANGE, ARMS_DECL, BAD_LITERAL, DUPLICATE_ARM, FORWARD_REFERENCE,
-    LABEL_REDEFINED, RE_PREPARED, UNKNOWN_KEYWORD, UNKNOWN_LABEL,
+    LABEL_REDEFINED, NOT_CONDITIONAL, RE_PREPARED, UNKNOWN_KEYWORD, UNKNOWN_LABEL,
     NAMED_SPINORS, OUTCOME_COUNTS, ROTATION_NAMES, BeamSplitter, Circuit, Conditional,
     Instruction, Measure, PolarizingBeamSplitter, PrepBell, PrepSpin, SpinRotation, SwapArms,
     structural_problems,
@@ -55,6 +55,7 @@ _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _COMPLEX_RE = re.compile(r"\(([^,()]+),([^,()]+)\)\Z")
 
 _TWO_ARM = {cls.keyword: cls for cls in (BeamSplitter, PolarizingBeamSplitter, SwapArms)}
+_KEYWORDS = {"arms", "electron", "bell", "rot", *_TWO_ARM}  # a stray '=' keeps these lines
 
 
 class _LineError(Exception):
@@ -101,20 +102,12 @@ def _need(tokens: list[str], count: int, form: str) -> None:
         raise _LineError(0, ARITY, f"expected '{form}'")
 
 
-def _parse_rotation(tokens: list[str], index: int) -> SpinRotation:
-    """The '<arm> x|y|z|h' tail of a 'rot' or 'if' line, from token ``index``."""
-    arm = _parse_int(tokens, index, "arm")
-    name = tokens[index + 1]
-    if name not in ROTATION_NAMES:
-        raise _LineError(index + 1, BAD_LITERAL, f"unknown rotation {name!r} (x|y|z|h)")
-    return SpinRotation(arm, name)
-
-
 def _parse_line(tokens: list[str]) -> Instruction | int:
     """One instruction, or the N of an 'arms <N>' line."""
     head = tokens[0]
-    # A measurement line first, so that a label may spell a keyword.
-    if len(tokens) >= 2 and tokens[1] == "=":
+    # A readout line first, so that a label may spell a keyword, unless a
+    # keyword line lacks a readout's four tokens.
+    if len(tokens) >= 2 and tokens[1] == "=" and (len(tokens) == 4 or head not in _KEYWORDS):
         label = _parse_label(tokens, 0)
         _need(tokens, 4, "<label> = charge|parity|spin <arm>")
         kind = tokens[2]
@@ -155,13 +148,30 @@ def _parse_line(tokens: list[str]) -> Instruction | int:
         return _TWO_ARM[head](arm_i, arm_j)
     if head == "rot":
         _need(tokens, 3, "rot <arm> x|y|z|h")
-        return _parse_rotation(tokens, 1)
+        arm = _parse_int(tokens, 1, "arm")
+        if tokens[2] not in ROTATION_NAMES:
+            raise _LineError(2, BAD_LITERAL, f"unknown rotation {tokens[2]!r} (x|y|z|h)")
+        return SpinRotation(arm, tokens[2])
     if head == "if":
-        if len(tokens) != 8 or tokens[2] != "==" or tokens[4] != ":" or tokens[5] != "rot":
-            raise _LineError(0, ARITY, "expected 'if <label> == <int> : rot <arm> x|y|z|h'")
-        label = _parse_label(tokens, 1)
-        value = _parse_int(tokens, 3, "outcome")
-        return Conditional(label, value, _parse_rotation(tokens, 6))
+        # Each leading 'if <label> == <int> :' wraps the rest of the line,
+        # parsed as a line of its own at its token offset.
+        start, conditions = 0, []  # the (label, value) of each 'if', outermost first
+        while tokens[start] == "if" and tokens[start + 1:start + 2] != ["="]:
+            if len(tokens) < start + 6 or tokens[start + 2] != "==" or tokens[start + 4] != ":":
+                raise _LineError(start, ARITY, "expected 'if <label> == <int> : <instruction>'")
+            conditions.append((_parse_label(tokens, start + 1),
+                               _parse_int(tokens, start + 3, "outcome")))
+            start += 5
+        try:
+            ins = _parse_line(tokens[start:])  # no conditional: the loop read every 'if'
+        except _LineError as err:
+            err.index += start
+            raise
+        if isinstance(ins, (int, PrepSpin, PrepBell)):
+            raise _LineError(start, NOT_CONDITIONAL, f"{tokens[start]!r} cannot be conditional")
+        for label, value in reversed(conditions):
+            ins = Conditional(label, value, ins)
+        return ins
     raise _LineError(0, UNKNOWN_KEYWORD, f"unknown keyword {head!r}")
 
 

@@ -137,6 +137,29 @@ def test_corr_refuses_an_element_on_an_arm_after_its_charge_readout(capsys, tmp_
     assert err.startswith("error: non-Gaussian operation") and "'q'" in err
 
 
+def test_corr_refuses_a_conditional_readout(capsys, tmp_path):
+    src = tmp_path / "conditional.feqc"
+    src.write_text("arms 2\nelectron 1 up\nq = charge 1\nif q == 1 : r = charge 2\n")
+    assert run_cli(capsys, "run", str(src))[0] == 0
+    code, out, err = run_cli(capsys, "run", str(src), "--backend", "corr")
+    assert (code, out) == (1, "")
+    assert err == "error: corr backend: readout 'r' under a conditional is not supported\n"
+
+
+def test_sampling_the_analyzer_circuit_gives_its_enumerate_branches(capsys):
+    path = str(DATA / "gadgets" / "bell_analyzer.feqc")
+    code, out, _ = run_cli(capsys, "run", path)
+    assert code == 0
+    branches = {outcome_signature(b["outcomes"]) for b in json.loads(out)["branches"]}
+    assert branches == {"q1=1,q2=0"}  # q3 is not read
+    code, out, _ = run_cli(capsys, "run", path, "--mode", "sample", "--shots", "300")
+    assert code == 0
+    report = json.loads(out)
+    jsonschema.validate(report, RUN_SCHEMA)
+    assert sum(report["frequencies"].values()) == 300
+    assert set(report["frequencies"]) <= branches
+
+
 @pytest.mark.parametrize("arms", [2_000_000_000, corr.MAX_ARMS + 1])
 def test_corr_refuses_more_arms_than_its_limit_before_allocating(capsys, tmp_path, arms):
     src = tmp_path / "wide.feqc"

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from feqc import fock, gadgets, measurement
-from feqc.circuit import (Conditional, Measure, PolarizingBeamSplitter, PrepSpin, SpinRotation,
-                          apply_instruction)
+from feqc.circuit import (Conditional, Measure, PolarizingBeamSplitter, PrepBell, PrepSpin,
+                          SpinRotation, apply_instruction)
 from feqc.errors import PreconditionError
 from feqc.fock import (
     FockState,
@@ -427,11 +427,11 @@ def test_cnot_with_electrometers_is_nearly_deterministic(monkeypatch):
 
 
 def corpus_run(name):
-    """A corpus circuit's branches, and the state its electron lines prepare."""
+    """A corpus circuit's branches, and the state its electron and bell lines prepare."""
     circuit = parse((DATA / f"{name}.feqc").read_text(encoding="utf-8")).circuit
     state = vacuum(circuit.arm_count)
     for ins in circuit.instructions:
-        if isinstance(ins, PrepSpin):
+        if isinstance(ins, (PrepSpin, PrepBell)):
             state = apply_instruction(state, ins)
     return enumerate_branches(circuit, vacuum(circuit.arm_count)), state
 
@@ -455,10 +455,15 @@ def test_corpus_circuits_and_gadgets_agree_exactly(name):
     assert got == expected
 
 
-@pytest.mark.parametrize("name", ["encoder", "cnot_core"])
+# The corpus files a gadget walks as they are, after their preparations.
+WALKED_CORPUS = {**CORPUS_GADGETS, "gadgets/bell_analyzer": lambda s: bell_analyzer(s, 1, 2)}
+
+
+@pytest.mark.parametrize("name", ["encoder", "cnot_core", "gadgets/bell_analyzer"])
 def test_gadgets_walk_their_corpus_circuits(name, monkeypatch):
-    """The encoder and the controlled-NOT walk the corpus circuit's
-    instructions after its electron lines, corrections included."""
+    """The encoder, the controlled-NOT and the analyzer walk the corpus
+    circuit's instructions after its preparation lines, corrections and
+    conditional stages included."""
     circuit = parse((DATA / f"{name}.feqc").read_text(encoding="utf-8")).circuit
     _, state = corpus_run(name)
     walked = []
@@ -466,21 +471,71 @@ def test_gadgets_walk_their_corpus_circuits(name, monkeypatch):
     monkeypatch.setattr(measurement, "branch_tree",
                         lambda circuit, state: walked.append(circuit.instructions)
                         or walk(circuit, state))
-    CORPUS_GADGETS[name](state)
-    assert walked == [tuple(ins for ins in circuit.instructions if not isinstance(ins, PrepSpin))]
+    WALKED_CORPUS[name](state)
+    assert walked == [tuple(ins for ins in circuit.instructions
+                            if not isinstance(ins, (PrepSpin, PrepBell)))]
 
 
-def test_only_teleport_applies_corrections_after_the_walk(monkeypatch):
-    def refuse(state, corrections):
-        raise AssertionError("a correction applied after the walk")
+def test_no_gadget_applies_anything_after_its_walk(monkeypatch):
+    """Every element a gadget applies, corrections included, runs inside its
+    one walk: bell_analyzer and teleport walk one circuit per call."""
+    walks = []
+    walk = measurement.branch_tree
 
-    monkeypatch.setattr(gadgets, "_apply_paulis", refuse)
-    assert len(encoder(spin_state(2, [(1, 0.6, 0.8j), (2, 1, 1)]), 1, 2)) == 2
+    def counted(circuit, state):
+        walks.append(True)
+        try:
+            return walk(circuit, state)
+        finally:
+            walks[-1] = False
+
+    kernel = fock.apply_single_particle_unitary
+
+    def inside_only(*args):
+        assert walks and walks[-1], "an element applied outside the walk"
+        return kernel(*args)
+
+    monkeypatch.setattr(measurement, "branch_tree", counted)
+    monkeypatch.setattr(fock, "apply_single_particle_unitary", inside_only)
     coeffs = np.zeros((2, 2), dtype=complex)
     coeffs[1, 0] = 1.0
-    assert len(cnot(cnot_input(coeffs), 1, 2, 3)) == 8
-    with pytest.raises(AssertionError, match="after the walk"):
-        teleport(teleport_input(0.6, 0.8j), 1, 2, 3)
+    calls = [
+        (lambda: encoder(spin_state(2, [(1, 0.6, 0.8j), (2, 1, 1)]), 1, 2), 2),
+        (lambda: cnot(cnot_input(coeffs), 1, 2, 3), 8),
+        (lambda: hadamard_pbs_gadget(spin_state(2, [(1, 1, 0), (2, 0, 1)]), 1, 2), 4),
+        (lambda: bell_analyzer(prepare_bell(vacuum(2), 2, 1, 2), 1, 2, "charge"), 2),
+        (lambda: teleport(teleport_input(0.6, 0.8j), 1, 2, 3), 4),
+    ]
+    for call, branches in calls:
+        walks.clear()
+        assert len(call()) == branches
+        assert walks == [False]
+
+
+def test_cnot_flips_the_target_at_most_once_per_leaf(monkeypatch):
+    """sigma_x on the target is applied once on the leaves where z + p1 is
+    even and never on the others: no leaf applies it twice."""
+    circuits = []
+    walk = measurement.branch_tree
+    monkeypatch.setattr(measurement, "branch_tree",
+                        lambda circuit, state: circuits.append(circuit) or walk(circuit, state))
+    state = cnot_input(haar_two_qubit(np.random.default_rng(5)))
+    cnot(state, 1, 2, 3)
+    flip = SpinRotation(2, "x")
+
+    def apply(counted, ins):  # a state paired with the flips applied on its path
+        return apply_instruction(counted[0], ins), counted[1] + (ins == flip)
+
+    def branches(counted, ins, _prob):
+        return [(outcome, p, (post, counted[1]))
+                for outcome, p, post in measurement._MEASURE_FNS[ins.kind](counted[0], ins.arm)]
+
+    (circuit,) = circuits
+    root = measurement.walk(circuit.instructions, (state, 0), apply, branches)
+    records = measurement.leaves(root)
+    flips = {(rec.outcomes["p1"], rec.outcomes["z"]): rec.post_state[1] for rec in records}
+    assert len(records) == 8
+    assert flips == {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
 
 
 @pytest.mark.parametrize("control, target, ancilla", [(1, 2, 3), (2, 3, 1)])

@@ -472,3 +472,50 @@ def test_the_light_cone_is_walked_from_the_vacuum():
         branch_tree(circuit, state, cone=True)
     tree = branch_tree(circuit, vacuum(2), cone=True)
     assert [(r.outcomes, r.probability) for r in leaves(tree)] == [({"q": 0}, 1.0)]
+
+
+# q reads arm 1; r reads arm 2 only when q == 1; s reads arm 1 again on every path.
+CONDITIONAL_READOUT = """arms 2
+electron 1 plus
+electron 2 (0.6,0) (0.8,0)
+q = spin 1
+if q == 1 : r = spin 2
+if r == 0 : rot 1 x
+if q == 1 : if r == 1 : rot 1 x
+s = spin 1
+"""
+
+
+def test_a_conditional_readout_runs_only_where_its_label_matches():
+    """A path that did not read r leaves it out of its outcomes, and every
+    conditional on r skips there; a nested conditional runs where both match."""
+    circuit = parse(CONDITIONAL_READOUT).circuit
+    records = enumerate_branches(circuit, vacuum(2))
+    assert [(r.outcomes, r.probability) for r in records] == [
+        ({"q": 0, "s": 0}, pytest.approx(0.5)),
+        ({"q": 1, "r": 0, "s": 0}, pytest.approx(0.18)),
+        ({"q": 1, "r": 1, "s": 0}, pytest.approx(0.32))]
+    cone = leaves(branch_tree(circuit, vacuum(2), cone=True))
+    assert [(r.outcomes, r.probability) for r in cone] == [
+        (r.outcomes, r.probability) for r in records]
+
+
+def test_leaf_table_marks_the_labels_a_leaf_did_not_read():
+    # The first leaf reads q and s; the label r goes between them, as the others read it.
+    tree = branch_tree(parse(CONDITIONAL_READOUT).circuit, vacuum(2))
+    labels, rows, probs = measurement.leaf_table(tree)
+    assert labels == ("q", "r", "s")
+    assert rows.tolist() == [[0, measurement.UNREAD, 0], [1, 0, 0], [1, 1, 0]]
+    assert probs.tolist() == [r.probability for r in leaves(tree)]
+    result = sample_tree(tree, seed=3, shots=500)
+    assert set(result.frequencies) <= {"q=0,s=0", "q=1,r=0,s=0", "q=1,r=1,s=0"}
+    assert sum(result.frequencies.values()) == 500
+    assert {tuple(rec) for rec in result.records} <= {("q", "s"), ("q", "r", "s")}
+
+
+def test_conditional_readouts_count_toward_the_depth_limit():
+    nested = [Conditional("q0", 0, Measure(f"q{i}", "charge", 1))
+              for i in range(1, measurement.MAX_DEPTH + 1)]
+    circuit = Circuit(1, [PrepSpin(1, 1, 0), Measure("q0", "charge", 1), *nested])
+    with pytest.raises(FeqcError, match="401 nested readouts"):
+        branch_tree(circuit, vacuum(1))

@@ -10,8 +10,8 @@ import pytest
 
 from feqc import circuit as circuit_module
 from feqc import cli, parser
-from feqc.circuit import (BeamSplitter, Circuit, Conditional, Measure, PrepSpin, SpinRotation,
-                          validate_circuit)
+from feqc.circuit import (BeamSplitter, Circuit, Conditional, Measure, PrepBell, PrepSpin,
+                          SpinRotation, validate_circuit)
 from feqc.errors import CircuitError
 from feqc.fock import vacuum
 from feqc.measurement import enumerate_branches
@@ -23,6 +23,7 @@ from feqc.parser import (
     DUPLICATE_ARM,
     FORWARD_REFERENCE,
     LABEL_REDEFINED,
+    NOT_CONDITIONAL,
     RE_PREPARED,
     UNKNOWN_KEYWORD,
     UNKNOWN_LABEL,
@@ -32,7 +33,9 @@ from feqc.circuit import print_circuit
 
 DATA = Path(__file__).parent / "data"
 
-VALID_FILES = sorted(p.name for p in DATA.glob("*.feqc"))
+# Every valid corpus file, the gadget circuits under tests/data/gadgets included.
+VALID_FILES = sorted(p.relative_to(DATA).as_posix() for p in DATA.rglob("*.feqc")
+                     if p.parent.name != "invalid")
 
 EXPECTED_CODES = {
     "unknown_keyword.feqc": UNKNOWN_KEYWORD,
@@ -48,6 +51,9 @@ EXPECTED_CODES = {
     "re_prepared.feqc": RE_PREPARED,
     "arms_decl.feqc": ARMS_DECL,
     "bad_rotation.feqc": BAD_LITERAL,
+    "conditional_prep.feqc": NOT_CONDITIONAL,
+    "label_redefined_in_branches.feqc": LABEL_REDEFINED,
+    "conditional_on_own_readout.feqc": FORWARD_REFERENCE,
 }
 
 
@@ -82,9 +88,16 @@ INVALID_DIAGNOSTICS = {
     "bad_rotation.feqc": ["3:7: bad-literal: unknown rotation 'q' (x|y|z|h)"],
     "bad_spin.feqc": ["2:12: bad-literal: unknown spin 'sideways' (up|down|plus)"],
     "bell_range.feqc": ["2:6: bad-literal: bell index 5 not in 0..3"],
+    "conditional_on_own_readout.feqc": [
+        "3:1: forward-reference: label 'q' is measured later (line 3)"],
+    "conditional_prep.feqc": ["4:13: not-conditional: 'electron' cannot be conditional",
+                              "5:13: not-conditional: 'bell' cannot be conditional",
+                              "6:13: not-conditional: 'arms' cannot be conditional"],
     "duplicate_arm.feqc": ["3:6: duplicate-arm: bs needs two distinct arms"],
     "forward_reference.feqc": ["3:1: forward-reference: label 'q' is measured later (line 4)"],
     "label_redefined.feqc": ["4:1: label-redefined: label 'q' already defined on line 3"],
+    "label_redefined_in_branches.feqc": [
+        "6:1: label-redefined: label 'r' already defined on line 5"],
     "multi_error.feqc": ["3:1: unknown-keyword: unknown keyword 'bc'",
                          "4:1: forward-reference: label 'q' is measured later (line 5)",
                          "6:6: duplicate-arm: bs needs two distinct arms"],
@@ -210,6 +223,41 @@ def test_labels_may_spell_keywords():
 def test_conditional_rotation_tail_diagnostics(tail, column, message):
     (diag,) = parse(f"arms 1\nelectron 1 up\np = parity 1\nif p == 0 : {tail}\n").diagnostics
     assert (diag.line, diag.column, diag.code, diag.message) == (4, column, BAD_LITERAL, message)
+
+
+@pytest.mark.parametrize("tail,column,code,message", [
+    ("q = count 1", 17, UNKNOWN_KEYWORD, "unknown measurement kind 'count'"),
+    ("bs 1 1", 18, DUPLICATE_ARM, "bs needs two distinct arms"),
+    ("if z == 1 : rot 1 q", 31, BAD_LITERAL, "unknown rotation 'q' (x|y|z|h)"),
+    ("if z = 1 : rot 1 x", 13, ARITY, "expected 'if <label> == <int> : <instruction>'"),
+    ("if z == 1 : if", 25, ARITY, "expected 'if <label> == <int> : <instruction>'"),
+    ("if z == 1 : electron 1 up", 25, NOT_CONDITIONAL, "'electron' cannot be conditional"),
+])
+def test_conditional_tail_diagnostics_point_at_the_inner_token(tail, column, code, message):
+    source = f"arms 2\nelectron 1 up\np = parity 1\nz = spin 1\nif p == 0 : {tail}\n"
+    (diag,) = parse(source).diagnostics
+    assert (diag.line, diag.column, diag.code, diag.message) == (5, column, code, message)
+
+
+def test_conditionals_hold_elements_readouts_and_conditionals():
+    source = ("arms 2\nelectron 1 up\np = parity 1\nif p == 1 : bs 1 2\n"
+              "if p == 1 : q = charge 1\nif p == 0 : if q == 1 : rot 2 x\n"
+              "if = charge 2\nif p == 1 : rot = spin 1\n")
+    result = parse(source)
+    assert result.ok, [str(d) for d in result.diagnostics]
+    assert result.circuit.instructions[2:] == (
+        Conditional("p", 1, BeamSplitter(1, 2)), Conditional("p", 1, Measure("q", "charge", 1)),
+        Conditional("p", 0, Conditional("q", 1, SpinRotation(2, "x"))),
+        Measure("if", "charge", 2), Conditional("p", 1, Measure("rot", "spin", 1)))
+    assert parse(print_circuit(result.circuit)).circuit == result.circuit
+
+
+@pytest.mark.parametrize("prep", [PrepSpin(2, 1, 0), PrepBell(0, 1, 2)])
+def test_checker_refuses_a_conditional_preparation(prep):
+    nested = Conditional("q", 1, Conditional("q", 0, prep))
+    circuit = Circuit(2, [Measure("q", "charge", 1), nested])
+    with pytest.raises(CircuitError, match="a preparation cannot be conditional"):
+        validate_circuit(circuit)
 
 
 @pytest.fixture
