@@ -71,13 +71,29 @@ from .gadgets import (
     spin_parity_readout,
     teleport,
 )
-from .corr import (
-    CorrelationMatrix,
-    add_electron,
-    enumerate_charge_branches,
-    evolve,
-    init_from_occupations,
-    project_occupation,
-    single_occupancy_probability,
-)
 from .parser import Diagnostic, ParseResult, parse
+
+# The corr backend and its names load, with numpy, on first use (PEP 562), so
+# that importing feqc, or running the fock backend, loads neither.
+_CORR_NAMES = frozenset({
+    "CorrelationMatrix",
+    "add_electron",
+    "enumerate_charge_branches",
+    "evolve",
+    "init_from_occupations",
+    "project_occupation",
+    "single_occupancy_probability",
+})
+
+
+def __getattr__(name: str):
+    if name == "corr" or name in _CORR_NAMES:
+        import importlib
+
+        corr = importlib.import_module(".corr", __name__)  # `from . import` would call back here
+        return corr if name == "corr" else getattr(corr, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "corr", *_CORR_NAMES})

@@ -182,11 +182,14 @@ def structural_problems(
                 yield i, UNKNOWN_KEYWORD, f"unknown measurement kind {ins.kind!r}"
         else:
             yield i, UNKNOWN_KEYWORD, f"unknown instruction {ins!r}"
-        for cond in conditions:  # a label read by this instruction's own readout is read later
+        for cond in conditions:
             first = first_measure.get(cond.label)
             if first is None:
                 yield i, UNKNOWN_LABEL, f"label {cond.label!r} is never measured"
-            elif first >= i:
+            elif first == i:
+                yield (i, FORWARD_REFERENCE,
+                       f"label {cond.label!r} is read by this line's own readout")
+            elif first > i:
                 yield (i, FORWARD_REFERENCE,
                        f"label {cond.label!r} is measured later (line {lines[first]})")
             else:

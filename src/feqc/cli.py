@@ -14,9 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import corr, fock, gadgets, measurement
+from . import fock, gadgets, measurement
 from .circuit import Circuit
 from .errors import CircuitError, FeqcError
 from .fock import FockState, format_key, vacuum
@@ -118,25 +116,6 @@ def _state_entries(state: FockState) -> list[dict]:
     ]
 
 
-def _merged_branches(root) -> list[dict]:
-    """A corr tree's branches, one per outcome assignment, in order of first
-    appearance, each probability its leaves' summed in leaf order (corr
-    splits a charge readout into spin-resolved leaves)."""
-    labels, rows, probs = measurement.leaf_table(root)
-    if not labels:  # a circuit without readouts has one leaf
-        return [{"outcomes": {}, "probability": float(probs[0])}]
-    order = np.lexsort(rows.T)  # stable: equal rows side by side, each run in leaf order
-    ordered = rows[order]
-    starts = np.empty(len(rows), bool)  # where a run of equal rows starts
-    starts[0] = True
-    (ordered[1:] != ordered[:-1]).any(1, out=starts[1:])
-    summed = np.bincount(starts.cumsum() - 1, weights=probs[order])  # each run's, in leaf order
-    first = order[starts]  # each run's first leaf
-    by_first = first.argsort()
-    return [{"outcomes": dict(zip(labels, row)), "probability": p}
-            for row, p in zip(rows[first[by_first]].tolist(), summed[by_first].tolist())]
-
-
 def _run_report(args, circuit: Circuit) -> dict:
     report = {
         "version": REPORT_VERSION,
@@ -158,8 +137,10 @@ def _run_report(args, circuit: Circuit) -> dict:
             branches.append(entry)
         report["branches"] = branches
     else:
+        from . import corr  # numpy and corr load only for a run that needs them
+
         root, stats = corr.charge_branch_tree(circuit)
-        report["branches"] = _merged_branches(root)
+        report["branches"] = corr.merged_branches(root)
     if args.mode == "sample":
         result = sample_tree(root, args.seed, args.shots)
         report["frequencies"] = result.frequencies
@@ -214,9 +195,7 @@ def _gadget_bell(args) -> dict:
 def _gadget_encoder(args) -> dict:
     alpha, beta = _parse_spinor(args.qubit)
     state = _spin_state(2, [(1, alpha, beta), (2, 1, 1)])
-    ideal = fock.prepare_two_spin(
-        vacuum(2), 1, 2, np.array([[alpha, 0], [0, beta]], dtype=complex)
-    )
+    ideal = fock.prepare_two_spin(vacuum(2), 1, 2, ((alpha, 0), (0, beta)))
     branches = []
     success = 0.0
     for rec in gadgets.encoder(state, 1, 2, apply_correction=not args.no_correction):

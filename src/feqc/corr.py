@@ -40,6 +40,7 @@ conditioned it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -51,8 +52,8 @@ from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, SpinRot
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import MAX_ARMS, Spin, mode_position
-from .measurement import (NORM_TOLERANCE, BranchRecord, FrontierNode, admit_depth, leaves,
-                          trailing_measures, walk)
+from .measurement import (NORM_TOLERANCE, BranchRecord, FrontierNode, admit_depth, leaf_table,
+                          leaves, trailing_measures, walk)
 
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
@@ -126,11 +127,21 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
     if len(set(positions)) != len(positions):
         raise ValueError("modes must be distinct")
     u = fock.step_unitary(matrix, len(positions))
+    if type(u) is tuple:
+        u = _table_array(u)
     p = np.array(positions)  # one index array for all four fancy-index steps
     m = M.matrix.copy()
     m[p] = u.conj() @ m[p]
     m[:, p] = m[:, p] @ u.T
     return CorrelationMatrix(M.num_arms, m)
+
+
+@functools.cache
+def _table_array(u: fock.Matrix2) -> np.ndarray:
+    """An element-table matrix as a read-only array, made once for each."""
+    array = np.array(u)
+    array.setflags(write=False)
+    return array
 
 
 def _check_unit(name: str, values, weights=1.0) -> None:
@@ -560,3 +571,23 @@ def enumerate_charge_branches(
     the arms of the readouts' light cone."""
     root, stats = charge_branch_tree(circuit)
     return leaves(root), stats
+
+
+def merged_branches(root) -> list[dict]:
+    """A charge_branch_tree's branches as report entries, one per outcome
+    assignment, in order of first appearance, each probability its leaves'
+    summed in leaf order (a charge readout splits into spin-resolved
+    leaves)."""
+    labels, rows, probs = leaf_table(root)
+    if not labels:  # a circuit without readouts has one leaf
+        return [{"outcomes": {}, "probability": float(probs[0])}]
+    order = np.lexsort(rows.T)  # stable: equal rows side by side, each run in leaf order
+    ordered = rows[order]
+    starts = np.empty(len(rows), bool)  # where a run of equal rows starts
+    starts[0] = True
+    (ordered[1:] != ordered[:-1]).any(1, out=starts[1:])
+    summed = np.bincount(starts.cumsum() - 1, weights=probs[order])  # each run's, in leaf order
+    first = order[starts]  # each run's first leaf
+    by_first = first.argsort()
+    return [{"outcomes": dict(zip(labels, row)), "probability": p}
+            for row, p in zip(rows[first[by_first]].tolist(), summed[by_first].tolist())]

@@ -16,15 +16,17 @@ product with overall phase +1.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import FeqcError, PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
 UNITARY_ATOL = 1e-10
@@ -56,7 +58,7 @@ class FockState:
     amplitudes: dict[int, complex]
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
     @property
     def num_modes(self) -> int:
@@ -215,29 +217,34 @@ def prepare_spin(state: FockState, arm: int, alpha: complex, beta: complex) -> F
     return _prepare(state, (arm,), unit_scaled(alpha, beta), "prepare_spin")
 
 
-def prepare_two_spin(
-    state: FockState, arm_a: int, arm_b: int, coeffs: np.ndarray
-) -> FockState:
+def prepare_two_spin(state: FockState, arm_a: int, arm_b: int, coeffs) -> FockState:
     """Add two electrons across two empty arms with joint spin amplitudes
-    coeffs[spin_a][spin_b] (2x2, any nonzero norm); output normalized."""
+    coeffs[spin_a][spin_b] (2x2 nested sequence or array, finite, any nonzero
+    norm); output normalized."""
     if arm_a == arm_b:
         raise ValueError("two-spin preparation needs two distinct arms")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (2, 2):
-        raise ValueError("coeffs must be a 2x2 array over (spin_a, spin_b)")
-    if not c.any():
+    try:
+        (c_uu, c_ud), (c_du, c_dd) = coeffs
+        c = [complex(z) for z in (c_uu, c_ud, c_du, c_dd)]
+    except (TypeError, ValueError):
+        raise ValueError("coeffs must be a 2x2 array over (spin_a, spin_b)") from None
+    if not any(c):
         raise ValueError("coeffs must be nonzero")
-    return _prepare(state, (arm_a, arm_b), unit_scaled(*c.ravel().tolist()), "prepare_two_spin")
+    if not all(map(cmath.isfinite, c)):
+        raise ValueError("coeffs must be finite")
+    return _prepare(state, (arm_a, arm_b), unit_scaled(*c), "prepare_two_spin")
 
+
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 # Joint spin amplitudes of the four maximally entangled pair states:
 # index 0 = (up,down)-(down,up) singlet; 1 = (up,down)+(down,up);
 # 2 = (up,up)+(down,down); 3 = (up,up)-(down,down).
-BELL_COEFFS: dict[int, np.ndarray] = {
-    0: np.array([[0, 1], [-1, 0]], dtype=complex),
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[1, 0], [0, 1]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
+BELL_COEFFS: dict[int, Matrix2] = {
+    0: ((0j, 1 + 0j), (-1 + 0j, 0j)),
+    1: ((0j, 1 + 0j), (1 + 0j, 0j)),
+    2: ((1 + 0j, 0j), (0j, 1 + 0j)),
+    3: ((1 + 0j, 0j), (0j, -1 + 0j)),
 }
 
 
@@ -248,7 +255,10 @@ def prepare_bell(state: FockState, k: int, arm_a: int, arm_b: int) -> FockState:
     return prepare_two_spin(state, arm_a, arm_b, BELL_COEFFS[k])
 
 
-def check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
+def check_unitary(matrix, dim: int) -> np.ndarray:
+    """The matrix as a complex array, refused unless it is a dim x dim unitary."""
+    import numpy as np
+
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got {u.shape}")
@@ -260,29 +270,33 @@ def check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
-def step_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
-    """The matrix of a dim-mode step as a checked unitary.  The element-table
-    matrices were checked once at import and pass as they are."""
-    return matrix if dim == 2 and id(matrix) in _TABLE_ENTRIES else check_unitary(matrix, dim)
+def step_unitary(matrix, dim: int):
+    """The matrix of a dim-mode step as a checked unitary.  An element-table
+    matrix passes as it is, a tuple checked by the tests; any other matrix,
+    an equal copy of a table matrix too, is checked and returned as an array."""
+    return matrix if dim == 2 and id(matrix) in _TABLE_IDS else check_unitary(matrix, dim)
 
 
-def _kernel_entries(u: np.ndarray) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+def _kernel_entries(u: np.ndarray) -> Matrix2:
     """The entries ((u_pp, u_pq), (u_qp, u_qq)) of a 2x2 step matrix as Python
     complex numbers, those at or below PRUNE_THRESHOLD set to zero."""
+    import numpy as np
+
     (u_pp, u_pq), (u_qp, u_qq) = np.where(abs(u) > PRUNE_THRESHOLD, u, 0).tolist()
     return (u_pp, u_pq), (u_qp, u_qq)
 
 
 def _two_mode(
-    amplitudes: dict[int, complex], p: int, q: int, u: np.ndarray
+    amplitudes: dict[int, complex], p: int, q: int, u: Matrix2 | np.ndarray
 ) -> dict[int, complex]:
     """Closed-form action of a 2x2 unitary on modes p (row/column 0) and q,
-    as described in apply_single_particle_unitary.  Entries at or below
-    PRUNE_THRESHOLD contribute nothing; the output is not pruned."""
+    as described in apply_single_particle_unitary: an element-table tuple,
+    read as it is, or an array.  Entries at or below PRUNE_THRESHOLD
+    contribute nothing; the output is not pruned."""
     # Report bytes depend on the last bit of every amplitude and on the key
     # order: keep these product orders, the term landing on p first, and the
     # `0j +` that turns -0.0 into 0.0.
-    (u_pp, u_pq), (u_qp, u_qq) = _TABLE_ENTRIES.get(id(u)) or _kernel_entries(u)  # u_xy: y -> x
+    (u_pp, u_pq), (u_qp, u_qq) = u if type(u) is tuple else _kernel_entries(u)  # u_xy: y -> x
     bit_p = 1 << p
     flip = bit_p | 1 << q
     between = (1 << max(p, q)) - (2 << min(p, q))
@@ -322,6 +336,8 @@ def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], list[comp
     Returns the rotations as (row i, row j, 2x2 G_k^H) in the order they act
     on a state, and the diagonal of D, which acts first.
     """
+    import numpy as np
+
     w = u.copy()
     rotations = []
     for col in range(len(w) - 1):
@@ -338,7 +354,7 @@ def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], list[comp
 def apply_single_particle_unitary(
     state: FockState,
     modes: Sequence[ModeIndex | tuple[int, Spin]],
-    matrix: np.ndarray,
+    matrix,
 ) -> FockState:
     """Heisenberg action of a one-particle unitary on the listed modes.
 
@@ -367,37 +383,36 @@ def apply_single_particle_unitary(
     return FockState(state.num_arms, amplitudes)
 
 
-# 50/50 splitter, real symmetric convention; its own inverse.
-BEAM_SPLITTER_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# The element table: each 2x2 matrix as Python complex numbers, the entries
+# the kernel reads.  A test checks that each is unitary and equals the
+# kernel entries of its array.
+_R = 1 / math.sqrt(2)
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# 50/50 splitter, real symmetric convention; its own inverse.
+BEAM_SPLITTER_MATRIX: Matrix2 = ((complex(_R), complex(_R)), (complex(_R), complex(-_R)))
+
+PAULI_X: Matrix2 = ((0j, 1 + 0j), (1 + 0j, 0j))
+PAULI_Y: Matrix2 = ((0j, -1j), (1j, 0j))  # -1j is (-0.0, -1.0)
+PAULI_Z: Matrix2 = ((1 + 0j, 0j), (0j, -1 + 0j))
+HADAMARD: Matrix2 = ((complex(_R), complex(_R)), (complex(_R), complex(-_R)))
 
 ROTATIONS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z, "h": HADAMARD}
 
-_SWAP2 = np.array([[0, 1], [1, 0]], dtype=complex)
-
-# The constant matrices are checked once here and made read-only, and their
-# kernel entries computed once, keyed by id: step_unitary skips re-checking
-# them and checks every other matrix; _two_mode reads their entries.
-_TABLE_ENTRIES: dict[int, tuple[tuple[complex, complex], tuple[complex, complex]]] = {}
-for _matrix in (BEAM_SPLITTER_MATRIX, _SWAP2, *ROTATIONS.values()):
-    check_unitary(_matrix, 2)
-    _matrix.setflags(write=False)
-    _TABLE_ENTRIES[id(_matrix)] = _kernel_entries(_matrix)
+_SWAP2 = PAULI_X  # the exchange of two modes
 
 # Every optical element is a short list of two-mode unitaries; this table
 # defines the two-arm ones for both backends.  Each applies its 2x2 matrix to
 # the mode pair ((arm_i, spin), (arm_j, spin)) for each listed spin, in order.
-TWO_ARM_ELEMENTS: dict[str, tuple[tuple[Spin, ...], np.ndarray]] = {
+TWO_ARM_ELEMENTS: dict[str, tuple[tuple[Spin, ...], Matrix2]] = {
     "bs": ((Spin.UP, Spin.DOWN), BEAM_SPLITTER_MATRIX),  # 50/50 on both spins
     "pbs": ((Spin.DOWN,), _SWAP2),  # transmit up, reflect down (phase +1)
     "swap": ((Spin.UP, Spin.DOWN), _SWAP2),  # exchange arm contents (phase +1)
 }
 
-Step = tuple[list[tuple[int, Spin]], np.ndarray]
+# The table's matrices, by identity: step_unitary passes them unchecked.
+_TABLE_IDS = frozenset(map(id, (BEAM_SPLITTER_MATRIX, _SWAP2, *ROTATIONS.values())))
+
+Step = tuple[list[tuple[int, Spin]], Matrix2]
 
 
 def two_arm_steps(keyword: str, arm_i: int, arm_j: int) -> list[Step]:
@@ -408,7 +423,7 @@ def two_arm_steps(keyword: str, arm_i: int, arm_j: int) -> list[Step]:
     return [([(arm_i, s), (arm_j, s)], matrix) for s in spins]
 
 
-def rotation_steps(arm: int, matrix: np.ndarray) -> list[Step]:
+def rotation_steps(arm: int, matrix: Matrix2) -> list[Step]:
     """A spin rotation: one 2x2 unitary on the (up, down) modes of an arm."""
     return [([(arm, Spin.UP), (arm, Spin.DOWN)], matrix)]
 
@@ -416,6 +431,8 @@ def rotation_steps(arm: int, matrix: np.ndarray) -> list[Step]:
 def inner_product(state_a: FockState, state_b: FockState) -> complex:
     if state_a.num_arms != state_b.num_arms:
         raise ValueError("states live on different numbers of arms")
+    import numpy as np
+
     small, large = state_a.amplitudes, state_b.amplitudes
     if len(small) > len(large):
         return np.conj(inner_product(state_b, state_a))
@@ -436,6 +453,8 @@ def arm_qubit_density(state: FockState, arm: int) -> np.ndarray:
     and squares away inside each group, so the trace over the environment is
     a plain sum of spinor outer products.
     """
+    import numpy as np
+
     up_pos = mode_position((arm, Spin.UP), state.num_arms)
     down_pos = up_pos + 1
     arm_mask = (1 << up_pos) | (1 << down_pos)
@@ -456,6 +475,8 @@ def arm_qubit_density(state: FockState, arm: int) -> np.ndarray:
 
 def spinor_fidelity(rho: np.ndarray, alpha: complex, beta: complex) -> float:
     """Overlap <psi|rho|psi> of a density matrix with a (normalized) spinor."""
+    import numpy as np
+
     v = np.array(unit_scaled(alpha, beta), dtype=complex)
     v /= np.linalg.norm(v)
     val = float(np.real(v.conj() @ rho @ v))

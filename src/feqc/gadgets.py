@@ -28,9 +28,8 @@ readout, and the walker runs them with the rest of its one circuit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fock, measurement
 from .circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
@@ -191,7 +190,7 @@ def hadamard_pbs_gadget(
     return _run(state, _hadamard_pbs_box(upper_arm, lower_arm))
 
 
-_PLUS = (1 / np.sqrt(2), 1 / np.sqrt(2))
+_PLUS = (1 / math.sqrt(2), 1 / math.sqrt(2))
 
 
 def _require_plus_ancilla(state: FockState, arm: int) -> None:
@@ -274,7 +273,7 @@ def derive_teleport_corrections() -> dict[int, tuple[str, ...]]:
     spinors that pins the operator uniquely.
     """
     candidates: list[tuple[str, ...]] = [(), ("z",), ("x",), ("z", "x")]
-    probes = [(1, 0), (1 / np.sqrt(2), 1 / np.sqrt(2)), (1 / np.sqrt(2), 1j / np.sqrt(2))]
+    probes = [(1, 0), (1 / math.sqrt(2), 1 / math.sqrt(2)), (1 / math.sqrt(2), 1j / math.sqrt(2))]
     scores: dict[int, dict[tuple[str, ...], float]] = {b: {} for b in range(4)}
     for alpha, beta in probes:
         base = fock.prepare_spin(fock.vacuum(3), 1, alpha, beta)

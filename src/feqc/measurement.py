@@ -23,14 +23,15 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, islice
-from typing import Any, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Union
 
 from .circuit import (Circuit, Conditional, Measure, apply_instruction, light_cone,
                       readout_of, validate_circuit)
 from .errors import FeqcError, PreconditionError
 from .fock import FockState, Spin, mode_position, pruned
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BRANCH_THRESHOLD = 1e-12
 NORM_TOLERANCE = 1e-9
@@ -206,6 +207,8 @@ class FrontierNode(BranchNode):
     ``leaf_table`` reads the arrays without them."""
 
     def __init__(self, prefix: dict[str, int], levels, probabilities: np.ndarray):
+        import numpy as np
+
         self.label = levels[0][0]
         self.labels = (*prefix, *(label for label, *_ in levels))
         self.levels = levels
@@ -227,6 +230,8 @@ class FrontierNode(BranchNode):
 
     @cached_property
     def children(self):
+        import numpy as np
+
         nodes = self.records
         above = [1] + [len(parents) for _, parents, _, _ in self.levels[:-1]]  # parents per level
         for (label, parents, outcomes, probabilities), count in zip(reversed(self.levels),
@@ -324,6 +329,8 @@ def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     its own order (a readout under a conditional that did not fire leaves a
     label out of some leaves); a label a leaf did not read holds UNREAD.  A
     FrontierNode gives its arrays; its children are not built."""
+    import numpy as np
+
     chunks = []  # (labels, rows, probabilities) arrays, in leaf order
     keys = None  # the labels of the leaf records met since the last chunk
     outcomes: list[int] = []  # their outcomes, in rows
@@ -411,6 +418,8 @@ def _leaf_picks(cdf: np.ndarray, seed: int, shots: int):
     the block size.  A uniform at or above the last cumulative value, which
     rounding can leave just below 1, picks the last leaf.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=seed))
     for start in range(0, shots, SAMPLE_BLOCK):
         u = rng.random(min(SAMPLE_BLOCK, shots - start))
@@ -452,6 +461,8 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
         raise ValueError("shots must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    import numpy as np
+
     labels, rows, probs = leaf_table(root)
     cdf = np.cumsum(probs)
     counts = sum(np.bincount(picks, minlength=len(cdf)) for picks in _leaf_picks(cdf, seed, shots))

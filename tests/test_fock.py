@@ -239,15 +239,18 @@ def test_each_element_step_is_one_kernel_call(monkeypatch, element, calls):
     assert seen == [2] * calls
 
 
+TABLE_MATRICES = [m for _, m in fock.TWO_ARM_ELEMENTS.values()] + list(fock.ROTATIONS.values())
+
+
 def test_table_matrices_are_read_only_and_checked_once(monkeypatch):
-    tables = [m for _, m in fock.TWO_ARM_ELEMENTS.values()] + list(fock.ROTATIONS.values())
-    for matrix in tables:
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 0] = 2
+    for matrix in TABLE_MATRICES:
+        assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+        with pytest.raises(TypeError):
+            matrix[0][0] = 2
     checked = []
+    check = fock.check_unitary
     monkeypatch.setattr(fock, "check_unitary",
-                        lambda matrix, dim: checked.append(dim) or np.asarray(matrix, complex))
+                        lambda matrix, dim: checked.append(dim) or check(matrix, dim))
     state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 0), 2, 0.6, 0.8)
     for keyword in fock.TWO_ARM_ELEMENTS:
         for modes, matrix in fock.two_arm_steps(keyword, 1, 2):
@@ -255,20 +258,27 @@ def test_table_matrices_are_read_only_and_checked_once(monkeypatch):
     for matrix in fock.ROTATIONS.values():
         apply_single_particle_unitary(state, [(1, UP), (1, DOWN)], matrix)
     assert checked == []
-    # an equal matrix, not the table's
+    # equal matrices, not the table's: an array and a tuple
     apply_single_particle_unitary(state, [(1, UP), (1, DOWN)], np.array(fock.HADAMARD))
-    assert checked == [2]
+    apply_single_particle_unitary(state, [(1, UP), (1, DOWN)], tuple(map(tuple, fock.HADAMARD)))
+    assert checked == [2, 2]
 
 
-TABLE_MATRICES = [m for _, m in fock.TWO_ARM_ELEMENTS.values()] + list(fock.ROTATIONS.values())
-
-
-def test_kernel_entries_registry_holds_exactly_the_table_matrices():
-    assert set(fock._TABLE_ENTRIES) == {id(m) for m in TABLE_MATRICES}
+def test_every_table_matrix_is_unitary():
     for matrix in TABLE_MATRICES:
-        entries = fock._TABLE_ENTRIES[id(matrix)]
-        assert entries == fock._kernel_entries(np.array(matrix))
-        assert all(type(e) is complex for row in entries for e in row)
+        fock.check_unitary(matrix, 2)  # raises ValueError on a non-unitary matrix
+
+
+def entry_bits(entries):
+    """The exact bits of a 2x2's entries, signed zeros included."""
+    return [(z.real.hex(), z.imag.hex()) for row in entries for z in row]
+
+
+def test_table_entries_are_the_kernel_entries_of_their_arrays():
+    for matrix in TABLE_MATRICES:
+        assert all(type(e) is complex for row in matrix for e in row)
+        assert entry_bits(matrix) == entry_bits(fock._kernel_entries(np.array(matrix)))
+    assert fock.PAULI_Y[0][1].real.hex() == "-0x0.0p+0"  # as the array of -1j holds it
 
 
 def python_complex_only(state) -> bool:
@@ -291,10 +301,9 @@ def test_preparations_and_kernel_make_only_python_complex_amplitudes():
 
 
 @pytest.mark.parametrize("index", range(len(TABLE_MATRICES)))
-def test_registry_entries_give_the_same_amplitudes_as_a_copy(index):
+def test_table_tuples_give_the_same_amplitudes_as_an_array_copy(index):
     matrix = TABLE_MATRICES[index]
-    copy = np.array(matrix)  # writable and not in the registry
-    assert id(copy) not in fock._TABLE_ENTRIES
+    copy = np.array(matrix)  # read through _kernel_entries
     rng = np.random.default_rng(index)
     for _ in range(4):
         dense = random_state(rng, 3).amplitudes
@@ -532,3 +541,17 @@ def test_prepare_two_spin_matches_componentwise_construction():
             flat[key] = coeffs[sa, sb]
     flat /= np.linalg.norm(flat)
     assert np.allclose(dense_vector(state), flat, atol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    (np.array([[np.nan, 0], [0, 1]]), "coeffs must be finite"),
+    (np.array([[np.inf, 0], [0, 1]]), "coeffs must be finite"),
+    (((0, complex(0, -np.inf)), (1, 0)), "coeffs must be finite"),
+    (np.zeros((2, 2)), "coeffs must be nonzero"),
+    (np.ones(4), "coeffs must be a 2x2 array"),
+    ([[1, 0], [0, 1], [0, 0]], "coeffs must be a 2x2 array"),
+])
+def test_prepare_two_spin_refuses_non_finite_zero_and_misshapen_coefficients(coeffs, message):
+    # A NaN or infinite coefficient used to give an empty state.
+    with pytest.raises(ValueError, match=message):
+        prepare_two_spin(vacuum(2), 1, 2, coeffs)

@@ -89,7 +89,7 @@ INVALID_DIAGNOSTICS = {
     "bad_spin.feqc": ["2:12: bad-literal: unknown spin 'sideways' (up|down|plus)"],
     "bell_range.feqc": ["2:6: bad-literal: bell index 5 not in 0..3"],
     "conditional_on_own_readout.feqc": [
-        "3:1: forward-reference: label 'q' is measured later (line 3)"],
+        "3:1: forward-reference: label 'q' is read by this line's own readout"],
     "conditional_prep.feqc": ["4:13: not-conditional: 'electron' cannot be conditional",
                               "5:13: not-conditional: 'bell' cannot be conditional",
                               "6:13: not-conditional: 'arms' cannot be conditional"],
