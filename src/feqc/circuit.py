@@ -35,6 +35,7 @@ class PrepSpin:
     arm: int
     alpha: complex
     beta: complex
+    keyword: ClassVar[str] = "electron"
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class PrepBell:
     k: int
     arm_a: int
     arm_b: int
+    keyword: ClassVar[str] = "bell"
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class Circuit:
         if self.arm_count < 1:
             problem = "arm count must be >= 1"
         else:
-            for _, _, problem in structural_problems(self.arm_count, self.instructions):
+            for _, _, _, problem in structural_problems(self.arm_count, self.instructions):
                 break
         object.__setattr__(self, "problem", problem)
 
@@ -121,12 +123,17 @@ def structural_problems(
     arm_count: int | None,
     instructions: Sequence[Instruction],
     lines: Sequence[int] | None = None,
-) -> Iterator[tuple[int, str, str]]:
-    """Yield (instruction index, code, message) for every structural problem.
+) -> Iterator[tuple[int, int, str, str]]:
+    """Yield (instruction index, token, code, message) for every structural
+    problem of a parsed circuit or one built in code: the one check of every
+    rule about values.  A line with a bad value counts for every other rule.
 
-    ``lines`` gives each instruction's source line for messages that point at
-    another instruction; by default it is the line in ``print_circuit``'s
-    output.  ``arm_count`` None (no valid declaration) only checks arms >= 1.
+    ``token`` indexes the line's tokens as the parser reads them and
+    ``print_circuit`` writes them, each 'if' prefix 5 tokens; a finding that
+    relates the line to others or to the arm count is at token 0.  ``lines``
+    gives each instruction's source line for messages that point at another
+    one (by default its line in ``print_circuit``'s output).  ``arm_count``
+    None (no valid declaration) only checks arms >= 1.
     """
     if lines is None:
         lines = range(2, len(instructions) + 2)
@@ -136,68 +143,75 @@ def structural_problems(
         if isinstance(op, Measure):
             first_measure.setdefault(op.label, i)
 
-    def arm_problems(i: int, *arms: int) -> Iterator[tuple[int, str, str]]:
-        for arm in arms:
-            if arm < 1 or (arm_count is not None and arm > arm_count):
-                yield i, ARM_RANGE, f"arm {arm} out of range 1..{arm_count}"
+    top = float("inf") if arm_count is None else arm_count
+    bound = "must be >= 1" if arm_count is None else f"out of range 1..{arm_count}"
+    prepared: set[int] = set()  # the arms of unconditional preparations so far
+    reported = set()  # condition findings: a label repeated on a line is reported once
 
-    prepared: set[int] = set()
-    for i, (conditions, ins) in enumerate(unwrapped):
-        if conditions and isinstance(ins, (PrepSpin, PrepBell)):
-            yield i, NOT_CONDITIONAL, "a preparation cannot be conditional"
-        elif isinstance(ins, PrepSpin):
-            yield from arm_problems(i, ins.arm)
-            if ins.arm in prepared:
-                yield i, RE_PREPARED, f"arm {ins.arm} prepared twice"
-            prepared.add(ins.arm)
-            try:
-                fock.check_spinor(ins.alpha, ins.beta)
-            except ValueError as err:
-                yield i, BAD_LITERAL, str(err)
-        elif isinstance(ins, PrepBell):
-            if ins.k not in fock.BELL_COEFFS:
-                yield i, BAD_LITERAL, f"bell index {ins.k} not in 0..3"
-            for arm in (ins.arm_a, ins.arm_b):
-                yield from arm_problems(i, arm)
+    def arm_problems(i: int, arms: tuple[int, ...], prepares: bool = False):
+        for arm in arms if arms[0] != arms[-1] else arms[:1]:  # equal arms: duplicate-arm
+            if not 1 <= arm <= top:
+                yield i, 0, ARM_RANGE, f"arm {arm} {bound}"
+            if prepares:
                 if arm in prepared:
-                    yield i, RE_PREPARED, f"arm {arm} prepared twice"
+                    yield i, 0, RE_PREPARED, f"arm {arm} prepared twice"
                 prepared.add(arm)
-            if ins.arm_a == ins.arm_b:
-                yield i, DUPLICATE_ARM, "bell needs two distinct arms"
-        elif isinstance(ins, TwoArmElement):
-            yield from arm_problems(i, ins.arm_i, ins.arm_j)
+
+    for i, (conditions, ins) in enumerate(unwrapped):
+        at = 5 * len(conditions)  # the instruction's first token, after its 'if' prefixes
+        if isinstance(ins, TwoArmElement):
+            yield from arm_problems(i, (ins.arm_i, ins.arm_j))
             if ins.arm_i == ins.arm_j:
-                yield i, DUPLICATE_ARM, f"{ins.keyword} needs two distinct arms"
+                yield i, at + 2, DUPLICATE_ARM, f"{ins.keyword} needs two distinct arms"
         elif isinstance(ins, SpinRotation):
-            yield from arm_problems(i, ins.arm)
+            if not 1 <= ins.arm <= top:
+                yield i, 0, ARM_RANGE, f"arm {ins.arm} {bound}"
             if ins.name not in ROTATION_NAMES:
-                yield i, BAD_LITERAL, f"unknown rotation {ins.name!r} (x|y|z|h)"
+                yield i, at + 2, BAD_LITERAL, f"unknown rotation {ins.name!r} (x|y|z|h)"
         elif isinstance(ins, Measure):
             first = first_measure[ins.label]
             if first != i:
-                yield (i, LABEL_REDEFINED,
+                yield (i, 0, LABEL_REDEFINED,
                        f"label {ins.label!r} already defined on line {lines[first]}")
-            yield from arm_problems(i, ins.arm)
+            if not 1 <= ins.arm <= top:
+                yield i, 0, ARM_RANGE, f"arm {ins.arm} {bound}"
             if ins.kind not in OUTCOME_COUNTS:
-                yield i, UNKNOWN_KEYWORD, f"unknown measurement kind {ins.kind!r}"
+                yield i, at + 2, UNKNOWN_KEYWORD, f"unknown measurement kind {ins.kind!r}"
+        elif isinstance(ins, (PrepSpin, PrepBell)):
+            if conditions:
+                yield i, at, NOT_CONDITIONAL, f"{ins.keyword!r} cannot be conditional"
+            if isinstance(ins, PrepBell) and ins.k not in fock.BELL_COEFFS:
+                yield i, at + 1, BAD_LITERAL, f"bell index {ins.k} not in 0..3"
+            yield from arm_problems(i, instruction_arms(ins), prepares=not conditions)
+            if isinstance(ins, PrepSpin):
+                try:
+                    fock.check_spinor(ins.alpha, ins.beta)
+                except ValueError as err:
+                    yield i, at + 2, BAD_LITERAL, str(err)
+            elif ins.arm_a == ins.arm_b:
+                yield i, at + 3, DUPLICATE_ARM, "bell needs two distinct arms"
         else:
-            yield i, UNKNOWN_KEYWORD, f"unknown instruction {ins!r}"
+            yield i, 0, UNKNOWN_KEYWORD, f"unknown instruction {ins!r}"
         for cond in conditions:
             first = first_measure.get(cond.label)
             if first is None:
-                yield i, UNKNOWN_LABEL, f"label {cond.label!r} is never measured"
+                finding = UNKNOWN_LABEL, f"label {cond.label!r} is never measured"
             elif first == i:
-                yield (i, FORWARD_REFERENCE,
-                       f"label {cond.label!r} is read by this line's own readout")
+                finding = (FORWARD_REFERENCE,
+                           f"label {cond.label!r} is read by this line's own readout")
             elif first > i:
-                yield (i, FORWARD_REFERENCE,
-                       f"label {cond.label!r} is measured later (line {lines[first]})")
+                finding = (FORWARD_REFERENCE,
+                           f"label {cond.label!r} is measured later (line {lines[first]})")
             else:
                 kind = unwrapped[first][1].kind
                 count = OUTCOME_COUNTS.get(kind)
-                if count is not None and cond.value not in range(count):
-                    yield (i, BAD_LITERAL, f"outcome {cond.value} never occurs: "
+                if count is None or cond.value in range(count):
+                    continue
+                finding = (BAD_LITERAL, f"outcome {cond.value} never occurs: "
                            f"{kind} label {cond.label!r} reads 0..{count - 1}")
+            if (i, *finding) not in reported:
+                reported.add((i, *finding))
+                yield i, 0, *finding
 
 
 def validate_circuit(circuit: Circuit) -> None:

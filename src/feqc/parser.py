@@ -9,6 +9,10 @@
     <label> = charge <arm> | <label> = parity <arm> | <label> = spin <arm>
     if <label> == <int> : <element, rot, readout or if line>
 
+The parser reads only syntax: token counts, literals, labels, keywords,
+spin names, and the place and count of the 'arms' line.  Every rule about
+values is checked by ``circuit.structural_problems``, as for a circuit built
+in code; a line with a bad value stays in the circuit for every other rule.
 Parsing never stops at the first problem: every line is scanned and every
 independent diagnostic (with line, column and a stable code) is reported.
 """
@@ -18,13 +22,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from . import fock
 from .circuit import (  # the diagnostic codes are re-exported from here
     ARITY, ARM_RANGE, ARMS_DECL, BAD_LITERAL, DUPLICATE_ARM, FORWARD_REFERENCE,
     LABEL_REDEFINED, NOT_CONDITIONAL, RE_PREPARED, UNKNOWN_KEYWORD, UNKNOWN_LABEL,
-    NAMED_SPINORS, OUTCOME_COUNTS, ROTATION_NAMES, BeamSplitter, Circuit, Conditional,
-    Instruction, Measure, PolarizingBeamSplitter, PrepBell, PrepSpin, SpinRotation, SwapArms,
-    structural_problems,
+    NAMED_SPINORS, BeamSplitter, Circuit, Conditional, Instruction, Measure,
+    PolarizingBeamSplitter, PrepBell, PrepSpin, SpinRotation, SwapArms, structural_problems,
 )
 
 
@@ -110,48 +112,29 @@ def _parse_line(tokens: list[str]) -> Instruction | int:
     if len(tokens) >= 2 and tokens[1] == "=" and (len(tokens) == 4 or head not in _KEYWORDS):
         label = _parse_label(tokens, 0)
         _need(tokens, 4, "<label> = charge|parity|spin <arm>")
-        kind = tokens[2]
-        if kind not in OUTCOME_COUNTS:
-            raise _LineError(2, UNKNOWN_KEYWORD, f"unknown measurement kind {kind!r}")
-        return Measure(label, kind, _parse_int(tokens, 3, "arm"))
+        return Measure(label, tokens[2], _parse_int(tokens, 3, "arm"))
     if head == "arms":
         _need(tokens, 2, "arms <N>")
         return _parse_int(tokens, 1, "arm count")
     if head == "electron":
         if len(tokens) == 3:
             arm = _parse_int(tokens, 1, "arm")
-            name = tokens[2]
-            if name not in NAMED_SPINORS:
-                raise _LineError(2, BAD_LITERAL, f"unknown spin {name!r} (up|down|plus)")
-            return PrepSpin(arm, *NAMED_SPINORS[name])
+            if tokens[2] not in NAMED_SPINORS:
+                raise _LineError(2, BAD_LITERAL, f"unknown spin {tokens[2]!r} (up|down|plus)")
+            return PrepSpin(arm, *NAMED_SPINORS[tokens[2]])
         _need(tokens, 4, "electron <arm> (<re>,<im>) (<re>,<im>)")
-        arm = _parse_int(tokens, 1, "arm")
-        alpha = _parse_complex(tokens, 2)
-        beta = _parse_complex(tokens, 3)
-        try:
-            fock.check_spinor(alpha, beta)
-        except ValueError as err:
-            raise _LineError(2, BAD_LITERAL, str(err))
-        return PrepSpin(arm, alpha, beta)
+        return PrepSpin(_parse_int(tokens, 1, "arm"), _parse_complex(tokens, 2),
+                        _parse_complex(tokens, 3))
     if head == "bell":
         _need(tokens, 4, "bell <k> <arm_a> <arm_b>")
-        k = _parse_int(tokens, 1, "bell index")
-        if k not in range(4):
-            raise _LineError(1, BAD_LITERAL, f"bell index {k} not in 0..3")
-        return PrepBell(k, _parse_int(tokens, 2, "arm"), _parse_int(tokens, 3, "arm"))
+        return PrepBell(_parse_int(tokens, 1, "bell index"), _parse_int(tokens, 2, "arm"),
+                        _parse_int(tokens, 3, "arm"))
     if head in _TWO_ARM:
         _need(tokens, 3, f"{head} <i> <j>")
-        arm_i = _parse_int(tokens, 1, "arm")
-        arm_j = _parse_int(tokens, 2, "arm")
-        if arm_i == arm_j:
-            raise _LineError(2, DUPLICATE_ARM, f"{head} needs two distinct arms")
-        return _TWO_ARM[head](arm_i, arm_j)
+        return _TWO_ARM[head](_parse_int(tokens, 1, "arm"), _parse_int(tokens, 2, "arm"))
     if head == "rot":
         _need(tokens, 3, "rot <arm> x|y|z|h")
-        arm = _parse_int(tokens, 1, "arm")
-        if tokens[2] not in ROTATION_NAMES:
-            raise _LineError(2, BAD_LITERAL, f"unknown rotation {tokens[2]!r} (x|y|z|h)")
-        return SpinRotation(arm, tokens[2])
+        return SpinRotation(_parse_int(tokens, 1, "arm"), tokens[2])
     if head == "if":
         # Each leading 'if <label> == <int> :' wraps the rest of the line,
         # parsed as a line of its own at its token offset.
@@ -167,8 +150,8 @@ def _parse_line(tokens: list[str]) -> Instruction | int:
         except _LineError as err:
             err.index += start
             raise
-        if isinstance(ins, (int, PrepSpin, PrepBell)):
-            raise _LineError(start, NOT_CONDITIONAL, f"{tokens[start]!r} cannot be conditional")
+        if isinstance(ins, int):
+            raise _LineError(start, NOT_CONDITIONAL, "'arms' cannot be conditional")
         for label, value in reversed(conditions):
             ins = Conditional(label, value, ins)
         return ins
@@ -183,6 +166,7 @@ def parse(source: str) -> ParseResult:
     diagnostics: list[Diagnostic] = []
     parsed: list[tuple[int, str, Instruction]] = []  # (line, text, instruction)
     arm_count: int | None = None
+    declared = False  # an 'arms <N>' line came first, its N valid or not
 
     for lineno, raw in enumerate(_LINE_END_RE.split(source), start=1):
         text = raw.split("#", 1)[0]
@@ -196,6 +180,7 @@ def parse(source: str) -> ParseResult:
                     raise _LineError(0, ARMS_DECL, "arms declared twice")
                 if parsed:
                     raise _LineError(0, ARMS_DECL, "arms must be declared first")
+                declared = True
                 if item < 1:
                     raise _LineError(1, BAD_LITERAL, "arm count must be >= 1")
                 arm_count = item
@@ -205,7 +190,7 @@ def parse(source: str) -> ParseResult:
             continue
         parsed.append((lineno, text, item))
 
-    if arm_count is None:
+    if not declared:
         diagnostics.append(Diagnostic(1, 1, ARMS_DECL, "missing 'arms <N>' declaration"))
 
     instructions = [ins for _, _, ins in parsed]
@@ -213,9 +198,9 @@ def parse(source: str) -> ParseResult:
     if circuit is None or circuit.problem is not None:
         # Scan again, with source lines, to position every problem.
         lines = [lineno for lineno, _, _ in parsed]
-        for index, code, message in structural_problems(arm_count, instructions, lines):
+        for index, token, code, message in structural_problems(arm_count, instructions, lines):
             lineno, text, _ = parsed[index]
-            diagnostics.append(Diagnostic(lineno, _column(text, 0), code, message))
+            diagnostics.append(Diagnostic(lineno, _column(text, token), code, message))
     diagnostics.sort(key=lambda d: (d.line, d.column))
     if diagnostics:
         return ParseResult(None, diagnostics)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import pytest
 
 from feqc import circuit as circuit_module
 from feqc import cli, parser
-from feqc.circuit import (BeamSplitter, Circuit, Conditional, Measure, PrepBell, PrepSpin,
-                          SpinRotation, validate_circuit)
+from feqc.circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
+                          PrepBell, PrepSpin, SpinRotation, SwapArms, validate_circuit)
 from feqc.errors import CircuitError
 from feqc.fock import vacuum
 from feqc.measurement import enumerate_branches
@@ -88,6 +89,9 @@ INVALID_DIAGNOSTICS = {
     "bad_rotation.feqc": ["3:7: bad-literal: unknown rotation 'q' (x|y|z|h)"],
     "bad_spin.feqc": ["2:12: bad-literal: unknown spin 'sideways' (up|down|plus)"],
     "bell_range.feqc": ["2:6: bad-literal: bell index 5 not in 0..3"],
+    "conditional_duplicate_arm.feqc": [
+        "3:1: forward-reference: label 'q' is measured later (line 4)",
+        "3:18: duplicate-arm: bs needs two distinct arms"],
     "conditional_on_own_readout.feqc": [
         "3:1: forward-reference: label 'q' is read by this line's own readout"],
     "conditional_prep.feqc": ["4:13: not-conditional: 'electron' cannot be conditional",
@@ -256,8 +260,75 @@ def test_conditionals_hold_elements_readouts_and_conditionals():
 def test_checker_refuses_a_conditional_preparation(prep):
     nested = Conditional("q", 1, Conditional("q", 0, prep))
     circuit = Circuit(2, [Measure("q", "charge", 1), nested])
-    with pytest.raises(CircuitError, match="a preparation cannot be conditional"):
+    keyword = "electron" if isinstance(prep, PrepSpin) else "bell"
+    with pytest.raises(CircuitError, match=f"'{keyword}' cannot be conditional"):
         validate_circuit(circuit)
+
+
+# One circuit built in code per value rule, with the line and column of its
+# one diagnostic in the circuit's printed text.
+VALUE_RULES = {
+    "zero spinor": (Circuit(1, [PrepSpin(1, 0, 0)]), 2, 12),
+    "nan spinor": (Circuit(1, [PrepSpin(1, complex(math.nan, 0), 1)]), 2, 12),
+    "bell index": (Circuit(2, [PrepBell(4, 1, 2)]), 2, 6),
+    "bell equal arms": (Circuit(2, [PrepBell(0, 1, 1)]), 2, 10),
+    "bs equal arms": (Circuit(2, [BeamSplitter(2, 2)]), 2, 6),
+    "pbs equal arms": (Circuit(2, [PolarizingBeamSplitter(2, 2)]), 2, 7),
+    "swap equal arms": (Circuit(2, [SwapArms(2, 2)]), 2, 8),
+    "rotation": (Circuit(1, [SpinRotation(1, "w")]), 2, 7),
+    "measurement kind": (Circuit(1, [Measure("m", "count", 1)]), 2, 5),
+    "conditional electron": (Circuit(2, [Measure("q", "charge", 1),
+                                         Conditional("q", 1, PrepSpin(2, 1, 0))]), 3, 13),
+    "conditional bell": (Circuit(3, [Measure("q", "charge", 1),
+                                     Conditional("q", 1, PrepBell(0, 2, 3))]), 3, 13),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(VALUE_RULES))
+def test_parser_and_library_give_the_same_value_finding(rule):
+    circuit, line, column = VALUE_RULES[rule]
+    assert circuit.problem is not None
+    result = parse(print_circuit(circuit))
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [
+        (line, column, circuit.problem)]
+
+
+@pytest.mark.parametrize("source,expected", [
+    # A line with a bad value stays in the circuit: its conditional is checked...
+    pytest.param(
+        "arms 2\nelectron 1 up\nif q == 1 : bs 1 1\nq = charge 1\n",
+        ["3:1: forward-reference: label 'q' is measured later (line 4)",
+         "3:18: duplicate-arm: bs needs two distinct arms"], id="conditional-bad-value"),
+    # ...and its readout defines its label.
+    pytest.param(
+        "arms 1\nelectron 1 up\nq = foo 1\nif q == 1 : rot 1 x\n",
+        ["3:5: unknown-keyword: unknown measurement kind 'foo'"], id="readout-bad-kind"),
+    # An entangled pair on one arm prepares it once.
+    pytest.param(
+        "arms 2\nbell 0 1 1\n",
+        ["2:10: duplicate-arm: bell needs two distinct arms"], id="bell-equal-arms"),
+    # A label repeated on a line is reported once, and a repeated bad outcome too.
+    pytest.param(
+        "arms 1\nelectron 1 up\nif q == 1 : if q == 0 : rot 1 x\nq = charge 1\n",
+        ["3:1: forward-reference: label 'q' is measured later (line 4)"], id="repeated-label"),
+    pytest.param(
+        "arms 1\nelectron 1 up\nq = charge 1\nif q == 7 : if q == 7 : if q == 5 : rot 1 x\n",
+        ["4:1: bad-literal: outcome 7 never occurs: charge label 'q' reads 0..2",
+         "4:1: bad-literal: outcome 5 never occurs: charge label 'q' reads 0..2"],
+        id="repeated-outcome"),
+    # An 'arms' line with a bad count is there, and no arm count bounds the arms.
+    pytest.param(
+        "arms 0\nelectron 0 up\n",
+        ["1:6: bad-literal: arm count must be >= 1", "2:1: arm-range: arm 0 must be >= 1"],
+        id="bad-arm-count"),
+    # A conditional preparation gets its own value checks too.
+    pytest.param(
+        "arms 2\nelectron 1 up\nq = charge 1\nif q == 1 : bell 5 1 2\n",
+        ["4:13: not-conditional: 'bell' cannot be conditional",
+         "4:18: bad-literal: bell index 5 not in 0..3"], id="conditional-bell-index"),
+])
+def test_every_finding_of_a_line_with_a_bad_value(source, expected):
+    assert [str(d) for d in parse(source).diagnostics] == expected
 
 
 @pytest.fixture

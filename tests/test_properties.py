@@ -124,7 +124,7 @@ def test_parse_never_raises(source):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(circuits())
-# One circuit per line-level parser check that the shared checker mirrors.
+# One circuit per value rule, which only the shared checker checks.
 @example(Circuit(0, []))
 @example(Circuit(1, [PrepSpin(1, 1e200, 1e200)]))
 @example(Circuit(2, [PrepBell(4, 1, 2)]))
@@ -142,6 +142,39 @@ def test_validator_and_parser_agree(circuit):
     assert valid == result.ok, [str(d) for d in result.diagnostics]
     if valid:
         assert result.circuit == circuit
+
+
+@st.composite
+def circuits_with_bad_values(draw):
+    """Instructions drawn field by field from good and bad values: arms out
+    of range or equal, bad spinors, bell indices, rotation and readout names,
+    labels read never, later or twice, and conditional preparations."""
+    n = draw(st.integers(-1, 3))
+    arm = st.integers(-1, max(n, 1) + 1)
+    label = st.sampled_from(["p", "q", "if"])
+    amplitude = st.sampled_from([0, 1, 0.6, 0.8j, math.nan, math.inf, 1e200])
+    two_arm = st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms])
+    plain = st.one_of(
+        st.builds(PrepSpin, arm, amplitude, amplitude),
+        st.builds(PrepBell, st.integers(-1, 4), arm, arm),
+        two_arm.flatmap(lambda cls: st.builds(cls, arm, arm)),
+        st.builds(SpinRotation, arm, st.sampled_from(["x", "h", "w"])),
+        st.builds(Measure, label, st.sampled_from(["charge", "parity", "spin", "count"]), arm),
+    )
+    instruction = st.recursive(
+        plain, lambda inner: st.builds(Conditional, label, st.integers(-1, 3), inner),
+        max_leaves=3)
+    return Circuit(n, draw(st.lists(instruction, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(circuits_with_bad_values())
+@example(Circuit(2, [Measure("q", "charge", 1), Conditional("q", 1, PrepBell(5, 2, 2))]))
+def test_parser_refuses_exactly_what_the_checker_refuses(circuit):
+    result = parse(print_circuit(circuit))
+    assert (result.circuit is None) == (circuit.problem is not None)
+    if circuit.problem is not None:
+        assert circuit.problem in [d.message for d in result.diagnostics]
 
 
 CORPUS = [path.read_text(encoding="utf-8")
