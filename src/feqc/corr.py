@@ -578,7 +578,11 @@ def merged_branches(root) -> list[dict]:
     assignment, in order of first appearance, each probability its leaves'
     summed in leaf order (a charge readout splits into spin-resolved
     leaves)."""
-    labels, rows, probs = leaf_table(root)
+    # corr refuses a conditional readout, so every chunk reads the same labels.
+    chunks = leaf_table(root)
+    labels = chunks[0][0]
+    rows = np.concatenate([rows for _, rows, _ in chunks])
+    probs = np.concatenate([probs for *_, probs in chunks])
     if not labels:  # a circuit without readouts has one leaf
         return [{"outcomes": {}, "probability": float(probs[0])}]
     order = np.lexsort(rows.T)  # stable: equal rows side by side, each run in leaf order

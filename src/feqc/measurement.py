@@ -10,11 +10,11 @@ of readouts to that routine on every path that reaches it.  ``branch_tree(..., c
 ``feqc run`` uses on fock unless it emits states, walks only the readouts'
 backward light cone from the vacuum (``circuit.light_cone``), so an
 instruction no readout depends on costs nothing, and MAX_KEYS bounds the
-cone's states.  ``sample`` reads the tree's leaves as one table
-(``leaf_table``) into a cumulative distribution and routes shot i by the
-i-th double of one Philox stream keyed by the seed, so identical inputs
-reproduce identical records and a run is a prefix of any longer run with its
-seed.
+cone's states.  ``sample`` reads the tree's leaves in chunks that each read
+one label set (``leaf_table``) into one cumulative distribution and routes
+shot i by the i-th double of one Philox stream keyed by the seed, so
+identical inputs reproduce identical records and a run is a prefix of any
+longer run with its seed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ Branch = tuple[int, float, FockState]
 
 
 REFUSED = -1  # the outcome of a key pattern a meter's table lacks
-UNREAD = -2  # leaf_table's entry for a label a leaf did not read
 
 # One readout: (mask, outcome_of, refusal).  A key's outcome is
 # outcome_of[key & mask]; a surviving node that holds a key whose pattern the
@@ -313,68 +312,53 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
     return expand(0, state, {}, 1.0)
 
 
+def _leaf_nodes(node, found: list) -> list:
+    """Append the leaf records and FrontierNodes of a branch tree to
+    ``found``, in leaf order, and return it; a FrontierNode, whose run may be
+    deep, is not entered."""
+    if isinstance(node, (BranchRecord, FrontierNode)):
+        found.append(node)
+    else:
+        for _, _, child in node.children:
+            _leaf_nodes(child, found)
+    return found
+
+
 def leaves(root) -> list[BranchRecord]:
     """The leaf records of a branch tree, in outcome order."""
-    if isinstance(root, BranchRecord):
-        return [root]
-    if isinstance(root, FrontierNode):  # no node per readout: a run may be deep
-        return list(root.records)
-    return [record for _, _, child in root.children for record in leaves(child)]
+    found = []
+    for node in _leaf_nodes(root, []):
+        if isinstance(node, FrontierNode):
+            found.extend(node.records)
+        else:
+            found.append(node)
+    return found
 
 
-def leaf_table(root) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The leaves of a branch tree as (labels, rows, probabilities): row i of
-    the (L, k) integer matrix holds leaf i's outcomes in label order, in the
-    order of ``leaves``.  The labels are those of every leaf, each leaf's in
-    its own order (a readout under a conditional that did not fire leaves a
-    label out of some leaves); a label a leaf did not read holds UNREAD.  A
-    FrontierNode gives its arrays; its children are not built."""
+def _chunk_key(node) -> Union[int, tuple[str, ...]]:
+    """A FrontierNode is a chunk of its own; a run of records that read the same labels is one."""
+    return id(node) if isinstance(node, FrontierNode) else tuple(node.outcomes)
+
+
+def leaf_table(root) -> list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
+    """The leaves of a branch tree, in the order of ``leaves``, as chunks
+    (labels, rows, probabilities): every leaf of a chunk reads the chunk's
+    labels, in that order, and row i of its (L, k) integer matrix holds leaf
+    i's outcomes.  A FrontierNode is one chunk of its own arrays, its
+    children not built; each run of leaf records that read the same labels
+    is another."""
     import numpy as np
 
-    chunks = []  # (labels, rows, probabilities) arrays, in leaf order
-    keys = None  # the labels of the leaf records met since the last chunk
-    outcomes: list[int] = []  # their outcomes, in rows
-    probs: list[float] = []
-
-    def flush() -> None:
-        if probs:
-            chunks.append((tuple(keys), np.array(outcomes, np.int64).reshape(len(probs), len(keys)),
-                           np.array(probs)))
-            outcomes.clear()
-            probs.clear()
-
-    def visit(node) -> None:
-        nonlocal keys
-        if isinstance(node, FrontierNode):
-            flush()
-            chunks.append((node.labels, node.rows, node.probabilities))
-        elif isinstance(node, BranchRecord):
-            if node.outcomes.keys() != keys:  # as sets: a tree reads labels in circuit order
-                flush()
-                keys = node.outcomes.keys()
-            outcomes.extend(node.outcomes.values())
-            probs.append(node.probability)
+    chunks = []
+    for key, run in groupby(_leaf_nodes(root, []), _chunk_key):
+        first = next(run)
+        if isinstance(first, FrontierNode):
+            chunks.append((first.labels, first.rows, first.probabilities))
         else:
-            for _, _, child in node.children:
-                visit(child)
-
-    visit(root)
-    flush()
-    labels: list[str] = []
-    for chunk_labels, _, _ in chunks:  # each new label goes right after its predecessor
-        for k, label in enumerate(chunk_labels):
-            if label not in labels:
-                labels.insert(labels.index(chunk_labels[k - 1]) + 1 if k else 0, label)
-    labels = tuple(labels)
-    for n, (chunk_labels, rows, probs) in enumerate(chunks):
-        if chunk_labels != labels:
-            full = np.full((len(rows), len(labels)), UNREAD, np.int64)
-            full[:, [labels.index(label) for label in chunk_labels]] = rows
-            chunks[n] = chunk_labels, full, probs
-    if len(chunks) == 1:
-        return labels, *chunks[0][1:]
-    return (labels, np.concatenate([r for _, r, _ in chunks]),
-            np.concatenate([p for *_, p in chunks]))
+            records = [first, *run]
+            rows = np.array([list(rec.outcomes.values()) for rec in records], np.int64)
+            chunks.append((key, rows, np.array([rec.probability for rec in records])))
+    return chunks
 
 
 def branch_tree(circuit: Circuit, input_state: FockState,
@@ -430,23 +414,22 @@ def _leaf_picks(cdf: np.ndarray, seed: int, shots: int):
 class SampleResult:
     """Sampled shots: ``frequencies`` maps each outcome signature to its shot
     count, and ``records`` lists each shot's outcome assignment in shot
-    order; both leave out the labels a shot's leaf did not read.  The result
-    keeps the draw, the leaves' outcome ``rows`` over ``labels`` and their
-    ``cdf``, and draws the records again from the seeded stream when they
-    are first read, so a caller that needs only the frequencies keeps
-    nothing per shot."""
+    order, each with the labels its leaf read.  The result keeps the draw,
+    the leaves' ``chunks`` (as ``leaf_table`` gives them) and their ``cdf``,
+    and draws the records again from the seeded stream when they are first
+    read, so a caller that needs only the frequencies keeps nothing per
+    shot."""
 
     frequencies: dict[str, int]
-    labels: tuple[str, ...]
-    rows: np.ndarray
+    chunks: list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]
     cdf: np.ndarray
     seed: int
     shots: int
 
     @cached_property
     def records(self) -> list[dict[str, int]]:
-        outcomes = [{label: value for label, value in zip(self.labels, row) if value != UNREAD}
-                    for row in self.rows.tolist()]
+        outcomes = [dict(zip(labels, row)) for labels, rows, _ in self.chunks
+                    for row in rows.tolist()]
         return [outcomes[i] for picks in _leaf_picks(self.cdf, self.seed, self.shots)
                 for i in picks.tolist()]
 
@@ -463,17 +446,17 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     import numpy as np
 
-    labels, rows, probs = leaf_table(root)
-    cdf = np.cumsum(probs)
-    counts = sum(np.bincount(picks, minlength=len(cdf)) for picks in _leaf_picks(cdf, seed, shots))
-    by_outcomes: dict[tuple, int] = {}
-    for row, count in zip(rows.tolist(), counts.tolist()):
-        if count:  # corr leaves can share outcomes; their counts add
-            key = tuple(row)
-            by_outcomes[key] = by_outcomes.get(key, 0) + count
-    frequencies = {outcome_signature({k: v for k, v in zip(labels, key) if v != UNREAD}): count
-                   for key, count in by_outcomes.items()}
-    return SampleResult(dict(sorted(frequencies.items())), labels, rows, cdf, seed, shots)
+    chunks = leaf_table(root)
+    cdf = np.cumsum(np.concatenate([probs for *_, probs in chunks]))
+    counts = iter(sum(np.bincount(picks, minlength=len(cdf))
+                      for picks in _leaf_picks(cdf, seed, shots)).tolist())
+    frequencies: dict[str, int] = {}
+    for labels, rows, _ in chunks:
+        for row, count in zip(rows.tolist(), counts):  # takes this chunk's counts
+            if count:  # corr leaves can share outcomes; their counts add
+                key = outcome_signature(dict(zip(labels, row)))
+                frequencies[key] = frequencies.get(key, 0) + count
+    return SampleResult(dict(sorted(frequencies.items())), chunks, cdf, seed, shots)
 
 
 def sample(circuit: Circuit, input_state: FockState, seed: int, shots: int) -> SampleResult:

@@ -104,12 +104,18 @@ def _need(tokens: list[str], count: int, form: str) -> None:
         raise _LineError(0, ARITY, f"expected '{form}'")
 
 
+def _is_readout(tokens: list[str]) -> bool:
+    """Whether a line is a readout.  Readouts are recognized first, so that a
+    label may spell a keyword, except on a keyword line without a readout's
+    four tokens."""
+    return (len(tokens) >= 2 and tokens[1] == "="
+            and (len(tokens) == 4 or tokens[0] not in _KEYWORDS))
+
+
 def _parse_line(tokens: list[str]) -> Instruction | int:
     """One instruction, or the N of an 'arms <N>' line."""
     head = tokens[0]
-    # A readout line first, so that a label may spell a keyword, unless a
-    # keyword line lacks a readout's four tokens.
-    if len(tokens) >= 2 and tokens[1] == "=" and (len(tokens) == 4 or head not in _KEYWORDS):
+    if _is_readout(tokens):
         label = _parse_label(tokens, 0)
         _need(tokens, 4, "<label> = charge|parity|spin <arm>")
         return Measure(label, tokens[2], _parse_int(tokens, 3, "arm"))
@@ -166,24 +172,25 @@ def parse(source: str) -> ParseResult:
     diagnostics: list[Diagnostic] = []
     parsed: list[tuple[int, str, Instruction]] = []  # (line, text, instruction)
     arm_count: int | None = None
-    declared = False  # an 'arms <N>' line came first, its N valid or not
+    declared = False  # a line is an 'arms' line, well-formed or not
 
     for lineno, raw in enumerate(_LINE_END_RE.split(source), start=1):
         text = raw.split("#", 1)[0]
         tokens = text.split()
         if not tokens:
             continue
+        declared = declared or (tokens[0] == "arms" and not _is_readout(tokens))
         try:
             item = _parse_line(tokens)
-            if isinstance(item, int):
+            if isinstance(item, int):  # the first count >= 1 bounds the arms, also a late one
                 if arm_count is not None:
                     raise _LineError(0, ARMS_DECL, "arms declared twice")
+                if item >= 1:
+                    arm_count = item
                 if parsed:
                     raise _LineError(0, ARMS_DECL, "arms must be declared first")
-                declared = True
                 if item < 1:
                     raise _LineError(1, BAD_LITERAL, "arm count must be >= 1")
-                arm_count = item
                 continue
         except _LineError as err:
             diagnostics.append(Diagnostic(lineno, _column(text, err.index), err.code, err.message))

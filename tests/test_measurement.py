@@ -500,17 +500,86 @@ def test_a_conditional_readout_runs_only_where_its_label_matches():
         (r.outcomes, r.probability) for r in records]
 
 
-def test_leaf_table_marks_the_labels_a_leaf_did_not_read():
-    # The first leaf reads q and s; the label r goes between them, as the others read it.
+def test_leaf_table_gives_a_chunk_per_run_of_leaves_that_read_the_same_labels():
+    # The first leaf reads q and s; the other two also read r, between them.
     tree = branch_tree(parse(CONDITIONAL_READOUT).circuit, vacuum(2))
-    labels, rows, probs = measurement.leaf_table(tree)
-    assert labels == ("q", "r", "s")
-    assert rows.tolist() == [[0, measurement.UNREAD, 0], [1, 0, 0], [1, 1, 0]]
-    assert probs.tolist() == [r.probability for r in leaves(tree)]
+    chunks = measurement.leaf_table(tree)
+    assert [(labels, rows.tolist()) for labels, rows, _ in chunks] == [
+        (("q", "s"), [[0, 0]]), (("q", "r", "s"), [[1, 0, 0], [1, 1, 0]])]
+    assert [p for *_, probs in chunks for p in probs.tolist()] == [
+        r.probability for r in leaves(tree)]
     result = sample_tree(tree, seed=3, shots=500)
     assert set(result.frequencies) <= {"q=0,s=0", "q=1,r=0,s=0", "q=1,r=1,s=0"}
     assert sum(result.frequencies.values()) == 500
     assert {tuple(rec) for rec in result.records} <= {("q", "s"), ("q", "r", "s")}
+
+
+# Every charge class of arm 1 is likely; q2 is read only after q1 = 1, between
+# two readouts every leaf reads.
+SKIPPED_BETWEEN = """arms 3
+electron 1 up
+electron 2 down
+electron 3 (0.6,0) (0.8,0)
+bs 1 2
+bs 2 3
+bs 1 2
+q1 = charge 1
+if q1 == 1 : q2 = charge 2
+q3 = charge 3
+"""
+SKIPPED_BETWEEN_SIGNATURES = ["q1=0,q3=1", "q1=0,q3=2", "q1=1,q2=0,q3=2", "q1=1,q2=1,q3=1",
+                              "q1=1,q2=2,q3=0", "q1=2,q3=0", "q1=2,q3=1"]
+# seed -> (the count of each signature above, the index of each of the first
+# 200 records' signatures), of 1000 shots.
+SKIPPED_BETWEEN_SAMPLES = {
+    0: ([19, 120, 61, 578, 69, 135, 18], (
+        "03133356323133433253213533363533333334134531336333"
+        "53531333353333350431432353435335355133333133553333"
+        "43133413253132353135333433433533433333353333363355"
+        "33133423433303133331351333310233335031354335234531"
+    )),
+    1: ([12, 121, 73, 604, 62, 115, 13], (
+        "34215133323433333335533213213323333333356221133352"
+        "53331333131533421333433331511331133334330333335533"
+        "33333353333333315313533333333533331133333131553332"
+        "33353333432333331336335353233333335333134345533033"
+    )),
+    2: ([14, 132, 82, 560, 82, 119, 11], (
+        "33433334562314313324315500333553342553333413535235"
+        "34335333355433113433454334333333333313433533133333"
+        "33433313433331533333252113355533332233451532353333"
+        "15632213333333333333333451331433353321313356333113"
+    )),
+    3: ([17, 119, 64, 598, 57, 129, 16], (
+        "51343313333351535423433333163331341333333330333336"
+        "61363254311553333333403331340333333333153333534333"
+        "53325633433335343333334313353135534331335613333515"
+        "33543413333353334230113653233333320153101334333513"
+    )),
+    4: ([17, 109, 62, 603, 60, 131, 18], (
+        "03523615313313513233324335333434335311433333451533"
+        "33311133403333133233533435433555333333106133355333"
+        "53331335531353533205315335453333343351533332533313"
+        "33333323153343333133334333353333333333323550363334"
+    )),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampling_with_skipped_readouts_keeps_its_bits(seed):
+    """Pinned draws of trees whose leaves read different labels: the
+    frequencies, and the signature of each of the first 200 records in order,
+    of the analyzer circuit (pair state 1 never reads q3) and of a circuit
+    whose skipped readout sits between two read ones."""
+    bell = parse((DATA / "gadgets" / "bell_analyzer.feqc").read_text(encoding="utf-8")).circuit
+    result = sample(bell, vacuum(2), seed, 1000)
+    assert result.frequencies == {"q1=1,q2=0": 1000}
+    assert [outcome_signature(rec) for rec in result.records] == ["q1=1,q2=0"] * 1000
+    counts, picks = SKIPPED_BETWEEN_SAMPLES[seed]
+    result = sample(parse(SKIPPED_BETWEEN).circuit, vacuum(3), seed, 1000)
+    assert result.frequencies == dict(zip(SKIPPED_BETWEEN_SIGNATURES, counts))
+    assert [outcome_signature(rec) for rec in result.records[:200]] == [
+        SKIPPED_BETWEEN_SIGNATURES[int(i)] for i in picks]
 
 
 def test_conditional_readouts_count_toward_the_depth_limit():

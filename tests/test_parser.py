@@ -83,8 +83,7 @@ def test_invalid_corpus_reports_intended_code(name, code):
 INVALID_DIAGNOSTICS = {
     "arity.feqc": ["2:1: arity: expected 'bs <i> <j>'"],
     "arm_range.feqc": ["2:1: arm-range: arm 3 out of range 1..2"],
-    "arms_decl.feqc": ["1:1: arms-decl: missing 'arms <N>' declaration",
-                       "2:1: arms-decl: arms must be declared first"],
+    "arms_decl.feqc": ["2:1: arms-decl: arms must be declared first"],
     "bad_literal.feqc": ["2:10: bad-literal: arm: expected an integer, got 'one'"],
     "bad_rotation.feqc": ["3:7: bad-literal: unknown rotation 'q' (x|y|z|h)"],
     "bad_spin.feqc": ["2:12: bad-literal: unknown spin 'sideways' (up|down|plus)"],
@@ -125,7 +124,30 @@ def test_only_newline_carriage_return_and_crlf_end_a_line():
         assert [str(d) for d in parse(source).diagnostics] == [
             "4:6: duplicate-arm: bs needs two distinct arms"]
     assert [str(d) for d in parse("arms 1\velectron 1 up").diagnostics] == [
-        "1:1: arity: expected 'arms <N>'", "1:1: arms-decl: missing 'arms <N>' declaration"]
+        "1:1: arity: expected 'arms <N>'"]
+
+
+@pytest.mark.parametrize("source,expected", [
+    # A well-formed 'arms' line after an instruction is misplaced, and its
+    # count still bounds the arms.
+    ("electron 3 up\narms 2\n", ["1:1: arm-range: arm 3 out of range 1..2",
+                                 "2:1: arms-decl: arms must be declared first"]),
+    ("electron 1 up\narms 0\n", ["2:1: arms-decl: arms must be declared first"]),
+    ("arms 0\nelectron 3 up\narms 2\n", ["1:6: bad-literal: arm count must be >= 1",
+                                         "2:1: arm-range: arm 3 out of range 1..2",
+                                         "3:1: arms-decl: arms must be declared first"]),
+    # A malformed 'arms' line is there: no 'missing' with its own finding.
+    ("arms\nelectron 1 up\n", ["1:1: arity: expected 'arms <N>'"]),
+    ("arms 1 2\nelectron 1 up\n", ["1:1: arity: expected 'arms <N>'"]),
+    # A readout whose label spells 'arms', or an 'arms' under an 'if', declares nothing.
+    ("arms = charge 1\n", ["1:1: arms-decl: missing 'arms <N>' declaration"]),
+    ("if q == 1 : arms 2\n", ["1:1: arms-decl: missing 'arms <N>' declaration",
+                              "1:13: not-conditional: 'arms' cannot be conditional"]),
+])
+def test_missing_only_without_an_arms_line_and_a_late_count_bounds_the_arms(source, expected):
+    result = parse(source)
+    assert result.circuit is None
+    assert [str(d) for d in result.diagnostics] == expected
 
 
 def test_diagnostics_carry_line_and_column():

@@ -39,7 +39,7 @@ from feqc.circuit import (
     validate_circuit,
 )
 from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError, PreconditionError
-from feqc.measurement import BranchNode, enumerate_branches
+from feqc.measurement import BranchNode, BranchRecord, FrontierNode, enumerate_branches
 from feqc.parser import parse
 from helpers import (deep_terminal_circuit, dense_bilinear_unitary, dense_evolve, dense_project,
                      dense_single_occupancy, dense_vector, merged_probabilities, mode_occupation,
@@ -783,27 +783,80 @@ def test_fock_leaf_keys_hold_the_electrons_of_the_circuit_or_its_cone(circuit):
             assert {key.bit_count() for key in rec.post_state.amplitudes} == {electrons}
 
 
+@st.composite
+def fock_conditional_readout_circuits(draw):
+    """2-4-arm fock circuits of split electrons, each splitter followed by a
+    charge or parity readout that may sit under a conditional on an earlier
+    one, then 0-2 trailing charge readouts: about a quarter of the trees
+    have leaves that read different labels."""
+    n = draw(st.integers(2, 4))
+    arm = st.integers(1, n)
+    instructions = [PrepSpin(a, *draw(st.sampled_from(SPINORS))) for a in range(1, draw(arm) + 1)]
+    for k in range(draw(st.integers(1, 6))):
+        i, j = draw(st.permutations(range(1, n + 1)))[:2]
+        instructions.append(BeamSplitter(i, j))
+        ins = Measure(f"m{k}", draw(st.sampled_from(["charge", "parity"])), draw(arm))
+        if k and draw(st.booleans()):
+            ins = Conditional(f"m{draw(st.integers(0, k - 1))}", draw(st.integers(0, 1)), ins)
+        instructions.append(ins)
+    instructions += [Measure(f"t{k}", "charge", draw(arm)) for k in range(draw(st.integers(0, 2)))]
+    return Circuit(n, instructions)
+
+
+def leaf_nodes(node) -> list:
+    """The leaf records and FrontierNodes of a tree, in leaf order."""
+    if isinstance(node, (BranchRecord, FrontierNode)):
+        return [node]
+    return [leaf for _, _, child in node.children for leaf in leaf_nodes(child)]
+
+
+BELL_ANALYZER = parse((Path(__file__).parent / "data" / "gadgets" / "bell_analyzer.feqc")
+                      .read_text(encoding="utf-8")).circuit
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.one_of(terminal_charge_circuits().map(lambda c: ("corr", c)),
                  wide_charge_circuits().map(lambda c: ("corr", c)),
-                 fock_terminal_circuits().map(lambda c: ("fock", c))))
+                 fock_terminal_circuits().map(lambda c: ("fock", c)),
+                 fock_conditional_readout_circuits().map(lambda c: ("fock", c))))
 @example(("corr", deep_terminal_circuit()))
 @example(("corr", Circuit(1, [PrepSpin(1, 1, 0)])))  # no readouts: one leaf without labels
 @example(("fock", MIXED_TERMINAL_RUN))
+@example(("fock", BELL_ANALYZER))
 def test_leaf_table_equals_the_leaves(drawn):
-    """leaf_table gives the rows of leaves(): the same labels, outcome values,
-    order and probability bits, on trees of plain nodes, on corr's terminal
-    blocks and on blocks below mid-circuit readouts."""
+    """leaf_table's chunks give the rows of leaves(): the same outcome
+    values, order and probability bits, each leaf in a chunk of its own
+    labels, on trees of plain nodes, on corr's terminal blocks, on blocks
+    below mid-circuit readouts and on leaves that read different labels.  A
+    FrontierNode is a chunk of its own arrays; a run of records is one chunk
+    of as many records as read the same labels."""
     backend, circuit = drawn
     root = backend_tree(backend, circuit)
     if root is None:
         return
-    labels, rows, probs = measurement.leaf_table(root)
+    chunks = measurement.leaf_table(root)
     records = measurement.leaves(root)
-    assert [tuple(rec.outcomes) for rec in records] == [labels] * len(records)
-    assert rows.shape == (len(records), len(labels))
-    assert rows.tolist() == [list(rec.outcomes.values()) for rec in records]
-    assert [p.hex() for p in probs.tolist()] == [rec.probability.hex() for rec in records]
+    assert [row for _, rows, _ in chunks for row in rows.tolist()] == [
+        list(rec.outcomes.values()) for rec in records]
+    assert [p.hex() for *_, probs in chunks for p in probs.tolist()] == [
+        rec.probability.hex() for rec in records]
+    assert [labels for labels, rows, _ in chunks for _ in range(len(rows))] == [
+        tuple(rec.outcomes) for rec in records]
+    nodes = leaf_nodes(root)
+    before = None  # the labels of the chunk before, if it holds records
+    for labels, rows, probs in chunks:
+        node = nodes.pop(0)
+        if isinstance(node, FrontierNode):
+            assert labels == node.labels and rows is node.rows and probs is node.probabilities
+            before = None
+        else:
+            run = [node, *nodes[:len(rows) - 1]]
+            del nodes[:len(rows) - 1]
+            assert all(isinstance(rec, BranchRecord) and tuple(rec.outcomes) == labels
+                       for rec in run)
+            assert labels != before
+            before = labels
+    assert nodes == []
 
 
 @charge_examples
