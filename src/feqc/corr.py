@@ -25,10 +25,11 @@ Both frontiers stack (n, n, branches), so every elementwise step runs along
 the branch axis in long contiguous loops.
 
 A circuit runs on the backward light cone of its readouts, the rule fock's
-runs share (``circuit.light_cone``), over the arms it acts on, renumbered in
-ascending order (``_light_cone``).  The cost follows the cone, not the
-declared arm count; the limits, the joint query's pricing and every reported
-arm number are still decided on the circuit as written.  Every state that
+runs share (``circuit.light_cone``): the walk takes the circuit's own
+instructions, and its matrix holds only the arms they act on, the k-th
+smallest of them as arm k.  The cost follows the cone, not the declared arm
+count; the limits, the joint query's pricing and every reported arm number
+are still decided on the circuit as written.  Every state that
 reaches a readout must hold the electrons the cone added on its path: its
 trace, the particle number, is checked, never renormalized; nor is an
 occupation it reads, the joint probability, or an eigenvalue of the block a
@@ -46,9 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, SpinRotation,
-                      TwoArmElement, instruction_arms, light_cone, readout_of, unitary_steps,
-                      unwrap, validate_circuit)
+from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, instruction_arms,
+                      light_cone, readout_of, unitary_steps, validate_circuit)
 from . import fock
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import MAX_ARMS, Spin, mode_position
@@ -404,39 +404,13 @@ def _check_spectrum(block: np.ndarray, weight: float) -> None:
     _check_unit("eigenvalue", np.linalg.eigvalsh(block), weight)
 
 
-def _light_cone(circuit: Circuit) -> tuple[list, list[int]]:
-    """The instructions a Gaussian circuit's readouts depend on
-    (``circuit.light_cone``), renumbered onto the arms they act on, and those
-    arms in ascending order.  Arm ``arms[k - 1]`` of the circuit is arm k of
-    the cone; the order is kept, so mode positions keep their order too, and
-    every kept entry of the matrix, and with it every probability, is
-    computed as in the full circuit."""
-    cone = light_cone(circuit.instructions)
-    arms = sorted({arm for ins in cone for arm in instruction_arms(ins)})
-    local = {arm: k for k, arm in enumerate(arms, start=1)}
-
-    def renumbered(ins):
-        conditions, ins = unwrap(ins)
-        if isinstance(ins, TwoArmElement):
-            ins = type(ins)(local[ins.arm_i], local[ins.arm_j])
-        elif isinstance(ins, PrepSpin):
-            ins = PrepSpin(local[ins.arm], ins.alpha, ins.beta)
-        elif isinstance(ins, Measure):
-            ins = Measure(ins.label, ins.kind, local[ins.arm])
-        else:
-            ins = SpinRotation(local[ins.arm], ins.name)
-        for cond in reversed(conditions):
-            ins = Conditional(cond.label, cond.value, ins)
-        return ins
-
-    return [renumbered(ins) for ins in cone], arms
-
-
-def _apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
+def _apply(M: CorrelationMatrix, ins, local: dict[int, int]) -> CorrelationMatrix:
+    """Apply an electron or element of the circuit to M, whose arm
+    ``local[a]`` is the circuit's arm a; a refusal names the circuit's arm."""
     if isinstance(ins, PrepSpin):
-        return add_electron(M, ins.arm, ins.alpha, ins.beta)
+        return add_electron(M, local[ins.arm], ins.alpha, ins.beta, ins.arm)
     for modes, matrix in unitary_steps(ins):
-        M = evolve(M, modes, matrix)
+        M = evolve(M, [(local[arm], spin) for arm, spin in modes], matrix)
     return M
 
 
@@ -464,11 +438,12 @@ def charge_branch_tree(circuit: Circuit):
     on its path is refused (``_check_particle_number``), as is a block that
     is not Hermitian or has an eigenvalue outside [0, 1] (``_check_spectrum``).
 
-    The walk runs on the readouts' light cone (``_light_cone``).  MAX_ARMS,
-    the bytes of a leaf, which readouts are terminal and which form the
-    trailing run, and the arms the stats and messages name are taken from the
-    circuit as written, so the tree, the stats and every refusal are the ones
-    the full circuit gives.
+    The walk runs the circuit's own instructions on the readouts' light cone
+    (``circuit.light_cone``), over a matrix of the arms they act on: the k-th
+    smallest is its arm k (``_apply``).  MAX_ARMS, the bytes of a leaf, which
+    readouts are terminal and which form the trailing run, and the arms the
+    stats and messages name are taken from the circuit as written, so the
+    tree, the stats and every refusal are the ones the full circuit gives.
     """
     validate_circuit(circuit)
     _reject_non_gaussian(circuit)
@@ -495,7 +470,7 @@ def charge_branch_tree(circuit: Circuit):
 
     def branches(M: CorrelationMatrix, ins: Measure, prob: float):
         _check_particle_number(M, electrons[ins.label], prob)
-        up = mode_position((ins.arm, Spin.UP), M.num_arms)
+        up = mode_position((local[ins.arm], Spin.UP), M.num_arms)
         _, charges, probs, post = _charge_readout(M.matrix[..., None], up, prob, admit)
         return [(n, p, CorrelationMatrix(M.num_arms, m))
                 for n, p, m in zip(charges.tolist(), probs.tolist(), post.transpose(2, 0, 1))]
@@ -506,13 +481,14 @@ def charge_branch_tree(circuit: Circuit):
         # The complexity demonstration: price the joint charge-1 query on the
         # state the terminal block starts from.
         if terminal:
-            stats.joint_charge1 = single_occupancy_probability(M, [ins.arm for ins in readouts])
+            stats.joint_charge1 = single_occupancy_probability(
+                M, [local[ins.arm] for ins in readouts])
             stats.terms = 3 ** len(stats.measured_arms)
         # The block holds the arms still to be read, the next to leave first:
         # an arm's modes leave the front as it is read for the last time.
         final = {ins.arm: i for i, ins in enumerate(readouts)}
         arms = sorted(final, key=final.get)
-        modes = [mode_position((arm, spin), M.num_arms) for arm in arms for spin in Spin]
+        modes = [mode_position((local[arm], spin), M.num_arms) for arm in arms for spin in Spin]
         start = M.matrix.take(modes, 0).take(modes, 1)
         stack = start[..., None]
 
@@ -541,12 +517,12 @@ def charge_branch_tree(circuit: Circuit):
                                 f"sum to {summed!r}")
         return node
 
-    def apply(M: CorrelationMatrix, ins) -> CorrelationMatrix:
-        if isinstance(ins, PrepSpin):  # named by the circuit's arm number
-            return add_electron(M, ins.arm, ins.alpha, ins.beta, arms[ins.arm - 1])
-        return _apply(M, ins)
-
-    cone, arms = _light_cone(circuit)
+    cone = light_cone(instructions)
+    # The k-th smallest arm the cone acts on is arm k of the walk's matrix:
+    # mode positions keep their order, so every kept entry of the matrix, and
+    # with it every probability, is computed as in the full circuit.
+    local = {arm: k for k, arm in enumerate(
+        sorted({arm for ins in cone for arm in instruction_arms(ins)}), start=1)}
     electrons: dict[str, int] = {}  # readout label -> electrons the cone adds before it
     added = 0
     for ins in cone:
@@ -556,7 +532,8 @@ def charge_branch_tree(circuit: Circuit):
             electrons[ins.label] = added
     # The block takes only the circuit's own trailing run: a readout the cone
     # moved up next to it branches one matrix at a time, as written.
-    root = walk(cone, init_from_occupations([], len(arms)), apply, branches,
+    root = walk(cone, init_from_occupations([], len(local)),
+                functools.partial(_apply, local=local), branches,
                 (len(cone) - trailing, block))
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return root, stats
@@ -568,7 +545,8 @@ def enumerate_charge_branches(
     """Flattened charge_branch_tree: every outcome assignment with its
     probability, and its conditional Gaussian state where a later
     instruction needed one (None after a terminal block of readouts), over
-    the arms of the readouts' light cone."""
+    the arms of the readouts' light cone: a post-state's arm k is the k-th
+    smallest circuit arm that the cone acts on."""
     root, stats = charge_branch_tree(circuit)
     return leaves(root), stats
 

@@ -5,6 +5,7 @@ per-criterion PASS lines."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -348,3 +349,10 @@ def test_criterion_9_parser_corpus(capsys, tmp_path):
     capsys.readouterr()
     _report(9, f"{len(valid)} valid circuits parse and run, {len(invalid)} invalid "
                "files produce their intended diagnostics, exit codes conform")
+
+
+def test_the_readme_quick_start_prints_its_comment(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)[1]
+    exec(block, {})
+    assert capsys.readouterr().out == re.search(r"# -> (.*)", block)[1] + "\n"

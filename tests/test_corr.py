@@ -19,6 +19,7 @@ from feqc.circuit import (
     SpinRotation,
     SwapArms,
     apply_instruction,
+    light_cone,
 )
 from feqc.corr import (
     add_electron,
@@ -502,17 +503,37 @@ def test_joint_query_refuses_a_total_above_one(diagonal, total):
     assert single_occupancy_probability(inside, [1]) == 1.0
 
 
-def test_light_cone_keeps_what_the_readouts_depend_on_on_renumbered_arms():
+def test_corr_walks_the_circuits_own_light_cone(monkeypatch):
     circuit = parse("arms 8\nelectron 2 plus\nelectron 7 up\nbs 2 5\nrot 7 h\nswap 3 4\n"
                     "electron 4 down\nq = charge 5\nif q == 1 : rot 2 x\nbs 7 8\n"
                     "r = charge 2\n").circuit
-    cone, arms = corr._light_cone(circuit)
+    walked = []
+    real = corr.walk
+    monkeypatch.setattr(corr, "walk", lambda *args: walked.append(args) or real(*args))
+    corr.charge_branch_tree(circuit)
+    [(instructions, state, *_)] = walked
     # Arm 7's electron and elements, and arm 3's swap, act outside the cone;
     # arm 4's electron lands on an arm the swap touched, so it is a read of arm 4.
-    assert arms == [2, 3, 4, 5]
-    expected = parse("arms 4\nelectron 1 plus\nbs 1 4\nswap 2 3\nelectron 3 down\n"
-                     "q = charge 4\nif q == 1 : rot 1 x\nr = charge 1\n").circuit
-    assert cone == list(expected.instructions)
+    cone = light_cone(circuit.instructions)
+    assert len(instructions) == len(cone)
+    assert all(got is ins for got, ins in zip(instructions, cone))
+    expected = parse("arms 8\nelectron 2 plus\nbs 2 5\nswap 3 4\nelectron 4 down\n"
+                     "q = charge 5\nif q == 1 : rot 2 x\nr = charge 2\n").circuit
+    assert instructions == list(expected.instructions)
+    assert state.num_arms == 4  # arms 2, 3, 4 and 5
+
+
+def test_a_post_states_arm_k_is_the_kth_smallest_arm_of_the_cone():
+    """rot 2 x follows the readout of arm 7, outside its cone, so the readout
+    branches one matrix at a time and each leaf keeps its post-state, over
+    the cone's arms 5 and 7: its arm 2 is the circuit's arm 7."""
+    circuit = parse("arms 8\nelectron 5 plus\nbs 5 7\nq = charge 7\nrot 2 x\n").circuit
+    records, _ = enumerate_charge_branches(circuit)
+    assert sorted(rec.outcomes["q"] for rec in records) == [0, 1, 1]  # spin resolved
+    for rec in records:
+        M = rec.post_state
+        assert M.num_arms == 2
+        assert mode_occupation(M, (2, UP)) + mode_occupation(M, (2, DOWN)) == rec.outcomes["q"]
 
 
 def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch):
@@ -529,8 +550,7 @@ def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch)
     message = f"181 leaves of {leaf_bytes} bytes each exceed the limit MAX_TREE_BYTES"
     with pytest.raises(FeqcError, match=message):
         enumerate_charge_branches(circuit)
-    monkeypatch.setattr(corr, "_light_cone",
-                        lambda c: (list(c.instructions), list(range(1, c.arm_count + 1))))
+    monkeypatch.setattr(corr, "light_cone", list)
     with pytest.raises(FeqcError, match=message):
         enumerate_charge_branches(circuit)
 

@@ -8,7 +8,10 @@ builds a Unicode table that costs seconds in a fresh checkout.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 import math
 import re
@@ -380,6 +383,11 @@ def walk_without_block(instructions, state, apply, branches, block):
     return WALK(instructions, state, apply, branches)
 
 
+def whole_circuit_apply(circuit):
+    """corr._apply on a matrix of every arm of the circuit, arm a as arm a."""
+    return functools.partial(corr._apply, local={a: a for a in range(1, circuit.arm_count + 1)})
+
+
 def sequential_charge_outcomes(M, ins, _prob):
     """A charge readout as two mode projections in sequence, one matrix at a
     time: the loop the batched readout replaced, kept as its reference."""
@@ -448,7 +456,7 @@ def test_corr_terminal_block_equals_the_walk_without_it(circuit):
     with mock.patch.object(corr, "walk", walk_without_block):
         plain, _ = charge_branch_tree(circuit)
     reference = measurement.walk(circuit.instructions, corr.init_from_occupations(
-        [], circuit.arm_count), corr._apply, sequential_charge_outcomes)
+        [], circuit.arm_count), whole_circuit_apply(circuit), sequential_charge_outcomes)
     assert tree_shape(root) == tree_shape(plain) == tree_shape(reference)
     assert all(rec.post_state is None for rec in measurement.leaves(root))
 
@@ -509,11 +517,6 @@ def corr_run(circuit):
     return tree_shape(root), dataclasses.replace(stats, wall_ms=0.0)
 
 
-def whole_circuit(circuit):
-    """A _light_cone that keeps every instruction and arm."""
-    return list(circuit.instructions), list(range(1, circuit.arm_count + 1))
-
-
 @settings(max_examples=150, deadline=None, database=None)
 @given(wide_charge_circuits())
 # Only arms 5 and 6 are in the cone of q, through the splitter; arm 3's
@@ -529,17 +532,107 @@ def whole_circuit(circuit):
 # Terminal readouts of three arms: the joint query is priced on the cone.
 @example(deep_terminal_circuit(seed=3, num_arms=10, readouts=3))
 def test_corr_light_cone_gives_the_full_circuit_walk(circuit):
-    """Corr expands only the readouts' light cone, on renumbered arms.  It
+    """Corr expands only the readouts' light cone, over the arms it acts on.  It
     gets the tree the full circuit's readout-by-readout walk gets, bit for
     bit, or the same occupancy refusal, which names the circuit's arm; and
     the stats, joint query included, that it gets on the whole circuit."""
     got = corr_run(circuit)
     reference = shape_or_refusal(lambda: measurement.walk(
-        circuit.instructions, corr.init_from_occupations([], circuit.arm_count), corr._apply,
-        sequential_charge_outcomes))
+        circuit.instructions, corr.init_from_occupations([], circuit.arm_count),
+        whole_circuit_apply(circuit), sequential_charge_outcomes))
     assert (got if isinstance(got, str) else got[0]) == reference
-    with mock.patch.object(corr, "_light_cone", whole_circuit):
+    with mock.patch.object(corr, "light_cone", list):
         assert corr_run(circuit) == got
+
+
+@st.composite
+def spread_circuits(draw):
+    """A valid 1-5-arm circuit of electrons, which may land on an arm an
+    element filled, an entangled pair, elements, and at most two readouts of
+    any kind, mid-circuit or trailing, under conditionals or not, with
+    conditionals on them; and a strictly increasing map of its arms into
+    1..1024.  Two readouts make at most 16 leaves, as many as
+    corr.MAX_TREE_BYTES admits at 1024 arms."""
+    n = draw(st.integers(1, 5))
+    arm = st.integers(1, n)
+    fresh = draw(st.permutations(range(1, n + 1)))
+    rotation = st.builds(SpinRotation, arm, st.sampled_from("xyzh"))
+    instructions, labels = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        choice = draw(st.sampled_from(["electron"] * 3 + ["bell", "element", "element", "rot",
+                                                         "measure", "if"]))
+        if choice == "electron" and fresh:
+            instructions.append(PrepSpin(fresh.pop(), *draw(st.sampled_from(SPINORS))))
+        elif choice == "bell" and len(fresh) >= 2:
+            instructions.append(PrepBell(draw(st.integers(0, 3)), fresh.pop(), fresh.pop()))
+        elif choice == "element" and n >= 2:
+            i, j = draw(st.permutations(range(1, n + 1)))[:2]
+            cls = draw(st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms]))
+            instructions.append(cls(i, j))
+        elif choice == "measure" and len(labels) < 2:
+            kind = draw(st.sampled_from(["charge"] * 4 + ["parity", "spin"]))
+            label = f"q{len(labels)}"
+            ins = Measure(label, kind, draw(arm))
+            if labels and draw(st.booleans()):
+                ins = Conditional(labels[-1], draw(st.integers(0, 1)), ins)
+            labels.append(label)
+            instructions.append(ins)
+        elif choice == "if" and labels:
+            instructions.append(Conditional(draw(st.sampled_from(labels)),
+                                            draw(st.integers(0, 1)), draw(rotation)))
+        else:
+            instructions.append(draw(rotation))
+    spread = sorted(draw(st.lists(st.integers(1, 1024), min_size=n, max_size=n, unique=True)))
+    return Circuit(n, instructions), dict(zip(range(1, n + 1), spread))
+
+
+def moved(ins, to):
+    """An instruction with each of its arms a moved to to[a]."""
+    if isinstance(ins, Conditional):
+        return dataclasses.replace(ins, op=moved(ins.op, to))
+    arms = [f.name for f in dataclasses.fields(ins) if f.name.startswith("arm")]
+    return dataclasses.replace(ins, **{name: to[getattr(ins, name)] for name in arms})
+
+
+def run_outcome(directory: Path, circuit, backend):
+    """feqc run's exit code and report, corr's wall time zeroed, or its
+    exit code and stderr."""
+    path = directory / "circuit.feqc"
+    path.write_text(print_circuit(circuit))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(["run", str(path), "--backend", backend])
+    if status:
+        return status, err.getvalue()
+    report = json.loads(out.getvalue())
+    if backend == "corr":
+        report["corr"]["wall_ms"] = 0.0
+    return status, report
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(spread_circuits())
+# The electron on arm 2 lands on the arm the splitter filled: both backends
+# name the circuit's arm, 1024.
+@example((Circuit(2, [PrepSpin(1, 1, 0), BeamSplitter(1, 2), PrepSpin(2, 1, 0),
+                      Measure("q", "charge", 2)]), {1: 1000, 2: 1024}))
+def test_a_report_depends_only_on_the_order_of_the_arms(tmp_path_factory, drawn):
+    """A circuit moved onto arms 1..1024 in the same order gives, on both
+    backends, the report it gives as written, bit for bit, but for its arm
+    count and the measured arms, which move with it; or the same refusal,
+    its arms moved."""
+    circuit, to = drawn
+    wide = Circuit(1024, [moved(ins, to) for ins in circuit.instructions])
+    directory = tmp_path_factory.mktemp("spread")
+    for backend in ("fock", "corr"):
+        status, got = run_outcome(directory, circuit, backend)
+        if status:
+            got = re.sub(r"\barm (\d+)", lambda m: f"arm {to[int(m[1])]}", got)
+        else:
+            got["arm_count"] = 1024
+            if backend == "corr":
+                got["corr"]["measured_arms"] = [to[a] for a in got["corr"]["measured_arms"]]
+        assert run_outcome(directory, wide, backend) == (status, got)
 
 
 def test_corr_cli_makes_no_leaf_node_for_a_terminal_block(tmp_path, monkeypatch, capsys):
@@ -983,9 +1076,10 @@ def terminal_block_query(circuit):
     """The state a circuit of terminal charge readouts reaches before them,
     and its arm count and read arms: the joint query its block prices."""
     M = corr.init_from_occupations([], circuit.arm_count)
+    apply = whole_circuit_apply(circuit)
     for ins in circuit.instructions:
         if not isinstance(ins, Measure):
-            M = corr._apply(M, ins)
+            M = apply(M, ins)
     read = [ins.arm for ins in circuit.instructions if isinstance(ins, Measure)]
     assert all(isinstance(ins, Measure) for ins in circuit.instructions[-len(read):])
     return M, (circuit.arm_count, read)
