@@ -432,18 +432,19 @@ def charge_branch_tree(circuit: Circuit):
     through the exponential monomial expansion and its 3^m term count
     reported in the stats; a joint probability that differs from the summed
     all-charge-1 leaves by more than NORM_TOLERANCE is an error, never
-    renormalized.  A tree whose leaves would take more than
-    MAX_TREE_BYTES as full matrices is refused while it is expanded, and a
-    state that reaches a readout with a trace other than the electrons added
-    on its path is refused (``_check_particle_number``), as is a block that
-    is not Hermitian or has an eigenvalue outside [0, 1] (``_check_spectrum``).
+    renormalized.  A tree whose leaves would take more than MAX_TREE_BYTES
+    as matrices of the walk is refused while it is expanded, and a state
+    that reaches a readout with a trace other than the electrons added on
+    its path is refused (``_check_particle_number``), as is a block that is
+    not Hermitian or has an eigenvalue outside [0, 1] (``_check_spectrum``).
 
     The walk runs the circuit's own instructions on the readouts' light cone
     (``circuit.light_cone``), over a matrix of the arms they act on: the k-th
-    smallest is its arm k (``_apply``).  MAX_ARMS, the bytes of a leaf, which
-    readouts are terminal and which form the trailing run, and the arms the
-    stats and messages name are taken from the circuit as written, so the
-    tree, the stats and every refusal are the ones the full circuit gives.
+    smallest is its arm k (``_apply``).  A leaf is charged the bytes of that
+    matrix, 16 * (2 * arms of the cone) ** 2.  MAX_ARMS, which readouts are
+    terminal and which form the trailing run, and the arms the stats and
+    messages name are taken from the circuit as written, so the tree, the
+    stats and every other refusal are the ones the full circuit gives.
     """
     validate_circuit(circuit)
     _reject_non_gaussian(circuit)
@@ -457,11 +458,10 @@ def charge_branch_tree(circuit: Circuit):
     admit_depth(len(measures) - trailing)  # the terminal block is a loop: only the rest nest
     terminal = bool(measures) and trailing == len(measures)
     leaf_count = 1  # the leaves the tree will have once every path made so far ends
-    leaf_bytes = 16 * (2 * circuit.arm_count) ** 2  # one full complex matrix
 
     def admit(grown: int) -> None:
-        # Refuse a tree whose leaves, one full matrix each, outgrow the budget
-        # while it is being expanded; a terminal block's stack is never larger.
+        # Refuse a tree whose leaves, one matrix of the walk each, outgrow the
+        # budget while it is being expanded; a terminal block's stack is never larger.
         nonlocal leaf_count
         leaf_count += grown
         if leaf_count * leaf_bytes > MAX_TREE_BYTES:
@@ -523,6 +523,7 @@ def charge_branch_tree(circuit: Circuit):
     # with it every probability, is computed as in the full circuit.
     local = {arm: k for k, arm in enumerate(
         sorted({arm for ins in cone for arm in instruction_arms(ins)}), start=1)}
+    leaf_bytes = 16 * (2 * len(local)) ** 2  # one complex matrix of the walk
     electrons: dict[str, int] = {}  # readout label -> electrons the cone adds before it
     added = 0
     for ins in cone:

@@ -287,12 +287,15 @@ def _kernel_entries(u: np.ndarray) -> Matrix2:
 
 
 def _two_mode(
-    amplitudes: dict[int, complex], p: int, q: int, u: Matrix2 | np.ndarray
+    amplitudes: dict[int, complex], p: int, q: int, u: Matrix2 | np.ndarray, prune: bool = True
 ) -> dict[int, complex]:
     """Closed-form action of a 2x2 unitary on modes p (row/column 0) and q,
     as described in apply_single_particle_unitary: an element-table tuple,
     read as it is, or an array.  Entries at or below PRUNE_THRESHOLD
-    contribute nothing; the output is not pruned."""
+    contribute nothing.  Only the amplitudes it computes are checked: with
+    ``prune``, the output goes through ``pruned`` if one of them fell below
+    PRUNE_THRESHOLD, and is returned as built otherwise; a key with neither
+    mode occupied is copied unchecked."""
     # Report bytes depend on the last bit of every amplitude and on the key
     # order: keep these product orders, the term landing on p first, and the
     # `0j +` that turns -0.0 into 0.0.
@@ -302,32 +305,45 @@ def _two_mode(
     between = (1 << max(p, q)) - (2 << min(p, q))
     # det U as (amp * u_hh) * u_ll - (amp * u_lh) * u_hl, h = the higher mode
     a, b, c, d = (u_qq, u_pp, u_pq, u_qp) if p < q else (u_pp, u_qq, u_qp, u_pq)
+    low = False  # whether a computed amplitude fell below the threshold
     out: dict[int, complex] = {}
     for key, amp in amplitudes.items():
         occupied = key & flip
         if not occupied:
             out[key] = 0j + amp
         elif occupied == flip:
-            out[key] = 0j + ((amp * a) * b - (amp * c) * d)
+            out[key] = val = 0j + ((amp * a) * b - (amp * c) * d)
+            if abs(val) < PRUNE_THRESHOLD:
+                low = True
         else:
             # A lone electron on p stays (u_pp) and moves to q (u_qp); one on q
             # moves to p (u_pq) and stays (u_qq).  A move takes the sign of the
-            # occupied modes in between; zero entries add no term.
+            # occupied modes in between; zero entries add no term.  A key that
+            # takes two terms is checked after each: its final value is the
+            # last one.
             moved = key ^ flip
             odd = (key & between).bit_count() & 1
             if occupied == bit_p:
                 if u_pp:
-                    out[key] = out.get(key, 0j) + amp * u_pp
+                    out[key] = val = out.get(key, 0j) + amp * u_pp
+                    if abs(val) < PRUNE_THRESHOLD:
+                        low = True
                 if u_qp:
                     val = amp * u_qp
-                    out[moved] = out.get(moved, 0j) + (-val if odd else val)
+                    out[moved] = val = out.get(moved, 0j) + (-val if odd else val)
+                    if abs(val) < PRUNE_THRESHOLD:
+                        low = True
             else:
                 if u_pq:
                     val = amp * u_pq
-                    out[moved] = out.get(moved, 0j) + (-val if odd else val)
+                    out[moved] = val = out.get(moved, 0j) + (-val if odd else val)
+                    if abs(val) < PRUNE_THRESHOLD:
+                        low = True
                 if u_qq:
-                    out[key] = out.get(key, 0j) + amp * u_qq
-    return out
+                    out[key] = val = out.get(key, 0j) + amp * u_qq
+                    if abs(val) < PRUNE_THRESHOLD:
+                        low = True
+    return pruned(out) if low and prune else out
 
 
 def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], list[complex]]:
@@ -366,19 +382,34 @@ def apply_single_particle_unitary(
     mode count is factored into two-mode Givens rotations after diagonal
     phases, each applied the same way.  Norm and per-key particle number are
     preserved.
+
+    Every FockState this module builds holds only amplitudes at or above
+    PRUNE_THRESHOLD, and a two-mode step relies on it: the step checks only
+    the amplitudes it computes, and prunes the whole output only if one of
+    them fell below the threshold.  On such an input it gives the keys, key
+    order and bits of the step followed by ``pruned``, and an output that
+    holds the invariant.  An input built by hand with a smaller amplitude on
+    a key that has neither mode occupied keeps that amplitude, unless a
+    computed amplitude of the same step falls below the threshold; then it
+    is dropped with it.  Any other mode count prunes only its final product,
+    every key of it.
     """
     m = len(modes)
     positions = [mode_position(mode, state.num_arms) for mode in modes]
     if len(set(positions)) != m:
         raise ValueError("modes must be distinct")
     u = step_unitary(matrix, m)
-    rotations, phases = ([(0, 1, u)], []) if m == 2 else _givens(u)
-    amplitudes = state.amplitudes if m else dict(state.amplitudes)  # never share the input's dict
-    for p, phase in zip(positions, phases):
-        amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
-    for i, j, g in rotations:
-        amplitudes = _two_mode(amplitudes, positions[i], positions[j], g)
-    amplitudes = pruned(amplitudes)
+    if m == 2:
+        amplitudes = _two_mode(state.amplitudes, *positions, u)
+    else:
+        rotations, phases = _givens(u)
+        # m = 0 applies nothing: copy, never share the input's dict
+        amplitudes = state.amplitudes if m else dict(state.amplitudes)
+        for p, phase in zip(positions, phases):
+            amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
+        for i, j, g in rotations:
+            amplitudes = _two_mode(amplitudes, positions[i], positions[j], g, prune=False)
+        amplitudes = pruned(amplitudes)
     _admit_keys(len(amplitudes))
     return FockState(state.num_arms, amplitudes)
 

@@ -4,7 +4,10 @@ Measurements return every outcome with probability above the branch
 threshold, each with its renormalized post-state.  One Born-rule routine,
 ``_born``, reads a run of readouts from a state in one pass over its keys
 into the walker's nodes; a single ``measure_*`` call is its one-readout
-case.  ``enumerate_branches`` expands a circuit into the full outcome tree
+case.  A leaf of that pass keeps its group of keys and its mass, and
+normalizes the group into its post-state when the post-state is first read,
+so a report that reads only outcomes and probabilities normalizes nothing.
+``enumerate_branches`` expands a circuit into the full outcome tree
 through the branch walker, ``walk``, which hands the circuit's trailing run
 of readouts to that routine on every path that reaches it.  ``branch_tree(..., cone=True)``, which
 ``feqc run`` uses on fock unless it emits states, walks only the readouts'
@@ -61,9 +64,13 @@ def _born(state: FockState, measures, outcomes: dict[str, int], prob: float, cou
     once, by their outcomes under every readout's meter, and a node's
     probability is its summed leaf mass over its parent's.  Every node drops
     the outcomes at or below BRANCH_THRESHOLD and renormalizes the rest, and
-    a leaf's post-state is its group over the square root of its mass, so
-    each node matches a readout of its parent's renormalized post-state.
-    ``count(1)`` is called before each leaf is made, in depth-first order.
+    a leaf's post-state is its group over the square root of its mass,
+    pruned, so each node matches a readout of its parent's renormalized
+    post-state.  A leaf keeps its group and mass and makes that post-state
+    when it is first read (``BranchRecord``).  ``count(1)`` is called before
+    each leaf is made, in depth-first order.  ``count`` is None for a lone
+    readout (``_measure``), whose caller takes every post-state at once: its
+    leaves are made with them.
     """
     meters = [_arm_meter(state, ins.kind, ins.arm) for ins in measures]
     mask = 0
@@ -94,8 +101,10 @@ def _expand(items: list, depth: int, mass: float, outcomes: dict[str, int], prob
     ``prob``: ``items`` are the (path, mass, amplitudes) leaves below it,
     which share their first ``depth`` outcomes, and ``mass`` is theirs (1 at
     the root); ``readouts`` holds the run's (labels, refusals, num_arms,
-    count).  A module-level function, not a closure: a recursive closure is a
-    reference cycle that would keep the state alive until the GC runs."""
+    count).  The last readout's children are leaf records that hold their
+    group and mass, not yet a post-state, but for a lone readout's.  A
+    module-level function, not a closure: a recursive closure is a reference
+    cycle that would keep the state alive until the GC runs."""
     labels, refusals, num_arms, count = readouts
     if items and items[0][0][depth] == REFUSED:  # an empty state has no items
         raise PreconditionError(refusals[depth])
@@ -118,13 +127,12 @@ def _expand(items: list, depth: int, mass: float, outcomes: dict[str, int], prob
         path = {**outcomes, labels[depth]: outcome}
         if not last:
             child = _expand(sub, depth + 1, m, path, prob * p, readouts)
+        elif count is None:  # a lone readout (_measure), whose post-states are read now
+            child = BranchRecord(path, prob * p, _leaf_state(sub, m, num_arms))
         else:
-            if count is not None:
-                count(1)
-            norm = math.sqrt(m)
-            for key, amp in sub.items():  # in place: no second dict per leaf
-                sub[key] = amp / norm
-            child = BranchRecord(path, prob * p, FockState(num_arms, pruned(sub)))
+            count(1)
+            child = object.__new__(BranchRecord)  # its post_state is made when first read
+            child.outcomes, child.probability, child._cell = path, prob * p, [sub, m, num_arms]
         nodes.append((outcome, p, child))
     return BranchNode(labels[depth], nodes)
 
@@ -172,6 +180,32 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     return _measure(state, "spin", arm)
 
 
+def _leaf_state(group: dict[int, complex], mass: float, num_arms: int) -> FockState:
+    """A leaf's post-state: its group over the square root of its mass, pruned."""
+    norm = math.sqrt(mass)
+    for key, amp in group.items():  # in place: no second dict per leaf
+        group[key] = amp / norm
+    return FockState(num_arms, pruned(group))
+
+
+class _UnreadPostState:
+    """The post_state of a BranchRecord made without one: a leaf of fock's
+    terminal block (``_expand``) holds the cell [group, mass, num_arms]
+    instead, and makes its post-state (``_leaf_state``) when it is first
+    read.  The record then keeps the state and the cell appends it, so a
+    copy made before that read reads the same state.  A descriptor without
+    __set__: a record that has its post_state reads it as a plain attribute."""
+
+    def __get__(self, record, owner=None):
+        if record is None:  # read on the class: the field has no default
+            raise AttributeError("post_state")
+        cell = record.__dict__.pop("_cell")
+        if len(cell) == 3:
+            cell.append(_leaf_state(*cell))
+        record.post_state = state = cell[3]
+        return state
+
+
 @dataclass
 class BranchRecord:
     """One outcome assignment, and the leaf of a branch tree that ends in it;
@@ -179,11 +213,14 @@ class BranchRecord:
     CorrelationMatrix on the corr backend).  It is None on
     corr leaves made by a terminal block of charge readouts, which keeps no
     matrix per leaf: that block keeps its leaves as arrays (FrontierNode),
-    and their records are built when its children are first read."""
+    and their records are built when its children are first read.  A leaf
+    of fock's terminal block (``_born``) keeps its group and mass, and makes
+    its post-state when it is first read, through ``==``, ``repr`` and
+    ``dataclasses.replace`` too; every later read gives the same object."""
 
     outcomes: dict[str, int]
     probability: float
-    post_state: Any
+    post_state: Any = _UnreadPostState()
 
 
 @dataclass

@@ -64,10 +64,44 @@ def dense_bilinear_unitary(num_arms: int, modes, u: np.ndarray) -> np.ndarray:
     return expm(1j * h_fock)
 
 
+def reference_two_mode(amplitudes: dict[int, complex], p: int, q: int, u) -> dict[int, complex]:
+    """The two-mode kernel loop as it was before it checked what it wrote:
+    every key computed with the kernel's arithmetic and order, nothing
+    checked or pruned."""
+    (u_pp, u_pq), (u_qp, u_qq) = u if type(u) is tuple else fock._kernel_entries(u)
+    bit_p = 1 << p
+    flip = bit_p | 1 << q
+    between = (1 << max(p, q)) - (2 << min(p, q))
+    a, b, c, d = (u_qq, u_pp, u_pq, u_qp) if p < q else (u_pp, u_qq, u_qp, u_pq)
+    out: dict[int, complex] = {}
+    for key, amp in amplitudes.items():
+        occupied = key & flip
+        if not occupied:
+            out[key] = 0j + amp
+        elif occupied == flip:
+            out[key] = 0j + ((amp * a) * b - (amp * c) * d)
+        else:
+            moved = key ^ flip
+            odd = (key & between).bit_count() & 1
+            if occupied == bit_p:
+                if u_pp:
+                    out[key] = out.get(key, 0j) + amp * u_pp
+                if u_qp:
+                    val = amp * u_qp
+                    out[moved] = out.get(moved, 0j) + (-val if odd else val)
+            else:
+                if u_pq:
+                    val = amp * u_pq
+                    out[moved] = out.get(moved, 0j) + (-val if odd else val)
+                if u_qq:
+                    out[key] = out.get(key, 0j) + amp * u_qq
+    return out
+
+
 def always_pruned_unitary(state: FockState, modes, matrix) -> FockState:
-    """apply_single_particle_unitary with the output rebuilt by the prune
-    comprehension on every call, as the kernel did before it kept an output
-    with nothing to prune: the reference for that shortcut."""
+    """apply_single_particle_unitary in two passes, the reference for its
+    shortcuts: every step computed by ``reference_two_mode``, then the
+    output rebuilt by the prune comprehension, whatever it holds."""
     positions = [fock.mode_position(mode, state.num_arms) for mode in modes]
     u = fock.step_unitary(matrix, len(modes))
     rotations, phases = ([(0, 1, u)], []) if len(modes) == 2 else fock._givens(u)
@@ -75,7 +109,7 @@ def always_pruned_unitary(state: FockState, modes, matrix) -> FockState:
     for p, phase in zip(positions, phases):
         amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
     for i, j, g in rotations:
-        amplitudes = fock._two_mode(amplitudes, positions[i], positions[j], g)
+        amplitudes = reference_two_mode(amplitudes, positions[i], positions[j], g)
     return FockState(state.num_arms, {k: a for k, a in amplitudes.items()
                                       if abs(a) >= fock.PRUNE_THRESHOLD})
 

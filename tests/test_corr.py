@@ -539,20 +539,36 @@ def test_a_post_states_arm_k_is_the_kth_smallest_arm_of_the_cone():
 def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch):
     """An element outside the cone between readouts (rot 7 x) leaves the
     readouts before it to be read one matrix at a time, as in the full
-    circuit, so a refused tree names the leaf count the full circuit names."""
+    circuit, so a refused tree names the leaf count the full circuit names;
+    each leaf is charged the matrix its walk holds: the cone's 6 arms, or
+    all 7 when the walk runs the full circuit."""
     circuit = parse("arms 7\n" + "".join(f"electron {a} (0.6,0) (0,0.8)\n" for a in range(1, 7))
                     + "".join(f"bs {a} {a + 1}\nrot {a} h\nbs {a} {a + 1}\n" for a in (1, 3, 5))
                     + "m1 = charge 1\nm2 = charge 2\nrot 7 x\n"
                     + "".join(f"t{a} = charge {a}\n" for a in range(3, 7))).circuit
     assert len(enumerate_charge_branches(circuit)[0]) == 216
-    leaf_bytes = 16 * 14 * 14  # the circuit's 7 arms, not the cone's 6
-    monkeypatch.setattr(corr, "MAX_TREE_BYTES", 176 * leaf_bytes)
-    message = f"181 leaves of {leaf_bytes} bytes each exceed the limit MAX_TREE_BYTES"
-    with pytest.raises(FeqcError, match=message):
-        enumerate_charge_branches(circuit)
-    monkeypatch.setattr(corr, "light_cone", list)
-    with pytest.raises(FeqcError, match=message):
-        enumerate_charge_branches(circuit)
+    for arms in (6, 7):
+        if arms == 7:
+            monkeypatch.setattr(corr, "light_cone", list)
+        leaf_bytes = 16 * (2 * arms) ** 2
+        monkeypatch.setattr(corr, "MAX_TREE_BYTES", 176 * leaf_bytes)
+        message = f"181 leaves of {leaf_bytes} bytes each exceed the limit MAX_TREE_BYTES"
+        with pytest.raises(FeqcError, match=message):
+            enumerate_charge_branches(circuit)
+
+
+def test_a_leaf_is_charged_the_cones_matrix_not_the_declared_arms():
+    """Three split electrons read on arms 1, 3 and 5, then rot 7 x: at
+    1024 declared arms the walk holds a 12 x 12 matrix per leaf, so the
+    27-leaf tree fits MAX_TREE_BYTES as it does under arms 7."""
+    body = "".join(f"electron {a} plus\n" for a in (1, 3, 5)) + "bs 1 2\nbs 3 4\nbs 5 6\n" \
+        + "".join(f"q{a} = charge {a}\n" for a in (1, 3, 5)) + "rot 7 x\n"
+    trees = [corr.charge_branch_tree(parse(f"arms {n}\n" + body).circuit) for n in (7, 1024)]
+    narrow, wide = ([(rec.outcomes, rec.probability) for rec in measurement.leaves(root)]
+                    for root, _ in trees)
+    assert len(wide) == 27 and wide == narrow
+    assert len(corr.merged_branches(trees[1][0])) == 8
+    assert trees[1][1].measured_arms == [1, 3, 5]
 
 
 def test_a_deep_terminal_frontier_gives_its_leaves_without_a_node_per_readout():

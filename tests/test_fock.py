@@ -353,6 +353,23 @@ def test_kernel_output_equals_the_always_pruned_reference_and_is_never_the_input
     assert cancelled >= 2
 
 
+def test_a_step_keeps_a_small_hand_built_amplitude_on_a_key_it_leaves_alone():
+    """A two-mode step checks only the amplitudes it computes: an input
+    amplitude below PRUNE_THRESHOLD on a key with neither mode occupied
+    (mode 1, between the step's modes 0 and 2) is kept, unless a computed
+    amplitude falls below the threshold too; then the whole output is pruned."""
+    modes = [(1, UP), (2, UP)]
+    out = apply_single_particle_unitary(FockState(2, {0b0010: 1e-13 + 0j, 0b0001: 1 + 0j}),
+                                        modes, BEAM_SPLITTER_MATRIX)
+    assert list(out.amplitudes) == [0b0010, 0b0001, 0b0100]
+    assert out.amplitudes[0b0010] == 1e-13
+    # The electron on mode 2 cancels: key 0b0100 ends at 0, so 0b0010 is dropped with it.
+    out = apply_single_particle_unitary(
+        FockState(2, {0b0010: 1e-13 + 0j, 0b0001: 0.5 + 0j, 0b0100: 0.5 + 0j}),
+        modes, BEAM_SPLITTER_MATRIX)
+    assert list(out.amplitudes) == [0b0001]
+
+
 def test_kernel_and_preparation_refuse_a_state_over_the_key_limit(monkeypatch):
     state = prepare_spin(prepare_spin(vacuum(2), 1, 1, 1), 2, 1, 0)  # two keys
     monkeypatch.setattr(fock, "MAX_KEYS", 3)

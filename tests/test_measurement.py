@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feqc import measurement
+from feqc import cli, measurement
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -41,7 +44,7 @@ from feqc.measurement import (
     sample_tree,
 )
 from feqc.parser import parse
-from helpers import charge1_probability, random_state
+from helpers import amplitude_bits, charge1_probability, random_state
 
 UP = Spin.UP
 DATA = Path(__file__).parent / "data"
@@ -588,3 +591,75 @@ def test_conditional_readouts_count_toward_the_depth_limit():
     circuit = Circuit(1, [PrepSpin(1, 1, 0), Measure("q0", "charge", 1), *nested])
     with pytest.raises(FeqcError, match="401 nested readouts"):
         branch_tree(circuit, vacuum(1))
+
+
+# Every readout trailing: each leaf is made by fock's terminal block.
+TERMINAL_RUN = """arms 3
+electron 1 (0.6,0) (0,0.8)
+electron 2 plus
+electron 3 up
+bs 1 2
+bs 2 3
+a = charge 1
+b = parity 2
+c = charge 3
+"""
+
+
+def terminal_leaves() -> list[BranchRecord]:
+    circuit = parse(TERMINAL_RUN).circuit
+    return leaves(branch_tree(circuit, vacuum(circuit.arm_count)))
+
+
+def test_a_terminal_leaf_makes_its_post_state_once_when_first_read():
+    records = terminal_leaves()
+    assert len(records) > 4 and all("post_state" not in vars(rec) for rec in records)
+    assert records[1].post_state is records[1].post_state
+    assert "post_state" not in vars(records[0])
+
+
+def test_terminal_leaves_read_in_any_order_give_the_same_states():
+    forward = [amplitude_bits(rec.post_state) for rec in terminal_leaves()]
+    assert [amplitude_bits(rec.post_state) for rec in reversed(terminal_leaves())] == forward[::-1]
+
+    def readout(state, ins, _prob):
+        return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
+
+    # Each holds the keys the walker's readout-by-readout tree gives its leaf.
+    circuit = parse(TERMINAL_RUN).circuit
+    plain = measurement.walk(circuit.instructions, vacuum(3), apply_instruction, readout)
+    assert [list(rec.post_state.amplitudes) for rec in leaves(plain)] == [
+        [k for k, _, _ in bits] for bits in forward]
+
+
+def test_a_terminal_leaf_compares_prints_and_copies_as_an_eager_record():
+    eager = [BranchRecord(rec.outcomes, rec.probability, rec.post_state)
+             for rec in terminal_leaves()]
+    assert [repr(rec) for rec in terminal_leaves()] == [repr(rec) for rec in eager]
+    assert terminal_leaves() == eager
+    assert eager == terminal_leaves()
+    lazy = terminal_leaves()
+    copies = [dataclasses.replace(rec, probability=0.5) for rec in lazy]
+    assert copies == [dataclasses.replace(rec, probability=0.5) for rec in eager]
+    assert all(twin.post_state is rec.post_state for twin, rec in zip(copies, lazy))
+    # A shallow copy made before the first read shares the state the original makes.
+    lazy = terminal_leaves()
+    copies = [copy.copy(rec) for rec in lazy]
+    assert [amplitude_bits(rec.post_state) for rec in lazy] == [
+        amplitude_bits(rec.post_state) for rec in eager]
+    assert all(twin.post_state is rec.post_state for twin, rec in zip(copies, lazy))
+
+
+def test_a_run_whose_readouts_are_all_terminal_normalizes_no_leaf(monkeypatch, tmp_path, capsys):
+    """feqc run reads only outcomes and probabilities: no leaf post-state is
+    made, so measurement.pruned is never called; --emit-state makes each."""
+    src = tmp_path / "terminal.feqc"
+    src.write_text(TERMINAL_RUN)
+    calls = []
+    monkeypatch.setattr(measurement, "pruned", lambda amplitudes: calls.append(1) or amplitudes)
+    for mode in ("enumerate", "sample"):
+        assert cli.main(["run", str(src), "--mode", mode]) == 0
+    assert calls == []
+    assert cli.main(["run", str(src), "--emit-state"]) == 0
+    assert len(calls) == len(terminal_leaves()) == len(json.loads(
+        capsys.readouterr().out.splitlines()[-1])["branches"])

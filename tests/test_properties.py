@@ -39,14 +39,16 @@ from feqc.circuit import (
     apply_instruction,
     light_cone,
     print_circuit,
+    unitary_steps,
     validate_circuit,
 )
 from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.measurement import BranchNode, BranchRecord, FrontierNode, enumerate_branches
 from feqc.parser import parse
-from helpers import (deep_terminal_circuit, dense_bilinear_unitary, dense_evolve, dense_project,
-                     dense_single_occupancy, dense_vector, merged_probabilities, mode_occupation,
-                     product_monomials, random_correlation_matrix, random_state, random_unitary)
+from helpers import (always_pruned_unitary, amplitude_bits, deep_terminal_circuit,
+                     dense_bilinear_unitary, dense_evolve, dense_project, dense_single_occupancy,
+                     dense_vector, merged_probabilities, mode_occupation, product_monomials,
+                     random_correlation_matrix, random_state, random_unitary)
 
 KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
             "spin", "up", "down", "plus"]
@@ -286,6 +288,114 @@ def test_a_spinor_times_a_power_of_two_prepares_the_same_bits(parts, exp):
 def test_givens_path_matches_dense_oracle(seed, modes_at):
     u = random_unitary(np.random.default_rng(seed + 1), len(modes_at))
     check_against_oracle(seed, modes_at, u)
+
+
+PRUNE = fock.PRUNE_THRESHOLD
+# Unit phases, and offsets of a few ulp around 1, for amplitudes near the threshold.
+PHASES = [1, -1, 1j, -1j, complex(math.sqrt(0.5), math.sqrt(0.5)), complex(0.6, -0.8)]
+ulps = st.integers(-4, 4).map(lambda k: 1 + k * 2.0**-52)
+
+
+def kernel_states(state, ins) -> list:
+    """The state after a preparation, or after each kernel step of an element."""
+    if isinstance(ins, (PrepSpin, PrepBell)):
+        return [apply_instruction(state, ins)]
+    states = []
+    for modes, matrix in unitary_steps(ins):
+        states.append(state := fock.apply_single_particle_unitary(state, modes, matrix))
+    return states
+
+
+# Two spinors, one with a (0,1e-6) component, then three splitters: some
+# amplitudes stay near 1e-6 and their cross terms near 1e-12.
+SMALL_SPINOR_CIRCUIT = Circuit(2, [
+    PrepSpin(1, 0.5j, 0.5j), PrepSpin(2, 0.5j, 1e-6j), SpinRotation(1, "h"),
+    BeamSplitter(1, 2), BeamSplitter(1, 2), BeamSplitter(1, 2), Measure("q0", "charge", 1)])
+SMALL_SPINOR_STATES = functools.reduce(
+    lambda states, ins: states + kernel_states(states[-1], ins),
+    SMALL_SPINOR_CIRCUIT.instructions[:-1], [fock.vacuum(2)])
+
+
+@st.composite
+def near_threshold_states(draw, at=()):
+    """States on ARMS arms, every amplitude at or above PRUNE_THRESHOLD, as
+    every state fock builds, made so that a step's outputs land near it:
+    amplitudes a few ulp above 1e-12, and pairs of keys that differ in two
+    modes, often the two a step acts on (``at``), with amplitudes a and
+    +-(a - t), t about sqrt(2) * 1e-12, which a splitter or Hadamard on those
+    modes nearly cancels (HOM-like pairs), inserted in either order."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(SMALL_SPINOR_STATES))
+    amplitudes = {}
+    for _ in range(draw(st.integers(1, 8))):
+        key = draw(st.integers(0, (1 << 2 * ARMS) - 1))
+        kind = draw(st.sampled_from(["near", "plain", "pair", "pair"]))
+        if kind == "near":
+            amplitudes[key] = PRUNE * draw(ulps) * draw(st.sampled_from(PHASES))
+        elif kind == "plain":
+            amplitudes[key] = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+        else:
+            mode_pairs = st.permutations(range(2 * ARMS)).map(lambda modes: modes[:2])
+            if len(at) == 2:
+                mode_pairs = st.one_of(mode_pairs, st.permutations(at))
+            p, q = draw(mode_pairs)
+            key = key & ~(1 << q) | 1 << p  # one electron on p, none on q
+            a = draw(st.one_of(st.floats(1e-12, 1e-10), st.floats(1e-10, 1)))
+            t = PRUNE * math.sqrt(2) * draw(st.one_of(ulps, st.floats(0.999, 1.001)))
+            phase = draw(st.sampled_from(PHASES))
+            pair = [(key, a * phase),
+                    (key ^ (1 << p | 1 << q), draw(st.sampled_from([1, -1])) * (a - t) * phase)]
+            amplitudes.update(pair[::draw(st.sampled_from([1, -1]))])
+    kept = {k: a for k, a in amplitudes.items() if abs(a) >= PRUNE}
+    assume(kept)
+    return fock.FockState(ARMS, kept)
+
+
+@st.composite
+def near_threshold_2x2(draw):
+    """A rotation whose off-diagonal entries are a few ulp from 1e-12, with
+    phases: the array path zeroes the entries at or below it."""
+    s = PRUNE * draw(ulps)
+    u = np.array([[1, -s], [s, 1]], dtype=complex)
+    return u * draw(st.sampled_from(PHASES)) * np.array(draw(st.sampled_from([[1, 1], [1, -1j]])))
+
+
+# (mode positions, matrix) of a step: every element-table matrix, Haar and
+# near-threshold 2x2 arrays, and unitaries of 1, 3 and 4 modes (the Givens path).
+steps = st.one_of(
+    st.tuples(positions(2), st.one_of(table_2x2, haar_2x2, near_threshold_2x2())),
+    st.sampled_from([1, 3, 4]).flatmap(lambda m: st.tuples(
+        positions(m), seeds.map(lambda seed: random_unitary(np.random.default_rng(seed), m)))),
+)
+
+
+def splitter_case(amplitudes):
+    """A splitter on modes 0 and 2 of a state with these amplitudes, in this
+    order: one key ends below the threshold, and the comment beside each
+    example names the write that gives that key its last term."""
+    return (fock.FockState(ARMS, {k: complex(a) for k, a in amplitudes.items()}),
+            ([0, 2], fock.BEAM_SPLITTER_MATRIX))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(steps.flatmap(lambda step: st.tuples(near_threshold_states(step[0]), st.just(step))))
+@example(splitter_case({0b0101: PRUNE}))  # both modes: det U rounds the amplitude below
+@example(splitter_case({0b0100: -0.5, 0b0001: 0.5}))  # mode 0 stays last
+@example(splitter_case({0b0001: 0.5, 0b0100: -0.5}))  # mode 2 moves to 0 last
+@example(splitter_case({0b0100: 0.5, 0b0001: 0.5}))  # mode 0 moves to 2 last
+@example(splitter_case({0b0001: 0.5, 0b0100: 0.5, 0b0010: PRUNE}))  # mode 2 stays last
+def test_a_step_gives_the_bits_of_the_kernel_then_the_prune(case):
+    """A step checks only the amplitudes it computes and prunes only when
+    one fell below the threshold; on a state whose amplitudes are all at or
+    above it, the output has the keys, order and amplitude bits of the
+    two-pass reference, every amplitude computed and then the whole output
+    pruned.  The Givens path (m != 2) gives the reference's bits too."""
+    state, (at, matrix) = case
+    modes = [(p // 2 + 1, fock.Spin(p % 2)) for p in at]
+    out = fock.apply_single_particle_unitary(state, modes, matrix)
+    reference = always_pruned_unitary(state, modes, matrix)
+    assert amplitude_bits(out) == amplitude_bits(reference)
+    assert all(abs(a) >= PRUNE for a in out.amplitudes.values())
 
 
 # Spinors from a fixed list keep every branch probability far from the 1e-12
@@ -551,8 +661,9 @@ def spread_circuits(draw):
     element filled, an entangled pair, elements, and at most two readouts of
     any kind, mid-circuit or trailing, under conditionals or not, with
     conditionals on them; and a strictly increasing map of its arms into
-    1..1024.  Two readouts make at most 16 leaves, as many as
-    corr.MAX_TREE_BYTES admits at 1024 arms."""
+    1..1024.  corr.MAX_TREE_BYTES charges a leaf the matrix of the cone's
+    arms, which the map keeps, so it refuses the moved circuit exactly when
+    it refuses the circuit as written."""
     n = draw(st.integers(1, 5))
     arm = st.integers(1, n)
     fresh = draw(st.permutations(range(1, n + 1)))
@@ -874,6 +985,44 @@ def test_fock_leaf_keys_hold_the_electrons_of_the_circuit_or_its_cone(circuit):
         electrons = electron_count(instructions)
         for rec in measurement.leaves(tree):
             assert {key.bit_count() for key in rec.post_state.amplitudes} == {electrons}
+
+
+def assert_above_threshold(state):
+    assert all(abs(a) >= PRUNE for a in state.amplitudes.values())
+    return state
+
+
+def checked_steps(state, ins):
+    """apply_instruction, the state checked after a preparation and after
+    each kernel step of an element."""
+    for state in kernel_states(state, ins):
+        assert_above_threshold(state)
+    return state
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(fock_terminal_circuits(), fock_cone_circuits()))
+@example(SMALL_SPINOR_CIRCUIT)
+@example(MIXED_TERMINAL_RUN)
+def test_every_state_fock_builds_holds_amplitudes_at_or_above_the_threshold(circuit):
+    """The invariant an element step relies on: every state after a
+    preparation or a kernel step, every mid-circuit readout's post-state and
+    every leaf's post-state, terminal leaves included, holds only amplitudes
+    at or above PRUNE_THRESHOLD."""
+    instructions = circuit.instructions
+    tail = len(instructions) - measurement.trailing_measures(instructions)
+
+    def branches(state, ins, _prob):
+        return [(outcome, p, assert_above_threshold(post))
+                for outcome, p, post in measurement._MEASURE_FNS[ins.kind](state, ins.arm)]
+
+    try:
+        root = measurement.walk(instructions, fock.vacuum(circuit.arm_count), checked_steps,
+                                branches, (tail, measurement._born))
+    except FeqcError:  # a refused readout or preparation
+        return
+    for rec in measurement.leaves(root):
+        assert_above_threshold(rec.post_state)
 
 
 @st.composite
