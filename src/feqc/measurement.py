@@ -67,10 +67,8 @@ def _born(state: FockState, measures, outcomes: dict[str, int], prob: float, cou
     a leaf's post-state is its group over the square root of its mass,
     pruned, so each node matches a readout of its parent's renormalized
     post-state.  A leaf keeps its group and mass and makes that post-state
-    when it is first read (``BranchRecord``).  ``count(1)`` is called before
-    each leaf is made, in depth-first order.  ``count`` is None for a lone
-    readout (``_measure``), whose caller takes every post-state at once: its
-    leaves are made with them.
+    when it is first read (``BranchRecord``).  ``count(1)``, unless ``count``
+    is None, is called before each leaf is made, in depth-first order.
     """
     meters = [_arm_meter(state, ins.kind, ins.arm) for ins in measures]
     mask = 0
@@ -102,9 +100,9 @@ def _expand(items: list, depth: int, mass: float, outcomes: dict[str, int], prob
     which share their first ``depth`` outcomes, and ``mass`` is theirs (1 at
     the root); ``readouts`` holds the run's (labels, refusals, num_arms,
     count).  The last readout's children are leaf records that hold their
-    group and mass, not yet a post-state, but for a lone readout's.  A
-    module-level function, not a closure: a recursive closure is a reference
-    cycle that would keep the state alive until the GC runs."""
+    group and mass, not yet a post-state.  A module-level function, not a
+    closure: a recursive closure is a reference cycle that would keep the
+    state alive until the GC runs."""
     labels, refusals, num_arms, count = readouts
     if items and items[0][0][depth] == REFUSED:  # an empty state has no items
         raise PreconditionError(refusals[depth])
@@ -127,10 +125,9 @@ def _expand(items: list, depth: int, mass: float, outcomes: dict[str, int], prob
         path = {**outcomes, labels[depth]: outcome}
         if not last:
             child = _expand(sub, depth + 1, m, path, prob * p, readouts)
-        elif count is None:  # a lone readout (_measure), whose post-states are read now
-            child = BranchRecord(path, prob * p, _leaf_state(sub, m, num_arms))
         else:
-            count(1)
+            if count is not None:
+                count(1)
             child = object.__new__(BranchRecord)  # its post_state is made when first read
             child.outcomes, child.probability, child._cell = path, prob * p, [sub, m, num_arms]
         nodes.append((outcome, p, child))
@@ -181,11 +178,11 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
 
 
 def _leaf_state(group: dict[int, complex], mass: float, num_arms: int) -> FockState:
-    """A leaf's post-state: its group over the square root of its mass, pruned."""
+    """A leaf's post-state: its group over the square root of its mass,
+    pruned.  The group is left as it is, so a read that fails part way, or
+    two threads' first reads at once, give the same state."""
     norm = math.sqrt(mass)
-    for key, amp in group.items():  # in place: no second dict per leaf
-        group[key] = amp / norm
-    return FockState(num_arms, pruned(group))
+    return FockState(num_arms, pruned({key: amp / norm for key, amp in group.items()}))
 
 
 class _UnreadPostState:
@@ -193,16 +190,21 @@ class _UnreadPostState:
     terminal block (``_expand``) holds the cell [group, mass, num_arms]
     instead, and makes its post-state (``_leaf_state``) when it is first
     read.  The record then keeps the state and the cell appends it, so a
-    copy made before that read reads the same state.  A descriptor without
-    __set__: a record that has its post_state reads it as a plain attribute."""
+    copy made before that read reads the same state; the record drops the
+    cell only once it holds the state, so a read that raises leaves it to be
+    read again.  A descriptor without __set__: a record that has its
+    post_state reads it as a plain attribute."""
 
     def __get__(self, record, owner=None):
         if record is None:  # read on the class: the field has no default
             raise AttributeError("post_state")
-        cell = record.__dict__.pop("_cell")
+        cell = record.__dict__.get("_cell")
+        if cell is None:  # another thread's first read stored the state after this lookup
+            return record.__dict__["post_state"]
         if len(cell) == 3:
             cell.append(_leaf_state(*cell))
         record.post_state = state = cell[3]
+        record.__dict__.pop("_cell", None)
         return state
 
 

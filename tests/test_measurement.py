@@ -650,6 +650,33 @@ def test_a_terminal_leaf_compares_prints_and_copies_as_an_eager_record():
     assert all(twin.post_state is rec.post_state for twin, rec in zip(copies, lazy))
 
 
+def test_a_first_read_that_raises_leaves_the_leaf_to_be_read_again(monkeypatch):
+    records = terminal_leaves()
+    expected = [amplitude_bits(rec.post_state) for rec in terminal_leaves()]
+
+    def interrupted(group, mass, num_arms):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(measurement, "_leaf_state", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            records[0].post_state
+    assert "post_state" not in vars(records[0])
+    assert [amplitude_bits(getattr(rec, "post_state", None)) for rec in records] == expected
+
+
+def test_a_lone_readout_reads_the_post_states_of_unread_leaf_records():
+    state = vacuum(3)
+    for ins in parse(TERMINAL_RUN).circuit.instructions:
+        if not isinstance(ins, Measure):
+            state = apply_instruction(state, ins)
+    node = measurement._born(state, [Measure("a", "charge", 1)], {}, 1.0, None)
+    assert len(node.children) > 1
+    assert all("post_state" not in vars(rec) for _, _, rec in node.children)
+    assert [(o, p, amplitude_bits(s)) for o, p, s in measure_charge(state, 1)] == [
+        (o, p, amplitude_bits(rec.post_state)) for o, p, rec in node.children]
+
+
 def test_a_run_whose_readouts_are_all_terminal_normalizes_no_leaf(monkeypatch, tmp_path, capsys):
     """feqc run reads only outcomes and probabilities: no leaf post-state is
     made, so measurement.pruned is never called; --emit-state makes each."""
