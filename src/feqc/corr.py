@@ -2,9 +2,10 @@
 
 A Gaussian state of 2N modes is fully described by the Hermitian matrix
 M[mu][nu] = <adag_mu a_nu> over the global mode order.  One-particle
-unitaries act by conjugation, occupation readouts condition the matrix with
-a rank-one update, and any product of mode occupations is a principal-minor
-determinant (Wick's theorem).
+unitaries act by conjugation, a mode's occupation readout conditions the
+matrix with a rank-one update and an arm's with a rank-two one, and any
+product of mode occupations is a principal-minor determinant (Wick's
+theorem).
 
 An arm-level charge readout that keeps the coherence of its singly occupied
 branch is not a Gaussian operation, and neither are parity meters or
@@ -18,11 +19,13 @@ That exponential term count is deliberately surfaced to callers.
 
 A circuit's trailing run of charge readouts is expanded breadth first, as one
 frontier: the live branches' blocks over the arms still to be read are
-stacked, and each readout is one batched rank-one update per mode; an arm
-read for the last time leaves the block before its update.  That block is
-exact because a projection on a mode of a set reads only entries in the set.
-Both frontiers stack (n, n, branches), so every elementwise step runs along
-the branch axis in long contiguous loops.
+stacked, and each readout conditions every block on the read arm's 2 x 2
+block at once, its four (n_up, n_down) children each one batched rank-two
+update; an arm read for the last time leaves the block in that update.
+That block is exact because a projection on a mode of a set reads only
+entries in the set.  Both frontiers stack (n, n, branches), so every
+elementwise step runs along the branch axis in long contiguous loops, and a
+step is the same fixed handful of numpy calls for any number of branches.
 
 A circuit runs on the backward light cone of its readouts, the rule fock's
 runs share (``circuit.light_cone``): the walk takes the circuit's own
@@ -42,6 +45,7 @@ conditioned it.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -64,10 +68,11 @@ PROBABILITY_FLOOR = 1e-12
 # semidefinite, so no rank-one update it makes exceeds 1 in magnitude.
 PIVOT_FLOOR = 1e-15
 MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~55 ms and ~38 MiB; each further arm triples both
-# Bytes one branch tree may take, counted as one full matrix of the circuit's
-# declared arms per leaf: 7281 leaves at 48 arms.  A terminal block's frontier
-# keeps a smaller matrix per live branch and never more branches than leaves,
-# and the light cone's matrices are no larger, so this bounds them too.
+# Bytes one branch tree may take, counted as one complex matrix of the walk
+# per leaf: 16 * (2 * arms of the readouts' light cone) ** 2 bytes, so 7281
+# leaves when the cone holds 48 arms.  A terminal block's frontier keeps a
+# smaller matrix per live branch and never more branches than leaves, so this
+# bounds it too.
 MAX_TREE_BYTES = 1 << 30
 
 
@@ -103,16 +108,15 @@ def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex,
     """Occupy one fresh orbital of an empty arm with the given spinor; a
     refusal calls the arm ``name`` (by default ``arm``)."""
     up = mode_position((arm, Spin.UP), M.num_arms)
-    block = M.matrix[up:up + 2, up:up + 2]
-    if np.linalg.norm(block) > 1e-9:
+    if math.hypot(*map(abs, M.matrix[up:up + 2, up:up + 2].ravel().tolist())) > 1e-9:
         arm = arm if name is None else name
         raise PreconditionError(f"add_electron: arm {arm} is already occupied")
     fock.check_spinor(alpha, beta)
     alpha, beta = fock.unit_scaled(alpha, beta)
-    norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    v = np.array([alpha / norm, beta / norm], dtype=complex)
+    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    v = np.array([alpha / norm, beta / norm])
     m = M.matrix.copy()
-    m[up:up + 2, up:up + 2] += np.outer(v.conj(), v)
+    m[up:up + 2, up:up + 2] += v.conj()[:, None] * v
     return CorrelationMatrix(M.num_arms, m)
 
 
@@ -121,27 +125,37 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
 
     The index convention (adag_mu -> sum_nu U[nu][mu] adag_nu, hence
     M -> conj(V) M V^T for the embedded matrix V) is pinned by the
-    Fock-backend oracle tests, not by fiat.  Only the listed rows, then columns, mix.
+    Fock-backend oracle tests, not by fiat.  Only the listed rows, then
+    columns, mix: they are read and written through one strided view, the
+    evenly spaced positions from the lowest listed one to the highest, on
+    which V is the unitary embedded in the identity (``_embedding``).
     """
     positions = [mode_position(mode, M.num_arms) for mode in modes]
     if len(set(positions)) != len(positions):
         raise ValueError("modes must be distinct")
     u = fock.step_unitary(matrix, len(positions))
-    if type(u) is tuple:
-        u = _table_array(u)
-    p = np.array(positions)  # one index array for all four fancy-index steps
+    low = min(positions, default=0)
+    step = math.gcd(*(p - low for p in positions)) or 1
+    at = tuple((p - low) // step for p in positions)  # each mode's row of the view
+    span = slice(low, low + step * (max(at, default=-1) + 1), step)
+    v_conj, v_t = _embedding(u if type(u) is tuple else tuple(map(tuple, u.tolist())), at)
     m = M.matrix.copy()
-    m[p] = u.conj() @ m[p]
-    m[:, p] = m[:, p] @ u.T
+    m[span] = v_conj @ m[span]
+    m[:, span] = m[:, span] @ v_t
     return CorrelationMatrix(M.num_arms, m)
 
 
-@functools.cache
-def _table_array(u: fock.Matrix2) -> np.ndarray:
-    """An element-table matrix as a read-only array, made once for each."""
-    array = np.array(u)
-    array.setflags(write=False)
-    return array
+@functools.lru_cache(maxsize=256)
+def _embedding(u: tuple, at: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """conj(V) and V^T, read-only, for the unitary u (a tuple of rows) embedded
+    in the identity at rows and columns ``at``; the element table's matrices
+    are made once for each place they act."""
+    v = np.eye(max(at, default=-1) + 1, dtype=complex)
+    v[np.ix_(at, at)] = u
+    v.setflags(write=False)
+    v_conj = v.conj()
+    v_conj.setflags(write=False)
+    return v_conj, v.T
 
 
 def _check_unit(name: str, values, weights=1.0) -> None:
@@ -164,26 +178,6 @@ def occupation_probabilities(stack: np.ndarray, pos: int) -> np.ndarray:
     return np.minimum(np.maximum(stack[pos, pos].real, 0.0), 1.0)
 
 
-def _project(stack: np.ndarray, pos: int, at: np.ndarray, outcomes: np.ndarray,
-             drop: bool = False) -> np.ndarray:
-    """stack[..., at[i]] conditioned on mode position ``pos`` reading
-    outcomes[i], for every i, stacked in that order on the last axis, by
-    project_occupation's one update for either outcome.  With ``drop`` the
-    mode is the stack's first and leaves it: only the other rows and columns
-    are computed.  The update is elementwise, so a matrix gets the same bits
-    in any stack."""
-    taken = stack.take(at, 2)
-    keep = slice(1, None) if drop else slice(None)
-    col = taken[keep, pos]
-    updated = col[:, None] * np.where(outcomes, taken[pos, keep], col.conj())
-    updated *= 1.0 / ((1 - outcomes) - taken[pos, pos].real)  # bit for bit / d: see _floored
-    updated += taken[keep, keep]
-    if not drop:
-        updated[pos] = updated[:, pos] = 0.0
-        updated[pos, pos] = outcomes
-    return updated
-
-
 def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float, CorrelationMatrix]:
     """Condition the Gaussian state on one mode reading empty or occupied.
 
@@ -195,12 +189,18 @@ def project_occupation(M: CorrelationMatrix, mode, outcome: int) -> tuple[float,
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     pos = mode_position(mode, M.num_arms)
-    occ = M.matrix[pos, pos].real
+    m = M.matrix
+    occ = m[pos, pos].real
     prob = occ if outcome == 1 else 1.0 - occ
     if prob <= PROBABILITY_FLOOR:
         raise ValueError(f"outcome {outcome} on mode {tuple(mode)} has zero probability")
-    updated = _project(M.matrix[..., None], pos, np.zeros(1, int), np.array([outcome]))
-    return float(min(prob, 1.0)), CorrelationMatrix(M.num_arms, updated[..., 0])
+    col = m[:, pos]
+    updated = col[:, None] * (m[pos] if outcome else col.conj())
+    updated *= 1.0 / ((1 - outcome) - occ)  # bit for bit / d: see _floored
+    updated += m
+    updated[pos] = updated[:, pos] = 0.0
+    updated[pos, pos] = outcome
+    return float(min(prob, 1.0)), CorrelationMatrix(M.num_arms, updated)
 
 
 def _joint_ups(arms, num_arms: int) -> list[int]:
@@ -224,21 +224,14 @@ def _floored(pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(kept, pivots, 0.0), 1.0 / np.where(kept, pivots, 1.0)
 
 
-def _grow(weights: np.ndarray, up, down, both) -> np.ndarray:
+def _grow(weights: np.ndarray, pivots: np.ndarray, both) -> np.ndarray:
     """The weights of every entry's up, down and both children, child-major:
-    every entry's up child, then every down child, then every both child."""
+    every entry's up child, then every down child, then every both child;
+    ``pivots`` holds the up and down children's pivots, (2, entries)."""
     grown = np.empty((3, len(weights)))
-    np.multiply(weights, up, out=grown[0])
-    np.multiply(weights, down, out=grown[1])
+    np.multiply(weights, pivots, out=grown[:2])
     np.multiply(grown[0], -2.0 * both, out=grown[2])
     return grown.reshape(-1)
-
-
-def _schur(block: np.ndarray, scale: np.ndarray, out=None) -> np.ndarray:
-    """Every (n, n, B) stack matrix's Schur complement of its first mode, whose pivots'
-    reciprocals are ``scale``: block[1:, 1:] - block[1:, :1] * (block[:1, 1:] * scale)."""
-    out = np.multiply(block[1:, :1], block[:1, 1:] * scale, out=out)
-    return np.subtract(block[1:, 1:], out, out=out)
 
 
 def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
@@ -254,12 +247,13 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
     weights w S00, w S11 and -2 w S00 (S11 - S10 S01 / S00).  A child's
     block is the Schur complement of the modes it picked, the arm's rows and
     columns dropped, so every determinant is a product of pivots.  Each is
-    one Schur step on a first mode (``_schur``): the up child's on S, the
-    down child's on S without its up mode, and the both child's on the up
-    child before its down mode is dropped; at the last arm only the pivots
-    are computed.  A pivot at or below PIVOT_FLOOR zeros its child's weight
-    and divides by 1 instead: the subtree it drops is a conditional
-    probability, worth at most |w| PIVOT_FLOOR.
+    one Schur step that eliminates a mode: the up child's eliminates the up
+    mode of S and the down child's the down mode of S without its up mode,
+    both in one batched step, and the both child's eliminates the down mode
+    of the up child's step before that mode is dropped; at the last arm only
+    the pivots are computed.  A pivot at or below PIVOT_FLOOR zeros its
+    child's weight and divides by 1 instead: the subtree it drops is a
+    conditional probability, worth at most |w| PIVOT_FLOOR.
 
     The entries' blocks are stacked (n, n, entries) and each arm's children
     laid out child-major; one permutation puts the leaves in product order.
@@ -275,16 +269,26 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
         pivots, scales = _floored(block.diagonal()[:, :2].T.real)
         if n == 0:  # the last arm: its pivots alone
             both = block[1, 1] - block[1, 0] * (block[0, 1] * scales[0])
-            terms = _grow(weights, pivots[0], pivots[1], _floored(both.real)[0])
+            terms = _grow(weights, pivots, _floored(both.real)[0])
             return terms.reshape((3,) * len(ups)).transpose().reshape(-1)
-        up = _schur(block, scales[0])  # still holds the arm's down mode, first
+        # The up and down children's Schur steps at once, [row, column, step,
+        # entry] over the modes after the up mode: the up step's still holds
+        # the arm's down mode, first; the down step's row and column of it
+        # are never read.
+        rows = block[:2, 1:] * scales[:, None]
+        steps = block[1:, None, :2] * rows.transpose(1, 0, 2)[None]
+        np.subtract(block[1:, 1:, None], steps, out=steps)
+        del block  # the previous arm's children, freed before this arm's are made
+        up = steps[:, :, 0]
         both, scale = _floored(up[0, 0].real)
         children = np.empty((n, n, 3, count), complex)  # [row, column, child, entry]
-        children[:, :, 0] = up[1:, 1:]
-        _schur(block[1:, 1:], scales[1], children[:, :, 1])
-        _schur(up, scale, children[:, :, 2])
-        weights = _grow(weights, pivots[0], pivots[1], both)
+        children[:, :, :2] = steps[1:, 1:]
+        both_child = children[:, :, 2]  # the up step's Schur complement of its down mode
+        np.multiply(up[1:, :1], up[:1, 1:] * scale, out=both_child)
+        np.subtract(up[1:, 1:], both_child, out=both_child)
+        weights = _grow(weights, pivots, both)
         block = children.reshape(n, n, 3 * count)
+        del children, both_child, steps, up  # so the block is the children's only reference
 
 
 def single_occupancy_probability(M: CorrelationMatrix, arms) -> float:
@@ -332,53 +336,80 @@ def _reject_non_gaussian(circuit: Circuit) -> None:
                 )
 
 
-# q * _FLIP + _ONE_ZERO is (1 - q, q) bit for bit: -q + 1 rounds as 1 - q does.
-_FLIP, _ONE_ZERO = np.array([-1.0, 1.0]), np.array([1.0, 0.0])
-
-
-def _outcomes(pairs: np.ndarray):
-    """The outcomes of (K, 2) outcome probabilities above PROBABILITY_FLOOR,
-    as (entry, outcome, probability) arrays in entry order."""
-    kept = pairs > PROBABILITY_FLOOR
-    return *kept.nonzero(), pairs[kept]
+# The children of an arm readout in (n_up, n_down) order: the modes each one
+# reads empty, its charge, and the sign that turns its probability into
+# det(S_AA - diag(empty)), the pivot its rank-two update divides by.
+_EMPTY_UP, _EMPTY_DOWN = np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0, 1.0, 0.0])
+_CHARGES = np.array([0, 1, 1, 2])
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _charge_readout(stack: np.ndarray, up: int, weights, admit, last: bool = False,
                     drop: bool = False):
-    """One spin-resolved charge readout of every matrix in an (n, n, B) stack:
-    the up mode's projections, then the down mode's, batched over the stack.
-    ``weights`` are the matrices' branch probabilities, which weigh the
-    drift of the arm's two occupations in every matrix before it is read
-    (``_check_unit``); the down mode's occupations after the up mode's
-    projection, divided by its outcome's probability, are only clipped.
+    """One spin-resolved charge readout of every matrix in an (n, n, B) stack,
+    conditioned on the arm's 2 x 2 block S_AA of modes up and up + 1 at once.
+    ``weights`` are the matrices' branch probabilities, which weigh the drift
+    of the arm's two occupations a and d in every matrix (``_check_unit``).
+
+    Every matrix has four children, (n_up, n_down) = (0, 0), (0, 1), (1, 0),
+    (1, 1), of probabilities 1 - a - d + det S_AA, d - det S_AA, a - det S_AA
+    and det S_AA, formed from the clipped occupations; those at or below
+    PROBABILITY_FLOOR are dropped, and the kept ones of each matrix must sum
+    to 1 within NORM_TOLERANCE: the four sum to 1 by construction, so this
+    catches the negative child of a drifted block, which is dropped.  A kept
+    child's matrix over the other modes R is one rank-two update,
+    S_RR - S_RA K^-1 S_AR with K = S_AA - diag(1 - n_up, 1 - n_down), whose
+    determinant is the child's probability up to sign.  With ``drop`` the
+    read arm is the stack's first and leaves it; otherwise it stays as
+    diag(n_up, n_down).  The update is elementwise along the stack, so a
+    matrix gets the same bits in any stack.
 
     Returns the children's parent indices, charges and probabilities as
-    arrays in parent order, and the stack of their matrices in that order,
-    which is None when ``last``.  With ``drop`` the read arm is the stack's
-    first and leaves it, mode by mode, before each update.  The two
-    single-occupancy outcomes (up vs down) stay distinct children even though
-    both report charge 1; a Gaussian state cannot keep their coherence, which
-    is exactly the information an electrometer would not reveal.  ``admit(n)``
-    is told that the tree grows by n leaves before the children's matrices
-    are made.
+    arrays in (parent, n_up, n_down) order, and the stack of their matrices
+    in that order, which is None when ``last``.  The two single-occupancy
+    outcomes (up vs down) stay distinct children even though both report
+    charge 1; a Gaussian state cannot keep their coherence, which is exactly
+    the information an electrometer would not reveal.  ``admit(n)`` is told
+    that the tree grows by n leaves before the children's matrices are made.
     """
-    _check_unit("occupation", stack[up:up + 2, up:up + 2].diagonal().T.real, weights)  # (2, B)
+    arm = stack[up:up + 2, up:up + 2]  # S_AA of every matrix, (2, 2, B)
+    _check_unit("occupation", arm.diagonal().T.real, weights)
     # occupation_probabilities may be swapped for any callable giving a sequence of floats
-    q = np.asarray(occupation_probabilities(stack, up))[:, None]
-    at, n_up, p_up = _outcomes(q * _FLIP + _ONE_ZERO)
-    mid = _project(stack, up, at, n_up, drop)
-    down = 0 if drop else up + 1
-    q = np.asarray(occupation_probabilities(mid, down))[:, None]
-    k, n_down, p = _outcomes((q * _FLIP + _ONE_ZERO) * p_up[:, None])  # p_up * p_down
-    parents = at[k]
-    totals = np.bincount(parents, weights=p, minlength=stack.shape[2])  # each parent's, in order
+    a = np.asarray(occupation_probabilities(stack, up))
+    d = np.asarray(occupation_probabilities(stack, up + 1))
+    outcomes = np.empty((len(a), 4))  # each matrix's children's probabilities
+    np.subtract(a * d, (arm[0, 1] * arm[1, 0]).real, out=outcomes[:, 3])
+    np.subtract(a, outcomes[:, 3], out=outcomes[:, 2])
+    np.subtract(d, outcomes[:, 3], out=outcomes[:, 1])
+    np.subtract(1 - a, outcomes[:, 1], out=outcomes[:, 0])
+    kept = outcomes > PROBABILITY_FLOOR
+    parents, child = kept.nonzero()
+    p = outcomes[kept]
+    totals = np.bincount(parents, weights=p, minlength=len(a))  # each parent's, in order
     drifted = np.abs(totals - 1) > NORM_TOLERANCE
     if np.count_nonzero(drifted):
         total = float(totals[drifted][0]) or 0  # a parent without children sums to 0
         raise FeqcError(f"correlation matrix drifted: outcome probabilities sum to {total!r}")
-    admit(len(p) - stack.shape[2])
-    charges = n_up[k] + n_down
-    return parents, charges, p, None if last else _project(mid, down, k, n_down, drop)
+    admit(len(p) - len(a))
+    if last:
+        return parents, _CHARGES[child], p, None
+    # Each child's copy of S_RR is taken only for the last subtraction, so at
+    # most two child-sized stacks are held at once.
+    rows = stack[up:up + 2].take(parents, 2)  # S_A: of each child's parent
+    cols = stack[:, up:up + 2].take(parents, 2)  # S_:A
+    rest = slice(2, None) if drop else slice(None)  # the rows and columns R
+    scale = _SIGNS[child] / p  # 1 / det K
+    r, s = rows[0, rest], rows[1, rest]  # S_AR
+    # K^-1 S_AR as its rows x and y, K^-1 = [[K11, -K01], [-K10, K00]] / det K
+    x = ((rows[1, up + 1].real - _EMPTY_DOWN[child]) * r - rows[0, up + 1] * s) * scale
+    y = ((rows[0, up].real - _EMPTY_UP[child]) * s - rows[1, up] * r) * scale
+    updated = cols[rest, 0][:, None] * x
+    updated += cols[rest, 1][:, None] * y
+    np.subtract(stack[rest, rest].take(parents, 2), updated, out=updated)
+    if not drop:
+        updated[up:up + 2] = updated[:, up:up + 2] = 0.0
+        updated[up, up], updated[up + 1, up + 1] = 1 - _EMPTY_UP[child], 1 - _EMPTY_DOWN[child]
+    return parents, _CHARGES[child], p, updated
 
 
 def _check_particle_number(M: CorrelationMatrix, electrons: int, weight: float) -> None:
@@ -417,13 +448,16 @@ def _apply(M: CorrelationMatrix, ins, local: dict[int, int]) -> CorrelationMatri
 def charge_branch_tree(circuit: Circuit):
     """Expand a Gaussian circuit into a branch tree over charge readouts.
 
-    Charge is read out mode by mode (spin-resolved), the realization a
-    correlation matrix can track; parity and spin meters, readouts under
-    conditionals, and elements on an arm after its charge readout, are
-    refused.  A readout followed by other instructions branches one matrix
-    at a time.  The circuit's trailing run of readouts is expanded breadth
-    first: every live branch's 2m x 2m block over the m read arms is
-    stacked, and each readout is one batched rank-one update per mode.  The
+    Charge is read out spin-resolved, the realization a correlation matrix
+    can track; parity and spin meters, readouts under conditionals, and
+    elements on an arm after its charge readout, are refused.  Every readout
+    is one ``_charge_readout`` step, which conditions on the arm's 2 x 2
+    block once and makes each (n_up, n_down) child by one rank-two update.
+    A readout followed by other instructions branches one matrix at a time,
+    the arm kept as diag(n_up, n_down).  The circuit's trailing run of
+    readouts is expanded breadth first: every live branch's 2m x 2m block
+    over the m read arms is stacked, each readout is one batched step over
+    the stack, and an arm read for the last time leaves it.  The
     run is one FrontierNode: its leaves are kept as arrays of outcomes and
     probabilities, and keep no matrix; their records (``post_state`` None)
     are built when they or the node's children are first read.

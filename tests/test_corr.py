@@ -33,8 +33,9 @@ from feqc.corr import (
 from feqc.errors import FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.fock import BEAM_SPLITTER_MATRIX, Spin, prepare_bell, prepare_spin, vacuum
 from feqc.parser import parse
-from helpers import (charge1_probability, dense_two_point, merged_probabilities, mode_branches,
-                     mode_occupation, principal_minor, random_spinor, random_unitary)
+from helpers import (charge1_probability, dense_two_point, dense_vector, from_dense,
+                     merged_probabilities, mode_branches, mode_occupation, principal_minor,
+                     random_spinor, random_unitary)
 
 UP, DOWN = Spin.UP, Spin.DOWN
 DATA = Path(__file__).parent / "data"
@@ -157,7 +158,7 @@ def _random_gaussian_pair(rng, num_arms=3, electrons=2, elements=6):
         M = add_electron(M, int(arm), v[0], v[1])
     all_modes = [(a, s) for a in range(1, num_arms + 1) for s in (UP, DOWN)]
     for _ in range(elements):
-        size = int(rng.integers(2, 4))
+        size = int(rng.integers(2, min(4, 2 * num_arms + 1)))  # one arm has two modes
         chosen = [all_modes[i] for i in rng.choice(len(all_modes), size=size, replace=False)]
         u = random_unitary(rng, size)
         state = fock.apply_single_particle_unitary(state, chosen, u)
@@ -177,6 +178,97 @@ def test_projection_update_matches_oracle_two_point_functions():
             assert prob_corr == pytest.approx(prob_fock, abs=1e-9)
             oracle = dense_two_point(post)
             assert np.allclose(M_post.matrix, oracle, atol=1e-8)
+
+
+def _oracle_arm_children(state, arm: int) -> list[tuple[int, int, float, fock.FockState]]:
+    """(n_up, n_down, probability, post-state) of each outcome of an arm's
+    spin-resolved charge readout above PROBABILITY_FLOOR, in (n_up, n_down)
+    order: the dense vector projected on the outcome's keys and renormalized."""
+    up = 2 * (arm - 1)
+    vec = dense_vector(state)
+    keys = np.arange(len(vec))
+    children = []
+    for n_up in (0, 1):
+        for n_down in (0, 1):
+            part = np.where((keys >> up & 1 == n_up) & (keys >> (up + 1) & 1 == n_down), vec, 0)
+            p = float(np.vdot(part, part).real)
+            if p > corr.PROBABILITY_FLOOR:
+                children.append((n_up, n_down, p, from_dense(part / np.sqrt(p), state.num_arms, 0)))
+    return children
+
+
+def _assert_readout_matches_oracle(states, matrices, arm: int, tol=1e-12):
+    """corr._charge_readout of arm ``arm`` on the stacked matrices, in both
+    forms, against the dense oracle's children of the matched Fock states:
+    the same children in (parent, n_up, n_down) order, and each child's
+    probability and conditioned matrix within ``tol``.  The keep form reads
+    the arm in place and keeps it as diag(n_up, n_down); the drop form reads
+    it at the front of the stack and drops it."""
+    num_arms = states[0].num_arms
+    up = 2 * (arm - 1)
+    order = [up, up + 1, *(p for p in range(2 * num_arms) if p not in (up, up + 1))]
+    stack = np.stack(matrices, axis=2)
+    kept = corr._charge_readout(stack, up, np.ones(len(states)), lambda n: None)
+    dropped = corr._charge_readout(stack[order][:, order], 0, np.ones(len(states)),
+                                   lambda n: None, drop=True)
+    expected = [(b, n_up, n_down, p, dense_two_point(post)) for b, state in enumerate(states)
+                for n_up, n_down, p, post in _oracle_arm_children(state, arm)]
+    for (parents, charges, probs, post), oracles in (
+            (kept, [oracle for *_, oracle in expected]),
+            (dropped, [oracle[order][:, order][2:, 2:] for *_, oracle in expected])):
+        assert parents.tolist() == [b for b, *_ in expected]
+        assert charges.tolist() == [n_up + n_down for _, n_up, n_down, *_ in expected]
+        assert probs == pytest.approx([p for *_, p, _ in expected], rel=0, abs=tol)
+        for k, oracle in enumerate(oracles):
+            assert np.abs(post[..., k] - oracle).max(initial=0.0) <= tol  # 0 x 0 once one arm drops
+    return kept
+
+
+def test_charge_readout_matches_the_dense_oracle():
+    """One arm readout of a stack of drawn Gaussian states (1-4 arms, 1-5
+    entries) gives each (n_up, n_down) child of the projected and
+    renormalized Fock state, its probability and matrix within 1e-12."""
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        num_arms = int(rng.integers(1, 5))
+        drawn = [_random_gaussian_pair(rng, num_arms, int(rng.integers(1, num_arms + 1)))
+                 for _ in range(int(rng.integers(1, 6)))]
+        _assert_readout_matches_oracle([state for state, _ in drawn], [M.matrix for _, M in drawn],
+                                       int(rng.integers(1, num_arms + 1)))
+
+
+def _split_electron(beta: float):
+    """An electron of spinor (1, beta) on arm 1, split with arm 2 by a beam
+    splitter, as a matched (FockState, CorrelationMatrix)."""
+    state = apply_instruction(prepare_spin(vacuum(2), 1, 1, beta), BeamSplitter(1, 2))
+    M = evolve(add_electron(init_from_occupations([], 2), 1, 1, beta), [(1, DOWN), (2, DOWN)],
+               BEAM_SPLITTER_MATRIX)
+    return state, evolve(M, [(1, UP), (2, UP)], BEAM_SPLITTER_MATRIX)
+
+
+def test_charge_readout_keeps_a_child_just_above_the_probability_floor():
+    # Arm 1 holds the down part with probability beta^2 / 2: 1.125e-12 is kept,
+    # 5e-13 dropped; the oracle prunes at the same floor.
+    drawn = [_split_electron(1.5e-6), _split_electron(1e-6), _split_electron(0.6)]
+    parents, _, probs, _ = _assert_readout_matches_oracle(
+        [state for state, _ in drawn], [M.matrix for _, M in drawn], 1)
+    assert parents.tolist() == [0, 0, 0, 1, 1, 2, 2, 2]
+    assert probs[1] == pytest.approx(1.125e-12, rel=1e-9)
+
+
+def test_charge_readout_of_an_arm_read_twice():
+    """The keep form leaves the arm definite: reading it again gives each
+    child once, with probability 1 and its matrix unchanged, as the oracle's
+    second projection does."""
+    rng = np.random.default_rng(53)
+    drawn = [_random_gaussian_pair(rng, 3, 2) for _ in range(3)]
+    parents, _, _, once = _assert_readout_matches_oracle(
+        [state for state, _ in drawn], [M.matrix for _, M in drawn], 2)
+    children = [post for state, _ in drawn for *_, post in _oracle_arm_children(state, 2)]
+    twice = _assert_readout_matches_oracle(children, list(once.transpose(2, 0, 1)), 2)
+    assert twice[0].tolist() == list(range(len(children)))
+    assert twice[2].tolist() == [1.0] * len(children)
+    assert np.array_equal(twice[3], once)
 
 
 def test_purity_preserved_by_evolution_and_projection():

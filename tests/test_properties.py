@@ -499,19 +499,31 @@ def whole_circuit_apply(circuit):
 
 
 def sequential_charge_outcomes(M, ins, _prob):
-    """A charge readout as two mode projections in sequence, one matrix at a
-    time: the loop the batched readout replaced, kept as its reference."""
-    up, down = (ins.arm, fock.Spin.UP), (ins.arm, fock.Spin.DOWN)
+    """A charge readout one matrix and one child at a time, the loop the
+    batched readout replaced, kept as its reference: the four (n_up, n_down)
+    probabilities from the arm's occupations a, d and det S_AA, then each
+    kept child's matrix by the rank-two update S - S_:A K^-1 S_A: with
+    K = S_AA - diag(1 - n_up, 1 - n_down), its arm set to diag(n_up, n_down).
+    Each step keeps the batched readout's operation order, so the bits match."""
+    m = M.matrix
+    up = fock.mode_position((ins.arm, fock.Spin.UP), M.num_arms)
+    a, d = (mode_occupation(M, (ins.arm, spin)) for spin in fock.Spin)
+    # np.multiply rounds as the batched array product does; a scalar `*` may not.
+    both = a * d - np.multiply(m[up, up + 1], m[up + 1, up]).real
+    probs = {(1, 1): both, (1, 0): a - both, (0, 1): d - both}
+    probs[0, 0] = (1 - a) - probs[0, 1]
     outcomes = []
-    p_up1 = mode_occupation(M, up)
-    for n_up, p_up in ((0, 1.0 - p_up1), (1, p_up1)):
-        if p_up > corr.PROBABILITY_FLOOR:
-            _, m_up = corr.project_occupation(M, up, n_up)
-            p_down1 = mode_occupation(m_up, down)
-            for n_down, p_down in ((0, 1.0 - p_down1), (1, p_down1)):
-                if p_up * p_down > corr.PROBABILITY_FLOOR:
-                    _, m_both = corr.project_occupation(m_up, down, n_down)
-                    outcomes.append((n_up + n_down, p_up * p_down, m_both))
+    for (n_up, n_down), p in sorted(probs.items()):
+        if p > corr.PROBABILITY_FLOOR:
+            scale = (-1) ** (n_up + n_down) / p  # det K is the probability up to sign
+            r, s = m[up], m[up + 1]  # S_A:, the arm's rows
+            # K^-1 = [[K11, -K01], [-K10, K00]] / det K
+            x = ((m[up + 1, up + 1].real - (1 - n_down)) * r - m[up, up + 1] * s) * scale
+            y = ((m[up, up].real - (1 - n_up)) * s - m[up + 1, up] * r) * scale
+            post = m - (np.outer(m[:, up], x) + np.outer(m[:, up + 1], y))
+            post[up:up + 2] = post[:, up:up + 2] = 0.0
+            post[up, up], post[up + 1, up + 1] = n_up, n_down
+            outcomes.append((n_up + n_down, p, corr.CorrelationMatrix(M.num_arms, post)))
     return outcomes
 
 
