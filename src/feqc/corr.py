@@ -17,26 +17,25 @@ as products of Schur-complement pivots, all 3^|S| of them as the leaves of
 one breadth-first frontier over the 2|S| x 2|S| block of the arms in S.
 That exponential term count is deliberately surfaced to callers.
 
-A circuit's trailing run of charge readouts is expanded breadth first, as one
-frontier: the live branches' blocks over the arms still to be read are
-stacked, and each readout conditions every block on the read arm's 2 x 2
-block at once, its four (n_up, n_down) children each one batched rank-two
-update; an arm read for the last time leaves the block in that update.
-That block is exact because a projection on a mode of a set reads only
-entries in the set.  Both frontiers stack (n, n, branches), so every
-elementwise step runs along the branch axis in long contiguous loops, and a
-step is the same fixed handful of numpy calls for any number of branches.
+A circuit's charge readouts are expanded breadth first, in one loop over its
+instructions that holds every live branch's matrix in one (n, n, branches)
+stack; a readout's four (n_up, n_down) children are each one batched
+rank-two update.  From the trailing run of readouts on, the stack holds the
+block of the arms still to be read, exact because a projection on a mode of
+a set reads only entries in the set, and an arm read for the last time
+leaves it.  Every step runs along the branch axis in long contiguous loops,
+the same fixed handful of numpy calls for any number of branches.
 
 A circuit runs on the backward light cone of its readouts, the rule fock's
 runs share (``circuit.light_cone``): the walk takes the circuit's own
-instructions, and its matrix holds only the arms they act on, the k-th
+instructions, and its matrices hold only the arms they act on, the k-th
 smallest of them as arm k.  The cost follows the cone, not the declared arm
 count; the limits, the joint query's pricing and every reported arm number
 are still decided on the circuit as written.  Every state that
-reaches a readout must hold the electrons the cone added on its path: its
+reaches a readout must hold the electrons the cone added before it: its
 trace, the particle number, is checked, never renormalized; nor is an
-occupation it reads, the joint probability, or an eigenvalue of the block a
-terminal frontier starts from, more than EIGENVALUE_SLACK outside [0, 1],
+occupation it reads, the joint probability, or an eigenvalue of the block
+the trailing run starts from, more than EIGENVALUE_SLACK outside [0, 1],
 and that block must be Hermitian.  Each drift is weighted by the probability
 of its branch, whose matrix carries the rounding of the divisions that
 conditioned it.
@@ -52,12 +51,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, instruction_arms,
-                      light_cone, readout_of, unitary_steps, validate_circuit)
-from . import fock
+                      light_cone, readout_of, unitary_steps, unwrap, validate_circuit)
+from . import fock, measurement
 from .errors import FeqcError, NonGaussianOperationError, PreconditionError
 from .fock import MAX_ARMS, Spin, mode_position
-from .measurement import (NORM_TOLERANCE, BranchRecord, FrontierNode, admit_depth, leaf_table,
-                          leaves, trailing_measures, walk)
+from .measurement import NORM_TOLERANCE, BranchRecord, FrontierNode, leaves, trailing_measures
 
 HERMITIAN_ATOL = 1e-10
 EIGENVALUE_SLACK = 1e-9
@@ -70,9 +68,8 @@ PIVOT_FLOOR = 1e-15
 MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~55 ms and ~38 MiB; each further arm triples both
 # Bytes one branch tree may take, counted as one complex matrix of the walk
 # per leaf: 16 * (2 * arms of the readouts' light cone) ** 2 bytes, so 7281
-# leaves when the cone holds 48 arms.  A terminal block's frontier keeps a
-# smaller matrix per live branch and never more branches than leaves, so this
-# bounds it too.
+# leaves when the cone holds 48 arms.  That is the stack's own size until the
+# trailing run of readouts, whose stack holds smaller matrices.
 MAX_TREE_BYTES = 1 << 30
 
 
@@ -103,21 +100,25 @@ def init_from_occupations(occupied, num_arms: int) -> CorrelationMatrix:
     return CorrelationMatrix(num_arms, m)
 
 
-def add_electron(M: CorrelationMatrix, arm: int, alpha: complex, beta: complex,
-                 name: int | None = None) -> CorrelationMatrix:
-    """Occupy one fresh orbital of an empty arm with the given spinor; a
-    refusal calls the arm ``name`` (by default ``arm``)."""
-    up = mode_position((arm, Spin.UP), M.num_arms)
-    if math.hypot(*map(abs, M.matrix[up:up + 2, up:up + 2].ravel().tolist())) > 1e-9:
-        arm = arm if name is None else name
+def add_electron(M: CorrelationMatrix, arm: int, alpha: complex,
+                 beta: complex) -> CorrelationMatrix:
+    """Occupy one fresh orbital of an empty arm with the given spinor."""
+    m = M.matrix.copy()[..., None]
+    _occupy(m, mode_position((arm, Spin.UP), M.num_arms), alpha, beta, arm)
+    return CorrelationMatrix(M.num_arms, m[..., 0])
+
+
+def _occupy(stack: np.ndarray, up: int, alpha: complex, beta: complex, arm: int) -> None:
+    """add_electron on every matrix of an (n, n, B) stack in place, at rows
+    up and up + 1; a refusal names the circuit's ``arm``."""
+    block = stack[up:up + 2, up:up + 2]
+    if (np.square(np.abs(block)).sum((0, 1)) > 1e-18).any():  # |S_AA| > 1e-9 in any matrix
         raise PreconditionError(f"add_electron: arm {arm} is already occupied")
     fock.check_spinor(alpha, beta)
     alpha, beta = fock.unit_scaled(alpha, beta)
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     v = np.array([alpha / norm, beta / norm])
-    m = M.matrix.copy()
-    m[up:up + 2, up:up + 2] += v.conj()[:, None] * v
-    return CorrelationMatrix(M.num_arms, m)
+    block += (v.conj()[:, None] * v)[..., None]
 
 
 def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix:
@@ -125,24 +126,34 @@ def evolve(M: CorrelationMatrix, modes, matrix: np.ndarray) -> CorrelationMatrix
 
     The index convention (adag_mu -> sum_nu U[nu][mu] adag_nu, hence
     M -> conj(V) M V^T for the embedded matrix V) is pinned by the
-    Fock-backend oracle tests, not by fiat.  Only the listed rows, then
-    columns, mix: they are read and written through one strided view, the
-    evenly spaced positions from the lowest listed one to the highest, on
-    which V is the unitary embedded in the identity (``_embedding``).
+    Fock-backend oracle tests, not by fiat.  See ``_conjugate``.
     """
     positions = [mode_position(mode, M.num_arms) for mode in modes]
     if len(set(positions)) != len(positions):
         raise ValueError("modes must be distinct")
+    m = M.matrix.copy()[..., None]
+    _conjugate(m, positions, matrix)
+    return CorrelationMatrix(M.num_arms, m[..., 0])
+
+
+def _conjugate(stack: np.ndarray, positions, matrix) -> None:
+    """``evolve`` on every matrix of an (n, n, B) stack in place, at the
+    distinct rows ``positions``.  Only those rows, then columns, mix, through
+    one strided view of the evenly spaced rows from the lowest listed one to
+    the highest, on which V is the unitary embedded in the identity
+    (``_embedding``): one (k, n B) product, then one (B, n, k) product with
+    V^T.  By an element table matrix, each entry real or imaginary, every
+    matrix gets the bits ``evolve`` gives it alone (the tests check this)."""
     u = fock.step_unitary(matrix, len(positions))
     low = min(positions, default=0)
     step = math.gcd(*(p - low for p in positions)) or 1
     at = tuple((p - low) // step for p in positions)  # each mode's row of the view
     span = slice(low, low + step * (max(at, default=-1) + 1), step)
     v_conj, v_t = _embedding(u if type(u) is tuple else tuple(map(tuple, u.tolist())), at)
-    m = M.matrix.copy()
-    m[span] = v_conj @ m[span]
-    m[:, span] = m[:, span] @ v_t
-    return CorrelationMatrix(M.num_arms, m)
+    rows = stack[span]
+    rows[...] = (v_conj @ rows.reshape(len(v_t), stack[0].size)).reshape(rows.shape)
+    cols = stack[:, span]
+    cols[...] = (cols.transpose(2, 0, 1) @ v_t).transpose(1, 2, 0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -412,37 +423,33 @@ def _charge_readout(stack: np.ndarray, up: int, weights, admit, last: bool = Fal
     return parents, _CHARGES[child], p, updated
 
 
-def _check_particle_number(M: CorrelationMatrix, electrons: int, weight: float) -> None:
-    """Refuse a matrix whose trace, its particle number, is not the number of
-    electrons added on its path: elements and projections both conserve it.
-    The drift is weighted by ``weight``, the branch's probability, as in
-    ``_check_unit``.  O(N)."""
-    number = float(M.matrix.trace().real)
-    if abs(number - electrons) * weight > NORM_TOLERANCE:
+def _check_particle_number(stack: np.ndarray, electrons: int, weights: np.ndarray) -> None:
+    """Refuse a stack of whole-cone matrices in which a trace, the particle
+    number, is not the electrons added: elements and projections conserve
+    it.  Each drift is weighted by its branch's probability (``_check_unit``)."""
+    numbers = stack.trace().real
+    weighted = np.abs(numbers - electrons) * weights
+    worst = weighted.argmax()
+    if weighted[worst] > NORM_TOLERANCE:
+        number = float(numbers[worst])
         raise FeqcError(f"correlation matrix drifted: particle number {number!r} where "
                         f"{electrons} electrons were added (drift {number - electrons!r})")
 
 
-def _check_spectrum(block: np.ndarray, weight: float) -> None:
-    """Refuse a principal block of M that is not Hermitian, or whose
-    eigenvalues leave [0, 1] by more than EIGENVALUE_SLACK, each drift
-    weighted by ``weight``, the branch's probability, as in ``_check_unit``.
-    By Cauchy interlacing a block's eigenvalues lie within M's, so a block
-    eigenvalue outside [0, 1] proves one of M's is too.  O(n^3)."""
-    skew = float(np.abs(block - block.conj().T).max())
-    if skew * weight > HERMITIAN_ATOL:
+def _check_spectrum(blocks: np.ndarray, weights: np.ndarray) -> None:
+    """Refuse a principal block of M, in an (n, n, B) stack, that is not
+    Hermitian, or whose eigenvalues leave [0, 1] by more than
+    EIGENVALUE_SLACK, each drift weighted by its block's branch probability
+    in ``weights``, as in ``_check_unit``.  By Cauchy interlacing a block's
+    eigenvalues lie within M's, so a block eigenvalue outside [0, 1] proves
+    one of M's is too.  O(n^3 B)."""
+    blocks = blocks.transpose(2, 0, 1)
+    skews = np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max((1, 2))
+    worst = (skews * weights).argmax()
+    if skews[worst] * weights[worst] > HERMITIAN_ATOL:
+        skew = float(skews[worst])
         raise FeqcError(f"correlation matrix drifted: not Hermitian (|M - M^dag| reaches {skew!r})")
-    _check_unit("eigenvalue", np.linalg.eigvalsh(block), weight)
-
-
-def _apply(M: CorrelationMatrix, ins, local: dict[int, int]) -> CorrelationMatrix:
-    """Apply an electron or element of the circuit to M, whose arm
-    ``local[a]`` is the circuit's arm a; a refusal names the circuit's arm."""
-    if isinstance(ins, PrepSpin):
-        return add_electron(M, local[ins.arm], ins.alpha, ins.beta, ins.arm)
-    for modes, matrix in unitary_steps(ins):
-        M = evolve(M, [(local[arm], spin) for arm, spin in modes], matrix)
-    return M
+    _check_unit("eigenvalue", np.linalg.eigvalsh(blocks), weights[:, None])
 
 
 def charge_branch_tree(circuit: Circuit):
@@ -450,126 +457,133 @@ def charge_branch_tree(circuit: Circuit):
 
     Charge is read out spin-resolved, the realization a correlation matrix
     can track; parity and spin meters, readouts under conditionals, and
-    elements on an arm after its charge readout, are refused.  Every readout
-    is one ``_charge_readout`` step, which conditions on the arm's 2 x 2
-    block once and makes each (n_up, n_down) child by one rank-two update.
-    A readout followed by other instructions branches one matrix at a time,
-    the arm kept as diag(n_up, n_down).  The circuit's trailing run of
-    readouts is expanded breadth first: every live branch's 2m x 2m block
-    over the m read arms is stacked, each readout is one batched step over
-    the stack, and an arm read for the last time leaves it.  The
-    run is one FrontierNode: its leaves are kept as arrays of outcomes and
-    probabilities, and keep no matrix; their records (``post_state`` None)
-    are built when they or the node's children are first read.
+    elements on an arm after its charge readout, are refused.  The tree is
+    expanded breadth first, in one loop over the instructions that holds
+    every live branch's matrix in one (n, n, B) stack and its probability in
+    ``paths``.  An electron or element acts on every entry (``_occupy``,
+    ``_conjugate``); an element under conditionals acts on the entries that
+    read each of their labels' values.  A readout is one ``_charge_readout``
+    step over the stack, the arm kept as diag(n_up, n_down).  The circuit's
+    trailing run of readouts starts from the stacked blocks of the arms it
+    reads, and an arm read for the last time leaves them.  The tree is one
+    FrontierNode, whose leaf records (``post_state`` None) are built when
+    first read; a circuit without readouts gives ``BranchRecord({}, 1.0, None)``.
+
     When every charge readout is terminal, the joint all-arms-singly-occupied
-    probability is also evaluated, on the state the block starts from,
-    through the exponential monomial expansion and its 3^m term count
+    probability is also evaluated, on the state the trailing run starts
+    from, through the exponential monomial expansion and its 3^m term count
     reported in the stats; a joint probability that differs from the summed
     all-charge-1 leaves by more than NORM_TOLERANCE is an error, never
-    renormalized.  A tree whose leaves would take more than MAX_TREE_BYTES
-    as matrices of the walk is refused while it is expanded, and a state
-    that reaches a readout with a trace other than the electrons added on
-    its path is refused (``_check_particle_number``), as is a block that is
-    not Hermitian or has an eigenvalue outside [0, 1] (``_check_spectrum``).
+    renormalized.  A tree of more leaves than MAX_TREE_BYTES holds matrices
+    of the walk, or than measurement.MAX_LEAVES, is refused as it grows,
+    before the children's matrices are made; so is a stack whose trace at a
+    readout or at the trailing run is not the electrons added before it
+    (``_check_particle_number``), and a block the trailing run starts from
+    that is not Hermitian or has an eigenvalue outside [0, 1]
+    (``_check_spectrum``).
 
-    The walk runs the circuit's own instructions on the readouts' light cone
-    (``circuit.light_cone``), over a matrix of the arms they act on: the k-th
-    smallest is its arm k (``_apply``).  A leaf is charged the bytes of that
-    matrix, 16 * (2 * arms of the cone) ** 2.  MAX_ARMS, which readouts are
-    terminal and which form the trailing run, and the arms the stats and
-    messages name are taken from the circuit as written, so the tree, the
-    stats and every other refusal are the ones the full circuit gives.
+    The loop runs the circuit's own instructions on the readouts' light cone
+    (``circuit.light_cone``), over matrices of the arms they act on: the
+    k-th smallest is arm k, and a leaf is charged that matrix's bytes.
+    MAX_ARMS, which readouts are terminal and which form the trailing run,
+    and the arms the stats and messages name are taken from the circuit as
+    written, so the tree, the stats and every other refusal are the ones the
+    full circuit gives.
     """
     validate_circuit(circuit)
     _reject_non_gaussian(circuit)
     _admit_arms(circuit.arm_count)
     stats = CorrRunStats()
     start = time.perf_counter()
-    instructions = circuit.instructions
-    measures = [ins for ins in instructions if isinstance(ins, Measure)]
+    measures = [ins for ins in circuit.instructions if isinstance(ins, Measure)]
     stats.measured_arms = sorted({ins.arm for ins in measures})
-    trailing = trailing_measures(instructions)  # the readouts the circuit as written ends with
-    admit_depth(len(measures) - trailing)  # the terminal block is a loop: only the rest nest
+    trailing = trailing_measures(circuit.instructions)  # readouts the circuit as written ends with
     terminal = bool(measures) and trailing == len(measures)
-    leaf_count = 1  # the leaves the tree will have once every path made so far ends
+    cone = light_cone(circuit.instructions)
+    tail = len(cone) - trailing  # a readout the cone moved up next to the run is not in it
+    # The k-th smallest arm the cone acts on is arm k of the walk's matrices:
+    # mode positions keep their order, so every kept entry of a matrix, and
+    # with it every probability, is computed as in the full circuit.
+    local = {arm: k for k, arm in enumerate(
+        sorted({arm for ins in cone for arm in instruction_arms(ins)}), start=1)}
+    n = len(local)
+    leaf_bytes = 16 * (2 * n) ** 2  # one complex matrix of the walk
+    leaf_count = 1
 
     def admit(grown: int) -> None:
-        # Refuse a tree whose leaves, one matrix of the walk each, outgrow the
-        # budget while it is being expanded; a terminal block's stack is never larger.
         nonlocal leaf_count
         leaf_count += grown
         if leaf_count * leaf_bytes > MAX_TREE_BYTES:
             raise FeqcError(f"corr backend: {leaf_count} leaves of {leaf_bytes} bytes "
                             f"each exceed the limit MAX_TREE_BYTES = {MAX_TREE_BYTES}")
+        if leaf_count > measurement.MAX_LEAVES:
+            raise FeqcError(f"branch tree: more leaves than the limit "
+                            f"MAX_LEAVES = {measurement.MAX_LEAVES}")
 
-    def branches(M: CorrelationMatrix, ins: Measure, prob: float):
-        _check_particle_number(M, electrons[ins.label], prob)
-        up = mode_position((local[ins.arm], Spin.UP), M.num_arms)
-        _, charges, probs, post = _charge_readout(M.matrix[..., None], up, prob, admit)
-        return [(n, p, CorrelationMatrix(M.num_arms, m))
-                for n, p, m in zip(charges.tolist(), probs.tolist(), post.transpose(2, 0, 1))]
+    def position(arm: int, spin: Spin) -> int:
+        return mode_position((local[arm], spin), n)
 
-    def block(M: CorrelationMatrix, readouts, outcomes, prob, count):
-        _check_particle_number(M, electrons[readouts[0].label], prob)
-        count(1)
-        # The complexity demonstration: price the joint charge-1 query on the
-        # state the terminal block starts from.
-        if terminal:
-            stats.joint_charge1 = single_occupancy_probability(
-                M, [local[ins.arm] for ins in readouts])
-            stats.terms = 3 ** len(stats.measured_arms)
-        # The block holds the arms still to be read, the next to leave first:
-        # an arm's modes leave the front as it is read for the last time.
-        final = {ins.arm: i for i, ins in enumerate(readouts)}
-        arms = sorted(final, key=final.get)
-        modes = [mode_position((local[arm], spin), M.num_arms) for arm in arms for spin in Spin]
-        start = M.matrix.take(modes, 0).take(modes, 1)
-        stack = start[..., None]
-
-        def grow(n: int) -> None:
-            admit(n)
-            count(n)
-
-        levels = []  # (label, parents, charges, probabilities) of each readout's children
-        paths = np.array([prob])  # each live branch's probability
-        for i, ins in enumerate(readouts):
-            leaving = final[ins.arm] == i
+    stack = np.zeros((2 * n, 2 * n, 1), complex)
+    paths = np.ones(1)  # each live branch's probability
+    levels = []  # (label, parents, charges, probabilities) of each readout's children
+    tested = {cond.label for ins in cone for cond in unwrap(ins)[0]}
+    read: dict[str, np.ndarray] = {}  # a tested label -> each live branch's outcome
+    electrons = 0  # added so far; a conditional prepares nothing, so every branch holds them
+    for i, ins in enumerate(cone):
+        conditions, op = unwrap(ins)
+        if i == tail:  # the trailing run: every instruction from here on is a readout
+            _check_particle_number(stack, electrons, paths)
+            # The complexity demonstration, priced on the run's one starting state.
+            if terminal:
+                stats.joint_charge1 = single_occupancy_probability(
+                    CorrelationMatrix(n, stack[..., 0]), [local[ins.arm] for ins in cone[i:]])
+                stats.terms = 3 ** len(stats.measured_arms)
+            # The block holds the arms still to be read, the next to leave
+            # first: an arm's modes leave the front as it is read for the last time.
+            final = {ins.arm: j for j, ins in enumerate(cone[i:], start=i)}
+            arms = sorted(final, key=final.get)
+            kept = [position(arm, spin) for arm in arms for spin in Spin]
+            stack = block = stack.take(kept, 0).take(kept, 1)
+            weights = paths
+        if isinstance(op, Measure):
+            if i < tail:
+                _check_particle_number(stack, electrons, paths)
+                up, leaving = position(op.arm, Spin.UP), False
+            else:
+                up, leaving = 2 * arms.index(op.arm), final[op.arm] == i
             parents, charges, probs, stack = _charge_readout(
-                stack, 2 * arms.index(ins.arm), paths, grow, i == len(readouts) - 1, leaving)
+                stack, up, paths, admit, i == len(cone) - 1, leaving)
             if leaving:
-                arms.remove(ins.arm)
-            levels.append((ins.label, parents, charges, probs))
+                arms.remove(op.arm)
+            levels.append((op.label, parents, charges, probs))
             paths = paths[parents] * probs
+            read = {label: outcomes[parents] for label, outcomes in read.items()}
+            if op.label in tested:
+                read[op.label] = charges
+        elif isinstance(op, PrepSpin):
+            _occupy(stack, position(op.arm, Spin.UP), op.alpha, op.beta, op.arm)
+            electrons += 1
+        else:  # an element
+            entries = stack
+            if conditions:
+                matches = np.ones(len(paths), bool)
+                for cond in conditions:  # an entry that did not read the label matches no value
+                    matches &= read[cond.label] == cond.value if cond.label in read else False
+                entries = stack[..., matches]
+            for modes, matrix in unitary_steps(op):
+                _conjugate(entries, [position(arm, spin) for arm, spin in modes], matrix)
+            if conditions:
+                stack[..., matches] = entries
+    root = FrontierNode(levels, paths) if levels else BranchRecord({}, 1.0, None)
+    if tail < len(cone):
         # After the readouts, whose occupation checks name a drifted entry first.
-        _check_spectrum(start, prob)
-        node = FrontierNode(outcomes, levels, paths)
-        if terminal:  # the block is the whole tree: check the joint query against it
-            summed = sum(paths[np.logical_and.reduce(node.rows == 1, axis=1)].tolist())
-            if abs(summed - stats.joint_charge1) > NORM_TOLERANCE:
-                raise FeqcError(f"corr backend: joint charge-1 probability "
-                                f"{stats.joint_charge1!r} but the all-charge-1 branches "
-                                f"sum to {summed!r}")
-        return node
-
-    cone = light_cone(instructions)
-    # The k-th smallest arm the cone acts on is arm k of the walk's matrix:
-    # mode positions keep their order, so every kept entry of the matrix, and
-    # with it every probability, is computed as in the full circuit.
-    local = {arm: k for k, arm in enumerate(
-        sorted({arm for ins in cone for arm in instruction_arms(ins)}), start=1)}
-    leaf_bytes = 16 * (2 * len(local)) ** 2  # one complex matrix of the walk
-    electrons: dict[str, int] = {}  # readout label -> electrons the cone adds before it
-    added = 0
-    for ins in cone:
-        if isinstance(ins, PrepSpin):
-            added += 1
-        elif isinstance(ins, Measure):
-            electrons[ins.label] = added
-    # The block takes only the circuit's own trailing run: a readout the cone
-    # moved up next to it branches one matrix at a time, as written.
-    root = walk(cone, init_from_occupations([], len(local)),
-                functools.partial(_apply, local=local), branches,
-                (len(cone) - trailing, block))
+        _check_spectrum(block, weights)
+    if terminal:  # the trailing run is the whole tree: check the joint query against it
+        summed = sum(paths[np.logical_and.reduce(root.rows == 1, axis=1)].tolist())
+        if abs(summed - stats.joint_charge1) > NORM_TOLERANCE:
+            raise FeqcError(f"corr backend: joint charge-1 probability "
+                            f"{stats.joint_charge1!r} but the all-charge-1 branches "
+                            f"sum to {summed!r}")
     stats.wall_ms = (time.perf_counter() - start) * 1000.0
     return root, stats
 
@@ -577,11 +591,8 @@ def charge_branch_tree(circuit: Circuit):
 def enumerate_charge_branches(
     circuit: Circuit,
 ) -> tuple[list[BranchRecord], CorrRunStats]:
-    """Flattened charge_branch_tree: every outcome assignment with its
-    probability, and its conditional Gaussian state where a later
-    instruction needed one (None after a terminal block of readouts), over
-    the arms of the readouts' light cone: a post-state's arm k is the k-th
-    smallest circuit arm that the cone acts on."""
+    """Flattened charge_branch_tree: every spin-resolved outcome assignment
+    with its probability; a leaf keeps no post-state (None)."""
     root, stats = charge_branch_tree(circuit)
     return leaves(root), stats
 
@@ -591,13 +602,9 @@ def merged_branches(root) -> list[dict]:
     assignment, in order of first appearance, each probability its leaves'
     summed in leaf order (a charge readout splits into spin-resolved
     leaves)."""
-    # corr refuses a conditional readout, so every chunk reads the same labels.
-    chunks = leaf_table(root)
-    labels = chunks[0][0]
-    rows = np.concatenate([rows for _, rows, _ in chunks])
-    probs = np.concatenate([probs for *_, probs in chunks])
-    if not labels:  # a circuit without readouts has one leaf
-        return [{"outcomes": {}, "probability": float(probs[0])}]
+    if isinstance(root, BranchRecord):  # a circuit without readouts has one leaf
+        return [{"outcomes": {}, "probability": root.probability}]
+    labels, rows, probs = root.labels, root.rows, root.probabilities
     order = np.lexsort(rows.T)  # stable: equal rows side by side, each run in leaf order
     ordered = rows[order]
     starts = np.empty(len(rows), bool)  # where a run of equal rows starts

@@ -211,13 +211,11 @@ class _UnreadPostState:
 @dataclass
 class BranchRecord:
     """One outcome assignment, and the leaf of a branch tree that ends in it;
-    ``post_state`` is the backend's state (a FockState, or a
-    CorrelationMatrix on the corr backend).  It is None on
-    corr leaves made by a terminal block of charge readouts, which keeps no
-    matrix per leaf: that block keeps its leaves as arrays (FrontierNode),
-    and their records are built when its children are first read.  A leaf
-    of fock's terminal block (``_born``) keeps its group and mass, and makes
-    its post-state when it is first read, through ``==``, ``repr`` and
+    ``post_state`` is the backend's state (a FockState).  It is None on every
+    corr leaf: corr keeps its tree as arrays (FrontierNode), and their
+    records are built when the node's leaves or children are first read.  A
+    leaf of fock's terminal block (``_born``) keeps its group and mass, and
+    makes its post-state when it is first read, through ``==``, ``repr`` and
     ``dataclasses.replace`` too; every later read gives the same object."""
 
     outcomes: dict[str, int]
@@ -232,28 +230,25 @@ class BranchNode:
 
 
 class FrontierNode(BranchNode):
-    """The subtree of a run of readouts, kept as arrays.
+    """The tree of a run of readouts from its root, kept as arrays.
 
     ``levels`` holds each readout's (label, parents, outcomes, probabilities)
     arrays: child i of a level hangs below entry parents[i] of the level
     above, and the first level hangs below this node.  ``rows`` is the (L, k)
-    matrix of the leaves' outcomes over ``labels``, which start with the
-    labels of the readouts above the subtree (their outcomes are
-    ``prefix``), and ``probabilities`` the column of the leaves'
-    probabilities, both in leaf order.  The leaf ``records``, and the
-    ``children`` that nest them in BranchNodes, are built when first read;
-    ``leaf_table`` reads the arrays without them."""
+    matrix of the leaves' outcomes over ``labels``, the readouts' labels, and
+    ``probabilities`` the column of the leaves' probabilities, both in leaf
+    order.  The leaf ``records``, and the ``children`` that nest them in
+    BranchNodes, are built when first read; ``leaf_table`` reads the arrays
+    without them."""
 
-    def __init__(self, prefix: dict[str, int], levels, probabilities: np.ndarray):
+    def __init__(self, levels, probabilities: np.ndarray):
         import numpy as np
 
         self.label = levels[0][0]
-        self.labels = (*prefix, *(label for label, *_ in levels))
+        self.labels = tuple(label for label, *_ in levels)
         self.levels = levels
         self.probabilities = probabilities
         rows = np.empty((len(probabilities), len(self.labels)), np.int64)
-        if prefix:
-            rows[:, :len(prefix)] = tuple(prefix.values())
         at = slice(None)  # each leaf's entry in the current level: the last level is the leaves
         for column, (_, parents, outcomes, _) in enumerate(reversed(levels), start=1):
             rows[:, -column] = outcomes[at]
@@ -303,23 +298,20 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
     """Expand instructions from ``state`` into the measurement-outcome tree.
 
     The backend supplies ``apply(state, ins)`` for preparations and elements,
-    and ``branches(state, measure, prob)`` returning a readout's (outcome,
-    probability, post-state) list, ``prob`` being the path's probability.
-    A conditional runs its op (an element, a readout or a conditional) on a
-    path that read its label's value, and is skipped on any other path, also
-    one that did not read the label.  A backend may also pass
-    ``block`` = (start, hook), where the instructions from ``start`` on are
-    Measures, for ``hook(state, measures, outcomes, prob, count)`` to take
-    over those readouts on each path that reaches them.  It returns their subtree,
-    whose leaves extend ``outcomes`` and whose probabilities are ``prob``
-    times the readouts' products, in the order the walker would have made
-    them.  The hook calls ``count(n)`` before its tree grows by n leaves,
-    counting every leaf it makes.  Every other readout branches through
-    ``branches``.  Fock's hook groups the state's keys once for the whole
-    run and builds its nodes from the groups (``_born``); corr's stacks
-    every live branch's matrix block and returns the run as one
-    FrontierNode, which keeps its leaves as arrays and builds its children
-    when they are first read (``corr.charge_branch_tree``).
+    and ``branches(state, measure)`` returning a readout's (outcome,
+    probability, post-state) list.  A conditional runs its op (an element, a
+    readout or a conditional) on a path that read its label's value, and is
+    skipped on any other path, also one that did not read the label.  A
+    backend may also pass ``block`` = (start, hook), where the instructions
+    from ``start`` on are Measures, for ``hook(state, measures, outcomes,
+    prob, count)`` to take over those readouts on each path that reaches
+    them.  It returns their subtree, whose leaves extend ``outcomes`` and
+    whose probabilities are ``prob`` times the readouts' products, in the
+    order the walker would have made them.  The hook calls ``count(n)``
+    before its tree grows by n leaves, counting every leaf it makes.  Every
+    other readout branches through ``branches``.  Fock's hook groups the
+    state's keys once for the whole run and builds its nodes from the groups
+    (``_born``).
     A tree of more than MAX_LEAVES leaves is refused.
     """
     leaf_count = 0
@@ -341,7 +333,7 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
             if isinstance(ins, Measure):
                 return BranchNode(ins.label, [
                     (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
-                    for outcome, p, post in branches(state, ins, prob)
+                    for outcome, p, post in branches(state, ins)
                 ])
             if not isinstance(ins, Conditional):
                 state = apply(state, ins)
@@ -421,7 +413,7 @@ def branch_tree(circuit: Circuit, input_state: FockState,
         instructions = light_cone(instructions)
     admit_depth(sum(readout_of(ins) is not None for ins in instructions))  # the block nests too
     return walk(instructions, input_state, apply_instruction,
-                lambda state, ins, _prob: _MEASURE_FNS[ins.kind](state, ins.arm),
+                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm),
                 (len(instructions) - trailing_measures(instructions), _born))
 
 

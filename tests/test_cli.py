@@ -609,12 +609,11 @@ def readout_chain(readouts: int, arms: int = 1, element: str = "") -> str:
 
 
 # Each circuit nests more readouts than MAX_DEPTH on one path, and once
-# raised RecursionError: in fock's walker, in fock's terminal block and tree
-# readers, and in corr's walker (the cone drops the rotations on arm 3).
+# raised RecursionError: in fock's walker, and in fock's terminal block and
+# tree readers.
 TOO_DEEP = {
     "fock-pairs": ("fock", readout_chain(494, element="rot 1 x\n"), 494),
     "fock-trailing": ("fock", readout_chain(498), 498),
-    "corr-pairs": ("corr", readout_chain(600, arms=3, element="rot 3 x\n"), 600),
 }
 
 
@@ -626,7 +625,6 @@ def test_a_tree_deeper_than_its_limit_is_refused_before_it_is_walked(capsys, mon
     src = tmp_path / "deep.feqc"
     src.write_text(text)
     monkeypatch.setattr(measurement, "walk", None)  # called, it would raise TypeError
-    monkeypatch.setattr(corr, "walk", None)
     code, out, err = run_cli(capsys, "run", str(src), "--backend", backend, "--mode", mode)
     assert (code, out) == (1, "")
     assert err == (f"error: branch tree: {readouts} nested readouts exceed the limit "
@@ -636,8 +634,9 @@ def test_a_tree_deeper_than_its_limit_is_refused_before_it_is_walked(capsys, mon
 AT_THE_LIMIT = {
     "fock-pairs": ("fock", readout_chain(measurement.MAX_DEPTH, element="rot 1 x\n")),
     "fock-trailing": ("fock", readout_chain(measurement.MAX_DEPTH)),
-    "corr-pairs": ("corr", readout_chain(measurement.MAX_DEPTH, arms=3, element="rot 3 x\n")),
-    # Corr's terminal run is read in a loop, so it has no depth limit.
+    # Corr reads every readout in one loop over the circuit, so it has no depth
+    # limit; the cone drops the rotations on arm 3.
+    "corr-pairs": ("corr", readout_chain(600, arms=3, element="rot 3 x\n")),
     "corr-trailing": ("corr", "arms 2\nelectron 1 plus\nbs 1 2\n"
                       + "".join(f"q{i} = charge {1 + i % 2}\n" for i in range(600))),
 }

@@ -19,7 +19,6 @@ from feqc.circuit import (
     SpinRotation,
     SwapArms,
     apply_instruction,
-    light_cone,
 )
 from feqc.corr import (
     add_electron,
@@ -119,6 +118,25 @@ def test_evolve_checks_every_matrix_but_the_element_table(monkeypatch):
     with pytest.raises(ValueError, match="not unitary"):
         evolve(M, [(1, UP), (1, DOWN)], np.array([[1, 1], [0, 1]], dtype=complex))
     assert checked == [2, 2]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 40])
+def test_a_stacked_conjugation_gives_each_matrix_the_bits_of_evolve(count):
+    """The walk conjugates a stack of branches at once by the element
+    table's matrices: every matrix gets the bits evolve gives it alone, on
+    modes of one arm or two, in either order, in stacks of any size."""
+    rng = np.random.default_rng(count)
+    steps = [step for keyword in fock.TWO_ARM_ELEMENTS for arms in ((4, 2), (1, 5))
+             for step in fock.two_arm_steps(keyword, *arms)]
+    steps += [step for matrix in fock.ROTATIONS.values() for step in fock.rotation_steps(3, matrix)]
+    steps += [(modes[::-1], matrix) for modes, matrix in steps]
+    for modes, matrix in steps:
+        z = rng.normal(size=(10, 10, count)) + 1j * rng.normal(size=(10, 10, count))
+        stack = z + z.conj().transpose(1, 0, 2)
+        alone = [evolve(corr.CorrelationMatrix(5, stack[..., b].copy()), modes, matrix).matrix
+                 for b in range(count)]
+        corr._conjugate(stack, [fock.mode_position(mode, 5) for mode in modes], matrix)
+        assert np.array_equal(stack.view(float), np.stack(alone, -1).view(float))
 
 
 def test_project_definite_occupancy_is_identity():
@@ -283,7 +301,7 @@ def test_purity_preserved_by_evolution_and_projection():
             _, post = project_occupation(M, mode, 1)
             pm = post.matrix
             assert np.linalg.norm(pm @ pm - pm) <= 1e-8
-        corr._check_spectrum(M.matrix, 1.0)  # Hermitian, eigenvalues in [0, 1]
+        corr._check_spectrum(M.matrix[..., None], np.ones(1))  # Hermitian, eigenvalues in [0, 1]
 
 
 def test_trace_conserved_by_evolution():
@@ -478,9 +496,13 @@ def test_a_run_refuses_a_matrix_whose_particle_number_drifted(tmp_path, capsys, 
     src.write_text(TWO_ARM_SPLIT + readouts)
     assert cli.main(["run", str(src), "--backend", "corr"]) == 0
     capsys.readouterr()
-    exact = corr.evolve
-    monkeypatch.setattr(corr, "evolve", lambda M, modes, matrix: corr.CorrelationMatrix(
-        M.num_arms, factor * exact(M, modes, matrix).matrix))
+    exact = corr._conjugate
+
+    def scaled(stack, positions, matrix):
+        exact(stack, positions, matrix)
+        stack *= factor
+
+    monkeypatch.setattr(corr, "_conjugate", scaled)
     assert cli.main(["run", str(src), "--backend", "corr"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -502,15 +524,14 @@ def test_a_run_refuses_an_occupation_outside_the_unit_interval(tmp_path, capsys,
     particle number but drives the down mode's occupation below 0."""
     src = tmp_path / "split.feqc"
     src.write_text(TWO_ARM_SPLIT + readouts)
-    exact = corr.evolve
+    exact = corr._conjugate
 
-    def drifting(M, modes, matrix):
-        m = exact(M, modes, matrix).matrix.copy()
-        m[0, 0] += delta
-        m[1, 1] -= delta
-        return corr.CorrelationMatrix(M.num_arms, m)
+    def drifting(stack, positions, matrix):
+        exact(stack, positions, matrix)
+        stack[0, 0] += delta
+        stack[1, 1] -= delta
 
-    monkeypatch.setattr(corr, "evolve", drifting)
+    monkeypatch.setattr(corr, "_conjugate", drifting)
     assert cli.main(["run", str(src), "--backend", "corr"]) == (0 if line is None else 1)
     out, err = capsys.readouterr()
     assert err.splitlines() == ([] if line is None else [line])
@@ -529,15 +550,14 @@ def test_a_run_refuses_a_block_whose_spectrum_drifted(tmp_path, capsys, monkeypa
     block's spectrum check refuses the run with one error line."""
     src = tmp_path / "ups.feqc"
     src.write_text("arms 2\nelectron 1 up\nelectron 2 up\nrot 1 z\nq1 = charge 1\nq2 = charge 2\n")
-    exact = corr.evolve
+    exact = corr._conjugate
 
-    def drifting(M, modes, matrix):
-        m = exact(M, modes, matrix).matrix.copy()
+    def drifting(stack, positions, matrix):
+        exact(stack, positions, matrix)
         for entry in entries:
-            m[entry] += 1e-3
-        return corr.CorrelationMatrix(M.num_arms, m)
+            stack[entry] += 1e-3
 
-    monkeypatch.setattr(corr, "evolve", drifting)
+    monkeypatch.setattr(corr, "_conjugate", drifting)
     assert cli.main(["run", str(src), "--backend", "corr"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -599,41 +619,39 @@ def test_corr_walks_the_circuits_own_light_cone(monkeypatch):
     circuit = parse("arms 8\nelectron 2 plus\nelectron 7 up\nbs 2 5\nrot 7 h\nswap 3 4\n"
                     "electron 4 down\nq = charge 5\nif q == 1 : rot 2 x\nbs 7 8\n"
                     "r = charge 2\n").circuit
-    walked = []
-    real = corr.walk
-    monkeypatch.setattr(corr, "walk", lambda *args: walked.append(args) or real(*args))
+    cones, stacks = [], []
+    cone, readout = corr.light_cone, corr._charge_readout
+    monkeypatch.setattr(corr, "light_cone", lambda ins: cones.append(cone(ins)) or cones[-1])
+    monkeypatch.setattr(corr, "_charge_readout",
+                        lambda stack, *args: stacks.append(stack.shape) or readout(stack, *args))
     corr.charge_branch_tree(circuit)
-    [(instructions, state, *_)] = walked
     # Arm 7's electron and elements, and arm 3's swap, act outside the cone;
     # arm 4's electron lands on an arm the swap touched, so it is a read of arm 4.
-    cone = light_cone(circuit.instructions)
-    assert len(instructions) == len(cone)
-    assert all(got is ins for got, ins in zip(instructions, cone))
     expected = parse("arms 8\nelectron 2 plus\nbs 2 5\nswap 3 4\nelectron 4 down\n"
                      "q = charge 5\nif q == 1 : rot 2 x\nr = charge 2\n").circuit
-    assert instructions == list(expected.instructions)
-    assert state.num_arms == 4  # arms 2, 3, 4 and 5
+    assert cones == [list(expected.instructions)]
+    assert [shape[:2] for shape in stacks] == [(8, 8), (2, 2)]  # arms 2, 3, 4 and 5; then arm 2
 
 
-def test_a_post_states_arm_k_is_the_kth_smallest_arm_of_the_cone():
-    """rot 2 x follows the readout of arm 7, outside its cone, so the readout
-    branches one matrix at a time and each leaf keeps its post-state, over
-    the cone's arms 5 and 7: its arm 2 is the circuit's arm 7."""
+def test_a_readout_before_an_element_outside_its_cone_is_spin_resolved():
+    """rot 2 x follows the readout of arm 7, outside its cone, so the
+    readout is not a trailing one: it still gives its spin-resolved
+    children, (n_up, n_down) = (0, 0), (0, 1) and (1, 0), with their charges,
+    and no leaf keeps a post-state."""
     circuit = parse("arms 8\nelectron 5 plus\nbs 5 7\nq = charge 7\nrot 2 x\n").circuit
     records, _ = enumerate_charge_branches(circuit)
-    assert sorted(rec.outcomes["q"] for rec in records) == [0, 1, 1]  # spin resolved
-    for rec in records:
-        M = rec.post_state
-        assert M.num_arms == 2
-        assert mode_occupation(M, (2, UP)) + mode_occupation(M, (2, DOWN)) == rec.outcomes["q"]
+    assert [rec.outcomes["q"] for rec in records] == [0, 1, 1]
+    assert [rec.probability for rec in records] == pytest.approx([0.5, 0.25, 0.25], abs=1e-15)
+    assert all(rec.post_state is None for rec in records)
 
 
 def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch):
     """An element outside the cone between readouts (rot 7 x) leaves the
-    readouts before it to be read one matrix at a time, as in the full
-    circuit, so a refused tree names the leaf count the full circuit names;
-    each leaf is charged the matrix its walk holds: the cone's 6 arms, or
-    all 7 when the walk runs the full circuit."""
+    readouts before it out of the trailing run, as in the full circuit, so a
+    refused tree names the leaf count the full circuit names: the live
+    branches after the readout that outgrew the budget, 144 after t5 of 216
+    in all.  Each leaf is charged the matrix its walk holds: the cone's 6
+    arms, or all 7 when the walk runs the full circuit."""
     circuit = parse("arms 7\n" + "".join(f"electron {a} (0.6,0) (0,0.8)\n" for a in range(1, 7))
                     + "".join(f"bs {a} {a + 1}\nrot {a} h\nbs {a} {a + 1}\n" for a in (1, 3, 5))
                     + "m1 = charge 1\nm2 = charge 2\nrot 7 x\n"
@@ -643,8 +661,8 @@ def test_light_cone_names_the_trees_leaves_as_the_full_circuit_does(monkeypatch)
         if arms == 7:
             monkeypatch.setattr(corr, "light_cone", list)
         leaf_bytes = 16 * (2 * arms) ** 2
-        monkeypatch.setattr(corr, "MAX_TREE_BYTES", 176 * leaf_bytes)
-        message = f"181 leaves of {leaf_bytes} bytes each exceed the limit MAX_TREE_BYTES"
+        monkeypatch.setattr(corr, "MAX_TREE_BYTES", 100 * leaf_bytes)
+        message = f"144 leaves of {leaf_bytes} bytes each exceed the limit MAX_TREE_BYTES"
         with pytest.raises(FeqcError, match=message):
             enumerate_charge_branches(circuit)
 

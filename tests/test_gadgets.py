@@ -526,7 +526,7 @@ def test_cnot_flips_the_target_at_most_once_per_leaf(monkeypatch):
     def apply(counted, ins):  # a state paired with the flips applied on its path
         return apply_instruction(counted[0], ins), counted[1] + (ins == flip)
 
-    def branches(counted, ins, _prob):
+    def branches(counted, ins):
         return [(outcome, p, (post, counted[1]))
                 for outcome, p, post in measurement._MEASURE_FNS[ins.kind](counted[0], ins.arm)]
 

@@ -622,7 +622,7 @@ def test_terminal_leaves_read_in_any_order_give_the_same_states():
     forward = [amplitude_bits(rec.post_state) for rec in terminal_leaves()]
     assert [amplitude_bits(rec.post_state) for rec in reversed(terminal_leaves())] == forward[::-1]
 
-    def readout(state, ins, _prob):
+    def readout(state, ins):
         return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
 
     # Each holds the keys the walker's readout-by-readout tree gives its leaf.

@@ -493,12 +493,18 @@ def walk_without_block(instructions, state, apply, branches, block):
     return WALK(instructions, state, apply, branches)
 
 
-def whole_circuit_apply(circuit):
-    """corr._apply on a matrix of every arm of the circuit, arm a as arm a."""
-    return functools.partial(corr._apply, local={a: a for a in range(1, circuit.arm_count + 1)})
+def matrix_apply(M, ins):
+    """An electron or element on one correlation matrix of every arm of the
+    circuit, through corr.add_electron and corr.evolve: the one-matrix-at-a-time
+    step the stacked walk replaced, kept as its reference."""
+    if isinstance(ins, PrepSpin):
+        return corr.add_electron(M, ins.arm, ins.alpha, ins.beta)
+    for modes, matrix in unitary_steps(ins):
+        M = corr.evolve(M, modes, matrix)
+    return M
 
 
-def sequential_charge_outcomes(M, ins, _prob):
+def sequential_charge_outcomes(M, ins):
     """A charge readout one matrix and one child at a time, the loop the
     batched readout replaced, kept as its reference: the four (n_up, n_down)
     probabilities from the arm's occupations a, d and det S_AA, then each
@@ -569,17 +575,15 @@ def with_pool_examples(*args, pool="fock-deep", arguments=lambda circuit: (circu
 @with_pool_examples(pool="corr-scale")
 def test_corr_terminal_block_equals_the_walk_without_it(circuit):
     """Corr's batched terminal block gives the tree the walker makes readout
-    by readout, and the one-matrix-at-a-time reference loop gives: the same
+    by readout with the one-matrix-at-a-time reference loop: the same
     labels, outcomes, order and probability bits."""
     try:
         root, _ = charge_branch_tree(circuit)
     except NonGaussianOperationError:
         return
-    with mock.patch.object(corr, "walk", walk_without_block):
-        plain, _ = charge_branch_tree(circuit)
     reference = measurement.walk(circuit.instructions, corr.init_from_occupations(
-        [], circuit.arm_count), whole_circuit_apply(circuit), sequential_charge_outcomes)
-    assert tree_shape(root) == tree_shape(plain) == tree_shape(reference)
+        [], circuit.arm_count), matrix_apply, sequential_charge_outcomes)
+    assert tree_shape(root) == tree_shape(reference)
     assert all(rec.post_state is None for rec in measurement.leaves(root))
 
 
@@ -620,13 +624,24 @@ def wide_charge_circuits(draw):
     return Circuit(n, instructions)
 
 
-def shape_or_refusal(expand):
-    """The tree_shape of a branch tree, or the message of the occupancy refusal
-    that stopped its expansion."""
+def reference_walk(circuit):
+    """The tree_shape of the full circuit's readout-by-readout walk, one
+    matrix at a time, or the message of the occupancy refusal of the first
+    instruction that refuses on any branch: corr takes every branch through
+    an instruction before the next, so it meets refusals in circuit order,
+    where the walk meets them depth first."""
+    def walk(instructions):
+        return measurement.walk(instructions, corr.init_from_occupations(
+            [], circuit.arm_count), matrix_apply, sequential_charge_outcomes)
+
     try:
-        return tree_shape(expand())
-    except PreconditionError as err:
-        return str(err)
+        return tree_shape(walk(circuit.instructions))
+    except PreconditionError:
+        for end in range(1, len(circuit.instructions) + 1):
+            try:
+                walk(circuit.instructions[:end])
+            except PreconditionError as err:
+                return str(err)
 
 
 def corr_run(circuit):
@@ -653,16 +668,31 @@ def corr_run(circuit):
                      BeamSplitter(4, 5)]))
 # Terminal readouts of three arms: the joint query is priced on the cone.
 @example(deep_terminal_circuit(seed=3, num_arms=10, readouts=3))
+# Three rounds of splitters and rotations over the unread arms, each ending in
+# a readout, then a trailing run of four: 1126 leaves.  The conditionals, one
+# nested, rotate 2 of 3 and then 4 of 9 live branches.
+@example(parse("arms 8\nelectron 1 (0.6,0) (0,0.8)\nelectron 3 plus\n"
+               "electron 5 (0.8,0) (0,-0.6)\nelectron 7 (0,1) (1,0)\n"
+               "bs 6 1\nrot 6 h\nbs 2 5\nrot 2 h\nbs 3 7\nrot 3 h\nbs 4 8\nrot 4 h\n"
+               "m0 = charge 6\n"
+               "bs 2 8\nrot 2 h\nbs 3 4\nrot 3 h\nbs 5 7\nrot 5 h\nif m0 == 1 : rot 1 x\n"
+               "m1 = charge 2\n"
+               "bs 1 3\nrot 1 h\nbs 5 7\nrot 5 h\nbs 8 4\nrot 8 h\n"
+               "if m0 == 1 : if m1 == 1 : rot 4 x\nm2 = charge 1\n"
+               "t0 = charge 3\nt1 = charge 4\nt2 = charge 5\nt3 = charge 7\n").circuit)
+# Arm 4 holds an electron on the branches where q read 1, so its electron is
+# refused there, before arm 2's on every branch; a depth-first walk meets
+# arm 2's first, on the branch where q read 0.
+@example(parse("arms 4\nelectron 3 up\nbs 4 3\nq = charge 4\nbs 2 3\nelectron 4 up\n"
+               "electron 2 up\nr = charge 2\n").circuit)
 def test_corr_light_cone_gives_the_full_circuit_walk(circuit):
     """Corr expands only the readouts' light cone, over the arms it acts on.  It
     gets the tree the full circuit's readout-by-readout walk gets, bit for
-    bit, or the same occupancy refusal, which names the circuit's arm; and
-    the stats, joint query included, that it gets on the whole circuit."""
+    bit, or the occupancy refusal of the first instruction that refuses,
+    which names the circuit's arm; and the stats, joint query included, that
+    it gets on the whole circuit."""
     got = corr_run(circuit)
-    reference = shape_or_refusal(lambda: measurement.walk(
-        circuit.instructions, corr.init_from_occupations([], circuit.arm_count),
-        whole_circuit_apply(circuit), sequential_charge_outcomes))
-    assert (got if isinstance(got, str) else got[0]) == reference
+    assert (got if isinstance(got, str) else got[0]) == reference_walk(circuit)
     with mock.patch.object(corr, "light_cone", list):
         assert corr_run(circuit) == got
 
@@ -761,8 +791,8 @@ def test_a_report_depends_only_on_the_order_of_the_arms(tmp_path_factory, drawn)
 def test_corr_cli_makes_no_leaf_node_for_a_terminal_block(tmp_path, monkeypatch, capsys):
     """Corr's report and sampled counts read the terminal block's arrays: a
     run of the 1944-leaf deep circuit, enumerated or sampled, constructs no
-    leaf record, and the leaves of the tree it made are the walk's without
-    the block."""
+    leaf record, and the leaves of the tree it made are the ones the walker
+    makes readout by readout with the one-matrix-at-a-time reference loop."""
     src = tmp_path / "deep.feqc"
     src.write_text(print_circuit(deep_terminal_circuit()))
     made, roots = [], []
@@ -778,8 +808,9 @@ def test_corr_cli_makes_no_leaf_node_for_a_terminal_block(tmp_path, monkeypatch,
         assert cli.main(["run", str(src), "--backend", "corr", "--mode", mode]) == 0
         assert json.loads(capsys.readouterr().out)["corr"]["terms"] == 3 ** 8
     assert made == []
-    with mock.patch.object(corr, "walk", walk_without_block):
-        plain, _ = tree(deep_terminal_circuit())
+    circuit = deep_terminal_circuit()
+    plain = measurement.walk(circuit.instructions, corr.init_from_occupations(
+        [], circuit.arm_count), matrix_apply, sequential_charge_outcomes)
     got = [(rec.outcomes, rec.probability.hex()) for rec in measurement.leaves(roots[0][0])]
     assert len(got) == 1944
     assert got == [(rec.outcomes, rec.probability.hex()) for rec in measurement.leaves(plain)]
@@ -1024,7 +1055,7 @@ def test_every_state_fock_builds_holds_amplitudes_at_or_above_the_threshold(circ
     instructions = circuit.instructions
     tail = len(instructions) - measurement.trailing_measures(instructions)
 
-    def branches(state, ins, _prob):
+    def branches(state, ins):
         return [(outcome, p, assert_above_threshold(post))
                 for outcome, p, post in measurement._MEASURE_FNS[ins.kind](state, ins.arm)]
 
@@ -1118,7 +1149,7 @@ def test_fock_state_has_norm_one_before_every_readout(circuit):
     """Fock renormalizes each branch after pruning and its elements are
     unitary, so every readout must see a state of norm 1."""
 
-    def meter(state, ins, _prob):
+    def meter(state, ins):
         norm2 = sum(abs(a) ** 2 for a in state.amplitudes.values())
         assert abs(norm2 - 1) <= 1e-12, (ins.label, norm2)
         return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
@@ -1237,10 +1268,9 @@ def terminal_block_query(circuit):
     """The state a circuit of terminal charge readouts reaches before them,
     and its arm count and read arms: the joint query its block prices."""
     M = corr.init_from_occupations([], circuit.arm_count)
-    apply = whole_circuit_apply(circuit)
     for ins in circuit.instructions:
         if not isinstance(ins, Measure):
-            M = apply(M, ins)
+            M = matrix_apply(M, ins)
     read = [ins.arm for ins in circuit.instructions if isinstance(ins, Measure)]
     assert all(isinstance(ins, Measure) for ins in circuit.instructions[-len(read):])
     return M, (circuit.arm_count, read)
