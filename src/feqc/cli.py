@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 
 from . import fock, gadgets, measurement
 from .circuit import Circuit
@@ -24,12 +23,18 @@ from .parser import parse
 REPORT_VERSION = "1"
 
 
-def _build_argparser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The top-level parser and its 'run' subparser."""
+def _build_argparser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each leaf command's parser keyed by its command
+    words: ("run",), ("gadget", "bell"), ..."""
     top = argparse.ArgumentParser(prog="feqc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    leaves: dict[tuple[str, ...], argparse.ArgumentParser] = {}
 
-    run = sub.add_parser("run", help="run a circuit file")
+    def leaf(subparsers, *words: str, **kwargs) -> argparse.ArgumentParser:
+        leaves[words] = subparsers.add_parser(words[-1], **kwargs)
+        return leaves[words]
+
+    run = leaf(sub, "run", help="run a circuit file")
     run.add_argument("file", help="circuit source (.feqc)")
     run.add_argument("--backend", choices=("fock", "corr"), default="fock")
     run.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
@@ -42,31 +47,31 @@ def _build_argparser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser
     gadget = sub.add_parser("gadget", help="run a prebuilt gadget")
     gsub = gadget.add_subparsers(dest="name", required=True)
 
-    bell = gsub.add_parser("bell", help="analyze one of the four entangled pair states")
+    bell = leaf(gsub, "gadget", "bell", help="analyze one of the four entangled pair states")
     bell.add_argument("--input", type=int, required=True, choices=range(4),
                       help="pair state index 0..3")
     bell.add_argument("--detector", choices=("parity", "charge"), default="parity")
     _output_flags(bell)
 
-    enc = gsub.add_parser("encoder", help="entangle a qubit with a fresh ancilla")
+    enc = leaf(gsub, "gadget", "encoder", help="entangle a qubit with a fresh ancilla")
     enc.add_argument("--qubit", default="(1,0),(0,0)", help='spinor as "(re,im),(re,im)"')
     enc.add_argument("--no-correction", action="store_true",
                      help="skip the spin flip in the parity-0 branch")
     _output_flags(enc)
 
-    cnot = gsub.add_parser("cnot", help="deterministic controlled-NOT on basis inputs")
+    cnot = leaf(gsub, "gadget", "cnot", help="deterministic controlled-NOT on basis inputs")
     cnot.add_argument("--control", type=int, required=True, choices=(0, 1))
     cnot.add_argument("--target", type=int, required=True, choices=(0, 1))
     _output_flags(cnot)
 
-    tele = gsub.add_parser("teleport", help="teleport a spin qubit over a singlet pair")
+    tele = leaf(gsub, "gadget", "teleport", help="teleport a spin qubit over a singlet pair")
     tele.add_argument("--qubit", default="(1,0),(0,0)", help='spinor as "(re,im),(re,im)"')
     _output_flags(tele)
 
-    app = gsub.add_parser("appendix-table",
-                          help="16-row closed-form check of the Hadamard-PBS block")
+    app = leaf(gsub, "gadget", "appendix-table",
+               help="16-row closed-form check of the Hadamard-PBS block")
     _output_flags(app)
-    return top, run
+    return top, leaves
 
 
 def _seed(text: str) -> int:
@@ -91,7 +96,8 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
                      help="human-readable rendering")
 
 
-_PARSER, _RUN_PARSER = _build_argparser()  # built once; parse_args keeps no state between calls
+# Built once; parsing keeps no state between calls.
+_PARSER, _LEAF_PARSERS = _build_argparser()
 
 _SPINOR_RE = re.compile(
     r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)\s*,\s*\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)\Z"
@@ -156,7 +162,8 @@ def _run_report(args, circuit: Circuit) -> dict:
 
 def _cmd_run(args) -> int:
     try:
-        source = Path(args.file).read_text(encoding="utf-8-sig")  # drops a leading byte-order mark
+        with open(args.file, encoding="utf-8-sig") as f:  # drops a leading byte-order mark
+            source = f.read()
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -348,10 +355,34 @@ def _render_gadget(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """What _PARSER.parse_args(argv) returns, or the same exit.
+
+    The subparsers action hands a command's parser every word after the
+    command's name, so an argv that starts with a leaf command's words is
+    parsed by that leaf alone, without walking the tree above it. Every other
+    argv (no command, top-level help, an unknown command, a group without its
+    command) goes to _PARSER.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = _LEAF_PARSERS.get(words)
+        if leaf is None:
+            continue
+        args, extras = leaf.parse_known_args(argv[len(words):])
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = words[0]
+        if len(words) == 2:
+            args.name = words[1]
+        return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     if args.command == "run" and args.emit_state and args.backend != "fock":
-        _RUN_PARSER.error("argument --emit-state: only the fock backend emits states")
+        _LEAF_PARSERS["run",].error("argument --emit-state: only the fock backend emits states")
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,8 +16,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from feqc import corr, fock, measurement
+from feqc import cli, corr, fock, measurement
 from feqc.circuit import print_circuit
 from feqc.cli import main
 from feqc.errors import NonGaussianOperationError
@@ -88,6 +92,12 @@ def test_run_missing_file_exits_1(capsys):
     code, _, err = run_cli(capsys, "run", "no-such-file.feqc")
     assert code == 1
     assert err != ""
+
+
+def test_run_missing_file_names_the_path_as_given(capsys):
+    code, out, err = run_cli(capsys, "run", "./no-such-file.feqc")
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 2] No such file or directory: './no-such-file.feqc'\n"
 
 
 def test_corr_backend_rejects_parity(capsys):
@@ -485,6 +495,108 @@ def test_main_serves_calls_without_building_a_parser(capsys, monkeypatch):
         main(["run", str(DATA / "encoder.feqc"), "--mode", "bogus"])
     assert exc.value.code == 2
     assert "--mode" in capsys.readouterr().err
+    # A leftover word, reported by the top-level parser, and a group without
+    # its command, which only the whole tree parses.
+    for argv, message in ((["run", str(DATA / "encoder.feqc"), "extra"], "unrecognized arguments"),
+                          (["gadget"], "required")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the Namespace parse(argv) returns, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_routed_as_the_whole_tree(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+
+
+ENC = str(DATA / "encoder.feqc")
+
+ROUTING_CORPUS = [
+    # Every leaf command.
+    ["run", ENC],
+    ["run", ENC, "--backend", "corr", "--mode", "sample", "--shots", "5", "--seed", "9", "--pretty"],
+    ["run", ENC, "--emit-state", "--json"],
+    ["gadget", "bell", "--input", "2", "--detector", "charge"],
+    ["gadget", "encoder", "--qubit", "(0,1),(1,0)", "--no-correction"],
+    ["gadget", "cnot", "--control", "1", "--target", "0"],
+    ["gadget", "teleport", "--qubit", "(0.6,0),(0,0.8)", "--pretty"],
+    ["gadget", "appendix-table"],
+    # Help at every level.
+    [], ["-h"], ["--help"], ["--he"], ["run", "-h"], ["run", ENC, "--help"], ["gadget", "-h"],
+    ["gadget", "bell", "-h"], ["gadget", "appendix-table", "--help"], ["gadget", "cnot", "--he"],
+    # Abbreviations and --opt=value.
+    ["gadget", "bell", "--input", "0", "--det", "charge"],
+    ["run", ENC, "--back", "corr", "--mo", "sample"],
+    ["run", ENC, "--s", "3"],
+    ["run", ENC, "--mode=sample", "--seed=3", "--shots=2"],
+    ["gadget", "cnot", "--control=1", "--target=1"],
+    ["gadget", "encoder", "--no", "--qu=(1,0),(0,0)"],
+    # Bad choices and types, missing arguments.
+    ["run", ENC, "--backend", "qpu"], ["run", ENC, "--seed", "x"], ["run", ENC, "--shots", "0"],
+    ["gadget", "bell", "--input", "4"], ["gadget", "bell", "--input=x"],
+    ["gadget", "cnot", "--control", "1"], ["gadget", "bell"], ["run"], ["run", "--pretty"],
+    ["run", ENC, "--mode"],
+    # --json and --pretty exclude each other.
+    ["run", ENC, "--json", "--pretty"], ["gadget", "teleport", "--pretty", "--json"],
+    # Extra words and unknown options.
+    ["run", ENC, "extra"], ["run", ENC, "extra", "--more"], ["run", ENC, "-x"], ["run", ENC, ENC],
+    ["gadget", "bell", "--input", "0", "extra"], ["gadget", "appendix-table", "x", "y"],
+    # The -- separator.
+    ["run", "--", ENC], ["run", ENC, "--"], ["run", "--", "-F"], ["--", "run", ENC],
+    ["gadget", "--", "bell", "--input", "0"], ["gadget", "bell", "--", "--input", "0"],
+    # Unknown commands, a group without its command, options before the command.
+    ["bogus"], ["Run", ENC], ["gadget"], ["gadget", "bogus"], ["gadget", "-x"],
+    ["--pretty", "run", ENC], ["-h", "run", ENC], [""], ["run", ""], ["gadget", ""],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTING_CORPUS)
+def test_routed_parse_matches_the_whole_tree(argv):
+    assert_routed_as_the_whole_tree(argv)
+
+
+def test_routed_parse_reads_sys_argv_when_given_none(monkeypatch):
+    for argv in (["gadget", "bell", "--input", "1"], ["run", ENC, "extra"], ["gadget"]):
+        monkeypatch.setattr(sys, "argv", ["feqc", *argv])
+        assert_routed_as_the_whole_tree(None)
+
+
+COMMAND_WORDS = [(), ("run",), ("gadget",), *(("gadget", name) for name in cli._GADGETS)]
+ARGV_TOKENS = [
+    "run", "gadget", *cli._GADGETS, ENC, "-", "", "x", "0", "1", "4", "-1", "--", "-h", "--help",
+    "--he", "--backend", "--back", "corr", "fock", "--mode", "--mode=sample", "sample", "--seed",
+    "--seed=7", "--shots", "--s", "--emit-state", "--json", "--pretty", "--input", "--input=2",
+    "--detector", "--det", "charge", "--qubit", "(1,0),(0,0)", "--no-correction", "--control",
+    "--target", "--target=0",
+]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(COMMAND_WORDS), st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+def test_routed_parse_matches_the_whole_tree_on_drawn_argv(words, rest):
+    assert_routed_as_the_whole_tree([*words, *rest])
+
+
+def test_every_leaf_command_is_routed():
+    def leaves(parser, words):
+        groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not groups:
+            return {words: parser}
+        return {key: leaf for group in groups for name, sub in group.choices.items()
+                for key, leaf in leaves(sub, (*words, name)).items()}
+
+    assert leaves(cli._PARSER, ()) == cli._LEAF_PARSERS
 
 
 def test_calls_in_one_process_share_no_state(capsys):
