@@ -102,14 +102,19 @@ class Circuit:
     """A declared arm count and a tuple of instructions (a list passed in is
     converted).  Circuit and instructions are frozen, so a circuit is checked
     once, when it is made: ``problem`` is the message of its first structural
-    problem, or None for a valid circuit."""
+    problem, or None for a valid circuit.  ``programs`` holds the fock
+    walker's programs of the circuit, one for the full walk and one for the
+    light-cone walk, each prepared on its first walk
+    (``measurement.branch_tree``)."""
 
     arm_count: int
     instructions: tuple[Instruction, ...] = ()
     problem: str | None = field(init=False, repr=False, compare=False)
+    programs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "programs", {})
         problem = None
         if self.arm_count < 1:
             problem = "arm count must be >= 1"

@@ -367,6 +367,35 @@ def _givens(u: np.ndarray) -> tuple[list[tuple[int, int, np.ndarray]], list[comp
     return rotations[::-1], np.diag(w).tolist()
 
 
+KernelStep = tuple[int, int, Matrix2]
+
+
+def kernel_step(modes: Sequence[ModeIndex | tuple[int, Spin]], matrix, num_arms: int) -> KernelStep:
+    """A two-mode step resolved for the kernel on ``num_arms`` arms: the
+    positions (p, q) of its two modes, their arms' range and distinctness
+    checked, and the entries of its matrix, a checked unitary (an
+    element-table matrix passes as it is), at or below PRUNE_THRESHOLD set
+    to zero."""
+    first, second = modes
+    p, q = mode_position(first, num_arms), mode_position(second, num_arms)
+    if p == q:
+        raise ValueError("modes must be distinct")
+    u = step_unitary(matrix, 2)
+    return p, q, u if type(u) is tuple else _kernel_entries(u)
+
+
+def apply_kernel_steps(state: FockState, steps: Sequence[KernelStep]) -> FockState:
+    """The two-mode steps of ``kernel_step``, applied in order by the
+    closed-form kernel (see apply_single_particle_unitary); each step's
+    output is refused above MAX_KEYS.  The element step of the branch
+    walker and of apply_single_particle_unitary's two-mode case."""
+    amplitudes = state.amplitudes
+    for p, q, entries in steps:
+        amplitudes = _two_mode(amplitudes, p, q, entries)
+        _admit_keys(len(amplitudes))
+    return FockState(state.num_arms, amplitudes)
+
+
 def apply_single_particle_unitary(
     state: FockState,
     modes: Sequence[ModeIndex | tuple[int, Spin]],
@@ -376,12 +405,12 @@ def apply_single_particle_unitary(
 
     Each creation operator on mode j is replaced by sum_i U[i, j] * (creation
     on mode i).  A two-mode unitary (every element step) acts on each key in
-    closed form: keys with neither mode occupied are unchanged, keys with
-    both pick up det U, and a lone electron stays or moves to the other mode
-    with the sign (-1)^(occupied modes strictly between the two).  Any other
-    mode count is factored into two-mode Givens rotations after diagonal
-    phases, each applied the same way.  Norm and per-key particle number are
-    preserved.
+    closed form (``kernel_step`` and ``apply_kernel_steps``): keys with
+    neither mode occupied are unchanged, keys with both pick up det U, and a
+    lone electron stays or moves to the other mode with the sign
+    (-1)^(occupied modes strictly between the two).  Any other mode count is
+    factored into two-mode Givens rotations after diagonal phases, each
+    applied the same way.  Norm and per-key particle number are preserved.
 
     Every FockState this module builds holds only amplitudes at or above
     PRUNE_THRESHOLD, and a two-mode step relies on it: the step checks only
@@ -395,21 +424,19 @@ def apply_single_particle_unitary(
     every key of it.
     """
     m = len(modes)
+    if m == 2:
+        return apply_kernel_steps(state, [kernel_step(modes, matrix, state.num_arms)])
     positions = [mode_position(mode, state.num_arms) for mode in modes]
     if len(set(positions)) != m:
         raise ValueError("modes must be distinct")
-    u = step_unitary(matrix, m)
-    if m == 2:
-        amplitudes = _two_mode(state.amplitudes, *positions, u)
-    else:
-        rotations, phases = _givens(u)
-        # m = 0 applies nothing: copy, never share the input's dict
-        amplitudes = state.amplitudes if m else dict(state.amplitudes)
-        for p, phase in zip(positions, phases):
-            amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
-        for i, j, g in rotations:
-            amplitudes = _two_mode(amplitudes, positions[i], positions[j], g, prune=False)
-        amplitudes = pruned(amplitudes)
+    rotations, phases = _givens(step_unitary(matrix, m))
+    # m = 0 applies nothing: copy, never share the input's dict
+    amplitudes = state.amplitudes if m else dict(state.amplitudes)
+    for p, phase in zip(positions, phases):
+        amplitudes = {k: a * phase if k >> p & 1 else a for k, a in amplitudes.items()}
+    for i, j, g in rotations:
+        amplitudes = _two_mode(amplitudes, positions[i], positions[j], g, prune=False)
+    amplitudes = pruned(amplitudes)
     _admit_keys(len(amplitudes))
     return FockState(state.num_arms, amplitudes)
 
@@ -462,12 +489,10 @@ def rotation_steps(arm: int, matrix: Matrix2) -> list[Step]:
 def inner_product(state_a: FockState, state_b: FockState) -> complex:
     if state_a.num_arms != state_b.num_arms:
         raise ValueError("states live on different numbers of arms")
-    import numpy as np
-
     small, large = state_a.amplitudes, state_b.amplitudes
     if len(small) > len(large):
-        return np.conj(inner_product(state_b, state_a))
-    return complex(sum(np.conj(a) * large[k] for k, a in small.items() if k in large))
+        return inner_product(state_b, state_a).conjugate()
+    return complex(sum(a.conjugate() * large[k] for k, a in small.items() if k in large))
 
 
 def fidelity(state_a: FockState, state_b: FockState) -> float:

@@ -28,6 +28,7 @@ readout, and the walker runs them with the rest of its one circuit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,10 +57,19 @@ class GadgetBranchRecord:
     output_state: FockState
 
 
-def _run(state: FockState, instructions: list) -> list[GadgetBranchRecord]:
-    """Expand a gadget's instructions from ``state`` through the branch
-    walker; its corrections are the conditionals after its last readout."""
-    tree = measurement.branch_tree(Circuit(state.num_arms, instructions), state)
+@functools.lru_cache(maxsize=256, typed=True)
+def _circuit(build, num_arms: int, *options) -> Circuit:
+    """The circuit of the instructions ``build(*options)`` on ``num_arms``
+    arms, built and checked once per arms and options: a gadget called again
+    walks the same Circuit, and its program, prepared on the first walk."""
+    return Circuit(num_arms, build(*options))
+
+
+def _run(state: FockState, circuit: Circuit) -> list[GadgetBranchRecord]:
+    """Expand a gadget's circuit from ``state`` through the branch walker;
+    its corrections are the conditionals after its last readout."""
+    tree = measurement.branch_tree(circuit, state)
+    instructions = circuit.instructions
     last = len(instructions)  # just after the last readout
     while readout_of(instructions[last - 1]) is None:
         last -= 1
@@ -113,7 +123,7 @@ def bell_analyzer(
     require_single_occupancy(state, arm_b, "bell_analyzer")
     if detector not in ("charge", "parity"):
         raise ValueError(f"unknown detector mode {detector!r}")
-    return _classified(_run(state, _analyzer(arm_a, arm_b, detector)))
+    return _classified(_run(state, _circuit(_analyzer, state.num_arms, arm_a, arm_b, detector)))
 
 
 def _analyzer(arm_a: int, arm_b: int, detector: str) -> list:
@@ -151,10 +161,14 @@ def encoder(
     """
     require_single_occupancy(state, arm_a, "encoder")
     require_single_occupancy(state, arm_b, "encoder")
+    return _run(state, _circuit(_encoder, state.num_arms, arm_a, arm_b, apply_correction))
+
+
+def _encoder(arm_a: int, arm_b: int, apply_correction: bool) -> list:
     instructions = _parity_box(arm_a, arm_b, "p")
     if apply_correction:
         instructions.append(Conditional("p", 0, SpinRotation(arm_b, "x")))
-    return _run(state, instructions)
+    return instructions
 
 
 def spin_parity_readout(
@@ -187,7 +201,7 @@ def hadamard_pbs_gadget(
     """
     require_single_occupancy(state, upper_arm, "hadamard_pbs_gadget")
     require_single_occupancy(state, lower_arm, "hadamard_pbs_gadget")
-    return _run(state, _hadamard_pbs_box(upper_arm, lower_arm))
+    return _run(state, _circuit(_hadamard_pbs_box, state.num_arms, upper_arm, lower_arm))
 
 
 _PLUS = (1 / math.sqrt(2), 1 / math.sqrt(2))
@@ -227,6 +241,12 @@ def cnot(
     require_single_occupancy(state, target_arm, "cnot")
     require_single_occupancy(state, ancilla_arm, "cnot")
     _require_plus_ancilla(state, ancilla_arm)
+    return _run(state, _circuit(_cnot, state.num_arms, control_arm, target_arm, ancilla_arm,
+                                apply_control_correction, apply_target_correction))
+
+
+def _cnot(control_arm: int, target_arm: int, ancilla_arm: int,
+          apply_control_correction: bool, apply_target_correction: bool) -> list:
     instructions = (_parity_box(control_arm, ancilla_arm, "p1")
                     + _hadamard_pbs_box(ancilla_arm, target_arm))
     if apply_control_correction:
@@ -234,7 +254,7 @@ def cnot(
     if apply_target_correction:
         flip = SpinRotation(target_arm, "x")
         instructions += [Conditional("p1", p, Conditional("z", p, flip)) for p in (0, 1)]
-    return _run(state, instructions)
+    return instructions
 
 
 # Qubit correction per analyzer class, in application order.  Frozen from
@@ -260,9 +280,14 @@ def teleport(
     """
     for arm in (source_arm, pair_arm_1, pair_arm_2):
         require_single_occupancy(state, arm, "teleport")
+    return _classified(_run(state, _circuit(_teleport, state.num_arms, source_arm, pair_arm_1,
+                                            pair_arm_2)))
+
+
+def _teleport(source_arm: int, pair_arm_1: int, pair_arm_2: int) -> list:
     corrections = [Conditional(label, 1, SpinRotation(pair_arm_2, name))
                    for label, name in (("q1", "z"), ("q3", "z"), ("q2", "x"))]
-    return _classified(_run(state, _analyzer(source_arm, pair_arm_1, "parity") + corrections))
+    return _analyzer(source_arm, pair_arm_1, "parity") + corrections
 
 
 def derive_teleport_corrections() -> dict[int, tuple[str, ...]]:

@@ -1,16 +1,19 @@
 """Projective charge, parity and spin measurements with Born-rule branching.
 
 Measurements return every outcome with probability above the branch
-threshold, each with its renormalized post-state.  One Born-rule routine,
-``_born``, reads a run of readouts from a state in one pass over its keys
-into the walker's nodes; a single ``measure_*`` call is its one-readout
-case.  A leaf of that pass keeps its group of keys and its mass, and
-normalizes the group into its post-state when the post-state is first read,
-so a report that reads only outcomes and probabilities normalizes nothing.
-``enumerate_branches`` expands a circuit into the full outcome tree
-through the branch walker, ``walk``, which hands the circuit's trailing run
-of readouts to that routine on every path that reaches it.  ``branch_tree(..., cone=True)``, which
-``feqc run`` uses on fock unless it emits states, walks only the readouts'
+threshold, each with its renormalized post-state.  A readout splits a state
+by its meter (``_split``): ``measure_charge``, ``measure_parity`` and
+``measure_spin`` return that split.  ``_born`` reads a run of readouts from
+a state in one pass over its keys; a leaf of that pass keeps its group of
+keys and its mass, and normalizes the group into its post-state when the
+post-state is first read, so a report that reads only outcomes and
+probabilities normalizes nothing.  ``branch_tree`` expands a circuit into
+the full outcome tree: it prepares the circuit's instructions once into a
+``Program``, kept in ``circuit.programs`` (conditions as (label, value)
+pairs, elements as ``fock.kernel_step`` steps, mid-circuit readouts as
+meters), and walks it, handing the trailing run of readouts to ``_born`` on
+every path that reaches it.  ``branch_tree(..., cone=True)``, which ``feqc
+run`` uses on fock unless it emits states, walks only the readouts'
 backward light cone from the vacuum (``circuit.light_cone``), so an
 instruction no readout depends on costs nothing, and MAX_KEYS bounds the
 cone's states.  ``sample`` reads the tree's leaves in chunks that each read
@@ -28,8 +31,9 @@ from functools import cached_property
 from itertools import groupby, islice
 from typing import TYPE_CHECKING, Any, Union
 
-from .circuit import (Circuit, Conditional, Measure, apply_instruction, light_cone,
-                      readout_of, validate_circuit)
+from . import fock
+from .circuit import (Circuit, Conditional, Measure, PrepBell, PrepSpin, apply_instruction,
+                      light_cone, unitary_steps, validate_circuit)
 from .errors import FeqcError, PreconditionError
 from .fock import FockState, Spin, mode_position, pruned
 
@@ -58,7 +62,7 @@ Meter = tuple[int, dict[int, int], str]
 
 
 def _born(state: FockState, measures, outcomes: dict[str, int], prob: float, count) -> BranchNode:
-    """Fock's terminal-block hook for ``walk``: the Born-rule subtree of the
+    """The walker's trailing run of readouts: the Born-rule subtree of the
     readouts ``measures``, made in turn on ``state``, below ``outcomes`` and
     ``prob``, its children in ascending outcome order.  The keys are grouped
     once, by their outcomes under every readout's meter, and a node's
@@ -70,7 +74,7 @@ def _born(state: FockState, measures, outcomes: dict[str, int], prob: float, cou
     when it is first read (``BranchRecord``).  ``count(1)``, unless ``count``
     is None, is called before each leaf is made, in depth-first order.
     """
-    meters = [_arm_meter(state, ins.kind, ins.arm) for ins in measures]
+    meters = [_arm_meter(state.num_arms, ins.kind, ins.arm) for ins in measures]
     mask = 0
     for bits, _, _ in meters:
         mask |= bits
@@ -134,11 +138,11 @@ def _expand(items: list, depth: int, mass: float, outcomes: dict[str, int], prob
     return BranchNode(labels[depth], nodes)
 
 
-def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
-    """A charge, parity or spin readout of an arm as a meter over both of its
-    mode bits (validates the arm); the spin meter refuses every key whose
-    arm does not hold exactly one electron."""
-    up = 1 << mode_position((arm, Spin.UP), state.num_arms)
+def _arm_meter(num_arms: int, kind: str, arm: int) -> Meter:
+    """A charge, parity or spin readout of an arm of ``num_arms`` as a meter
+    over both of its mode bits (validates the arm); the spin meter refuses
+    every key whose arm does not hold exactly one electron."""
+    up = 1 << mode_position((arm, Spin.UP), num_arms)
     down = up << 1
     both = up | down
     if kind == "charge":
@@ -148,15 +152,41 @@ def _arm_meter(state: FockState, kind: str, arm: int) -> Meter:
     return both, {up: 0, down: 1}, f"measure_spin: arm {arm} must carry exactly one electron"
 
 
-def _measure(state: FockState, kind: str, arm: int) -> list[Branch]:
-    """An arm's readout as the (outcome, probability, post-state) triples of a _born node."""
-    node = _born(state, [Measure("", kind, arm)], {}, 1.0, None)
-    return [(outcome, p, leaf.post_state) for outcome, p, leaf in node.children]
+def _split(state: FockState, meter: Meter) -> list[Branch]:
+    """One readout of ``state`` by its meter, as (outcome, probability,
+    post-state) triples in ascending outcome order: a key of a pattern the
+    meter lacks refuses the readout, an outcome at or below BRANCH_THRESHOLD
+    is dropped, the rest are renormalized, and a post-state is its outcome's
+    keys over the square root of their mass, pruned.  The same rules, and
+    bits, as a one-readout run of ``_born``."""
+    mask, outcome_of, refusal = meter
+    groups: dict[int, dict[int, complex]] = {}  # outcome -> its keys' amplitudes
+    group_of: dict[int, dict[int, complex]] = {}  # key & mask -> its outcome's group
+    for key, amp in state.amplitudes.items():
+        bits = key & mask
+        group = group_of.get(bits)
+        if group is None:
+            group = group_of[bits] = groups.setdefault(outcome_of.get(bits, REFUSED), {})
+        group[key] = amp
+    if REFUSED in groups:
+        raise PreconditionError(refusal)
+    kept = []
+    total = 0  # as sum() starts: an empty state reports "sum to 0"
+    for outcome, group in sorted(groups.items()):
+        mass = sum([abs(a) ** 2 for a in group.values()])
+        if mass > BRANCH_THRESHOLD:
+            kept.append((outcome, mass, group))
+            total += mass
+    # Report a kernel that lost norm instead of renormalizing it away.
+    if abs(total - 1) > NORM_TOLERANCE:
+        raise FeqcError(f"state norm drifted: outcome probabilities sum to {total!r}")
+    return [(outcome, mass / total, _leaf_state(group, mass, state.num_arms))
+            for outcome, mass, group in kept]
 
 
 def measure_charge(state: FockState, arm: int) -> list[Branch]:
     """Electrometer: project onto occupation 0, 1 or 2 of the arm."""
-    return _measure(state, "charge", arm)
+    return _split(state, _arm_meter(state.num_arms, "charge", arm))
 
 
 def measure_parity(state: FockState, arm: int) -> list[Branch]:
@@ -165,7 +195,7 @@ def measure_parity(state: FockState, arm: int) -> list[Branch]:
     The even branch keeps the coherent superposition of its empty and doubly
     occupied components; that is what distinguishes it from an electrometer.
     """
-    return _measure(state, "parity", arm)
+    return _split(state, _arm_meter(state.num_arms, "parity", arm))
 
 
 def measure_spin(state: FockState, arm: int) -> list[Branch]:
@@ -174,7 +204,7 @@ def measure_spin(state: FockState, arm: int) -> list[Branch]:
     The electron stays in place.  Arms without a definite single electron are
     rejected rather than silently projected.
     """
-    return _measure(state, "spin", arm)
+    return _split(state, _arm_meter(state.num_arms, "spin", arm))
 
 
 def _leaf_state(group: dict[int, complex], mass: float, num_arms: int) -> FockState:
@@ -294,28 +324,63 @@ def admit_depth(readouts: int) -> None:
                         f"MAX_DEPTH = {MAX_DEPTH}")
 
 
-def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, BranchRecord]:
-    """Expand instructions from ``state`` into the measurement-outcome tree.
+# A prepared instruction: (labels, values, op, arg).  Its conditions'
+# (label, value) pairs, outermost first, are split into the tuples ``labels``
+# and ``values``, so a path runs it when its outcomes for ``labels`` are
+# ``values``, one tuple compare; a plain instruction has none.  ``op`` is
+# _ELEMENT with the element's fock.kernel_step steps, _PREPARATION with the
+# instruction, or _READOUT with its (label, meter).
+_ELEMENT, _PREPARATION, _READOUT = range(3)
 
-    The backend supplies ``apply(state, ins)`` for preparations and elements,
-    and ``branches(state, measure)`` returning a readout's (outcome,
-    probability, post-state) list.  A conditional runs its op (an element, a
-    readout or a conditional) on a path that read its label's value, and is
-    skipped on any other path, also one that did not read the label.  A
-    backend may also pass ``block`` = (start, hook), where the instructions
-    from ``start`` on are Measures, for ``hook(state, measures, outcomes,
-    prob, count)`` to take over those readouts on each path that reaches
-    them.  It returns their subtree, whose leaves extend ``outcomes`` and
-    whose probabilities are ``prob`` times the readouts' products, in the
-    order the walker would have made them.  The hook calls ``count(n)``
-    before its tree grows by n leaves, counting every leaf it makes.  Every
-    other readout branches through ``branches``.  Fock's hook groups the
-    state's keys once for the whole run and builds its nodes from the groups
-    (``_born``).
-    A tree of more than MAX_LEAVES leaves is refused.
+
+@dataclass(frozen=True)
+class Program:
+    """Instructions prepared once for the walker: ``steps`` holds each
+    instruction before the trailing run of readouts, prepared, ``trailing``
+    that run's Measures, which ``_born`` reads, and ``readouts`` the number
+    of readouts a path may nest."""
+
+    steps: tuple[tuple[tuple[str, ...], tuple[int, ...], int, Any], ...]
+    trailing: tuple[Measure, ...]
+    readouts: int
+
+
+def _prepare(instructions, num_arms: int) -> Program:
+    """The walker's program of ``instructions`` on ``num_arms`` arms."""
+    tail = len(instructions) - trailing_measures(instructions)
+    steps = []
+    readouts = len(instructions) - tail
+    for op in instructions[:tail]:
+        labels = values = ()
+        while isinstance(op, Conditional):
+            labels += (op.label,)
+            values += (op.value,)
+            op = op.op
+        if isinstance(op, Measure):
+            readouts += 1
+            steps.append((labels, values, _READOUT,
+                          (op.label, _arm_meter(num_arms, op.kind, op.arm))))
+        elif isinstance(op, (PrepSpin, PrepBell)):
+            steps.append((labels, values, _PREPARATION, op))
+        else:
+            steps.append((labels, values, _ELEMENT, [fock.kernel_step(modes, matrix, num_arms)
+                                                     for modes, matrix in unitary_steps(op)]))
+    return Program(tuple(steps), tuple(instructions[tail:]), readouts)
+
+
+def _walk(program: Program, state: FockState) -> Union[BranchNode, BranchRecord]:
+    """Expand a program from ``state`` into its measurement-outcome tree.
+
+    A conditional runs on a path that read each of its labels' values, and
+    is skipped on any other path, also one that did not read a label.  A
+    mid-circuit readout splits the state by its meter (``_split``), one
+    child per kept outcome, and the trailing run is read by ``_born`` on
+    each path that reaches it.  A tree of more than MAX_LEAVES leaves is
+    refused.
     """
+    steps, trailing = program.steps, program.trailing
+    end = len(steps)
     leaf_count = 0
-    tail, hook = block or (None, None)
 
     def count(n):
         nonlocal leaf_count
@@ -324,19 +389,22 @@ def walk(instructions, state, apply, branches, block=None) -> Union[BranchNode, 
             raise FeqcError(f"branch tree: more leaves than the limit MAX_LEAVES = {MAX_LEAVES}")
 
     def expand(index, state, outcomes, prob):
-        for i in range(index, len(instructions)):
-            ins = instructions[i]
-            if i == tail:
-                return hook(state, instructions[tail:], outcomes, prob, count)
-            while isinstance(ins, Conditional) and outcomes.get(ins.label) == ins.value:
-                ins = ins.op
-            if isinstance(ins, Measure):
-                return BranchNode(ins.label, [
-                    (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
-                    for outcome, p, post in branches(state, ins)
+        for i in range(index, end):
+            labels, values, op, arg = steps[i]
+            if labels and tuple(map(outcomes.get, labels)) != values:
+                continue
+            if op == _ELEMENT:
+                state = fock.apply_kernel_steps(state, arg)
+            elif op == _READOUT:
+                label, meter = arg
+                return BranchNode(label, [
+                    (outcome, p, expand(i + 1, post, {**outcomes, label: outcome}, prob * p))
+                    for outcome, p, post in _split(state, meter)
                 ])
-            if not isinstance(ins, Conditional):
-                state = apply(state, ins)
+            else:
+                state = apply_instruction(state, arg)
+        if trailing:
+            return _born(state, trailing, outcomes, prob, count)
         count(1)
         return BranchRecord(dict(outcomes), prob, state)
 
@@ -395,7 +463,9 @@ def leaf_table(root) -> list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
 def branch_tree(circuit: Circuit, input_state: FockState,
                 *, cone: bool = False) -> Union[BranchNode, BranchRecord]:
     """Expand a circuit into its measurement-outcome tree; its trailing run
-    of readouts is read in one pass over each state that reaches it.
+    of readouts is read in one pass over each state that reaches it.  The
+    walker's program is prepared on the circuit's first walk and kept in
+    ``circuit.programs``, so a circuit walked again only walks.
 
     With ``cone``, the walk runs from the vacuum ``input_state`` over the
     readouts' light cone (``circuit.light_cone``) on the circuit's own arm
@@ -406,15 +476,14 @@ def branch_tree(circuit: Circuit, input_state: FockState,
     validate_circuit(circuit)
     if input_state.num_arms != circuit.arm_count:
         raise ValueError("input state arm count does not match circuit")
-    instructions = circuit.instructions
-    if cone:
-        if input_state.amplitudes.keys() != {0}:
-            raise ValueError("the light cone is walked from the vacuum")
-        instructions = light_cone(instructions)
-    admit_depth(sum(readout_of(ins) is not None for ins in instructions))  # the block nests too
-    return walk(instructions, input_state, apply_instruction,
-                lambda state, ins: _MEASURE_FNS[ins.kind](state, ins.arm),
-                (len(instructions) - trailing_measures(instructions), _born))
+    if cone and input_state.amplitudes.keys() != {0}:
+        raise ValueError("the light cone is walked from the vacuum")
+    program = circuit.programs.get(cone)
+    if program is None:
+        instructions = light_cone(circuit.instructions) if cone else circuit.instructions
+        program = circuit.programs[cone] = _prepare(instructions, circuit.arm_count)
+    admit_depth(program.readouts)  # the trailing run nests too
+    return _walk(program, input_state)
 
 
 def enumerate_branches(circuit: Circuit, input_state: FockState) -> list[BranchRecord]:

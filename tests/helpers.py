@@ -12,9 +12,12 @@ import itertools
 import numpy as np
 from scipy.linalg import expm, schur
 
-from feqc import fock
-from feqc.circuit import BeamSplitter, Circuit, Measure, PolarizingBeamSplitter, PrepSpin
+from feqc import fock, measurement
+from feqc.circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
+                          PrepSpin, apply_instruction, light_cone, readout_of, validate_circuit)
+from feqc.errors import FeqcError
 from feqc.fock import FockState
+from feqc.measurement import BranchNode, BranchRecord
 
 
 def pos_of(mode, num_arms: int) -> int:
@@ -302,3 +305,78 @@ def deep_terminal_circuit(seed=11, num_arms=12, readouts=8) -> Circuit:
     read = rng.choice(np.arange(1, num_arms + 1), size=readouts, replace=False)
     instructions += [Measure(f"q{a}", "charge", int(a)) for a in read]
     return Circuit(num_arms, instructions)
+
+
+def walk(instructions, state, apply, branches, block=None):
+    """Expand instructions from ``state`` into the measurement-outcome tree:
+    the generic walker, the reference for fock's prepared walk and corr's
+    stacked loop.
+
+    The caller supplies ``apply(state, ins)`` for preparations and elements,
+    and ``branches(state, measure)`` returning a readout's (outcome,
+    probability, post-state) list.  A conditional runs its op (an element, a
+    readout or a conditional) on a path that read its label's value, and is
+    skipped on any other path, also one that did not read the label.  A
+    caller may also pass ``block`` = (start, hook), where the instructions
+    from ``start`` on are Measures, for ``hook(state, measures, outcomes,
+    prob, count)`` to take over those readouts on each path that reaches
+    them.  It returns their subtree, whose leaves extend ``outcomes`` and
+    whose probabilities are ``prob`` times the readouts' products, in the
+    order the walker would have made them.  The hook calls ``count(n)``
+    before its tree grows by n leaves, counting every leaf it makes.  Every
+    other readout branches through ``branches``.  A tree of more than
+    measurement.MAX_LEAVES leaves is refused.
+    """
+    leaf_count = 0
+    tail, hook = block or (None, None)
+
+    def count(n):
+        nonlocal leaf_count
+        leaf_count += n
+        if leaf_count > measurement.MAX_LEAVES:
+            raise FeqcError(f"branch tree: more leaves than the limit "
+                            f"MAX_LEAVES = {measurement.MAX_LEAVES}")
+
+    def expand(index, state, outcomes, prob):
+        for i in range(index, len(instructions)):
+            ins = instructions[i]
+            if i == tail:
+                return hook(state, instructions[tail:], outcomes, prob, count)
+            while isinstance(ins, Conditional) and outcomes.get(ins.label) == ins.value:
+                ins = ins.op
+            if isinstance(ins, Measure):
+                return BranchNode(ins.label, [
+                    (outcome, p, expand(i + 1, post, {**outcomes, ins.label: outcome}, prob * p))
+                    for outcome, p, post in branches(state, ins)
+                ])
+            if not isinstance(ins, Conditional):
+                state = apply(state, ins)
+        count(1)
+        return BranchRecord(dict(outcomes), prob, state)
+
+    return expand(0, state, {}, 1.0)
+
+
+def measure_fn(state: FockState, ins: Measure):
+    """A readout through measurement._MEASURE_FNS, the meters' public entry."""
+    return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
+
+
+def reference_tree(circuit: Circuit, state: FockState, *, cone: bool = False, block: bool = True):
+    """measurement.branch_tree through the reference walker: every
+    preparation and element through apply_instruction, every readout before
+    the trailing run through measurement._MEASURE_FNS, and, with ``block``,
+    the trailing run through measurement._born; without it, readout by
+    readout.  The same checks, in the same order."""
+    validate_circuit(circuit)
+    if state.num_arms != circuit.arm_count:
+        raise ValueError("input state arm count does not match circuit")
+    instructions = circuit.instructions
+    if cone:
+        if state.amplitudes.keys() != {0}:
+            raise ValueError("the light cone is walked from the vacuum")
+        instructions = light_cone(instructions)
+    measurement.admit_depth(sum(readout_of(ins) is not None for ins in instructions))
+    tail = len(instructions) - measurement.trailing_measures(instructions)
+    return walk(instructions, state, apply_instruction, measure_fn,
+                (tail, measurement._born) if block else None)

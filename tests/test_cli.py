@@ -391,13 +391,13 @@ def test_gadget_overflowing_spinor_exits_1(capsys):
 def test_run_reports_a_kernel_that_loses_norm(capsys, monkeypatch):
     from feqc import fock
 
-    kernel = fock.apply_single_particle_unitary
+    kernel = fock.apply_kernel_steps
 
-    def lossy(state, modes, matrix):
-        out = kernel(state, modes, matrix)
+    def lossy(state, steps):
+        out = kernel(state, steps)
         return fock.FockState(out.num_arms, {k: 0.9 * a for k, a in out.amplitudes.items()})
 
-    monkeypatch.setattr(fock, "apply_single_particle_unitary", lossy)
+    monkeypatch.setattr(fock, "apply_kernel_steps", lossy)
     code, out, err = run_cli(capsys, "run", str(DATA / "encoder.feqc"))
     assert (code, out) == (1, "")
     assert err.startswith("error: state norm drifted") and err.count("\n") == 1
@@ -736,7 +736,7 @@ def test_a_tree_deeper_than_its_limit_is_refused_before_it_is_walked(capsys, mon
     backend, text, readouts = TOO_DEEP[shape]
     src = tmp_path / "deep.feqc"
     src.write_text(text)
-    monkeypatch.setattr(measurement, "walk", None)  # called, it would raise TypeError
+    monkeypatch.setattr(measurement, "_walk", None)  # called, it would raise TypeError
     code, out, err = run_cli(capsys, "run", str(src), "--backend", backend, "--mode", mode)
     assert (code, out) == (1, "")
     assert err == (f"error: branch tree: {readouts} nested readouts exceed the limit "

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from feqc import fock, gadgets, measurement
-from feqc.circuit import (Conditional, Measure, PolarizingBeamSplitter, PrepBell, PrepSpin,
-                          SpinRotation, apply_instruction)
+from feqc.circuit import (Circuit, Conditional, Measure, PolarizingBeamSplitter, PrepBell,
+                          PrepSpin, SpinRotation, apply_instruction)
 from feqc.errors import PreconditionError
 from feqc.fock import (
     FockState,
@@ -38,6 +38,7 @@ from feqc.gadgets import (
 )
 from feqc.measurement import enumerate_branches, measure_spin
 from feqc.parser import parse
+import helpers
 from helpers import haar_two_qubit, random_spinor
 
 UP, DOWN = Spin.UP, Spin.DOWN
@@ -394,17 +395,17 @@ def test_cnot_with_electrometers_is_nearly_deterministic(monkeypatch):
     place, with the same corrections read mod 2, only nearly."""
     run_parity = gadgets._run
 
-    def run_charge(state, instructions):
+    def run_charge(state, circuit):
         """Each parity meter made an electrometer, and each correction on a
         reading of 0 also made on a reading of 2."""
         changed = []
-        for ins in instructions:
+        for ins in circuit.instructions:
             if isinstance(ins, Measure) and ins.kind == "parity":
                 ins = dataclasses.replace(ins, kind="charge")
             changed.append(ins)
             if isinstance(ins, Conditional) and ins.value == 0:
                 changed.append(dataclasses.replace(ins, value=2))
-        return run_parity(state, changed)
+        return run_parity(state, Circuit(circuit.arm_count, changed))
 
     def run(x, y):
         """Largest p2 reading and fidelity-weighted success on the input |x, y>."""
@@ -489,14 +490,14 @@ def test_no_gadget_applies_anything_after_its_walk(monkeypatch):
         finally:
             walks[-1] = False
 
-    kernel = fock.apply_single_particle_unitary
+    kernel = fock.apply_kernel_steps
 
     def inside_only(*args):
         assert walks and walks[-1], "an element applied outside the walk"
         return kernel(*args)
 
     monkeypatch.setattr(measurement, "branch_tree", counted)
-    monkeypatch.setattr(fock, "apply_single_particle_unitary", inside_only)
+    monkeypatch.setattr(fock, "apply_kernel_steps", inside_only)
     coeffs = np.zeros((2, 2), dtype=complex)
     coeffs[1, 0] = 1.0
     calls = [
@@ -510,6 +511,56 @@ def test_no_gadget_applies_anything_after_its_walk(monkeypatch):
         walks.clear()
         assert len(call()) == branches
         assert walks == [False]
+
+
+def walked_circuits(monkeypatch) -> list:
+    """The circuits measurement.branch_tree walks from now on, in order."""
+    circuits = []
+    walk = measurement.branch_tree
+    monkeypatch.setattr(measurement, "branch_tree",
+                        lambda circuit, state: circuits.append(circuit) or walk(circuit, state))
+    return circuits
+
+
+def test_a_gadget_called_again_walks_the_same_circuit_and_program(monkeypatch):
+    """Each gadget builds and checks its circuit once per arms and options,
+    and its program is prepared on the first walk: a second call walks the
+    same Circuit object, whose program is the one the first walk made."""
+    circuits = walked_circuits(monkeypatch)
+    coeffs = np.zeros((2, 2), dtype=complex)
+    coeffs[1, 0] = 1.0
+    calls = [
+        lambda: encoder(spin_state(2, [(1, 0.6, 0.8j), (2, 1, 1)]), 1, 2),
+        lambda: cnot(cnot_input(coeffs), 1, 2, 3),
+        lambda: hadamard_pbs_gadget(spin_state(2, [(1, 1, 0), (2, 0, 1)]), 1, 2),
+        lambda: bell_analyzer(prepare_bell(vacuum(2), 2, 1, 2), 1, 2, "charge"),
+        lambda: teleport(teleport_input(0.6, 0.8j), 1, 2, 3),
+    ]
+    for call in calls:
+        circuits.clear()
+        first = call()
+        (circuit,) = circuits
+        programs = dict(circuit.programs)
+        assert list(programs) == [False]
+        again = call()
+        assert circuits == [circuit] * 2 and circuits[1] is circuit
+        assert circuit.programs == programs and circuit.programs[False] is programs[False]
+        assert [(rec.outcomes, rec.probability) for rec in again] == [
+            (rec.outcomes, rec.probability) for rec in first]
+
+
+def test_encoder_with_and_without_its_correction_walks_two_circuits(monkeypatch):
+    """The encoder's two forms are two circuits, each the same on every call:
+    the correction is never appended to a cached circuit or list."""
+    circuits = walked_circuits(monkeypatch)
+    state = spin_state(2, [(1, 0.6, 0.8j), (2, 1, 1)])
+    for correction in (True, False, True, False):
+        encoder(state, 1, 2, apply_correction=correction)
+    corrected, plain = circuits[:2]
+    assert corrected is not plain and circuits[2:] == [corrected, plain]
+    assert circuits[2] is corrected and circuits[3] is plain
+    assert corrected.instructions[:3] == plain.instructions and len(plain.instructions) == 3
+    assert corrected.instructions[3:] == (Conditional("p", 0, SpinRotation(2, "x")),)
 
 
 def test_cnot_flips_the_target_at_most_once_per_leaf(monkeypatch):
@@ -531,7 +582,7 @@ def test_cnot_flips_the_target_at_most_once_per_leaf(monkeypatch):
                 for outcome, p, post in measurement._MEASURE_FNS[ins.kind](counted[0], ins.arm)]
 
     (circuit,) = circuits
-    root = measurement.walk(circuit.instructions, (state, 0), apply, branches)
+    root = helpers.walk(circuit.instructions, (state, 0), apply, branches)
     records = measurement.leaves(root)
     flips = {(rec.outcomes["p1"], rec.outcomes["z"]): rec.post_state[1] for rec in records}
     assert len(records) == 8

@@ -1,6 +1,6 @@
-"""What a fresh interpreter loads: a fock run, the fock-only gadgets and a
-bare ``import feqc`` load neither numpy nor the corr backend; the corr
-backend and sample mode load both."""
+"""What a fresh interpreter loads: a fock run, the bell, appendix-table and
+encoder gadgets and a bare ``import feqc`` load neither numpy nor the corr
+backend; the corr backend and sample mode load both."""
 
 from __future__ import annotations
 
@@ -71,7 +71,8 @@ def test_fock_runs_and_fock_gadgets_load_neither_numpy_nor_corr():
     argvs = [["run", path, *flag] for path in corpus for flag in ([], ["--emit-state"])]
     argvs += [["gadget", "bell", "--input", str(k), "--detector", detector]
               for k in range(4) for detector in ("parity", "charge")]
-    argvs += [["gadget", "appendix-table"]]
+    argvs += [["gadget", "appendix-table"], ["gadget", "encoder"],
+              ["gadget", "encoder", "--qubit", "(0.6,0),(0,0.8)", "--no-correction"]]
     for argv, (code, numpy_loaded, corr_loaded) in zip(argvs, run_all(argvs), strict=True):
         assert code == 0, argv
         assert not numpy_loaded and not corr_loaded, argv

@@ -44,7 +44,7 @@ from feqc.measurement import (
     sample_tree,
 )
 from feqc.parser import parse
-from helpers import amplitude_bits, charge1_probability, random_state
+from helpers import amplitude_bits, charge1_probability, random_state, walk
 
 UP = Spin.UP
 DATA = Path(__file__).parent / "data"
@@ -627,7 +627,7 @@ def test_terminal_leaves_read_in_any_order_give_the_same_states():
 
     # Each holds the keys the walker's readout-by-readout tree gives its leaf.
     circuit = parse(TERMINAL_RUN).circuit
-    plain = measurement.walk(circuit.instructions, vacuum(3), apply_instruction, readout)
+    plain = walk(circuit.instructions, vacuum(3), apply_instruction, readout)
     assert [list(rec.post_state.amplitudes) for rec in leaves(plain)] == [
         [k for k, _, _ in bits] for bits in forward]
 

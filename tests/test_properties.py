@@ -45,10 +45,12 @@ from feqc.circuit import (
 from feqc.errors import CircuitError, FeqcError, NonGaussianOperationError, PreconditionError
 from feqc.measurement import BranchNode, BranchRecord, FrontierNode, enumerate_branches
 from feqc.parser import parse
+import helpers
 from helpers import (always_pruned_unitary, amplitude_bits, deep_terminal_circuit,
                      dense_bilinear_unitary, dense_evolve, dense_project, dense_single_occupancy,
                      dense_vector, merged_probabilities, mode_occupation, product_monomials,
-                     random_correlation_matrix, random_state, random_unitary)
+                     random_correlation_matrix, random_state, random_unitary, reference_tree,
+                     walk)
 
 KEYWORDS = ["arms", "electron", "bell", "bs", "pbs", "swap", "rot", "if", "charge", "parity",
             "spin", "up", "down", "plus"]
@@ -486,11 +488,9 @@ def terminal_charge_circuits(draw):
                                        *(Measure(f"t{i}", "charge", a) for i, a in enumerate(arms))])
 
 
-WALK = measurement.walk  # the walker itself: the block tests patch the name it is called by
-
-
-def walk_without_block(instructions, state, apply, branches, block):
-    return WALK(instructions, state, apply, branches)
+# branch_tree through the reference walker, every readout one at a time: the
+# block tests patch it in for measurement.branch_tree.
+tree_without_block = functools.partial(reference_tree, block=False)
 
 
 def matrix_apply(M, ins):
@@ -581,7 +581,7 @@ def test_corr_terminal_block_equals_the_walk_without_it(circuit):
         root, _ = charge_branch_tree(circuit)
     except NonGaussianOperationError:
         return
-    reference = measurement.walk(circuit.instructions, corr.init_from_occupations(
+    reference = walk(circuit.instructions, corr.init_from_occupations(
         [], circuit.arm_count), matrix_apply, sequential_charge_outcomes)
     assert tree_shape(root) == tree_shape(reference)
     assert all(rec.post_state is None for rec in measurement.leaves(root))
@@ -631,7 +631,7 @@ def reference_walk(circuit):
     an instruction before the next, so it meets refusals in circuit order,
     where the walk meets them depth first."""
     def walk(instructions):
-        return measurement.walk(instructions, corr.init_from_occupations(
+        return helpers.walk(instructions, corr.init_from_occupations(
             [], circuit.arm_count), matrix_apply, sequential_charge_outcomes)
 
     try:
@@ -809,7 +809,7 @@ def test_corr_cli_makes_no_leaf_node_for_a_terminal_block(tmp_path, monkeypatch,
         assert json.loads(capsys.readouterr().out)["corr"]["terms"] == 3 ** 8
     assert made == []
     circuit = deep_terminal_circuit()
-    plain = measurement.walk(circuit.instructions, corr.init_from_occupations(
+    plain = walk(circuit.instructions, corr.init_from_occupations(
         [], circuit.arm_count), matrix_apply, sequential_charge_outcomes)
     got = [(rec.outcomes, rec.probability.hex()) for rec in measurement.leaves(roots[0][0])]
     assert len(got) == 1944
@@ -924,7 +924,7 @@ def test_fock_terminal_block_equals_the_walk_without_it(circuit, max_leaves):
     error (a refused spin readout, or MAX_LEAVES lowered)."""
     with mock.patch.object(measurement, "MAX_LEAVES", max_leaves):
         tree = fock_tree_or_error(circuit)
-        with mock.patch.object(measurement, "walk", walk_without_block):
+        with mock.patch.object(measurement, "branch_tree", tree_without_block):
             plain = fock_tree_or_error(circuit)
     assert_same_fock_tree(tree, plain)
 
@@ -1060,7 +1060,7 @@ def test_every_state_fock_builds_holds_amplitudes_at_or_above_the_threshold(circ
                 for outcome, p, post in measurement._MEASURE_FNS[ins.kind](state, ins.arm)]
 
     try:
-        root = measurement.walk(instructions, fock.vacuum(circuit.arm_count), checked_steps,
+        root = walk(instructions, fock.vacuum(circuit.arm_count), checked_steps,
                                 branches, (tail, measurement._born))
     except FeqcError:  # a refused readout or preparation
         return
@@ -1086,6 +1086,109 @@ def fock_conditional_readout_circuits(draw):
         instructions.append(ins)
     instructions += [Measure(f"t{k}", "charge", draw(arm)) for k in range(draw(st.integers(0, 2)))]
     return Circuit(n, instructions)
+
+
+@st.composite
+def fock_program_circuits(draw):
+    """Prepared 2-4-arm fock circuits for the prepared walk: elements,
+    readouts of every kind that may read an arm again, and conditionals,
+    nested up to three deep, that hold an element or a readout, then a
+    trailing run of 0-3 readouts.  A spin readout of an arm that does not
+    hold one electron on every key is refused."""
+    n = draw(st.integers(2, 4))
+    arm = st.integers(1, n)
+    rotations = st.builds(SpinRotation, arm, st.sampled_from(["x", "y", "z", "h"]))
+    filled = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(1, n))]
+    instructions = []
+    if len(filled) >= 2 and draw(st.booleans()):
+        instructions.append(PrepBell(draw(st.integers(0, 3)), filled.pop(), filled.pop()))
+    instructions += [PrepSpin(a, *draw(st.sampled_from(SPINORS))) for a in filled]
+    measured: dict[str, str] = {}
+    for _ in range(draw(st.integers(1, 10))):
+        choice = draw(st.sampled_from(["element", "element", "rot", "measure", "if"]))
+        if choice == "if":
+            if not measured:
+                continue
+            choice = draw(st.sampled_from(["element", "rot", "measure"]))
+            conditions = draw(st.lists(st.sampled_from(sorted(measured)), min_size=1,
+                                       max_size=3))
+        else:
+            conditions = []
+        if choice == "element":
+            i, j = draw(st.permutations(range(1, n + 1)))[:2]
+            ins = draw(st.sampled_from([BeamSplitter, PolarizingBeamSplitter, SwapArms]))(i, j)
+        elif choice == "rot":
+            ins = draw(rotations)
+        else:
+            kind = draw(st.sampled_from(["charge", "charge", "parity", "parity", "spin"]))
+            ins = Measure(f"m{len(measured)}", kind, draw(arm))
+            measured[ins.label] = ins.kind
+        for label in conditions:
+            ins = Conditional(label, draw(st.integers(0, 2 if measured[label] == "charge" else 1)),
+                              ins)
+        instructions.append(ins)
+    readouts = draw(st.lists(st.tuples(st.sampled_from(READOUT_KINDS), arm), max_size=3))
+    instructions += [Measure(f"t{i}", kind, a) for i, (kind, a) in enumerate(readouts)]
+    return Circuit(n, instructions)
+
+
+def fock_tree_bits(tree):
+    """A fock tree bit for bit: labels, outcomes, order, probability bits
+    and each leaf's post-state keys, in order, with their amplitude bits; or
+    a refusal's type and message."""
+    if isinstance(tree, tuple):
+        return tree
+    if isinstance(tree, BranchNode):
+        return tree.label, [(outcome, p.hex(), fock_tree_bits(child))
+                            for outcome, p, child in tree.children]
+    return (list(tree.outcomes.items()), tree.probability.hex(),
+            amplitude_bits(tree.post_state))
+
+
+def reference_tree_or_error(circuit, cone=False):
+    try:
+        return reference_tree(circuit, fock.vacuum(circuit.arm_count), cone=cone)
+    except FeqcError as err:
+        return type(err), str(err)
+
+
+# A rotation and a readout under nested conditionals, each skipped on a path
+# that meets its inner condition only, an arm read three times, and a spin
+# readout refused on the branches where the charge readout left arm 1 empty.
+NESTED_READOUTS = Circuit(3, [
+    PrepSpin(1, 1, 1), PrepSpin(2, 0.6, 0.8j), PrepSpin(3, 1, -1j), BeamSplitter(1, 2),
+    Measure("a", "charge", 1), Measure("b", "parity", 2),
+    Conditional("a", 1, Conditional("b", 0, SpinRotation(2, "h"))), BeamSplitter(2, 3),
+    Measure("c", "charge", 1), Conditional("c", 1, Conditional("a", 1, Measure("d", "spin", 1))),
+    Conditional("c", 1, Measure("e", "spin", 1)), Measure("f", "parity", 2),
+    Measure("t", "charge", 3)])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(fock_program_circuits(), fock_terminal_circuits(), fock_cone_circuits(),
+                 fock_conditional_readout_circuits()),
+       st.sampled_from([measurement.MAX_LEAVES] * 3 + [1, 3]), st.booleans())
+@example(NESTED_READOUTS, measurement.MAX_LEAVES, False)
+@example(NESTED_READOUTS, measurement.MAX_LEAVES, True)
+@example(Circuit(2, [PrepBell(0, 1, 2), BeamSplitter(1, 2), Measure("q", "charge", 1),
+                     Measure("s", "spin", 1)]), measurement.MAX_LEAVES, False)
+@example(MIXED_TERMINAL_RUN, 5, False)  # the MAX_LEAVES refusal in the trailing run
+@example(NESTED_READOUTS, 3, False)  # the MAX_LEAVES refusal below a mid-circuit readout
+@example(TWENTY_ARMS, measurement.MAX_LEAVES, False)  # the MAX_KEYS refusal
+@example(TWENTY_ARMS, measurement.MAX_LEAVES, True)
+@with_pool_examples(measurement.MAX_LEAVES, False)
+def test_branch_tree_equals_the_reference_walk(circuit, max_leaves, cone):
+    """branch_tree's prepared walk gives, bit for bit, the tree of the
+    reference walker over apply_instruction and measurement._MEASURE_FNS,
+    with the trailing run read by measurement._born: the same labels, order,
+    probabilities, post-state amplitudes and key order, or the same refusal
+    type and message.  A circuit walked again reuses its program."""
+    with mock.patch.object(measurement, "MAX_LEAVES", max_leaves):
+        expected = fock_tree_bits(reference_tree_or_error(circuit, cone))
+        assert fock_tree_bits(fock_tree_or_error(circuit, cone)) == expected
+        programs = dict(circuit.programs)
+        assert fock_tree_bits(fock_tree_or_error(circuit, cone)) == expected
+    assert all(circuit.programs[key] is program for key, program in programs.items())
 
 
 def leaf_nodes(node) -> list:
@@ -1154,7 +1257,7 @@ def test_fock_state_has_norm_one_before_every_readout(circuit):
         assert abs(norm2 - 1) <= 1e-12, (ins.label, norm2)
         return measurement._MEASURE_FNS[ins.kind](state, ins.arm)
 
-    measurement.walk(circuit.instructions, fock.vacuum(circuit.arm_count), apply_instruction, meter)
+    walk(circuit.instructions, fock.vacuum(circuit.arm_count), apply_instruction, meter)
 
 
 def assert_kept_outcomes_sum_to_one(circuit):
