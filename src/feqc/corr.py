@@ -13,9 +13,11 @@ entangled-pair preparations; those raise NonGaussianOperationError.  What
 this backend can do instead is answer "is every arm in S singly occupied?"
 by expanding the product of one-per-arm projectors into 3^|S| occupation
 monomials, each a principal-minor determinant.  The determinants are formed
-as products of Schur-complement pivots, all 3^|S| of them as the leaves of
-one breadth-first frontier over the 2|S| x 2|S| block of the arms in S.
-That exponential term count is deliberately surfaced to callers.
+as products of Schur-complement pivots, at most 3^|S| of them as the leaves
+of one breadth-first frontier over the 2|S| x 2|S| block of the arms in S:
+a pivot at or below PIVOT_FLOOR ends its subtree, whose terms are 0.  That
+exponential term count, 3^|S| whatever is dropped, is deliberately surfaced
+to callers, and MAX_JOINT_TERMS limits it before anything is built.
 
 A circuit's charge readouts are expanded breadth first, in one loop over its
 instructions that holds every live branch's matrix in one (n, n, branches)
@@ -65,7 +67,11 @@ PROBABILITY_FLOOR = 1e-12
 # probability, and dividing by it is safe: the blocks are positive
 # semidefinite, so no rank-one update it makes exceeds 1 in magnitude.
 PIVOT_FLOOR = 1e-15
-MAX_JOINT_TERMS = 3 ** 12  # 12 arms take ~55 ms and ~38 MiB; each further arm triples both
+# The joint query's 3^m terms, counted before anything is built.  At most
+# that many monomials are expanded: a floored pivot ends its subtree.  Twelve
+# arms whose pivots never floor take ~55 ms on a process's first query
+# (~30 ms after) and ~38 MiB; each further arm triples both.
+MAX_JOINT_TERMS = 3 ** 12
 # Bytes one branch tree may take, counted as one complex matrix of the walk
 # per leaf: 16 * (2 * arms of the readouts' light cone) ** 2 bytes, so 7281
 # leaves when the cone holds 48 arms.  That is the stack's own size until the
@@ -251,7 +257,8 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
     collection, as the leaves of one breadth-first frontier.  Each arm picks
     its up mode, its down mode or both, in ``itertools.product`` order over
     the arms in ascending order, and k counts the arms that picked both.
-    The length of this array is the query's advertised cost.
+    The length of this array is the query's advertised cost, and at most
+    that many monomials are expanded.
 
     Every live entry, a weight w and a block S over the modes of the arms
     still to pick, branches into its up, down and both children, with
@@ -268,6 +275,15 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
 
     The entries' blocks are stacked (n, n, entries) and each arm's children
     laid out child-major; one permutation puts the leaves in product order.
+    An entry of weight exactly 0 has only terms of 0 below it, so once at
+    least half of the entries a level holds weigh 0 they leave the frontier:
+    the survivors' blocks and weights are gathered, with each one's place
+    among the level's 3^k entries, and their subtrees' terms are scattered
+    to those places at the end, every dropped term 0.0.  A gather copies
+    every live block, so it waits until it at least halves them.  A query
+    ends at a level with no live entry.  Each live term comes from the same
+    elementwise steps on the same operands as in the full frontier, so it
+    has the same bits.
     """
     ups = _joint_ups(arms, M.num_arms)
     if not ups:
@@ -275,12 +291,21 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
     modes = [pos for up in ups for pos in (up, up + 1)]
     block = M.matrix.take(modes, 0).take(modes, 1)[..., None]
     weights = np.ones(1)
+    places = None  # each entry's place among its level's, once a level was gathered
+    size = 1  # the level's entries, 3^k, the dropped ones counted
     while True:
         n, count = len(block) - 2, block.shape[2]
         pivots, scales = _floored(block.diagonal()[:, :2].T.real)
+        if places is not None:  # the children's places, child-major like their weights
+            places = (places + size * np.arange(3)[:, None]).reshape(-1)
+        size *= 3
         if n == 0:  # the last arm: its pivots alone
             both = block[1, 1] - block[1, 0] * (block[0, 1] * scales[0])
             terms = _grow(weights, pivots, _floored(both.real)[0])
+            if places is not None:
+                full = np.zeros(size)  # every dropped term is 0.0
+                full[places] = terms
+                terms = full
             return terms.reshape((3,) * len(ups)).transpose().reshape(-1)
         # The up and down children's Schur steps at once, [row, column, step,
         # entry] over the modes after the up mode: the up step's still holds
@@ -300,6 +325,13 @@ def single_occupancy_terms(M: CorrelationMatrix, arms) -> np.ndarray:
         weights = _grow(weights, pivots, both)
         block = children.reshape(n, n, 3 * count)
         del children, both_child, steps, up  # so the block is the children's only reference
+        live = np.count_nonzero(weights)
+        if 2 * live <= len(weights):  # at least half weigh 0: drop them
+            if not live:
+                return np.zeros(3 ** len(ups))
+            kept = weights.nonzero()[0]
+            places = kept if places is None else places[kept]
+            block, weights = block.take(kept, 2), weights[kept]
 
 
 def single_occupancy_probability(M: CorrelationMatrix, arms) -> float:

@@ -8,11 +8,12 @@ sparse engine's code paths so the two can check each other.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm, schur
 
-from feqc import fock, measurement
+from feqc import corr, fock, measurement
 from feqc.circuit import (BeamSplitter, Circuit, Conditional, Measure, PolarizingBeamSplitter,
                           PrepSpin, apply_instruction, light_cone, readout_of, validate_circuit)
 from feqc.errors import FeqcError
@@ -288,6 +289,58 @@ def dense_single_occupancy(m: np.ndarray, arms) -> float:
     for coef, positions in product_monomials(arms, len(m) // 2):
         total += coef * float(np.linalg.det(m[np.ix_(positions, positions)]).real)
     return total
+
+
+def full_single_occupancy_terms(M, arms) -> np.ndarray:
+    """The joint query's 3^m terms from a frontier that visits every
+    monomial: ``corr.single_occupancy_terms`` without dropping an entry of
+    weight 0, whose subtree is then expanded to terms of 0.  The reference
+    expansion that the pruned query must match bit for bit; it shares corr's
+    pivot helpers, so it judges the pruning, not the pivots."""
+    ups = corr._joint_ups(arms, M.num_arms)
+    if not ups:
+        return np.ones(1)
+    modes = [pos for up in ups for pos in (up, up + 1)]
+    block = M.matrix.take(modes, 0).take(modes, 1)[..., None]
+    weights = np.ones(1)
+    while True:
+        n, count = len(block) - 2, block.shape[2]
+        pivots, scales = corr._floored(block.diagonal()[:, :2].T.real)
+        if n == 0:
+            both = block[1, 1] - block[1, 0] * (block[0, 1] * scales[0])
+            terms = corr._grow(weights, pivots, corr._floored(both.real)[0])
+            return terms.reshape((3,) * len(ups)).transpose().reshape(-1)
+        rows = block[:2, 1:] * scales[:, None]
+        steps = block[1:, None, :2] * rows.transpose(1, 0, 2)[None]
+        np.subtract(block[1:, 1:, None], steps, out=steps)
+        up = steps[:, :, 0]
+        both, scale = corr._floored(up[0, 0].real)
+        children = np.empty((n, n, 3, count), complex)
+        children[:, :, :2] = steps[1:, 1:]
+        both_child = children[:, :, 2]
+        np.multiply(up[1:, :1], up[:1, 1:] * scale, out=both_child)
+        np.subtract(up[1:, 1:], both_child, out=both_child)
+        weights = corr._grow(weights, pivots, both)
+        block = children.reshape(n, n, 3 * count)
+
+
+def parity_joint_probability(m: np.ndarray, arms) -> float:
+    """The joint charge-1 probability as 2^|S| parity determinants, an
+    expansion independent of the monomials': on one spinful arm
+    [n = 1] = (1 - (-1)^n) / 2, and a number-conserving Gaussian state has
+    E[(-1)^N_T] = det(I - 2 M_T) over the modes of the arms T (Wick), so
+    P = 2^-|S| sum_{T subset S} (-1)^|T| det(I - 2 M_T).  The subsets of
+    each size are one batched ``np.linalg.det`` (pivoted LU): a pivot of
+    I - 2 M_T may vanish where its determinant does not."""
+    arms = sorted(set(arms))
+    dets = [1.0]  # the empty subset's
+    for size in range(1, len(arms) + 1):
+        subsets = np.array(list(itertools.combinations(arms, size)))
+        modes = (2 * (subsets - 1)[..., None] + np.arange(2)).reshape(len(subsets), -1)
+        blocks = m[modes[:, :, None], modes[:, None, :]]
+        signed = (-1) ** size * np.linalg.det(np.eye(2 * size) - 2 * blocks).real
+        dets.extend(signed.tolist())
+    return math.fsum(dets) / 2 ** len(arms)
 
 
 def deep_terminal_circuit(seed=11, num_arms=12, readouts=8) -> Circuit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -777,7 +778,7 @@ def test_arm_limit_admits_max_arms(monkeypatch):
 
 def test_joint_term_limit_admits_twelve_arms_and_guards_both_queries():
     assert corr.MAX_JOINT_TERMS == 3 ** 12
-    # Twelve arms evaluate in full.  Six beam-split pairs of electrons share
+    # Twelve arms are admitted.  Six beam-split pairs of electrons share
     # nothing, so the joint query over all twelve is one pair's to the sixth.
     def split_pairs(pairs: int) -> corr.CorrelationMatrix:
         M = init_from_occupations([], 2 * pairs)
@@ -796,3 +797,25 @@ def test_joint_term_limit_admits_twelve_arms_and_guards_both_queries():
         corr.single_occupancy_probability(init_from_occupations([], 13), range(1, 14))
     with pytest.raises(FeqcError, match=message):
         corr.single_occupancy_terms(init_from_occupations([], 13), range(1, 14))
+
+
+def test_an_empty_first_read_arm_ends_the_twelve_arm_joint_query():
+    """Every pivot of an empty arm is 0, so a query whose first read arm is
+    empty drops all three children of its first level and ends there: its
+    3^12 terms are 0.0 and its peak is that array's.  The doubly occupied
+    query, whose pivots are all 1, drops nothing and takes about 38 MiB."""
+    def traced(occupied):
+        M = init_from_occupations(occupied, 12)
+        tracemalloc.start()  # numpy reports its array buffers here
+        try:
+            terms = single_occupancy_terms(M, range(1, 13))
+            return terms, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    terms, peak = traced([(arm, spin) for arm in range(2, 13) for spin in Spin])
+    assert len(terms) == 3 ** 12 and not terms.any()
+    assert peak < 16 * 2**20
+    terms, peak = traced([(arm, spin) for arm in range(1, 13) for spin in Spin])
+    assert len(terms) == 3 ** 12 and terms.all() and terms.sum() == 0.0
+    assert peak > 16 * 2**20  # so only a query that ends early keeps under the bound above

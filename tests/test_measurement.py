@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -228,6 +229,25 @@ def test_measurements_report_norm_drift_instead_of_renormalizing(measure):
                 measure(scaled, 2)
         else:
             assert sum(p for _, p, _ in measure(scaled, 2)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("tail", ["", "bs 2 3\nr = charge 3\n"], ids=["trailing", "mid-circuit"])
+@pytest.mark.parametrize("mass", [5e-13, 2e-12])
+def test_a_readout_drops_an_outcome_at_the_branch_threshold_and_renormalizes_the_rest(tail, mass):
+    # The splitter sends the electron's down part, of weight ``mass``, to arm 2,
+    # so charge 1 reads 0 with probability ``mass``.  Read last, it is a run of
+    # one readout (_expand); followed by an element, a readout of its own (_split).
+    down = math.sqrt(mass / (1 - mass))
+    circuit = parse(f"arms 3\nelectron 1 (1,0) ({down!r},0)\npbs 1 2\nq = charge 1\n{tail}").circuit
+    probabilities = {}
+    for record in enumerate_branches(circuit, vacuum(3)):
+        q = record.outcomes["q"]
+        probabilities[q] = probabilities.get(q, 0.0) + record.probability
+    if mass < measurement.BRANCH_THRESHOLD:
+        assert probabilities == {1: 1.0}  # 1 - mass over the kept 1 - mass
+    else:
+        assert probabilities[0] == pytest.approx(mass, rel=1e-9)
+        assert probabilities[1] == pytest.approx(1 - mass, rel=1e-15)
 
 
 # Each readout's outcome for a key, as the mask table in its measure_* must give

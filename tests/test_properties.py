@@ -1393,3 +1393,72 @@ def test_joint_frontier_forms_every_monomial_in_order(state, arms_and_subset):
         minor = np.linalg.det(M.matrix[np.ix_(positions, positions)]).real
         assert abs(term - coef * minor) <= 1e-14
 
+
+def drawn_joint_query(seed, read, extra, electrons, vacant, mixed):
+    """A Gaussian state of read + extra arms and ``read`` of its arms to query:
+    a random pure state of ``electrons`` electrons, or with ``mixed`` a mixed
+    one whose occupations are drawn in [0, 1], over every arm but ``vacant``
+    of the read ones, which hold no electron.  Fewer electrons than read modes
+    leave the read block rank deficient; a mixed state's is full rank."""
+    rng = np.random.default_rng(seed)
+    arms = read + extra
+    subset = sorted(rng.choice(np.arange(1, arms + 1), read, replace=False).tolist())
+    empty = set(rng.choice(subset, vacant, replace=False).tolist())
+    modes = [2 * (arm - 1) + spin for arm in range(1, arms + 1) if arm not in empty
+             for spin in (0, 1)]
+    u = random_unitary(rng, len(modes))
+    occupations = (rng.uniform(0, 1, len(modes)) if mixed
+                   else rng.permutation(np.arange(len(modes)) < electrons))
+    held = (u * occupations) @ u.conj().T
+    m = np.zeros((2 * arms, 2 * arms), complex)
+    m[np.ix_(modes, modes)] = (held + held.conj().T) / 2
+    return corr.CorrelationMatrix(arms, m), subset
+
+
+@st.composite
+def joint_queries(draw, max_read):
+    read = draw(st.integers(1, max_read))
+    extra = draw(st.integers(0, 2))
+    return drawn_joint_query(draw(seeds), read, extra, draw(st.integers(0, 2 * (read + extra))),
+                             draw(st.integers(0, min(read, 2))), draw(st.booleans()))
+
+
+def joint_query_examples(read):
+    """Queries over ``read`` arms as examples: as many electrons as read arms,
+    which exhaust the block's rank part way down the frontier; every read arm
+    doubly occupied, which drops nothing; a mixed state, whose pivots never
+    floor; a first read arm that holds no electron, which ends the query at
+    its first level; and one up electron per read arm, which keeps one path."""
+    vacant_first = drawn_joint_query(4, read, 0, read, 0, False)
+    vacant_first[0].matrix[:2] = vacant_first[0].matrix[:, :2] = 0
+    ups = corr.init_from_occupations([(arm, fock.Spin.UP) for arm in range(1, read + 1)], read)
+    queries = [drawn_joint_query(*args) for args in [
+        (0, read, 0, read, 0, False), (1, read, 1, read, 0, False),
+        (2, read, 0, 2 * read, 0, False), (3, read, 2, 0, 0, True)]]
+
+    def decorate(test):
+        for query in queries + [vacant_first, (ups, list(range(1, read + 1)))]:
+            test = example(query)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(joint_queries(10))
+@joint_query_examples(10)
+def test_joint_query_matches_the_parity_determinant_judge(query):
+    M, arms = query
+    assert abs(corr.single_occupancy_probability(M, arms)
+               - helpers.parity_joint_probability(M.matrix, arms)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(joint_queries(8))
+@joint_query_examples(8)
+def test_joint_query_drops_only_terms_of_zero(query):
+    M, arms = query
+    terms = corr.single_occupancy_terms(M, arms)
+    full = helpers.full_single_occupancy_terms(M, arms)
+    assert len(terms) == len(full) == 3 ** len(arms)
+    assert np.array_equal(terms, full)
+    assert np.cumsum(terms)[-1].hex() == np.cumsum(full)[-1].hex()
