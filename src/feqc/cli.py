@@ -75,14 +75,21 @@ def _build_argparser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2^64), got {text!r}") from None
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {value}")
     return value
 
 
 def _shots(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"shots must be an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"shots must be >= 1, got {value}")
     return value

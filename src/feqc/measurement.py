@@ -20,7 +20,10 @@ cone's states.  ``sample`` reads the tree's leaves in chunks that each read
 one label set (``leaf_table``) into one cumulative distribution and routes
 shot i by the i-th double of one Philox stream keyed by the seed, so
 identical inputs reproduce identical records and a run is a prefix of any
-longer run with its seed.
+longer run with its seed.  When every leaf reads one outcome assignment (a
+fock tree of one leaf, or a corr frontier whose spin-resolved leaves share
+one row), every draw would pick it, so every shot takes it without a draw
+and the sample loads no numpy.
 """
 
 from __future__ import annotations
@@ -446,10 +449,15 @@ def leaf_table(root) -> list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
     i's outcomes.  A FrontierNode is one chunk of its own arrays, its
     children not built; each run of leaf records that read the same labels
     is another."""
+    return _chunks(_leaf_nodes(root, []))
+
+
+def _chunks(nodes: list) -> list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
+    """``leaf_table`` of the leaf records and FrontierNodes ``nodes``, in leaf order."""
     import numpy as np
 
     chunks = []
-    for key, run in groupby(_leaf_nodes(root, []), _chunk_key):
+    for key, run in groupby(nodes, _chunk_key):
         first = next(run)
         if isinstance(first, FrontierNode):
             chunks.append((first.labels, first.rows, first.probabilities))
@@ -510,27 +518,50 @@ def _leaf_picks(cdf: np.ndarray, seed: int, shots: int):
         yield np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
+def _sole_outcome(nodes: list) -> Union[dict[str, int], None]:
+    """The outcome assignment, labels in order, that every one of the leaf
+    records and FrontierNodes ``nodes`` reads, or None if they read more than
+    one or there are none."""
+    sole = None
+    for node in nodes:
+        if isinstance(node, FrontierNode):
+            rows = node.rows
+            if (rows != rows[0]).any():
+                return None
+            outcome = list(zip(node.labels, rows[0].tolist()))
+        else:
+            outcome = list(node.outcomes.items())
+        if sole is None:
+            sole = outcome
+        elif outcome != sole:
+            return None
+    return None if sole is None else dict(sole)
+
+
 @dataclass(eq=False)
 class SampleResult:
     """Sampled shots: ``frequencies`` maps each outcome signature to its shot
     count, and ``records`` lists each shot's outcome assignment in shot
-    order, each with the labels its leaf read.  The result keeps the draw,
-    the leaves' ``chunks`` (as ``leaf_table`` gives them) and their ``cdf``,
-    and draws the records again from the seeded stream when they are first
-    read, so a caller that needs only the frequencies keeps nothing per
-    shot."""
+    order, each with the labels its leaf read.  ``draw`` is what the records
+    are read from: the one outcome assignment every leaf reads, which every
+    shot takes, or the leaves' chunks (as ``leaf_table`` gives them) and
+    their cumulative distribution, from which the records are drawn again
+    from the seeded stream when they are first read, so a caller that needs
+    only the frequencies keeps nothing per shot."""
 
     frequencies: dict[str, int]
-    chunks: list[tuple[tuple[str, ...], np.ndarray, np.ndarray]]
-    cdf: np.ndarray
+    draw: Union[dict[str, int], tuple[list, np.ndarray]]
     seed: int
     shots: int
 
     @cached_property
     def records(self) -> list[dict[str, int]]:
-        outcomes = [dict(zip(labels, row)) for labels, rows, _ in self.chunks
+        if isinstance(self.draw, dict):
+            return [self.draw] * self.shots
+        chunks, cdf = self.draw
+        outcomes = [dict(zip(labels, row)) for labels, rows, _ in chunks
                     for row in rows.tolist()]
-        return [outcomes[i] for picks in _leaf_picks(self.cdf, self.seed, self.shots)
+        return [outcomes[i] for picks in _leaf_picks(cdf, self.seed, self.shots)
                 for i in picks.tolist()]
 
     def __eq__(self, other) -> bool:
@@ -539,14 +570,20 @@ class SampleResult:
 
 
 def sample_tree(root, seed: int, shots: int) -> SampleResult:
-    """Draw shots from the leaves of a branch tree (see the module docstring)."""
+    """Draw shots from the leaves of a branch tree (see the module docstring).
+    When every leaf reads one outcome assignment, every shot takes it: each
+    draw would pick a leaf of that assignment, and nothing is drawn."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    nodes = _leaf_nodes(root, [])
+    sole = _sole_outcome(nodes)
+    if sole is not None:
+        return SampleResult({outcome_signature(sole): shots}, sole, seed, shots)
     import numpy as np
 
-    chunks = leaf_table(root)
+    chunks = _chunks(nodes)
     cdf = np.cumsum(np.concatenate([probs for *_, probs in chunks]))
     counts = iter(sum(np.bincount(picks, minlength=len(cdf))
                       for picks in _leaf_picks(cdf, seed, shots)).tolist())
@@ -556,7 +593,7 @@ def sample_tree(root, seed: int, shots: int) -> SampleResult:
             if count:  # corr leaves can share outcomes; their counts add
                 key = outcome_signature(dict(zip(labels, row)))
                 frequencies[key] = frequencies.get(key, 0) + count
-    return SampleResult(dict(sorted(frequencies.items())), chunks, cdf, seed, shots)
+    return SampleResult(dict(sorted(frequencies.items())), (chunks, cdf), seed, shots)
 
 
 def sample(circuit: Circuit, input_state: FockState, seed: int, shots: int) -> SampleResult:

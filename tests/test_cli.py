@@ -411,6 +411,19 @@ def test_run_rejects_seed_outside_64_bits(capsys, seed):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--shots", "1e3", "shots must be an integer >= 1, got '1e3'"),
+    ("--seed", "abc", "seed must be an integer in [0, 2^64), got 'abc'"),
+])
+def test_run_names_a_non_integer_shots_or_seed_in_its_own_words(capsys, option, value, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(DATA / "encoder.feqc"), "--mode", "sample", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"feqc run: error: argument {option}: {message}\n")
+    assert "invalid" not in err
+
+
 @pytest.mark.parametrize("order", [("--backend", "corr", "--emit-state"),
                                    ("--emit-state", "--backend", "corr")])
 def test_run_refuses_emit_state_on_corr(capsys, order):

@@ -1,6 +1,8 @@
 """What a fresh interpreter loads: a fock run, the bell, appendix-table and
 encoder gadgets and a bare ``import feqc`` load neither numpy nor the corr
-backend; the corr backend and sample mode load both."""
+backend; the corr backend loads both, and sample mode loads numpy only when
+it draws, so a sample of a circuit whose leaves read one outcome loads
+neither."""
 
 from __future__ import annotations
 
@@ -73,6 +75,14 @@ def test_fock_runs_and_fock_gadgets_load_neither_numpy_nor_corr():
               for k in range(4) for detector in ("parity", "charge")]
     argvs += [["gadget", "appendix-table"], ["gadget", "encoder"],
               ["gadget", "encoder", "--qubit", "(0.6,0),(0,0.8)", "--no-correction"]]
+    for argv, (code, numpy_loaded, corr_loaded) in zip(argvs, run_all(argvs), strict=True):
+        assert code == 0, argv
+        assert not numpy_loaded and not corr_loaded, argv
+
+
+def test_a_one_outcome_sample_loads_neither_numpy_nor_corr():
+    names = ["bell_analyzer", "hom_triplet", "parity_keeps_coherence", "spin_parity_readout"]
+    argvs = [["run", str(DATA / f"{name}.feqc"), "--mode", "sample"] for name in names]
     for argv, (code, numpy_loaded, corr_loaded) in zip(argvs, run_all(argvs), strict=True):
         assert code == 0, argv
         assert not numpy_loaded and not corr_loaded, argv

@@ -7,12 +7,13 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feqc import cli, measurement
+from feqc import cli, corr, measurement
 from feqc.circuit import (
     BeamSplitter,
     Circuit,
@@ -443,6 +444,63 @@ def test_sample_memory_does_not_grow_with_shots(monkeypatch):
         tracemalloc.stop()
     assert sum(result.frequencies.values()) == 200_000
     assert peak < 200_000  # under one byte per shot: no per-shot draw or record is kept
+
+
+ONE_OUTCOME_FILES = ["bell_analyzer", "hom_triplet", "parity_keeps_coherence",
+                     "spin_parity_readout"]
+# A split electron read on corr: two spin-resolved leaves of one row (q = 1)
+# or, with a splitter first, leaves of two rows.
+CORR_ONE_ROW = "arms 1\nelectron 1 plus\nq = charge 1\n"
+CORR_TWO_ROWS = "arms 2\nelectron 1 plus\nbs 1 2\nq = charge 1\n"
+
+
+def corr_tree(source):
+    return corr.charge_branch_tree(parse(source).circuit)[0]
+
+
+def philox_records(root, seed, shots):
+    """Each shot's outcome assignment as the draw gives it: shot i picks the
+    leaf of leaf_table's cumulative distribution that the i-th double of the
+    seed's Philox stream lands in."""
+    chunks = measurement.leaf_table(root)
+    outcomes = [dict(zip(labels, row)) for labels, rows, _ in chunks for row in rows.tolist()]
+    cdf = np.cumsum(np.concatenate([probs for *_, probs in chunks]))
+    return [outcomes[i] for picks in measurement._leaf_picks(cdf, seed, shots)
+            for i in picks.tolist()]
+
+
+@pytest.mark.parametrize("shots", [1, 1024, measurement.SAMPLE_BLOCK + 1])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("name", [*ONE_OUTCOME_FILES, "corr", "labels_out_of_order"])
+def test_a_one_outcome_sample_draws_nothing_and_equals_the_draw(monkeypatch, name, seed, shots):
+    if name == "corr":
+        root = corr_tree(CORR_ONE_ROW)
+        assert len(measurement.leaves(root)) == 2
+    else:
+        source = ("arms 2\nelectron 1 up\nelectron 2 down\nz = charge 1\na = spin 2\n"
+                  if name == "labels_out_of_order" else (DATA / f"{name}.feqc").read_text())
+        circuit = parse(source).circuit
+        root = branch_tree(circuit, vacuum(circuit.arm_count))
+    drawn = philox_records(root, seed, shots)
+    assert len({outcome_signature(outcome) for outcome in drawn}) == 1  # one assignment
+
+    def refused(*args):
+        raise AssertionError("a one-outcome sample drew")
+
+    monkeypatch.setattr(measurement, "_leaf_picks", refused)
+    result = sample_tree(root, seed, shots)
+    assert result.frequencies == {outcome_signature(drawn[0]): shots}
+    assert result.records == drawn
+    assert result == sample_tree(root, seed, shots)
+
+
+def test_a_corr_frontier_of_two_rows_is_drawn():
+    root = corr_tree(CORR_TWO_ROWS)
+    drawn = philox_records(root, 7, 1000)
+    result = sample_tree(root, 7, 1000)
+    assert result.frequencies == dict(sorted(Counter(map(outcome_signature, drawn)).items()))
+    assert set(result.frequencies) == {"q=0", "q=1"}
+    assert result.records == drawn
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
